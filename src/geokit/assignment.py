@@ -1,10 +1,14 @@
 """Eigenstructure assignment from pencil kernels.
 
-Feedback matrices are assembled the same way throughout: pick eigenvalue /
-eigenvector / input-direction triples (v, w) from kernels of the relevant
-pencil, replace conjugate pairs by real and imaginary parts so the result is
-real by construction, and set ``F = W V^+``.  On top of that engine this
-module provides Moore's solvability check, pole placement over the reachable
+Feedback matrices are assembled the same way throughout: collect state
+directions v with their input directions w and set ``F = W V^+``.  Where a
+spectrum is requested, the pairs are eigenvalue / eigenvector / input-
+direction triples from kernels of the relevant pencil, with conjugate pairs
+replaced by real and imaginary parts so the result is real by construction.
+A friend of an output-nulling subspace closes whatever no requested
+eigenvalue covers (all of it when no spectrum is given) by a least-squares
+solve, without choosing eigenvalues.  On top of that engine this module
+provides Moore's solvability check, pole placement over the reachable
 subspace, the maximal subspace on which a given distinct spectrum is
 assignable with a diagonalizable closed loop, and the minimal number of
 distinct closed-loop eigenvalues achievable without Jordan blocks.
@@ -221,28 +225,6 @@ def _assemble_feedback(
     return FeedbackResult(F, tuple(assigned), res_eig, res_out, res_inv, cond_v)
 
 
-def _default_spectrum(A: np.ndarray, count: int, draw_seed: int) -> list[complex]:
-    """Distinct negative reals spread across the open-loop spectral band.
-
-    Spreading matters: moduli far beyond the spectrum make all pencil-kernel
-    directions collapse toward im B.  Each value is nudged so its modulus
-    stays clear of the open-loop moduli.
-    """
-    mags = np.abs(np.linalg.eigvals(A))
-    s = max(1.0, float(mags.max()) if mags.size else 1.0)
-    rng = np.random.default_rng(draw_seed)
-    vals = []
-    for k in range(count):
-        lo = 0.15 + 0.95 * k / count
-        hi = 0.15 + 0.95 * (k + 1) / count
-        for _ in range(50):
-            x = s * rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
-            if all(abs(x - mu) > 1e-3 * s for mu in mags):
-                break
-        vals.append(complex(-x))
-    return vals
-
-
 def _candidate_pools(sys: SystemQuad, reps, V: Subspace, tol: Tol):
     """Per-eigenvalue kernel directions whose state part lies in V."""
     n = sys.n
@@ -281,33 +263,37 @@ def _spectrum_representatives(lambdas, partner) -> list[tuple[complex, bool]]:
     return reps
 
 
-def _friend_engine(sys: SystemQuad, V: Subspace, spectrum, tol: Tol, draw_seed: int) -> FeedbackResult:
-    """Shared synthesis path behind :func:`geokit.geometry.friend_of`."""
-    n, m, p = sys.n, sys.m, sys.p
+def _friend_engine(sys: SystemQuad, V: Subspace, spectrum, tol: Tol) -> FeedbackResult:
+    """Shared synthesis path behind :func:`geokit.geometry.friend_of`.
+
+    With a spectrum, eigenvector/input-direction units are selected first;
+    every direction of V they leave uncovered (all of V without a spectrum)
+    is closed by the least-squares output-nulling relation: for a unit
+    direction e, ``[P B; D] w = -[P A e; C e]`` with P the projector onto
+    the orthogonal complement of V, and the feedback sends e to w.
+    """
+    n, m = sys.n, sys.m
     r = V.dim
     if r == 0:
         return FeedbackResult(np.zeros((m, n)), (), 0.0, 0.0, 0.0, 1.0)
-    if spectrum is None:
-        lambdas = _default_spectrum(sys.A, r, draw_seed)
-        partner = list(range(r))
-    else:
+    vcols, wcols, assigned = [], [], []
+    Q = np.zeros((n, 0))
+    if spectrum is not None:
         checked = spectrum if isinstance(spectrum, SpectrumSpec) and spectrum.partner else validate_spectrum(spectrum, (), tol)
-        lambdas, partner = list(checked.lambdas), list(checked.partner)
-    reps = _spectrum_representatives(lambdas, partner)
-    pools = _candidate_pools(sys, reps, V, tol)
-    units, Q, total = _greedy_units(pools, r, n)
-    vcols, wcols, assigned = _expand_units(units, tol)
-    if total < r:
+        reps = _spectrum_representatives(list(checked.lambdas), list(checked.partner))
+        pools = _candidate_pools(sys, reps, V, tol)
+        units, Q, _total = _greedy_units(pools, r, n)
+        vcols, wcols, assigned = _expand_units(units, tol)
+    if len(vcols) < r:
         vb = V.basis.real
         Pperp_v = np.eye(n) - vb @ vb.T
-        rem = image_basis((vb - Q @ (Q.T @ vb)) if Q.shape[1] else vb, tol, scale=1.0)
+        rem = image_basis(vb - Q @ (Q.T @ vb), tol, scale=1.0)
+        E = require_real(rem.basis, tol, "completion directions")
         lhs = np.vstack([Pperp_v @ sys.B, sys.D])
-        for k in range(rem.dim):
-            e = require_real(rem.basis[:, k], tol, "completion direction")
-            rhs = np.concatenate([-(Pperp_v @ (sys.A @ e)), -(sys.C @ e)])
-            w, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-            vcols.append(e)
-            wcols.append(w)
+        rhs = -np.vstack([Pperp_v @ (sys.A @ E), sys.C @ E])
+        W, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+        vcols += list(E.T)
+        wcols += list(W.T)
     return _assemble_feedback(sys.A, sys.B, vcols, wcols, assigned, tol, sys.C, sys.D, target=V)
 
 

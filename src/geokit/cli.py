@@ -19,7 +19,7 @@ import numpy as np
 
 from . import assignment, geometry, pencils, verify
 from .errors import GeokitError, NumericalError, ValidationError
-from .linalg import Tol, max_imag, rank_of
+from .linalg import Tol, containment_residual, max_imag, rank_of, subspace_intersect
 from .sysmodel import load_system
 
 _TOL_REL_ENV = "GEOKIT_TOL_REL"
@@ -118,11 +118,9 @@ def _run_compute(args, tol: Tol) -> tuple[dict, dict]:
         result = {"dim": chain[-1].dim, "basis": _matrix_out(chain[-1].basis)}
         diagnostics = {"chain_dims": [S.dim for S in chain]}
     elif op == "rstar":
-        from .linalg import containment_residual, subspace_intersect
-
-        rst = geometry.rstar(sys_quad, tol)
-        result = {"dim": rst.dim, "basis": _matrix_out(rst.basis)}
         vst = geometry.vstar(sys_quad, None, tol)
+        rst = geometry.reachability_on(sys_quad, vst, tol)
+        result = {"dim": rst.dim, "basis": _matrix_out(rst.basis)}
         sst = geometry.sstar(sys_quad, tol)
         cross = subspace_intersect(vst, sst, tol)
         diagnostics = {

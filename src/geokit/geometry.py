@@ -27,8 +27,8 @@ from .linalg import (
     Subspace,
     Tol,
     as_matrix,
+    containment_residual,
     contains,
-    equals,
     image_basis,
     kernel_basis,
     orthonormal_complement,
@@ -62,8 +62,9 @@ __all__ = [
 ]
 
 
-def krylov_image(A, M, steps: int, tol: Tol = DEFAULT_TOL) -> Subspace:
-    """Image of ``[M, AM, ..., A^(steps-1) M]`` (the zero subspace for steps=0).
+def _krylov(A, M, steps: int, tol: Tol) -> tuple[Subspace, int]:
+    """Image of ``[M, AM, ..., A^(steps-1) M]`` and the least ``h <= steps``
+    at which ``im[M, ..., A^(h-1) M]`` stops growing (0 for a zero image).
 
     Grown one application of A at a time with re-orthonormalization, so the
     rank decisions never compare directions against geometrically exploding
@@ -72,15 +73,22 @@ def krylov_image(A, M, steps: int, tol: Tol = DEFAULT_TOL) -> Subspace:
     A = as_matrix(A, "A")
     M = as_matrix(M, "M")
     if steps <= 0 or M.shape[1] == 0:
-        return Subspace.zero(A.shape[0])
+        return Subspace.zero(A.shape[0]), 0
     scale = max(1.0, float(np.linalg.norm(A, 2)))
     S = image_basis(M, tol, scale=float(np.linalg.norm(M, 2)) if M.size else 0.0)
-    for _ in range(steps - 1):
+    if S.dim == 0:
+        return S, 0
+    for ell in range(1, steps):
         grown = image_basis(np.hstack([S.basis, A @ S.basis]), tol, scale=scale)
         if grown.dim == S.dim:
-            break
+            return S, ell
         S = grown
-    return S
+    return S, steps
+
+
+def krylov_image(A, M, steps: int, tol: Tol = DEFAULT_TOL) -> Subspace:
+    """Image of ``[M, AM, ..., A^(steps-1) M]`` (the zero subspace for steps=0)."""
+    return _krylov(A, M, steps, tol)[0]
 
 
 def reachable_subspace(A, B, tol: Tol = DEFAULT_TOL) -> tuple[Subspace, int]:
@@ -94,32 +102,17 @@ def reachable_subspace(A, B, tol: Tol = DEFAULT_TOL) -> tuple[Subspace, int]:
         Least ``h`` with ``im[B, ..., A^(h-1)B]`` already stationary; this is
         the number of Krylov steps needed to fill R (0 when B = 0).
     """
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    n = A.shape[0]
-    scale = max(1.0, float(np.linalg.norm(A, 2)))
-    S = image_basis(B, tol, scale=float(np.linalg.norm(B, 2)) if B.size else 0.0)
-    if S.dim == 0:
-        return S, 0
-    for ell in range(1, n + 1):
-        grown = image_basis(np.hstack([S.basis, A @ S.basis]), tol, scale=scale)
-        if grown.dim == S.dim:
-            return S, ell
-        S = grown
-    return S, n
+    return _krylov(A, B, as_matrix(A, "A").shape[0], tol)
 
 
 def unobservable_subspace(C, A, tol: Tol = DEFAULT_TOL) -> Subspace:
-    """Largest A-invariant subspace contained in ker C."""
+    """Largest A-invariant subspace contained in ker C: the orthogonal
+    complement of the reachable subspace of the dual pair (A*, C*)."""
     A = as_matrix(A, "A")
     C = as_matrix(C, "C")
     if C.shape[0] == 0:
         raise ValidationError("unobservable_subspace requires p >= 1")
-    n = A.shape[0]
-    blocks = [C]
-    for _ in range(n - 1):
-        blocks.append(blocks[-1] @ A)
-    return kernel_basis(np.vstack(blocks), tol)
+    return orthonormal_complement(krylov_image(A.conj().T, C.conj().T, A.shape[0], tol), tol)
 
 
 def _stacked_maps(sys: SystemQuad):
@@ -249,18 +242,20 @@ def is_input_containing(sys: SystemQuad, S: Subspace, tol: Tol = DEFAULT_TOL) ->
     return contains(S, image_basis(AB @ feasible.basis, tol, scale=scale), tol)
 
 
-def friend_of(sys: SystemQuad, V: Subspace, spectrum=None, tol: Tol = DEFAULT_TOL, draw_seed: int = 0):
+def friend_of(sys: SystemQuad, V: Subspace, spectrum=None, tol: Tol = DEFAULT_TOL):
     """Real feedback F with (A+BF) V ⊆ V and (C+DF) V = 0.
 
-    Built by extracting eigenvector/input-direction pairs from pencil kernels
-    restricted to V (the Rosenbrock matrix for p >= 1, the reachability
-    pencil for p = 0) and closing the remainder of V, whose closed-loop
-    spectrum is fixed, through the output-nulling relation.  When a
-    ``spectrum`` is supplied (distinct, self-conjugate, away from the fixed
-    eigenvalues) the assignable part of the closed-loop restriction matches
-    it; otherwise eigenvalues are drawn deterministically from ``draw_seed``,
-    spread across the open-loop spectral band with moduli kept off the
-    open-loop moduli.
+    Without a ``spectrum`` no eigenvalue is chosen: each direction e of an
+    orthonormal basis of V is sent to the least-squares solution w of
+    ``[P B; D] w = -[P A e; C e]``, P the projector onto the orthogonal
+    complement of V; the system is consistent because V is output nulling
+    (Basile & Marro, *Controlled and Conditioned Invariants in Linear System
+    Theory*, 1992).  When a ``spectrum`` is supplied (distinct,
+    self-conjugate, away from the fixed eigenvalues), eigenvector/input-
+    direction pairs are first taken from pencil kernels restricted to V (the
+    Rosenbrock matrix for p >= 1, the reachability pencil for p = 0), so the
+    assignable part of the closed-loop restriction matches it, and the rest
+    of V is closed the same least-squares way.
 
     Returns a :class:`geokit.assignment.FeedbackResult`.  Raises
     :class:`NotInvariantError` if V is not output nulling and
@@ -271,16 +266,15 @@ def friend_of(sys: SystemQuad, V: Subspace, spectrum=None, tol: Tol = DEFAULT_TO
     V = realify_subspace(V, tol)
     if not is_output_nulling(sys, V, tol):
         raise NotInvariantError("subspace is not output nulling (or controlled invariant for p=0)")
-    return _friend_engine(sys, V, spectrum, tol, draw_seed)
+    return _friend_engine(sys, V, spectrum, tol)
 
 
 def reachability_on(sys: SystemQuad, V: Subspace, tol: Tol = DEFAULT_TOL) -> Subspace:
     """States reachable from the origin along V with identically zero output.
 
-    Computes a friend F of V and returns the smallest (A+BF)-invariant
-    subspace containing V ∩ B ker D.  The result does not depend on the
-    friend; this is asserted by recomputing with a second, independently
-    drawn friend.
+    One Krylov run of A+BF, F the least-squares friend of V, from
+    V ∩ B ker D.  The result does not depend on the friend.  Raises
+    :class:`NumericalError` if it leaves V by more than ``tol.abs``.
     """
     b_scale = float(np.linalg.norm(sys.B, 2))
     seed = subspace_intersect(
@@ -288,15 +282,12 @@ def reachability_on(sys: SystemQuad, V: Subspace, tol: Tol = DEFAULT_TOL) -> Sub
     )
     if seed.dim == 0:
         return Subspace.zero(sys.n)
-    results = []
-    for draw_seed in (0, 1):
-        F = friend_of(sys, V, None, tol, draw_seed=draw_seed).F
-        results.append(krylov_image(sys.A + sys.B @ F, seed.basis, sys.n, tol))
-    if not equals(results[0], results[1], tol):
-        raise NumericalError(
-            "reachability subspace differs between two independently drawn friends"
-        )
-    return results[0]
+    F = friend_of(sys, V, None, tol).F
+    R = krylov_image(sys.A + sys.B @ F, seed.basis, sys.n, tol)
+    leak = containment_residual(V, R)
+    if leak > tol.abs:
+        raise NumericalError(f"reachability subspace leaves V by {leak:.3e}")
+    return R
 
 
 def rstar(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> Subspace:
@@ -345,7 +336,7 @@ def morse_decomposition(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> MorseDecompo
     n = sys.n
     vst = vstar(sys, None, tol)
     rst = reachability_on(sys, vst, tol)
-    fb = friend_of(sys, vst, None, tol, draw_seed=0)
+    fb = friend_of(sys, vst, None, tol)
     F = fb.F
 
     T1 = require_real(rst.basis, tol, "reachability basis")

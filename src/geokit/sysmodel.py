@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GenerationError, SystemFormatError, ValidationError
-from .linalg import DEFAULT_TOL, Tol, rank_of
+from .linalg import DEFAULT_TOL, Tol
 
 __all__ = ["SystemQuad", "GenSpec", "load_system", "dump_system", "random_system", "dual_of"]
 
@@ -175,22 +175,16 @@ def dump_system(sys: SystemQuad, path) -> None:
     Path(path).write_text(json.dumps(sys.to_dict(), indent=2), encoding="utf-8")
 
 
-def _controllability_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    n = A.shape[0]
-    blocks = [B]
-    for _ in range(n - 1):
-        blocks.append(A @ blocks[-1])
-    return np.hstack(blocks)
-
-
 def random_system(spec: GenSpec, tol: Tol = DEFAULT_TOL) -> SystemQuad:
     """Draw a standard-normal quadruple, deterministically from ``spec.seed``.
 
-    With ``controllable`` set, redraws until the n-block controllability
-    matrix has full rank.  With ``target_dim_rstar`` set, redraws until the
+    With ``controllable`` set, redraws until the reachable subspace is the
+    whole state space.  With ``target_dim_rstar`` set, redraws until the
     largest output-nulling reachability subspace has the requested dimension.
     Raises :class:`GenerationError` once the retry budget is exhausted.
     """
+    from . import geometry  # deferred: geometry depends on this module
+
     rng = np.random.default_rng(spec.seed)
     for _ in range(_RETRY_BUDGET):
         A = rng.standard_normal((spec.n, spec.n))
@@ -201,13 +195,10 @@ def random_system(spec: GenSpec, tol: Tol = DEFAULT_TOL) -> SystemQuad:
             sys = SystemQuad.from_matrices(A, B, C, D)
         else:
             sys = SystemQuad.from_matrices(A, B)
-        if spec.controllable and rank_of(_controllability_matrix(A, B), tol) != spec.n:
+        if spec.controllable and geometry.krylov_image(A, B, spec.n, tol).dim != spec.n:
             continue
-        if spec.target_dim_rstar is not None:
-            from . import geometry  # deferred: geometry depends on this module
-
-            if geometry.rstar(sys, tol).dim != spec.target_dim_rstar:
-                continue
+        if spec.target_dim_rstar is not None and geometry.rstar(sys, tol).dim != spec.target_dim_rstar:
+            continue
         return sys
     raise GenerationError(
         f"no system matching {spec} found within {_RETRY_BUDGET} draws"

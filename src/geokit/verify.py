@@ -178,161 +178,135 @@ def _kernel_span_rank(kernels, tol: Tol) -> int:
     return rank_of(vparts, tol, scale=1.0)
 
 
-def _ctrb_rank(A, B, h: int, tol: Tol) -> int:
-    blocks = [B]
-    for _ in range(h - 1):
-        blocks.append(A @ blocks[-1])
-    return rank_of(np.hstack(blocks), tol)
+def _drive(theorem: str, trials: int, seed: int, body) -> VerifyReport:
+    """Run ``body(rng, t) -> str | None`` per trial; a message (or any
+    exception) records that trial as failed."""
+    rep = VerifyReport(theorem, trials)
+    for t in range(trials):
+        try:
+            message = body(_rng_for(seed, t), t)
+        except Exception as e:
+            message = f"exception: {e!r}"
+        if message is not None:
+            rep.failures.append(TrialFailure(t, message))
+    return rep
 
 
 def run_th1(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
-    rep = VerifyReport("th1", trials)
-    for t in range(trials):
-        rng = _rng_for(seed, t)
+    def trial(rng, t):
         A, B = _draw_pair(rng, nmax, uncontrollable=(t % 2 == 1))
         n = A.shape[0]
         forbidden = pencils.uncontrollable_eigenvalues(A, B, tol)
-        try:
-            for h in range(1, n + 1):
-                want = _ctrb_rank(A, B, h, tol)
-                for _ in range(2):
-                    lams = _draw_distinct(rng, h, forbidden, self_conjugate=False)
-                    kernels = [pencils.reach_pencil_kernel(A, B, lam, tol) for lam in lams]
-                    got = _kernel_span_rank(kernels, tol)
-                    if got != want:
-                        rep.failures.append(TrialFailure(t, f"h={h}: kernel span rank {got} != ctrb rank {want}"))
-                        raise StopIteration
-        except StopIteration:
-            continue
-    return rep
+        for h in range(1, n + 1):
+            want = geometry.krylov_image(A, B, h, tol).dim
+            for _ in range(2):
+                lams = _draw_distinct(rng, h, forbidden, self_conjugate=False)
+                kernels = [pencils.reach_pencil_kernel(A, B, lam, tol) for lam in lams]
+                got = _kernel_span_rank(kernels, tol)
+                if got != want:
+                    return f"h={h}: kernel span rank {got} != ctrb rank {want}"
+        return None
+
+    return _drive("th1", trials, seed, trial)
 
 
 def run_th2(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
-    rep = VerifyReport("th2", trials)
-    for t in range(trials):
-        rng = _rng_for(seed, t)
+    def trial(rng, t):
         sys = _draw_quad(rng, nmax, p_min=1)
-        try:
-            zeros = pencils.invariant_zeros(sys, tol)
-            vst = geometry.vstar(sys, None, tol)
-            chain = geometry.sstar_sequence(sys, tol)
-            for h in range(1, sys.n + 1):
-                lams = _draw_distinct(rng, h, zeros, self_conjugate=False)
-                kernels = [pencils.rosenbrock_kernel(sys, lam, tol) for lam in lams]
-                r1 = _kernel_span_rank(kernels, tol)
-                r2 = subspace_intersect(vst, geometry.chain_term(chain, h), tol).dim
-                r3 = geometry.intersection_formula(sys, sys.n, h, tol).dim
-                if not (r1 == r2 == r3):
-                    rep.failures.append(TrialFailure(t, f"h={h}: ranks {r1}/{r2}/{r3} disagree"))
-                    raise StopIteration
-        except StopIteration:
-            continue
-        except Exception as e:  # pragma: no cover - any crash is a failure
-            rep.failures.append(TrialFailure(t, f"exception: {e!r}"))
-    return rep
+        zeros = pencils.invariant_zeros(sys, tol)
+        vst = geometry.vstar(sys, None, tol)
+        chain = geometry.sstar_sequence(sys, tol)
+        for h in range(1, sys.n + 1):
+            lams = _draw_distinct(rng, h, zeros, self_conjugate=False)
+            kernels = [pencils.rosenbrock_kernel(sys, lam, tol) for lam in lams]
+            r1 = _kernel_span_rank(kernels, tol)
+            r2 = subspace_intersect(vst, geometry.chain_term(chain, h), tol).dim
+            r3 = geometry.intersection_formula(sys, sys.n, h, tol).dim
+            if not (r1 == r2 == r3):
+                return f"h={h}: ranks {r1}/{r2}/{r3} disagree"
+        return None
+
+    return _drive("th2", trials, seed, trial)
 
 
 def run_lattice(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
-    rep = VerifyReport("lattice", trials)
-    for t in range(trials):
-        rng = _rng_for(seed, t)
+    def trial(rng, t):
         sys = _draw_quad(rng, nmax, p_min=1)
-        try:
-            zeros = pencils.invariant_zeros(sys, tol)
-            h = int(rng.integers(1, sys.n + 1))
-            lams = _draw_distinct(rng, h, zeros, self_conjugate=True)
-            kh, kernels = assignment.build_Kh(sys, lams, tol, forbidden=zeros)
-            fb = geometry.friend_of(sys, kh, lams, tol)
-            if fb.residual_out > _SUBSPACE_TOL or fb.residual_inv > _SUBSPACE_TOL:
-                rep.failures.append(TrialFailure(t, f"friend residuals {fb.residual_out:.2e}/{fb.residual_inv:.2e}"))
-                continue
-            # every eigenpair the synthesis placed must sit on the request
-            if fb.residual_eig > _EIG_TOL:
-                rep.failures.append(TrialFailure(t, f"assigned eigenpair residual {fb.residual_eig:.2e}"))
-                continue
-            bad_lam = [lam for lam, _v in fb.assigned if min(abs(lam - mu) for mu in lams) > _EIG_TOL]
-            if bad_lam:
-                rep.failures.append(TrialFailure(t, f"assigned eigenvalue {bad_lam[0]} not requested"))
-                continue
-            # containment of a constructively generated member
-            cols = [K.V[:, [int(rng.integers(0, K.q))]] for K in kernels if K.q]
-            if cols:
-                member = image_basis(np.hstack(cols), tol, scale=1.0)
-                resid = containment_residual(kh, member)
-                if resid > _SUBSPACE_TOL:
-                    rep.failures.append(TrialFailure(t, f"member outside maximal subspace by {resid:.2e}"))
-                    continue
-                if not geometry.is_output_nulling(sys, member, tol):
-                    rep.failures.append(TrialFailure(t, "kernel-column member is not output nulling"))
-        except Exception as e:
-            rep.failures.append(TrialFailure(t, f"exception: {e!r}"))
-    return rep
+        zeros = pencils.invariant_zeros(sys, tol)
+        h = int(rng.integers(1, sys.n + 1))
+        lams = _draw_distinct(rng, h, zeros, self_conjugate=True)
+        kh, kernels = assignment.build_Kh(sys, lams, tol, forbidden=zeros)
+        fb = geometry.friend_of(sys, kh, lams, tol)
+        if fb.residual_out > _SUBSPACE_TOL or fb.residual_inv > _SUBSPACE_TOL:
+            return f"friend residuals {fb.residual_out:.2e}/{fb.residual_inv:.2e}"
+        # every eigenpair the synthesis placed must sit on the request
+        if fb.residual_eig > _EIG_TOL:
+            return f"assigned eigenpair residual {fb.residual_eig:.2e}"
+        bad_lam = [lam for lam, _v in fb.assigned if min(abs(lam - mu) for mu in lams) > _EIG_TOL]
+        if bad_lam:
+            return f"assigned eigenvalue {bad_lam[0]} not requested"
+        # containment of a constructively generated member
+        cols = [K.V[:, [int(rng.integers(0, K.q))]] for K in kernels if K.q]
+        if cols:
+            member = image_basis(np.hstack(cols), tol, scale=1.0)
+            resid = containment_residual(kh, member)
+            if resid > _SUBSPACE_TOL:
+                return f"member outside maximal subspace by {resid:.2e}"
+            if not geometry.is_output_nulling(sys, member, tol):
+                return "kernel-column member is not output nulling"
+        return None
+
+    return _drive("lattice", trials, seed, trial)
 
 
 def run_thlast(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
-    rep = VerifyReport("thlast", trials)
-    for t in range(trials):
-        rng = _rng_for(seed, t)
+    def trial(rng, t):
         sys = _draw_quad(rng, nmax, p_min=1)
-        try:
-            zeros = pencils.invariant_zeros(sys, tol)
-            chain = geometry.sstar_sequence(sys, tol)
-            bkd = image_basis(sys.B @ kernel_basis(sys.D, tol).basis, tol,
-                              scale=float(np.linalg.norm(sys.B, 2)))
-            for h in range(1, sys.n + 1):
-                lams1 = _draw_distinct(rng, h, zeros, self_conjugate=True)
-                lams2 = _draw_distinct(rng, h, zeros, self_conjugate=True)
-                kh1, _ = assignment.build_Kh(sys, lams1, tol, forbidden=zeros)
-                kh2, _ = assignment.build_Kh(sys, lams2, tol, forbidden=zeros)
-                r1 = geometry.reachability_on(sys, kh1, tol)
-                r2 = geometry.reachability_on(sys, kh2, tol)
-                target = geometry.vstar(sys, geometry.chain_term(chain, h), tol)
-                if not (equals(r1, target, tol) and equals(r1, r2, tol)):
-                    rep.failures.append(TrialFailure(
-                        t, f"h={h}: reachability dims {r1.dim}/{r2.dim}, target {target.dim}"))
-                    raise StopIteration
-                lhs = subspace_intersect(kh1, bkd, tol)
-                rhs = subspace_intersect(target, bkd, tol)
-                if not equals(lhs, rhs, tol):
-                    rep.failures.append(TrialFailure(t, f"h={h}: seed intersections differ"))
-                    raise StopIteration
-        except StopIteration:
-            continue
-        except Exception as e:
-            rep.failures.append(TrialFailure(t, f"exception: {e!r}"))
-    return rep
+        zeros = pencils.invariant_zeros(sys, tol)
+        chain = geometry.sstar_sequence(sys, tol)
+        bkd = image_basis(sys.B @ kernel_basis(sys.D, tol).basis, tol,
+                          scale=float(np.linalg.norm(sys.B, 2)))
+        for h in range(1, sys.n + 1):
+            lams1 = _draw_distinct(rng, h, zeros, self_conjugate=True)
+            lams2 = _draw_distinct(rng, h, zeros, self_conjugate=True)
+            kh1, _ = assignment.build_Kh(sys, lams1, tol, forbidden=zeros)
+            kh2, _ = assignment.build_Kh(sys, lams2, tol, forbidden=zeros)
+            r1 = geometry.reachability_on(sys, kh1, tol)
+            r2 = geometry.reachability_on(sys, kh2, tol)
+            target = geometry.vstar(sys, geometry.chain_term(chain, h), tol)
+            if not (equals(r1, target, tol) and equals(r1, r2, tol)):
+                return f"h={h}: reachability dims {r1.dim}/{r2.dim}, target {target.dim}"
+            lhs = subspace_intersect(kh1, bkd, tol)
+            rhs = subspace_intersect(target, bkd, tol)
+            if not equals(lhs, rhs, tol):
+                return f"h={h}: seed intersections differ"
+        return None
+
+    return _drive("thlast", trials, seed, trial)
 
 
 def run_corollary_last(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
-    rep = VerifyReport("corollary-last", trials)
-    for t in range(trials):
-        rng = _rng_for(seed, t)
+    def trial(rng, t):
         # generic draws only: implanted exactly-uncontrollable structure puts
         # near-invariant directions at the float64 tolerance cliff, where the
         # recursion limit is not decidable at working precision
         A, B = _draw_pair(rng, nmax)
         sys = SystemQuad.from_matrices(A, B)
         forbidden = pencils.uncontrollable_eigenvalues(A, B, tol)
-        try:
-            for h in range(1, sys.n + 1):
-                lams = _draw_distinct(rng, h, forbidden, self_conjugate=True)
-                rh = assignment.reach_on_Kh(sys, lams, tol, forbidden=forbidden)
-                E = geometry.krylov_image(A, B, h, tol)
-                target = geometry.vstar(sys, E, tol)
-                if not equals(rh, target, tol):
-                    rep.failures.append(TrialFailure(t, f"h={h}: dims {rh.dim} vs {target.dim}"))
-                    raise StopIteration
-        except StopIteration:
-            continue
-        except Exception as e:
-            rep.failures.append(TrialFailure(t, f"exception: {e!r}"))
-    return rep
+        for h in range(1, sys.n + 1):
+            lams = _draw_distinct(rng, h, forbidden, self_conjugate=True)
+            rh = assignment.reach_on_Kh(sys, lams, tol, forbidden=forbidden)
+            E = geometry.krylov_image(A, B, h, tol)
+            target = geometry.vstar(sys, E, tol)
+            if not equals(rh, target, tol):
+                return f"h={h}: dims {rh.dim} vs {target.dim}"
+        return None
+
+    return _drive("corollary-last", trials, seed, trial)
 
 
 def run_lemma_diag(trials: int = 200, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
-    rep = VerifyReport("lemma-diag", trials)
-    for t in range(trials):
-        rng = _rng_for(seed, t)
+    def trial(rng, t):
         n = int(rng.integers(1, max(nmax, 1) + 1))
         k = int(rng.integers(1, n + 1))
         vals = 2.0 * rng.standard_normal(k)
@@ -341,14 +315,9 @@ def run_lemma_diag(trials: int = 200, seed: int = 0, nmax: int = 8, tol: Tol = D
         H = rng.standard_normal((n, int(rng.integers(1, 4))))
         Delta = np.diag(diag)
         distinct = len(pencils.deduplicate_eigenvalues(diag, 1e-9))
-        try:
-            sat = assignment.diag_krylov_saturation(Delta, H, tol)
-        except Exception as e:
-            rep.failures.append(TrialFailure(t, f"exception: {e!r}"))
-            continue
+        sat = assignment.diag_krylov_saturation(Delta, H, tol)
         if sat > distinct:
-            rep.failures.append(TrialFailure(t, f"saturation {sat} > distinct values {distinct}"))
-            continue
+            return f"saturation {sat} > distinct values {distinct}"
         # brute-force oracle: stack the raw powers (of the unit-normalized
         # matrix; Krylov spans are scale invariant) and check that the full
         # n-step chain adds nothing past the reported index
@@ -362,74 +331,61 @@ def run_lemma_diag(trials: int = 200, seed: int = 0, nmax: int = 8, tol: Tol = D
         if np.linalg.norm(H) == 0.0:
             early = image_basis(np.zeros((n, 1)), tol)
         if not equals(full, early, tol):
-            rep.failures.append(TrialFailure(t, f"chain kept growing past reported index {sat}"))
-    return rep
+            return f"chain kept growing past reported index {sat}"
+        return None
+
+    return _drive("lemma-diag", trials, seed, trial)
 
 
 def run_lemma_reach(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
-    rep = VerifyReport("lemma-reach", trials)
-    for t in range(trials):
-        rng = _rng_for(seed, t)
+    def trial(rng, t):
         sys = _draw_quad(rng, nmax, p_min=1)
-        try:
-            chain = geometry.sstar_sequence(sys, tol)
-            h = int(rng.integers(1, sys.n + 1))
-            vsh = geometry.vstar(sys, geometry.chain_term(chain, h), tol)
-            back = geometry.reachability_on(sys, vsh, tol)
-            if not equals(back, vsh, tol):
-                rep.failures.append(TrialFailure(t, f"h={h}: dims {back.dim} vs {vsh.dim}"))
-        except Exception as e:
-            rep.failures.append(TrialFailure(t, f"exception: {e!r}"))
-    return rep
+        chain = geometry.sstar_sequence(sys, tol)
+        h = int(rng.integers(1, sys.n + 1))
+        vsh = geometry.vstar(sys, geometry.chain_term(chain, h), tol)
+        back = geometry.reachability_on(sys, vsh, tol)
+        if not equals(back, vsh, tol):
+            return f"h={h}: dims {back.dim} vs {vsh.dim}"
+        return None
+
+    return _drive("lemma-reach", trials, seed, trial)
 
 
 def run_lemma_intersection(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
-    rep = VerifyReport("lemma-intersection", trials)
-    for t in range(trials):
-        rng = _rng_for(seed, t)
+    def trial(rng, t):
         sys = _draw_quad(rng, min(nmax, 6), p_min=1)
-        try:
-            vchain = geometry.vstar_sequence(sys, None, tol)
-            schain = geometry.sstar_sequence(sys, tol)
-            for i in range(1, sys.n + 1):
-                for j in range(1, sys.n + 1):
-                    direct = subspace_intersect(
-                        geometry.chain_term(vchain, i), geometry.chain_term(schain, j), tol)
-                    formula = geometry.intersection_formula(sys, i, j, tol)
-                    if direct.dim != formula.dim or not equals(direct, formula, tol):
-                        rep.failures.append(TrialFailure(t, f"(i,j)=({i},{j}): {formula.dim} vs {direct.dim}"))
-                        raise StopIteration
-        except StopIteration:
-            continue
-        except Exception as e:
-            rep.failures.append(TrialFailure(t, f"exception: {e!r}"))
-    return rep
+        vchain = geometry.vstar_sequence(sys, None, tol)
+        schain = geometry.sstar_sequence(sys, tol)
+        for i in range(1, sys.n + 1):
+            for j in range(1, sys.n + 1):
+                direct = subspace_intersect(
+                    geometry.chain_term(vchain, i), geometry.chain_term(schain, j), tol)
+                formula = geometry.intersection_formula(sys, i, j, tol)
+                if direct.dim != formula.dim or not equals(direct, formula, tol):
+                    return f"(i,j)=({i},{j}): {formula.dim} vs {direct.dim}"
+        return None
+
+    return _drive("lemma-intersection", trials, seed, trial)
 
 
 def run_rstar_identity(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
-    rep = VerifyReport("rstar-identity", trials)
-    for t in range(trials):
-        rng = _rng_for(seed, t)
+    def trial(rng, t):
         sys = _draw_quad(rng, nmax, p_min=1)
-        try:
-            vchain = geometry.vstar_sequence(sys, None, tol)
-            vdims = [S.dim for S in vchain]
-            if any(d2 > d1 for d1, d2 in zip(vdims, vdims[1:])) or len(vchain) > sys.n + 2:
-                rep.failures.append(TrialFailure(t, f"output-nulling chain dims {vdims} not non-increasing"))
-                continue
-            schain = geometry.sstar_sequence(sys, tol)
-            sdims = [S.dim for S in schain]
-            if any(d2 < d1 for d1, d2 in zip(sdims, sdims[1:])) or len(schain) > sys.n + 2:
-                rep.failures.append(TrialFailure(t, f"input-containing chain dims {sdims} not non-decreasing"))
-                continue
-            rst = geometry.rstar(sys, tol)
-            cross = subspace_intersect(vchain[-1], schain[-1], tol)
-            if not equals(rst, cross, tol):
-                rep.failures.append(TrialFailure(
-                    t, f"reachability part {rst.dim} != intersection of limits {cross.dim}"))
-        except Exception as e:
-            rep.failures.append(TrialFailure(t, f"exception: {e!r}"))
-    return rep
+        vchain = geometry.vstar_sequence(sys, None, tol)
+        vdims = [S.dim for S in vchain]
+        if any(d2 > d1 for d1, d2 in zip(vdims, vdims[1:])) or len(vchain) > sys.n + 2:
+            return f"output-nulling chain dims {vdims} not non-increasing"
+        schain = geometry.sstar_sequence(sys, tol)
+        sdims = [S.dim for S in schain]
+        if any(d2 < d1 for d1, d2 in zip(sdims, sdims[1:])) or len(schain) > sys.n + 2:
+            return f"input-containing chain dims {sdims} not non-decreasing"
+        rst = geometry.rstar(sys, tol)
+        cross = subspace_intersect(vchain[-1], schain[-1], tol)
+        if not equals(rst, cross, tol):
+            return f"reachability part {rst.dim} != intersection of limits {cross.dim}"
+        return None
+
+    return _drive("rstar-identity", trials, seed, trial)
 
 
 THEOREM_IDS = {

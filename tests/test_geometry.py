@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from geokit.errors import NotInvariantError, ValidationError
 from geokit.geometry import (
@@ -27,9 +28,12 @@ from geokit.linalg import (
     containment_residual,
     equals,
     image_basis,
+    kernel_basis,
+    orthonormal_complement,
     subspace_intersect,
 )
-from geokit.sysmodel import GenSpec, SystemQuad, random_system
+from geokit.sysmodel import GenSpec, SystemQuad, dual_of, random_system
+from geokit.verify import eig_multiset_match
 
 A2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 B2 = np.array([[0.0], [1.0]])
@@ -44,6 +48,20 @@ DI_VEL = SystemQuad.from_matrices(A2, B2, [[0.0, 1.0]], [[0.0]])
 
 def line(*v):
     return image_basis(np.asarray(v, dtype=float).reshape(-1, 1))
+
+
+def rosenbrock_zeros(sys):
+    """Finite generalized eigenvalues of the square Rosenbrock pencil.
+
+    Infinite eigenvalues may come out of QZ as huge finite values; the
+    systems tested here have zeros far below 1e8 in modulus.
+    """
+    n, m = sys.n, sys.m
+    M = np.block([[sys.A, sys.B], [sys.C, sys.D]])
+    N = np.zeros((n + m, n + m))
+    N[:n, :n] = np.eye(n)
+    ev = scipy.linalg.eigvals(M, N)
+    return ev[np.abs(ev) < 1e8]
 
 
 class TestReachable:
@@ -95,9 +113,11 @@ class TestUnobservable:
             C = rng.standard_normal((int(rng.integers(1, 3)), n))
             Q = unobservable_subspace(C, A)
             Rdual, _ = reachable_subspace(A.T, C.T)
-            from geokit.linalg import orthonormal_complement
-
             assert equals(Q, orthonormal_complement(Rdual))
+        # generic random systems are observable, also at larger n
+        for n in (20, 60):
+            sys = random_system(GenSpec(n=n, m=2, p=1, seed=n))
+            assert unobservable_subspace(sys.C, sys.A).dim == 0
 
 
 class TestVstarChain:
@@ -239,27 +259,35 @@ class TestFriendOf:
 
     def test_fixed_internal_spectrum_is_friend_independent(self):
         # the closed-loop spectrum on vstar/rstar carries the invariant zeros
-        # no matter which friend is used
-        rng = np.random.default_rng(5)
+        # and the reachability subspace is the same for every friend: the
+        # computed F and F2 = F + K(I - VV'), which differs from F off V.
+        # With D = 0, vstar is a proper subspace, so F2 != F.
+        cases = []
         for seed in range(5):
-            sys = random_system(GenSpec(n=4, m=1, p=1, seed=80 + seed))
+            base = random_system(GenSpec(n=4, m=1, p=1, seed=80 + seed))
+            cases += [(seed, base), (seed, SystemQuad.from_matrices(base.A, base.B, base.C, [[0.0]]))]
+        for seed, sys in cases:
             V = vstar(sys)
             if V.dim == 0:
                 continue
-            zs = np.sort_complex(np.array(morse_decomposition(sys).invariant_zeros))
+            zs = rosenbrock_zeros(sys)
             R = rstar(sys)
-            for draw in (0, 1, 5):
-                fb = friend_of(sys, V, None, draw_seed=draw)
-                Acl = sys.A + sys.B @ fb.F
-                vb = V.basis
-                eigs = np.linalg.eigvals(vb.conj().T @ Acl @ vb)
-                fixed = [e for e in eigs
-                         if min(abs(e - lam) for lam, _ in fb.assigned) > 1e-6] if fb.assigned else list(eigs)
-                if R.dim == 0 and len(zs):
-                    from geokit.verify import eig_multiset_match
-
-                    ok, worst = eig_multiset_match(fixed, zs)
-                    assert ok, f"fixed spectrum off by {worst:.2e}"
+            vb = V.basis.real
+            reach_seed = subspace_intersect(V, image_basis(sys.B @ kernel_basis(sys.D).basis))
+            F = friend_of(sys, V).F
+            K = np.random.default_rng(seed).standard_normal(F.shape)
+            F2 = F + K @ (np.eye(sys.n) - vb @ vb.T)
+            assert (V.dim == sys.n) == np.allclose(F2, F)
+            for G in (F, F2):
+                Acl = sys.A + sys.B @ G
+                assert containment_residual(V, image_basis(Acl @ vb, scale=1.0)) < 1e-9
+                assert np.linalg.norm((sys.C + sys.D @ G) @ vb) < 1e-9
+                # spectrum of A+BG on V / R
+                T2 = image_basis(R.perp_projector() @ vb, scale=1.0).basis
+                fixed = np.linalg.eigvals(T2.conj().T @ Acl @ T2)
+                ok, worst = eig_multiset_match(fixed, zs)
+                assert ok, f"fixed spectrum off by {worst:.2e}"
+                assert equals(krylov_image(Acl, reach_seed.basis, sys.n), R)
 
 
 class TestReachabilityOn:
@@ -302,6 +330,14 @@ class TestRstar:
             sys = random_system(GenSpec(n=5, m=2, p=1, seed=140 + seed))
             assert equals(rstar(sys), subspace_intersect(vstar(sys), sstar(sys)))
 
+    @pytest.mark.parametrize("n", [20, 60])
+    @pytest.mark.parametrize("m,p", [(3, 2), (2, 0)])
+    def test_identity_with_intersection_more_inputs_than_outputs(self, n, m, p):
+        sys = random_system(GenSpec(n=n, m=m, p=p, seed=n + m + p))
+        r = rstar(sys)
+        assert r.dim > 0
+        assert equals(r, subspace_intersect(vstar(sys), sstar(sys)))
+
 
 class TestMorse:
     def test_requires_outputs(self):
@@ -312,6 +348,19 @@ class TestMorse:
         dec = morse_decomposition(DI_VEL)
         assert dec.dim_rstar == 0 and dec.dim_vstar == 1
         assert len(dec.invariant_zeros) == 1 and abs(dec.invariant_zeros[0]) < 1e-9
+
+    def test_square_zeros_match_rosenbrock_pencil(self):
+        sys = random_system(GenSpec(n=120, m=2, p=2, seed=120))
+        zs = morse_decomposition(sys).invariant_zeros
+        ok, worst = eig_multiset_match(zs, rosenbrock_zeros(sys))
+        assert ok, f"zeros off by {worst:.2e}"
+
+    def test_generic_nonsquare_has_no_zeros(self):
+        # a generic system with more inputs than outputs has no invariant
+        # zeros; neither has its dual
+        sys = random_system(GenSpec(n=20, m=3, p=2, seed=20))
+        assert morse_decomposition(sys).invariant_zeros.size == 0
+        assert morse_decomposition(dual_of(sys)).invariant_zeros.size == 0
 
     def test_trivial_vstar(self):
         sys = SystemQuad.from_matrices(A2, B2, np.eye(2), [[1.0], [0.0]])

@@ -88,6 +88,10 @@ class TestRandomSystem:
             ctrb = np.hstack([sys.B, sys.A @ sys.B])
             assert rank_of(ctrb) == 2
 
+    def test_controllable_flag_larger_n(self):
+        sys = random_system(GenSpec(n=24, m=3, seed=0, controllable=True))
+        assert sys.n == 24
+
     def test_deterministic(self):
         a = random_system(GenSpec(n=4, m=2, p=1, seed=9))
         b = random_system(GenSpec(n=4, m=2, p=1, seed=9))
