@@ -37,7 +37,7 @@ from .linalg import (
     require_real,
     subspace_intersect,
 )
-from .pencils import PencilKernel, SpectrumSpec, spectrum_scale, validate_spectrum
+from .pencils import PencilKernel, spectrum_scale, validate_spectrum
 from .sysmodel import SystemQuad
 
 __all__ = [
@@ -93,16 +93,6 @@ def _unit_state_columns(V: np.ndarray, W: np.ndarray) -> list[tuple[np.ndarray, 
     return cols
 
 
-def _realify_block(V: np.ndarray, W: np.ndarray, tol: Tol) -> tuple[np.ndarray, np.ndarray]:
-    """Re-express a conjugation-closed kernel block with real columns."""
-    stacked = np.vstack([V, W])
-    if stacked.size == 0 or np.abs(stacked.imag).max() <= tol.abs:
-        return V.real.copy(), W.real.copy()
-    real_img = image_basis(np.hstack([stacked.real, stacked.imag]), tol)
-    R = real_img.basis.real
-    return R[: V.shape[0]], R[V.shape[0]:]
-
-
 def _pair_score(Q: np.ndarray, v: np.ndarray, is_pair: bool):
     """Projection residual of a candidate (or conjugate pair) against the
     currently selected directions; returns (score, new orthonormal columns)."""
@@ -156,8 +146,10 @@ def _greedy_units(pools, r_target: int, n: int):
     return units, Q, total
 
 
-def _expand_units(units, tol: Tol):
-    """Turn selected units into real column lists plus the assigned pairs."""
+def _expand_units(units):
+    """Turn (λ, is_pair, v, w) units into real column lists plus the
+    assigned pairs: a conjugate pair contributes the real and imaginary
+    parts of its representative, a real eigenvalue its (real) columns."""
     vcols, wcols, assigned = [], [], []
     for lam, is_pair, v, w in units:
         if is_pair:
@@ -165,8 +157,8 @@ def _expand_units(units, tol: Tol):
             wcols += [w.real, w.imag]
             assigned += [(lam, v), (lam.conjugate(), v.conjugate())]
         else:
-            vcols.append(require_real(v, tol, "eigenvector").ravel())
-            wcols.append(require_real(w, tol, "input direction").ravel())
+            vcols.append(v.real)
+            wcols.append(w.real)
             assigned.append((lam, v))
     return vcols, wcols, assigned
 
@@ -200,14 +192,14 @@ def _assemble_feedback(
             stacklevel=3,
         )
     F = require_real(Wsel @ pinv(Vsel, tol), tol, "feedback matrix")
-    Acl = A.real + B.real @ F
+    Acl = A + B @ F
     res_eig = 0.0
     for lam, v in assigned:
         res_eig = max(res_eig, float(np.linalg.norm(Acl @ v - lam * v)))
     if target is None:
         target = image_basis(Vsel, tol)
     if target.dim:
-        tb = require_real(target.basis, tol, "target basis")
+        tb = target.basis
         mapped = Acl @ tb
         res_inv = float(np.linalg.norm(mapped - tb @ (tb.T @ mapped), 2))
         if C is not None and C.shape[0]:
@@ -227,9 +219,7 @@ def _assemble_feedback(
 
 def _candidate_pools(sys: SystemQuad, reps, V: Subspace, tol: Tol):
     """Per-eigenvalue kernel directions whose state part lies in V."""
-    n = sys.n
-    Vb = V.basis.real
-    Pperp = np.eye(n) - Vb @ Vb.T
+    Pperp = V.perp_projector()
     pools = []
     for lam, is_pair in reps:
         if sys.p:
@@ -239,11 +229,7 @@ def _candidate_pools(sys: SystemQuad, reps, V: Subspace, tol: Tol):
         cols = []
         if K.q:
             coeff = kernel_basis(Pperp @ K.V, tol, scale=1.0)
-            Vc, Wc = K.V @ coeff.basis, K.W @ coeff.basis
-            if not is_pair:
-                Vr, Wr = _realify_block(Vc, Wc, tol)
-                Vc, Wc = Vr.astype(complex), Wr.astype(complex)
-            cols = _unit_state_columns(Vc, Wc)
+            cols = _unit_state_columns(K.V @ coeff.basis, K.W @ coeff.basis)
         pools.append((lam, is_pair, cols))
     return pools
 
@@ -279,16 +265,15 @@ def _friend_engine(sys: SystemQuad, V: Subspace, spectrum, tol: Tol) -> Feedback
     vcols, wcols, assigned = [], [], []
     Q = np.zeros((n, 0))
     if spectrum is not None:
-        checked = spectrum if isinstance(spectrum, SpectrumSpec) and spectrum.partner else validate_spectrum(spectrum, (), tol)
+        checked = validate_spectrum(spectrum, (), tol)
         reps = _spectrum_representatives(list(checked.lambdas), list(checked.partner))
         pools = _candidate_pools(sys, reps, V, tol)
         units, Q, _total = _greedy_units(pools, r, n)
-        vcols, wcols, assigned = _expand_units(units, tol)
+        vcols, wcols, assigned = _expand_units(units)
     if len(vcols) < r:
-        vb = V.basis.real
-        Pperp_v = np.eye(n) - vb @ vb.T
-        rem = image_basis(vb - Q @ (Q.T @ vb), tol, scale=1.0)
-        E = require_real(rem.basis, tol, "completion directions")
+        vb = V.basis
+        Pperp_v = V.perp_projector()
+        E = image_basis(vb - Q @ (Q.T @ vb), tol, scale=1.0).basis
         lhs = np.vstack([Pperp_v @ sys.B, sys.D])
         rhs = -np.vstack([Pperp_v @ (sys.A @ E), sys.C @ E])
         W, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
@@ -324,7 +309,7 @@ def synthesize_feedback(A, B, selection, tol: Tol = DEFAULT_TOL) -> FeedbackResu
     for kernel, coeffs in selection:
         if not isinstance(kernel, PencilKernel):
             raise ValidationError("selection entries must be (PencilKernel, coefficients)")
-        Cf = np.asarray(coeffs, dtype=complex)
+        Cf = np.asarray(coeffs)
         if Cf.ndim == 1:
             Cf = Cf[:, None]
         if Cf.shape[0] != kernel.q:
@@ -338,16 +323,18 @@ def synthesize_feedback(A, B, selection, tol: Tol = DEFAULT_TOL) -> FeedbackResu
             if nv <= _STATE_FLOOR:
                 raise SynthesisError("dependent selection: a chosen column has zero state part")
             entries.append((complex(kernel.lam), v / nv, w / nv))
-    vcols, wcols, assigned = _pair_selection(entries, tol)
+    vcols, wcols, assigned = _expand_units(_pair_selection(entries, tol))
     return _assemble_feedback(A, B, vcols, wcols, assigned, tol)
 
 
 def _pair_selection(entries, tol: Tol):
-    """Validate self-conjugacy of explicit selections and realify them."""
+    """Validate self-conjugacy of explicit (λ, v, w) selections and pair
+    them into (λ, is_pair, v, w) units, one per real eigenvalue and one per
+    conjugate pair (represented at Im λ > 0)."""
     scale = spectrum_scale([lam for lam, _, _ in entries], tol)
     match_tol = max(1e-8, 10.0 * tol.abs)
     used = [False] * len(entries)
-    vcols, wcols, assigned = [], [], []
+    units = []
     for k, (lam, v, w) in enumerate(entries):
         if used[k]:
             continue
@@ -357,9 +344,7 @@ def _pair_selection(entries, tol: Tol):
                     "non-self-conjugate selection: complex column at a real eigenvalue"
                 )
             used[k] = True
-            vcols.append(v.real)
-            wcols.append(w.real)
-            assigned.append((lam, v))
+            units.append((lam, False, v, w))
             continue
         mate = -1
         for j in range(len(entries)):
@@ -378,12 +363,11 @@ def _pair_selection(entries, tol: Tol):
                 f"non-self-conjugate selection: no conjugate partner for eigenvalue {lam}"
             )
         used[k] = used[mate] = True
-        rep_v, rep_w = (v, w) if lam.imag > 0 else (v.conjugate(), w.conjugate())
-        rep_l = lam if lam.imag > 0 else lam.conjugate()
-        vcols += [rep_v.real, rep_v.imag]
-        wcols += [rep_w.real, rep_w.imag]
-        assigned += [(rep_l, rep_v), (rep_l.conjugate(), rep_v.conjugate())]
-    return vcols, wcols, assigned
+        if lam.imag > 0:
+            units.append((lam, True, v, w))
+        else:
+            units.append((lam.conjugate(), True, v.conjugate(), w.conjugate()))
+    return units
 
 
 def place_poles(A, B, lambdas, tol: Tol = DEFAULT_TOL) -> FeedbackResult:
@@ -408,7 +392,7 @@ def place_poles(A, B, lambdas, tol: Tol = DEFAULT_TOL) -> FeedbackResult:
             f"requested eigenvalues span only {total} of {r} reachable directions; "
             "supply more distinct values"
         )
-    vcols, wcols, assigned = _expand_units(units, tol)
+    vcols, wcols, assigned = _expand_units(units)
     return _assemble_feedback(A, B, vcols, wcols, assigned, tol, target=reach)
 
 
@@ -557,7 +541,7 @@ def diag_krylov_saturation(Delta, H, tol: Tol = DEFAULT_TOL) -> int:
     diag = np.diag(Delta)
     unit = diag / max(1.0, float(np.abs(diag).max()))
     scale = spectrum_scale(unit, tol)
-    reps: list[complex] = []
+    reps = []
     masks: list[np.ndarray] = []
     for i, lam in enumerate(unit):
         for g, rep in enumerate(reps):
@@ -565,11 +549,11 @@ def diag_krylov_saturation(Delta, H, tol: Tol = DEFAULT_TOL) -> int:
                 masks[g][i] = True
                 break
         else:
-            reps.append(complex(lam))
+            reps.append(lam)
             masks.append(np.zeros(n, dtype=bool))
             masks[-1][i] = True
     q = H.shape[1]
-    grouped = np.zeros((n, len(reps) * q), dtype=np.complex128)
+    grouped = np.zeros((n, len(reps) * q), dtype=H.dtype)
     for g, mask in enumerate(masks):
         grouped[mask, g * q:(g + 1) * q] = H[mask]
     g_scale = max(1.0, float(np.linalg.norm(grouped, 2)))

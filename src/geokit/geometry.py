@@ -34,7 +34,6 @@ from .linalg import (
     orthonormal_complement,
     preimage,
     realify_subspace,
-    require_real,
     subspace_intersect,
     subspace_sum,
 )
@@ -339,16 +338,11 @@ def morse_decomposition(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> MorseDecompo
     fb = friend_of(sys, vst, None, tol)
     F = fb.F
 
-    T1 = require_real(rst.basis, tol, "reachability basis")
-    T2 = require_real(image_basis(rst.perp_projector() @ vst.basis, tol, scale=1.0).basis, tol, "T2")
-    T3 = require_real(orthonormal_complement(vst, tol).basis, tol, "T3")
-    T = np.hstack([T1, T2, T3])
+    T2 = image_basis(rst.perp_projector() @ vst.basis, tol, scale=1.0).basis
+    T = np.hstack([rst.basis, T2, orthonormal_complement(vst, tol).basis])
 
     om1 = subspace_intersect(preimage(sys.B, vst, tol), kernel_basis(sys.D, tol), tol)
-    Omega = np.hstack(
-        [require_real(om1.basis, tol, "Omega1"),
-         require_real(orthonormal_complement(om1, tol).basis, tol, "Omega2")]
-    )
+    Omega = np.hstack([om1.basis, orthonormal_complement(om1, tol).basis])
 
     Acl = sys.A + sys.B @ F
     Ccl = sys.C + sys.D @ F
@@ -435,7 +429,7 @@ def intersection_formula(sys: SystemQuad, i: int, j: int, tol: Tol = DEFAULT_TOL
         row_scale = max(float(np.linalg.norm(row, 2)), 1.0)
         constrained = (row / row_scale) @ ext
         coeff = kernel_basis(constrained, tol, scale=1.0)
-        basis = ext @ coeff.basis.real
+        basis = ext @ coeff.basis
     if basis.shape[1] == 0:
         return Subspace.zero(n)
     L = np.zeros((n, nblk * m))

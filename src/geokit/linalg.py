@@ -1,8 +1,9 @@
 """Tolerance-aware dense linear algebra and subspace arithmetic.
 
-Matrices are plain numpy arrays in row-major (C) order.  Every computation is
-carried out in complex128; real data is the special case of zero imaginary
-parts, and :func:`require_real` certifies and extracts real results.  A
+Matrices are plain numpy arrays in row-major (C) order.  The dtype follows the
+data: real input is computed in float64 and complex input in complex128, so
+complex arithmetic appears only where a complex eigenvalue or complex input
+enters; :func:`require_real` certifies and extracts real results.  A
 :class:`Subspace` is an orthonormal basis matrix together with its ambient
 dimension; the zero subspace (a basis with zero columns) is a first-class
 value, not an error.
@@ -65,8 +66,10 @@ DEFAULT_TOL = Tol()
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Return ``a`` as a finite 2-D complex128 array (validated)."""
-    M = np.asarray(a, dtype=np.complex128)
+    """Return ``a`` as a finite 2-D array (validated): float64 for real input,
+    complex128 for complex input."""
+    M = np.asarray(a)
+    M = np.asarray(M, dtype=np.complex128 if np.iscomplexobj(M) else np.float64)
     if M.ndim != 2:
         raise ValidationError(f"{name} must be 2-D, got ndim={M.ndim}")
     if M.size and not np.isfinite(M).all():
@@ -111,7 +114,9 @@ class Subspace:
     __slots__ = ("basis",)
 
     def __init__(self, basis):
-        B = as_matrix(basis, "basis")
+        # Own the storage: a caller's array stays writable, and a basis cut
+        # from an SVD factor does not keep the whole factor alive.
+        B = as_matrix(basis, "basis").copy()
         n, k = B.shape
         if k > n:
             raise ValidationError(f"basis has more columns ({k}) than rows ({n})")
@@ -194,11 +199,11 @@ def pinv(M, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     M = as_matrix(M)
     rows, cols = M.shape
     if M.size == 0:
-        return np.zeros((cols, rows), dtype=np.complex128)
+        return np.zeros((cols, rows), dtype=M.dtype)
     u, s, vh = np.linalg.svd(M, full_matrices=False)
     r = _svd_rank(s, M.shape, tol)
     if r == 0:
-        return np.zeros((cols, rows), dtype=np.complex128)
+        return np.zeros((cols, rows), dtype=M.dtype)
     return (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
 
 
@@ -288,13 +293,14 @@ def require_real(M, tol: Tol = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
 def realify_subspace(S: Subspace, tol: Tol = DEFAULT_TOL) -> Subspace:
     """Re-express a conjugation-closed subspace with a real basis.
 
-    Raises if the real span of (Re, Im) parts has larger dimension than S,
-    which means S was not closed under conjugation.
+    A real basis is returned as is.  Raises if the real span of (Re, Im)
+    parts has larger dimension than S, which means S was not closed under
+    conjugation.
     """
-    if S.dim == 0:
+    if S.dim == 0 or not np.iscomplexobj(S.basis):
         return S
     if max_imag(S.basis) <= tol.abs:
-        return Subspace(image_basis(S.basis.real, tol).basis)
+        return image_basis(S.basis.real, tol)
     R = image_basis(np.hstack([S.basis.real, S.basis.imag]), tol)
     if R.dim != S.dim:
         raise ValidationError("subspace is not closed under conjugation")

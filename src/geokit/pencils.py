@@ -2,6 +2,10 @@
 system matrix [[A - λI, B], [C, D]], plus the spectral bookkeeping built on
 them: uncontrollable eigenvalues (PBH test), invariant zeros, and validation
 of requested closed-loop spectra.
+
+A pencil of a real system is built, and its kernel computed, in real
+arithmetic at a real λ (zero imaginary part) and in complex arithmetic only
+at a complex λ.
 """
 
 from __future__ import annotations
@@ -49,19 +53,21 @@ class PencilKernel:
         return self.V.shape[1]
 
 
+def _shifted(A: np.ndarray, lam: complex) -> np.ndarray:
+    """A - λI, real when A and λ are real."""
+    lam = complex(lam)
+    return A - (lam if lam.imag else lam.real) * np.eye(A.shape[0])
+
+
 def reach_pencil(A, B, lam: complex) -> np.ndarray:
     """The n x (n+m) matrix [A - λI  B]."""
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    n = A.shape[0]
-    return np.hstack([A - lam * np.eye(n), B])
+    return np.hstack([_shifted(as_matrix(A, "A"), lam), as_matrix(B, "B")])
 
 
 def rosenbrock_matrix(sys: SystemQuad, lam: complex) -> np.ndarray:
     """The (n+p) x (n+m) system matrix [[A - λI, B], [C, D]]."""
-    top = np.hstack([sys.A - lam * np.eye(sys.n), sys.B])
-    bottom = np.hstack([sys.C, sys.D])
-    return np.vstack([top.astype(np.complex128), bottom.astype(np.complex128)])
+    top = np.hstack([_shifted(sys.A, lam), sys.B])
+    return np.vstack([top, np.hstack([sys.C, sys.D])])
 
 
 def _split_kernel(M: np.ndarray, n: int, lam: complex, kind: str, tol: Tol) -> PencilKernel:

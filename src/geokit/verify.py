@@ -56,7 +56,7 @@ from .linalg import (
 )
 from .sysmodel import GenSpec, SystemQuad, random_system
 
-__all__ = ["TrialFailure", "VerifyReport", "THEOREM_IDS", "run", "run_all", "eig_multiset_match"]
+__all__ = ["TrialFailure", "VerifyReport", "THEOREM_IDS", "run", "eig_multiset_match"]
 
 _EIG_TOL = 1e-6  # eigenvalue multiset matching tolerance
 _SUBSPACE_TOL = 1e-8  # subspace equality residual
@@ -410,7 +410,3 @@ def run(theorem: str, trials: int = 100, seed: int = 0, nmax: int = 8,
         raise ValidationError(
             f"unknown theorem id {theorem!r}; choose from {sorted(THEOREM_IDS)} or 'all'")
     return [THEOREM_IDS[theorem](trials, seed, nmax, tol)]
-
-
-def run_all(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> list[VerifyReport]:
-    return run("all", trials, seed, nmax, tol)

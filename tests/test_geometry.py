@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from geokit.errors import NotInvariantError, ValidationError
+from geokit.errors import NotInvariantError, SpectrumError, ValidationError
 from geokit.geometry import (
     chain_term,
     friend_of,
@@ -32,6 +32,7 @@ from geokit.linalg import (
     orthonormal_complement,
     subspace_intersect,
 )
+from geokit.pencils import SpectrumSpec
 from geokit.sysmodel import GenSpec, SystemQuad, dual_of, random_system
 from geokit.verify import eig_multiset_match
 
@@ -256,6 +257,22 @@ class TestFriendOf:
     def test_rejects_non_invariant_subspace(self):
         with pytest.raises(NotInvariantError):
             friend_of(DI_VEL, line(0.0, 1.0))
+
+    def test_real_system_gives_real_friend(self):
+        sys = random_system(GenSpec(n=6, m=2, p=1, seed=3))
+        V = vstar(sys)
+        assert V.basis.dtype == np.float64
+        assert friend_of(sys, V).F.dtype == np.float64
+
+    def test_prepaired_spectrum_is_still_validated(self):
+        # a SpectrumSpec with its pairing already filled in gets the same
+        # checks as a plain list: no lonely complex value, no duplicates
+        sys = SystemQuad.from_matrices(CHAIN3, np.eye(3)[:, :2])
+        for spec in (SpectrumSpec((-1 + 1j, -2.0), partner=(0, 1)),
+                     SpectrumSpec((-2.0, -2.0), partner=(0, 1)),
+                     [-1 + 1j, -2.0]):
+            with pytest.raises(SpectrumError):
+                friend_of(sys, Subspace.full(3), spec)
 
     def test_fixed_internal_spectrum_is_friend_independent(self):
         # the closed-loop spectrum on vstar/rstar carries the invariant zeros

@@ -6,6 +6,7 @@ from geokit.linalg import (
     DEFAULT_TOL,
     Subspace,
     Tol,
+    as_matrix,
     contains,
     equals,
     image_basis,
@@ -58,6 +59,11 @@ class TestRank:
         with pytest.raises(ValidationError):
             rank_of([[np.nan, 0.0]])
 
+    def test_dtype_follows_data(self):
+        assert as_matrix([[1, 2], [3, 4]]).dtype == np.float64
+        assert as_matrix(np.eye(2)).dtype == np.float64
+        assert as_matrix([[1.0, 2j]]).dtype == np.complex128
+
 
 class TestKernel:
     def test_zero_map_full_kernel(self):
@@ -85,6 +91,12 @@ class TestKernel:
             M = rng.standard_normal((rng.integers(1, 6), rng.integers(1, 6)))
             assert kernel_basis(M).dim + rank_of(M) == M.shape[1]
 
+    def test_real_input_gives_real_basis(self):
+        M = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
+        K = kernel_basis(M)
+        assert K.dim == 2 and K.basis.dtype == np.float64
+        assert kernel_basis(M + 0j).basis.dtype == np.complex128
+
 
 class TestImage:
     def test_identity(self):
@@ -100,6 +112,10 @@ class TestImage:
         expected = np.array([1.0, 2.0]) / np.sqrt(5.0)
         assert min(np.linalg.norm(v.real - expected), np.linalg.norm(v.real + expected)) < 1e-12
 
+    def test_real_input_gives_real_basis(self):
+        assert image_basis([[1.0, 2.0], [2.0, 4.0]]).basis.dtype == np.float64
+        assert image_basis([[1.0, 2j], [2.0, 4j]]).basis.dtype == np.complex128
+
 
 class TestPinv:
     def test_identity(self):
@@ -108,6 +124,11 @@ class TestPinv:
     def test_zero(self):
         assert pinv(np.zeros((2, 3))).shape == (3, 2)
         assert np.all(pinv(np.zeros((2, 3))) == 0)
+
+    def test_dtype_follows_input(self):
+        for M in (np.eye(2), np.zeros((2, 3)), np.zeros((0, 3))):
+            assert pinv(M).dtype == np.float64
+            assert pinv(M + 0j).dtype == np.complex128
 
     def test_exact_inverse(self):
         # adjugate of [[1,1],[-1,-2]]: inverse = [[2,1],[-1,-1]]
@@ -146,6 +167,19 @@ class TestSubspaceType:
             S.basis = np.eye(2)
         with pytest.raises(ValueError):
             S.basis[0, 0] = 5.0
+
+    def test_caller_array_stays_writable(self):
+        for a in (np.eye(3)[:, :2], np.eye(3)[:, :2] + 0j):
+            S = Subspace(a)
+            assert a.flags.writeable
+            a[0, 0] = 5.0
+            assert S.basis[0, 0] == 1.0
+
+    def test_basis_owns_its_storage(self):
+        # a kernel basis is cut from the SVD factor; the Subspace must not
+        # keep the whole factor alive through a view
+        K = kernel_basis(np.ones((1, 50)))
+        assert K.dim == 49 and K.basis.flags.owndata
 
 
 class TestSumIntersect:

@@ -57,6 +57,14 @@ class TestReachKernel:
         assert K.q == 2
         assert np.linalg.norm((A - lam * np.eye(4)) @ K.V + B @ K.W) < 1e-10
 
+    def test_dtype_follows_lambda(self):
+        K = reach_pencil_kernel(CHAIN3, B3, -1.0)
+        assert K.V.dtype == K.W.dtype == np.float64
+        K = reach_pencil_kernel(CHAIN3, B3, complex(-1.0))
+        assert K.V.dtype == K.W.dtype == np.float64
+        K = reach_pencil_kernel(CHAIN3, B3, -1.0 + 0.5j)
+        assert K.V.dtype == K.W.dtype == np.complex128
+
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((4, 4))
@@ -84,6 +92,16 @@ class TestRosenbrockKernel:
         # det of the system matrix is lambda, so 0 is the only rank-drop point
         K = rosenbrock_kernel(DI, 0.0)
         assert K.q == 1
+
+    def test_dtype_follows_lambda(self):
+        assert rosenbrock_matrix(DI, -1.0).dtype == np.float64
+        K = rosenbrock_kernel(DI, 0.0)
+        assert K.V.dtype == K.W.dtype == np.float64
+        # D = I forces w = 0; at λ = i the kernel is A's eigenvector there
+        rot = SystemQuad.from_matrices([[0.0, 1.0], [-1.0, 0.0]], np.eye(2),
+                                       np.zeros((2, 2)), np.eye(2))
+        K = rosenbrock_kernel(rot, 1.0j)
+        assert K.q == 1 and K.V.dtype == K.W.dtype == np.complex128
 
     def test_invertible_D_zero_C(self):
         A = np.diag([1.0, 2.0, 2.0])
