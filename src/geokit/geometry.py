@@ -9,6 +9,12 @@ triangularizing decomposition that isolates the invariant-zero dynamics, and
 a closed-form Markov-parameter formula for the intersections of the two
 recursions.
 
+Every chain is one run of ``_staircase`` (Van Dooren's staircase form), at
+O(n³) per chain: the input-containing terms are prefixes of its basis, the
+Krylov and reachable subspaces are its runs without outputs, and the
+output-nulling terms are complements of the dual system's run (Basile &
+Marro, 1992).
+
 Conventions: a quadruple with ``p = 0`` (no outputs) degrades gracefully;
 the output-nulling recursion becomes the largest-controlled-invariant
 recursion and the input-containing terms become the step-wise reachable
@@ -26,6 +32,7 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tol,
+    _svd_rank,
     as_matrix,
     containment_residual,
     contains,
@@ -61,33 +68,90 @@ __all__ = [
 ]
 
 
-def _krylov(A, M, steps: int, tol: Tol) -> tuple[Subspace, int]:
-    """Image of ``[M, AM, ..., A^(steps-1) M]`` and the least ``h <= steps``
-    at which ``im[M, ..., A^(h-1) M]`` stops growing (0 for a zero image).
+def _staircase(A, B, C, D, start, steps: int, tol: Tol) -> tuple[np.ndarray, list[int]]:
+    """Grow ``S_0 = span(start)``, ``S_{j+1} = S_j + [A B]((S_j ⊕ U) ∩ ker[C D])``
+    on one orthonormal basis (Van Dooren's staircase form).
 
-    Grown one application of A at a time with re-orthonormalization, so the
-    rank decisions never compare directions against geometrically exploding
-    block norms.
+    Returns ``(Q, dims)``: the first ``dims[j]`` columns of Q span ``S_j``.
+    The run stops after ``steps`` steps or at the first repeated term, which
+    ``dims`` then includes.  ``start`` must have orthonormal columns.
+
+    Each step maps only the feasible coefficients ``[u; c]`` of ``(Q c, u)``
+    (the kernel of ``[D, CQ]``) that are new: they lie in the span W of the
+    previous step's infeasible coefficients (at most p; all of U before the
+    first step) and of the new columns' coefficients.  The infeasible ones
+    are decided on the whole of ``[D, CQ]`` at every step, with ``scale =
+    ‖[C D]‖₂`` because it is a product that may vanish up to roundoff;
+    deciding them on ``[D, CQ] W`` alone lets near-threshold decisions pile
+    up (``verify.run("lemma-reach", trials=5, seed=0, nmax=40)`` then fails).
+    The new images are projected off Q twice and their rank is decided on
+    that small residual block with ``scale = ‖[A B]‖₂``.  A direction kept
+    just above the threshold is tiny before it is normalized, so it is
+    projected off Q once more and re-orthonormalized.
     """
+    n, m = B.shape
+    p, d = C.shape[0], start.shape[1]
+    dtype = np.result_type(A, B, C, D, start)
+    ab_scale = float(np.linalg.norm(np.hstack([A, B]), 2))
+    cd_scale = float(np.linalg.norm(np.hstack([C, D]), 2)) if p else 0.0
+    # Q and the prefixes [B, AQ] and [D, CQ] grow in place.
+    Qbuf = np.empty((n, n), dtype=dtype)
+    BAQ = np.empty((n, m + n), dtype=dtype)
+    DCQ = np.empty((p, m + n), dtype=dtype)
+    Qbuf[:, :d], BAQ[:, :m], DCQ[:, :m] = start, B, D
+    BAQ[:, m:m + d], DCQ[:, m:m + d] = A @ start, C @ start
+    infeasible, new = np.eye(m, dtype=dtype), d
+    dims = [d]
+    for _ in range(steps):
+        if d == n:
+            dims.append(n)
+            break
+        Q = Qbuf[:, :d]
+        W = np.zeros((m + d, infeasible.shape[1] + new), dtype=dtype)
+        W[:m + d - new, :infeasible.shape[1]] = infeasible
+        W[m + d - new:, infeasible.shape[1]:] = np.eye(new)
+        _, s, vh = np.linalg.svd(DCQ[:, :m + d], full_matrices=False)
+        r = _svd_rank(s, (p, n + m), tol, scale=cd_scale)
+        infeasible = vh[:r].conj().T
+        G = W @ np.linalg.svd(infeasible.conj().T @ W)[2][r:].conj().T
+        Z = BAQ[:, :m + d] @ G
+        Z -= Q @ (Q.conj().T @ Z)
+        Z -= Q @ (Q.conj().T @ Z)
+        u, s, _ = np.linalg.svd(Z, full_matrices=False)
+        new = _svd_rank(s, Z.shape, tol, scale=ab_scale)
+        if new == 0:
+            dims.append(d)
+            break
+        X = u[:, :new]
+        X = np.linalg.qr(X - Q @ (Q.conj().T @ X))[0]
+        Qbuf[:, d:d + new] = X
+        BAQ[:, m + d:m + d + new], DCQ[:, m + d:m + d + new] = A @ X, C @ X
+        d += new
+        dims.append(d)
+    return Qbuf[:, :d], dims
+
+
+def _span(Q: np.ndarray) -> Subspace:
+    """The span of orthonormal columns; the whole space is :meth:`Subspace.full`."""
+    n, k = Q.shape
+    return Subspace.full(n) if k == n else Subspace(Q)
+
+
+def _krylov(A, M, steps: int, tol: Tol) -> tuple[np.ndarray, list[int]]:
+    """Staircase of the pair (A, M) without outputs: ``S_j = im[M, ..., A^(j-1) M]``."""
     A = as_matrix(A, "A")
     M = as_matrix(M, "M")
-    if steps <= 0 or M.shape[1] == 0:
-        return Subspace.zero(A.shape[0]), 0
-    scale = max(1.0, float(np.linalg.norm(A, 2)))
-    S = image_basis(M, tol, scale=float(np.linalg.norm(M, 2)) if M.size else 0.0)
-    if S.dim == 0:
-        return S, 0
-    for ell in range(1, steps):
-        grown = image_basis(np.hstack([S.basis, A @ S.basis]), tol, scale=scale)
-        if grown.dim == S.dim:
-            return S, ell
-        S = grown
-    return S, steps
+    n, m = M.shape
+    return _staircase(A, M, np.zeros((0, n)), np.zeros((0, m)), np.zeros((n, 0)), steps, tol)
 
 
 def krylov_image(A, M, steps: int, tol: Tol = DEFAULT_TOL) -> Subspace:
-    """Image of ``[M, AM, ..., A^(steps-1) M]`` (the zero subspace for steps=0)."""
-    return _krylov(A, M, steps, tol)[0]
+    """Image of ``[M, AM, ..., A^(steps-1) M]`` (the zero subspace for steps=0).
+
+    The staircase of the pair (A, M) without outputs, i.e. block Arnoldi:
+    each step applies A only to the basis columns the previous step added.
+    """
+    return _span(_krylov(A, M, steps, tol)[0])
 
 
 def reachable_subspace(A, B, tol: Tol = DEFAULT_TOL) -> tuple[Subspace, int]:
@@ -96,12 +160,14 @@ def reachable_subspace(A, B, tol: Tol = DEFAULT_TOL) -> tuple[Subspace, int]:
     Returns
     -------
     R : Subspace
-        Image of the n-block controllability matrix ``[B, AB, ..., A^(n-1)B]``.
+        Image of the n-block controllability matrix ``[B, AB, ..., A^(n-1)B]``:
+        the limit of the staircase of the pair (A, B) without outputs.
     h_min : int
         Least ``h`` with ``im[B, ..., A^(h-1)B]`` already stationary; this is
         the number of Krylov steps needed to fill R (0 when B = 0).
     """
-    return _krylov(A, B, as_matrix(A, "A").shape[0], tol)
+    Q, dims = _krylov(A, B, as_matrix(A, "A").shape[0] + 1, tol)
+    return _span(Q), len(dims) - 2
 
 
 def unobservable_subspace(C, A, tol: Tol = DEFAULT_TOL) -> Subspace:
@@ -127,29 +193,22 @@ def vstar_sequence(sys: SystemQuad, E: Subspace | None = None, tol: Tol = DEFAUL
     Starting from the constraint subspace E (the whole state space when
     omitted), each step keeps the states that can take one more step while
     staying in E with zero output.  The returned chain includes the first
-    repeated term, so its last element is the limit; stationarity is decided
-    by dimension equality of consecutive terms.
+    repeated term, so its last element is the limit.
+
+    Computed by duality (Basile & Marro, 1992): the k-th term is the
+    orthogonal complement of the k-th input-containing term of the dual
+    system (A', C', B', D') started at the orthogonal complement of E.  One
+    staircase run of the dual gives every term: with its basis completed to
+    an orthonormal basis of the state space, the k-th term is spanned by the
+    columns past the k-th stair.
     """
     n = sys.n
-    if E is None:
-        E = Subspace.full(n)
-    if E.ambient_dim != n:
+    if E is not None and E.ambient_dim != n:
         raise ValidationError(f"E has ambient {E.ambient_dim}, expected {n}")
-    AC, BD = _stacked_maps(sys)
-    chain = [E]
-    current = E
-    for _ in range(n + 1):
-        lifted = np.vstack([current.basis, np.zeros((sys.p, current.dim))])
-        target = image_basis(np.hstack([lifted, BD]), tol)
-        # Intersecting with the previous term (equivalent to intersecting
-        # with E, since the chain is nested) enforces nestedness numerically,
-        # which is what makes dimension-based stationarity detection sound.
-        nxt = subspace_intersect(preimage(AC, target, tol), current, tol)
-        chain.append(nxt)
-        if nxt.dim == current.dim:
-            return chain
-        current = nxt
-    raise NumericalError("output-nulling recursion failed to become stationary")
+    start = np.zeros((n, 0)) if E is None else orthonormal_complement(E, tol).basis
+    Q, dims = _staircase(sys.A.T, sys.C.T, sys.B.T, sys.D.T, start, n + 1, tol)
+    Q = np.hstack([Q, np.linalg.qr(Q, mode="complete")[0][:, Q.shape[1]:]])
+    return [Subspace.full(n) if E is None else E] + [_span(Q[:, d:]) for d in dims[1:]]
 
 
 def vstar(sys: SystemQuad, E: Subspace | None = None, tol: Tol = DEFAULT_TOL) -> Subspace:
@@ -174,23 +233,12 @@ def sstar_sequence(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> list[Subspace]:
     and includes the first repeated term; index it with :func:`chain_term`
     to saturate past stationarity.  With p = 0 the terms reduce to the
     step-wise reachable subspaces ``im[B, ..., A^(j-1)B]``.
+
+    The terms are the stairs of one staircase run: the j-th is spanned by
+    the first ``dim S_j`` columns of its orthonormal basis.
     """
-    AB = np.hstack([sys.A, sys.B])
-    ker_cd = kernel_basis(np.hstack([sys.C, sys.D]), tol)
-    chain = [Subspace.zero(sys.n)]
-    current = chain[0]
-    ab_scale = float(np.linalg.norm(AB, 2))
-    for _ in range(sys.n + 1):
-        feasible = subspace_intersect(_input_lift(current, sys.m), ker_cd, tol)
-        stepped = image_basis(AB @ feasible.basis, tol, scale=ab_scale)
-        # The chain is nested; summing with the previous term enforces that
-        # numerically so dimension-based stationarity detection is sound.
-        nxt = subspace_sum(stepped, current, tol)
-        chain.append(nxt)
-        if nxt.dim == current.dim:
-            return chain
-        current = nxt
-    raise NumericalError("input-containing recursion failed to become stationary")
+    Q, dims = _staircase(sys.A, sys.B, sys.C, sys.D, np.zeros((sys.n, 0)), sys.n + 1, tol)
+    return [_span(Q[:, :d]) for d in dims]
 
 
 def sstar(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> Subspace:

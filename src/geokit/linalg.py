@@ -16,6 +16,7 @@ equality across operations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +102,13 @@ def rank_of(M, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> int:
     return _svd_rank(s, M.shape, tol, scale)
 
 
+@functools.lru_cache(maxsize=32)
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 class Subspace:
     """A linear subspace held as an orthonormal basis matrix.
 
@@ -115,8 +123,11 @@ class Subspace:
 
     def __init__(self, basis):
         # Own the storage: a caller's array stays writable, and a basis cut
-        # from an SVD factor does not keep the whole factor alive.
-        B = as_matrix(basis, "basis").copy()
+        # from an SVD factor does not keep the whole factor alive.  A
+        # read-only array that owns its data is shared, not copied.
+        B = as_matrix(basis, "basis")
+        if B.flags.writeable or not B.flags.owndata:
+            B = B.copy()
         n, k = B.shape
         if k > n:
             raise ValidationError(f"basis has more columns ({k}) than rows ({n})")
@@ -144,7 +155,8 @@ class Subspace:
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls(np.eye(n))
+        """The whole space; every instance of one size shares one basis array."""
+        return cls(_identity(n))
 
     @classmethod
     def from_span(cls, M, tol: Tol = DEFAULT_TOL) -> "Subspace":

@@ -174,6 +174,18 @@ class TestVstarChain:
             assert is_output_nulling(sys, member)
             assert contains(E, member) and contains(limit, member)
 
+    @pytest.mark.parametrize("n, m, p, seed, h, dims", [
+        (17, 3, 2, 1088920536, 9, [9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0]),
+        (24, 2, 1, 2092048920, 13, list(range(13, -1, -1)) + [0]),
+    ])
+    def test_partial_chain_inside_sstar_term(self, n, m, p, seed, h, dims):
+        """The chain inside E = S_h loses one dimension per step.  Pinned from
+        an 80-digit run of the defining recursions:
+        ``PYTHONPATH=src python tests/mp_chain_oracle.py N M P SEED H``."""
+        sys = random_system(GenSpec(n=n, m=m, p=p, seed=seed))
+        E = chain_term(sstar_sequence(sys), h)
+        assert [V.dim for V in vstar_sequence(sys, E)] == dims
+
 
 class TestSstarChain:
     def test_full_column_rank_D(self):
@@ -207,6 +219,46 @@ class TestSstarChain:
         assert chain_term(chain, 100).dim == chain[-1].dim
         with pytest.raises(ValidationError):
             chain_term(chain, -1)
+
+
+def numpy_krylov_bases(A, B, blocks):
+    """Orthonormal bases of im[B, ..., A^(j-1) B] for j = 1..blocks, by block
+    Arnoldi with numpy QR and no rank decisions (B and every block generic)."""
+    Q = new = np.linalg.qr(B)[0]
+    bases = [Q]
+    for _ in range(1, blocks):
+        W = A @ new
+        W -= Q @ (Q.T @ W)
+        W -= Q @ (Q.T @ W)
+        new = np.linalg.qr(W)[0]
+        Q = np.hstack([Q, new])
+        bases.append(Q)
+    return bases
+
+
+class TestChainsAtScale:
+    """Chain invariants on seeded systems of the sizes and shapes the
+    benchmark runs."""
+
+    @pytest.mark.parametrize("n", [40, 80])
+    @pytest.mark.parametrize("m, p", [(3, 2), (2, 3), (2, 2), (2, 0)])
+    def test_terms_orthonormal_and_nested(self, n, m, p):
+        sys = random_system(GenSpec(n=n, m=m, p=p, seed=n + 10 * m + p))
+        schain, vchain = sstar_sequence(sys), vstar_sequence(sys)
+        for S in schain + vchain:
+            assert np.linalg.norm(S.basis.T @ S.basis - np.eye(S.dim), 2) <= 1e-12
+        for small, big in list(zip(schain, schain[1:])) + list(zip(vchain[1:], vchain)):
+            assert containment_residual(big, small) <= 1e-12
+
+    @pytest.mark.parametrize("n", [40, 80])
+    def test_no_outputs_terms_match_numpy_krylov(self, n):
+        m, p = 2, 0
+        sys = random_system(GenSpec(n=n, m=m, p=p, seed=n + 10 * m + p))
+        chain = sstar_sequence(sys)
+        bases = numpy_krylov_bases(sys.A, sys.B, n // m)
+        assert [S.dim for S in chain] == [0] + [K.shape[1] for K in bases] + [n]
+        for S, K in zip(chain[1:], bases):
+            assert equals(S, Subspace(K))
 
 
 class TestInvarianceTests:

@@ -181,6 +181,24 @@ class TestSubspaceType:
         K = kernel_basis(np.ones((1, 50)))
         assert K.dim == 49 and K.basis.flags.owndata
 
+    def test_whole_space_shares_one_basis(self):
+        from geokit.geometry import vstar
+        from geokit.sysmodel import GenSpec, random_system
+
+        # V* of a generic system with more inputs than outputs is the whole
+        # space; every whole-space term shares one read-only identity
+        V = vstar(random_system(GenSpec(n=12, m=3, p=2, seed=5)))
+        full = Subspace.full(12)
+        assert V.dim == 12 and np.shares_memory(full.basis, V.basis)
+        assert not full.basis.flags.writeable and not V.basis.flags.writeable
+
+    def test_read_only_owner_is_shared_and_view_copied(self):
+        a = np.eye(3)[:, :2].copy()
+        a.setflags(write=False)
+        assert Subspace(a).basis is a
+        view = a[:, :1]
+        assert not np.shares_memory(Subspace(view).basis, a)
+
 
 class TestSumIntersect:
     def test_sum_of_axes(self):

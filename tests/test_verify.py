@@ -33,3 +33,10 @@ def test_report_shape():
     d = rep.to_dict()
     assert set(d) == {"theorem", "trials", "passed", "failed", "first_failing_seed", "failures"}
     assert d["failed"] == 0
+
+
+def test_lemma_reach_at_forty_states():
+    # a direction kept just above the rank threshold must be re-orthogonalized
+    # after normalizing, or the basis drifts out of orthonormality here
+    rep = verify.run("lemma-reach", trials=5, seed=0, nmax=40)[0]
+    assert rep.ok, rep.failures
