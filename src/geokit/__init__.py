@@ -21,6 +21,7 @@ from .pencils import (
 from .geometry import (
     friend_of,
     intersection_formula,
+    intersection_formulas,
     morse_decomposition,
     reachability_on,
     reachable_subspace,

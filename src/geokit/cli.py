@@ -231,7 +231,7 @@ def main(argv=None) -> int:
             result, diagnostics = _run_compute(args, tol)
             report["result"] = result
             report["diagnostics"] = diagnostics
-    except FileNotFoundError as e:
+    except OSError as e:  # missing, unreadable, or a directory
         report["error"] = {"kind": "validation", "message": f"cannot read file: {e}"}
         exit_code = 1
     except ValidationError as e:

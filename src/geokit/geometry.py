@@ -65,6 +65,7 @@ __all__ = [
     "MorseDecomposition",
     "morse_decomposition",
     "intersection_formula",
+    "intersection_formulas",
 ]
 
 
@@ -110,10 +111,13 @@ def _staircase(A, B, C, D, start, steps: int, tol: Tol) -> tuple[np.ndarray, lis
         W = np.zeros((m + d, infeasible.shape[1] + new), dtype=dtype)
         W[:m + d - new, :infeasible.shape[1]] = infeasible
         W[m + d - new:, infeasible.shape[1]:] = np.eye(new)
-        _, s, vh = np.linalg.svd(DCQ[:, :m + d], full_matrices=False)
-        r = _svd_rank(s, (p, n + m), tol, scale=cd_scale)
-        infeasible = vh[:r].conj().T
-        G = W @ np.linalg.svd(infeasible.conj().T @ W)[2][r:].conj().T
+        if p:
+            _, s, vh = np.linalg.svd(DCQ[:, :m + d], full_matrices=False)
+            r = _svd_rank(s, (p, n + m), tol, scale=cd_scale)
+            infeasible = vh[:r].conj().T
+            G = W @ np.linalg.svd(infeasible.conj().T @ W)[2][r:].conj().T
+        else:  # no constraints: every new coefficient is feasible
+            infeasible, G = W[:, :0], W
         Z = BAQ[:, :m + d] @ G
         Z -= Q @ (Q.conj().T @ Z)
         Z -= Q @ (Q.conj().T @ Z)
@@ -323,14 +327,19 @@ def reachability_on(sys: SystemQuad, V: Subspace, tol: Tol = DEFAULT_TOL) -> Sub
     V ∩ B ker D.  The result does not depend on the friend.  Raises
     :class:`NumericalError` if it leaves V by more than ``tol.abs``.
     """
+    return _reach_along(sys, V, lambda: friend_of(sys, V, None, tol).F, tol)
+
+
+def _reach_along(sys: SystemQuad, V: Subspace, friend, tol: Tol) -> Subspace:
+    """:func:`reachability_on` with the friend's F supplied by ``friend()``,
+    which is called only when the seed V ∩ B ker D is nonzero."""
     b_scale = float(np.linalg.norm(sys.B, 2))
     seed = subspace_intersect(
         V, image_basis(sys.B @ kernel_basis(sys.D, tol).basis, tol, scale=b_scale), tol
     )
     if seed.dim == 0:
         return Subspace.zero(sys.n)
-    F = friend_of(sys, V, None, tol).F
-    R = krylov_image(sys.A + sys.B @ F, seed.basis, sys.n, tol)
+    R = krylov_image(sys.A + sys.B @ friend(), seed.basis, sys.n, tol)
     leak = containment_residual(V, R)
     if leak > tol.abs:
         raise NumericalError(f"reachability subspace leaves V by {leak:.3e}")
@@ -382,9 +391,8 @@ def morse_decomposition(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> MorseDecompo
         raise ValidationError("morse_decomposition requires p >= 1")
     n = sys.n
     vst = vstar(sys, None, tol)
-    rst = reachability_on(sys, vst, tol)
-    fb = friend_of(sys, vst, None, tol)
-    F = fb.F
+    F = friend_of(sys, vst, None, tol).F
+    rst = _reach_along(sys, vst, lambda: F, tol)
 
     T2 = image_basis(rst.perp_projector() @ vst.basis, tol, scale=1.0).basis
     T = np.hstack([rst.basis, T2, orthonormal_complement(vst, tol).basis])
@@ -429,22 +437,34 @@ def morse_decomposition(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> MorseDecompo
 
 def intersection_formula(sys: SystemQuad, i: int, j: int, tol: Tol = DEFAULT_TOL) -> Subspace:
     """Closed-form Markov-parameter formula for (i-th output-nulling term) ∩
-    (j-th input-containing term).
+    (j-th input-containing term): the one-pair case of
+    :func:`intersection_formulas`.
+
+    Serves as an independent oracle for ``subspace_intersect(V_i, S_j)``.
+    """
+    return intersection_formulas(sys, [(i, j)], tol)[0]
+
+
+def intersection_formulas(sys: SystemQuad, pairs, tol: Tol = DEFAULT_TOL) -> list[Subspace]:
+    """The Markov-parameter formula for ``V_i ∩ S_j`` at every ``(i, j)`` of
+    the sequence ``pairs``, in order, from one kernel pass.
 
     The kernel of the (i+j)-block-row lower-triangular Toeplitz matrix of
     Markov parameters (D on the diagonal, C A^(k-1) B on the k-th
     subdiagonal) collects input sequences that reach a state in j steps and
     keep the output at zero for i+j steps; pushing it through the reversed
     Krylov row ``[A^(j-1)B, ..., AB, B, 0, ..., 0]`` produces the
-    intersection.  Serves as an independent oracle for
-    ``subspace_intersect(V_i, S_j)``.
+    intersection.  The kernel of the T-block matrix is the T-th stage of one
+    forward block substitution, so a single pass up to the largest i+j
+    serves every pair, and each result equals a separate run for its pair
+    bit for bit.  Requires p >= 1 and i, j >= 1.
     """
     if sys.p == 0:
         raise ValidationError("intersection_formula requires p >= 1")
-    if i < 1 or j < 1:
+    if any(i < 1 or j < 1 for i, j in pairs):
         raise ValidationError("need i >= 1 and j >= 1")
-    n, m, p = sys.n, sys.m, sys.p
-    nblk = i + j
+    n, m = sys.n, sys.m
+    nblk = max((i + j for i, j in pairs), default=0)
     powers = [sys.B]
     for _ in range(nblk - 2):
         powers.append(sys.A @ powers[-1])
@@ -461,14 +481,16 @@ def intersection_formula(sys: SystemQuad, i: int, j: int, tol: Tol = DEFAULT_TOL
     # on an orthonormally maintained partial kernel.  A single SVD of the
     # assembled matrix would have to separate true kernel directions from the
     # geometrically graded Markov blocks; row-by-row enforcement keeps every
-    # rank decision at unit scale.
-    basis = np.zeros((0, 0))  # partial kernel over (u(0), ..., u(t-1))
+    # rank decision at unit scale.  stages[t] is the partial kernel over
+    # (u(0), ..., u(t)); the pass stops early once it is empty.
+    stages = []
+    basis = np.zeros((0, 0))
     for t in range(nblk):
         if t == 0:
             ext = np.eye(m)
         else:
             if basis.shape[1] == 0:
-                return Subspace.zero(n)  # no zero-output inputs survive
+                break  # no zero-output inputs survive
             ext = np.block([
                 [basis, np.zeros((t * m, m))],
                 [np.zeros((m, basis.shape[1])), np.eye(m)],
@@ -478,9 +500,16 @@ def intersection_formula(sys: SystemQuad, i: int, j: int, tol: Tol = DEFAULT_TOL
         constrained = (row / row_scale) @ ext
         coeff = kernel_basis(constrained, tol, scale=1.0)
         basis = ext @ coeff.basis
-    if basis.shape[1] == 0:
-        return Subspace.zero(n)
-    L = np.zeros((n, nblk * m))
-    for c in range(j):
-        L[:, c * m:(c + 1) * m] = powers[j - 1 - c]
-    return image_basis(L @ basis, tol, scale=float(np.linalg.norm(L, 2)))
+        stages.append(basis)
+
+    out = []
+    for i, j in pairs:
+        T = i + j
+        if T > len(stages) or stages[T - 1].shape[1] == 0:
+            out.append(Subspace.zero(n))
+            continue
+        L = np.zeros((n, T * m))
+        for c in range(j):
+            L[:, c * m:(c + 1) * m] = powers[j - 1 - c]
+        out.append(image_basis(L @ stages[T - 1], tol, scale=float(np.linalg.norm(L, 2))))
+    return out

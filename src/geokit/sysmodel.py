@@ -146,7 +146,10 @@ def _parse_json_matrix(obj, key: str) -> list[list[float]]:
 
 def load_system(path) -> SystemQuad:
     """Load and validate a quadruple from a JSON system file."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise SystemFormatError(f"system file is not UTF-8: {e}") from e
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:

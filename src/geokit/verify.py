@@ -33,6 +33,12 @@ with the first failing seed.  The identities under test:
 ``rstar-identity``
     Chain monotonicity/stationarity contracts and the classical identity
     (reachability part) = (output-nulling limit) ∩ (input-containing limit).
+
+The chains are structural: they do not depend on the eigenvalues a trial
+draws.  So each trial computes its chains once and reads every h off them:
+one Krylov (input-containing) chain for all h, where the term of h steps is
+the h-th prefix of the full run, and one Markov-kernel pass
+(:func:`geokit.geometry.intersection_formulas`) for all (i, j).
 """
 
 from __future__ import annotations
@@ -197,8 +203,9 @@ def run_th1(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_
         A, B = _draw_pair(rng, nmax, uncontrollable=(t % 2 == 1))
         n = A.shape[0]
         forbidden = pencils.uncontrollable_eigenvalues(A, B, tol)
+        chain = geometry.sstar_sequence(SystemQuad.from_matrices(A, B), tol)
         for h in range(1, n + 1):
-            want = geometry.krylov_image(A, B, h, tol).dim
+            want = geometry.chain_term(chain, h).dim
             for _ in range(2):
                 lams = _draw_distinct(rng, h, forbidden, self_conjugate=False)
                 kernels = [pencils.reach_pencil_kernel(A, B, lam, tol) for lam in lams]
@@ -216,12 +223,14 @@ def run_th2(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_
         zeros = pencils.invariant_zeros(sys, tol)
         vst = geometry.vstar(sys, None, tol)
         chain = geometry.sstar_sequence(sys, tol)
+        formulas = geometry.intersection_formulas(
+            sys, [(sys.n, h) for h in range(1, sys.n + 1)], tol)
         for h in range(1, sys.n + 1):
             lams = _draw_distinct(rng, h, zeros, self_conjugate=False)
             kernels = [pencils.rosenbrock_kernel(sys, lam, tol) for lam in lams]
             r1 = _kernel_span_rank(kernels, tol)
             r2 = subspace_intersect(vst, geometry.chain_term(chain, h), tol).dim
-            r3 = geometry.intersection_formula(sys, sys.n, h, tol).dim
+            r3 = formulas[h - 1].dim
             if not (r1 == r2 == r3):
                 return f"h={h}: ranks {r1}/{r2}/{r3} disagree"
         return None
@@ -293,11 +302,11 @@ def run_corollary_last(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol
         A, B = _draw_pair(rng, nmax)
         sys = SystemQuad.from_matrices(A, B)
         forbidden = pencils.uncontrollable_eigenvalues(A, B, tol)
+        chain = geometry.sstar_sequence(sys, tol)
         for h in range(1, sys.n + 1):
             lams = _draw_distinct(rng, h, forbidden, self_conjugate=True)
             rh = assignment.reach_on_Kh(sys, lams, tol, forbidden=forbidden)
-            E = geometry.krylov_image(A, B, h, tol)
-            target = geometry.vstar(sys, E, tol)
+            target = geometry.vstar(sys, geometry.chain_term(chain, h), tol)
             if not equals(rh, target, tol):
                 return f"h={h}: dims {rh.dim} vs {target.dim}"
         return None
@@ -356,13 +365,12 @@ def run_lemma_intersection(trials: int = 100, seed: int = 0, nmax: int = 8, tol:
         sys = _draw_quad(rng, min(nmax, 6), p_min=1)
         vchain = geometry.vstar_sequence(sys, None, tol)
         schain = geometry.sstar_sequence(sys, tol)
-        for i in range(1, sys.n + 1):
-            for j in range(1, sys.n + 1):
-                direct = subspace_intersect(
-                    geometry.chain_term(vchain, i), geometry.chain_term(schain, j), tol)
-                formula = geometry.intersection_formula(sys, i, j, tol)
-                if direct.dim != formula.dim or not equals(direct, formula, tol):
-                    return f"(i,j)=({i},{j}): {formula.dim} vs {direct.dim}"
+        pairs = [(i, j) for i in range(1, sys.n + 1) for j in range(1, sys.n + 1)]
+        for (i, j), formula in zip(pairs, geometry.intersection_formulas(sys, pairs, tol)):
+            direct = subspace_intersect(
+                geometry.chain_term(vchain, i), geometry.chain_term(schain, j), tol)
+            if direct.dim != formula.dim or not equals(direct, formula, tol):
+                return f"(i,j)=({i},{j}): {formula.dim} vs {direct.dim}"
         return None
 
     return _drive("lemma-intersection", trials, seed, trial)

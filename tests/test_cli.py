@@ -118,6 +118,16 @@ class TestErrorPaths:
         code, rep = run_cli(capsys, "zeros", "/no/such/file.json")
         assert code == 1 and "error" in rep
 
+    def test_directory_path(self, capsys, tmp_path):
+        code, rep = run_cli(capsys, "zeros", str(tmp_path))
+        assert code == 1 and rep["error"]["kind"] == "validation"
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"A": [[1]], "B": [[1]], "note": "é"}'.encode("latin-1"))
+        code, rep = run_cli(capsys, "reach", str(path))
+        assert code == 1 and rep["error"]["kind"] == "validation"
+
     def test_ragged_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"A": [[0, 1], [0]], "B": [[0], [1]]}')

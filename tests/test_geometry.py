@@ -7,6 +7,7 @@ from geokit.geometry import (
     chain_term,
     friend_of,
     intersection_formula,
+    intersection_formulas,
     is_conditioned_invariant,
     is_controlled_invariant,
     is_input_containing,
@@ -205,6 +206,13 @@ class TestSstarChain:
         assert chain_term(chain, 2).dim == 2
         for h in range(3):
             assert equals(chain_term(chain, h), krylov_image(A2, B2, h))
+        # a run of h steps is a prefix of the full run, bit for bit
+        for n, m in [(8, 2), (20, 3)]:
+            sys = random_system(GenSpec(n=n, m=m, p=0, seed=n + m))
+            chain = sstar_sequence(sys)
+            for h in range(n + 2):
+                assert np.array_equal(chain_term(chain, h).basis,
+                                      krylov_image(sys.A, sys.B, h).basis)
 
     def test_monotone(self):
         rng = np.random.default_rng(2)
@@ -436,6 +444,16 @@ class TestMorse:
         dec = morse_decomposition(sys)
         assert dec.dim_vstar == 0 and dec.invariant_zeros.size == 0
 
+    @pytest.mark.parametrize("n", [8, 40])
+    @pytest.mark.parametrize("m, p", [(2, 2), (3, 2), (2, 3)])
+    def test_one_friend_serves_both_steps(self, n, m, p):
+        # the decomposition's F is the least-squares friend of V*, and its
+        # reachability block is R*
+        sys = random_system(GenSpec(n=n, m=m, p=p, seed=n + 10 * m + p))
+        dec = morse_decomposition(sys)
+        assert np.array_equal(dec.F, friend_of(sys, vstar(sys)).F)
+        assert dec.dim_rstar == rstar(sys).dim
+
     def test_block_pattern_residual(self):
         rng = np.random.default_rng(8)
         for seed in range(10):
@@ -453,10 +471,17 @@ class TestMorse:
 
 class TestIntersectionFormula:
     def test_requires_outputs_and_positive_indices(self):
-        with pytest.raises(ValidationError):
-            intersection_formula(SystemQuad.from_matrices(A2, B2), 1, 1)
-        with pytest.raises(ValidationError):
-            intersection_formula(DI_VEL, 0, 1)
+        # the one-pair and the batch forms refuse the same input alike
+        p0 = SystemQuad.from_matrices(A2, B2)
+        for call in (lambda: intersection_formula(p0, 1, 1),
+                     lambda: intersection_formulas(p0, [(1, 1)])):
+            with pytest.raises(ValidationError, match="requires p >= 1"):
+                call()
+        for i, j in [(0, 1), (1, 0)]:
+            for call in (lambda: intersection_formula(DI_VEL, i, j),
+                         lambda: intersection_formulas(DI_VEL, [(1, 1), (i, j)])):
+                with pytest.raises(ValidationError, match="need i >= 1 and j >= 1"):
+                    call()
 
     def test_j_one_reduces_to_direct(self):
         rng = np.random.default_rng(9)
@@ -475,8 +500,18 @@ class TestIntersectionFormula:
             assert equals(intersection_formula(sys, sys.n, sys.n), rstar(sys))
 
     def test_full_column_rank_D_trivial(self):
+        # the kernel pass is empty after one row and stops there
         sys = SystemQuad.from_matrices(CHAIN3, B3, np.eye(3)[:1], [[2.0]])
         assert intersection_formula(sys, 2, 2).dim == 0
+        pairs = [(1, 1), (3, 2), (2, 3)]
+        assert [S.dim for S in intersection_formulas(sys, pairs)] == [0, 0, 0]
+
+    @pytest.mark.parametrize("n, m, p", [(5, 2, 1), (6, 3, 2), (6, 2, 3)])
+    def test_batch_matches_single_pairs(self, n, m, p):
+        sys = random_system(GenSpec(n=n, m=m, p=p, seed=220 + n + m + p))
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        for (i, j), got in zip(pairs, intersection_formulas(sys, pairs)):
+            assert np.array_equal(got.basis, intersection_formula(sys, i, j).basis)
 
     def test_double_integrator_values(self):
         # all intersections vanish: vstar = span e1, sstar terms = span e2
