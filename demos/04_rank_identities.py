@@ -9,7 +9,7 @@
 
 import numpy as np
 
-from geokit import build_Kh, invariant_zeros, reach_pencil_kernel
+from geokit import build_Kh, reach_pencil_kernel
 from geokit.geometry import chain_term, reachability_on, sstar_sequence, vstar
 from geokit.linalg import equals, rank_of
 from geokit.sysmodel import GenSpec, random_system
@@ -29,14 +29,13 @@ for h in range(1, sys.n + 1):
 print("\nsystem matrix: three λ-sets give rotating spans of equal dimension,")
 print("with one common reachability part")
 quad = random_system(GenSpec(n=5, m=2, p=1, seed=21))
-zeros = invariant_zeros(quad)
 schain = sstar_sequence(quad)
 h = 2
 target = vstar(quad, chain_term(schain, h))
 parts = []
 for trial in range(3):
     lams = [-0.5 - trial - k for k in range(h)]
-    kh, _ = build_Kh(quad, lams, forbidden=zeros)
+    kh, _ = build_Kh(quad, lams)
     rh = reachability_on(quad, kh)
     parts.append((lams, kh, rh))
     print("  λ=%-14s dim span %d, reachability part %d" % (lams, kh.dim, rh.dim))

@@ -9,9 +9,10 @@ A friend of an output-nulling subspace closes whatever no requested
 eigenvalue covers (all of it when no spectrum is given) by a least-squares
 solve, without choosing eigenvalues.  On top of that engine this module
 provides Moore's solvability check, pole placement over the reachable
-subspace, the maximal subspace on which a given distinct spectrum is
-assignable with a diagonalizable closed loop, and the minimal number of
-distinct closed-loop eigenvalues achievable without Jordan blocks.
+subspace, and, from the R* staircase of the Morse decomposition with no
+rank decided on pencil kernels, the maximal subspace on which a distinct
+spectrum is assignable with a diagonalizable closed loop and the minimal
+number of distinct eigenvalues that needs.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgeqp3, dgeqrf, dorgqr
 
 from . import geometry, pencils
 from .errors import NumericalError, SynthesisError, ValidationError
@@ -28,14 +30,11 @@ from .linalg import (
     Subspace,
     Tol,
     as_matrix,
-    equals,
     image_basis,
     kernel_basis,
     pinv,
     rank_of,
-    realify_subspace,
     require_real,
-    subspace_intersect,
 )
 from .pencils import PencilKernel, spectrum_scale, validate_spectrum
 from .sysmodel import SystemQuad
@@ -61,6 +60,9 @@ _SELECT_FLOOR = 1e-6
 _STATE_FLOOR = 1e-8
 # Condition numbers above this trigger a warning (not an error).
 COND_WARNING = 1e8
+# build_Kh shifts A+BF on R* by a seeded B Omega1 K, which changes no stair, when
+# an eigenvalue lies this close (relative) to a requested one: its solve is ill-posed.
+_NEAR = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,12 +381,11 @@ def place_poles(A, B, lambdas, tol: Tol = DEFAULT_TOL) -> FeedbackResult:
     """
     A = require_real(as_matrix(A, "A"), tol, "A")
     B = require_real(as_matrix(B, "B"), tol, "B")
-    forbidden = pencils.uncontrollable_eigenvalues(A, B, tol)
-    checked = validate_spectrum(lambdas, forbidden, tol)
-    reach, _ = geometry.reachable_subspace(A, B, tol)
-    r = reach.dim
-    reps = _spectrum_representatives(checked.lambdas, checked.partner)
     sysab = SystemQuad.from_matrices(A, B)
+    frame = _kh_frame(sysab, tol)  # its zeros are the uncontrollable eigenvalues
+    checked = validate_spectrum(lambdas, frame.invariant_zeros, tol)
+    r = frame.dim_rstar
+    reps = _spectrum_representatives(checked.lambdas, checked.partner)
     pools = _candidate_pools(sysab, reps, Subspace.full(A.shape[0]), tol)
     units, _Q, total = _greedy_units(pools, r, A.shape[0])
     if total < r:
@@ -393,7 +394,7 @@ def place_poles(A, B, lambdas, tol: Tol = DEFAULT_TOL) -> FeedbackResult:
             "supply more distinct values"
         )
     vcols, wcols, assigned = _expand_units(units)
-    return _assemble_feedback(A, B, vcols, wcols, assigned, tol, target=reach)
+    return _assemble_feedback(A, B, vcols, wcols, assigned, tol, target=Subspace(frame.T[:, :r]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,38 +447,81 @@ def moore_check(A, B, candidates, tol: Tol = DEFAULT_TOL) -> MooreReport:
     return MooreReport(ok, independent, tuple(conj_ok), tuple(member_ok))
 
 
-def build_Kh(
-    sys: SystemQuad,
-    spec,
-    tol: Tol = DEFAULT_TOL,
-    forbidden=None,
-) -> tuple[Subspace, list[PencilKernel]]:
+def _kh_frame(sys: SystemQuad, tol: Tol) -> geometry.MorseDecomposition:
+    """The Morse decomposition :func:`build_Kh` needs; for p = 0 Kalman's
+    controllability form (F = 0, Omega = I, uncontrollable eigenvalues as zeros)."""
+    if sys.p:
+        return geometry.morse_decomposition(sys, tol)
+    n, m = sys.n, sys.m
+    T, stairs = geometry._krylov(sys.A, sys.B, n + 1, tol)
+    n1 = T.shape[1]
+    if n1 < n:
+        T = np.hstack([T, np.linalg.qr(T, mode="complete")[0][:, n1:]])
+    Abar = T.T @ sys.A @ T
+    return geometry.MorseDecomposition(
+        T=T, Omega=np.eye(m), F=np.zeros((m, n)), Abar=Abar, Bbar=T.T @ sys.B, Cbar=sys.C,
+        Dbar=sys.D, dim_rstar=n1, dim_vstar=n, m1=m, residual=0.0, stairs=stairs,
+        invariant_zeros=np.linalg.eigvals(Abar[n1:, n1:]) if n1 < n else np.zeros(0))
+
+
+def _kh(frame: geometry.MorseDecomposition, spec, tol: Tol) -> Subspace:
+    """Kh = p(A11)⁻¹ (V* ∩ S_h) on the R* block, p(s) = Π(s - λ_i).
+
+    By partial fractions, span_i (λ_i - A)⁻¹ B = p(A)⁻¹ im[B, ..., A^(h-1)B],
+    the pencil kernels' state parts for the R* block (A11, B11).  Rational
+    Arnoldi grows it, Q_1 = (A - λ_1)⁻¹ im B, Q_{j+1} = Q_j + (A - λ_{j+1})⁻¹
+    Q_j, by as many directions as the stairs add (a conjugate pair adds the
+    real and imaginary parts of (A - λ)⁻¹ Q_j, so Kh is real).  Applying
+    p(A)⁻¹ to a basis of V* ∩ S_h instead loses it past about 40 states.
+    """
+    checked = validate_spectrum(spec, frame.invariant_zeros, tol)
+    n1, stairs = frame.dim_rstar, frame.stairs
+    A, B = frame.Abar[:n1, :n1], frame.Bbar[:n1, :frame.m1]
+    eigs = np.linalg.eigvals(A)
+    radius = max(1.0, float(np.abs(eigs).max(initial=0.0)))
+    if np.abs(np.subtract.outer(eigs, checked.lambdas)).min(initial=np.inf) <= _NEAR * radius:
+        K = np.random.default_rng(0).standard_normal(B.T.shape)
+        A = A + B @ (radius / np.linalg.norm(B) * K)
+    Q, h, eye = np.zeros((n1, 0)), 0, np.eye(n1)
+    for lam, is_pair in _spectrum_representatives(checked.lambdas, checked.partner):
+        h += 2 if is_pair else 1
+        new = stairs[min(h, len(stairs) - 1)] - Q.shape[1]
+        if new == 0:  # saturated: no later value adds a direction
+            break
+        Y = np.linalg.solve(A - (lam if is_pair else lam.real) * eye, Q if Q.size else B)
+        Y = np.hstack([Y.real, Y.imag]) if is_pair else Y
+        Y -= Q @ (Q.T @ Y)
+        # the new directions lead a pivoted QR; tiny until normalized, they are re-projected
+        qr, _, tau = dgeqp3(Y)[:3]
+        X = dorgqr(qr[:, :new], tau[:new])[0]
+        X -= Q @ (Q.T @ X)
+        Q = np.hstack([Q, dorgqr(*dgeqrf(X)[:2])[0]])
+    return Subspace(frame.T[:, :n1] @ Q)
+
+
+def build_Kh(sys: SystemQuad, spec, tol: Tol = DEFAULT_TOL) -> tuple[Subspace, list[PencilKernel]]:
     """Maximal subspace on which the given distinct self-conjugate spectrum
     is assignable with a diagonalizable closed-loop restriction.
 
-    It is the (realified) image of the concatenated state parts of the
-    pencil kernels at the requested eigenvalues: Rosenbrock kernels for
-    p >= 1 (the result is output nulling), reachability-pencil kernels for
-    p = 0 (the result is controlled invariant).  The spectrum is validated
-    against the invariant zeros (p >= 1) or the uncontrollable eigenvalues
-    (p = 0); pass ``forbidden`` to reuse a precomputed list.
+    It is the span of the pencil kernels' state parts at the requested
+    eigenvalues (Rosenbrock for p >= 1: output nulling; reachability pencil
+    for p = 0: controlled invariant), built without a rank decision as
+    p(A+BF)⁻¹ (V* ∩ S_h) on R*: its dimension is dim(V* ∩ S_h), its basis
+    real.  The spectrum must avoid the invariant zeros (uncontrollable
+    eigenvalues for p = 0).  The kernels are returned as its certificate: if
+    one of their columns lies over ``tol.abs`` outside Kh, raises
+    :class:`NumericalError`.
     """
-    if forbidden is None:
-        if sys.p:
-            forbidden = pencils.invariant_zeros(sys, tol)
-        else:
-            forbidden = pencils.uncontrollable_eigenvalues(sys.A, sys.B, tol)
-    checked = validate_spectrum(spec, forbidden, tol)
-    kernels = []
-    for lam in checked.lambdas:
-        if sys.p:
-            kernels.append(pencils.rosenbrock_kernel(sys, lam, tol))
-        else:
-            kernels.append(pencils.reach_pencil_kernel(sys.A, sys.B, lam, tol))
-    vparts = np.hstack([K.V for K in kernels])
-    if vparts.shape[1] == 0:
-        return Subspace.zero(sys.n), kernels
-    return realify_subspace(image_basis(vparts, tol, scale=1.0), tol), kernels
+    frame = _kh_frame(sys, tol)
+    checked = validate_spectrum(spec, frame.invariant_zeros, tol)
+    kh = _kh(frame, checked, tol)
+    kernels = [pencils.rosenbrock_kernel(sys, lam, tol) if sys.p
+               else pencils.reach_pencil_kernel(sys.A, sys.B, lam, tol) for lam in checked.lambdas]
+    V = np.hstack([K.V for K in kernels])
+    outside = float(np.linalg.norm(V - kh.basis @ (kh.basis.T @ V), axis=0).max(initial=0.0))
+    if outside > tol.abs:
+        raise NumericalError(f"a pencil kernel column lies {outside:.3e} outside Kh")
+    return kh, kernels
 
 
 def min_distinct_spectrum(sys: SystemQuad, mode: str, tol: Tol = DEFAULT_TOL) -> int:
@@ -486,32 +530,24 @@ def min_distinct_spectrum(sys: SystemQuad, mode: str, tol: Tol = DEFAULT_TOL) ->
 
     ``mode="reachability"``: on the reachable subspace; equals the Krylov
     saturation count of (A, B).  ``mode="rosenbrock"``: on the supremal
-    output-nulling reachability subspace; equals the first index at which
-    the intersection of the supremal output-nulling subspace with the
-    input-containing chain reaches that subspace.
+    output-nulling reachability subspace R*; equals the saturation index of
+    its staircase, the first h with V* ∩ S_h = R*.
     """
     if mode == "reachability":
         return geometry.reachable_subspace(sys.A, sys.B, tol)[1]
     if mode != "rosenbrock":
         raise ValidationError(f"unknown mode {mode!r}")
-    vst = geometry.vstar(sys, None, tol)
-    rst = geometry.reachability_on(sys, vst, tol)
-    chain = geometry.sstar_sequence(sys, tol)
-    for ell in range(len(chain)):
-        cand = subspace_intersect(vst, chain[ell], tol)
-        if cand.dim == rst.dim and equals(cand, rst, tol):
-            return ell
-    raise NumericalError("intersection chain never reached the reachability subspace")
+    return len(_kh_frame(sys, tol).stairs) - 2
 
 
-def reach_on_Kh(sys: SystemQuad, spec, tol: Tol = DEFAULT_TOL, forbidden=None) -> Subspace:
-    """Reachability subspace on the maximal assignable subspace of ``spec``.
+def reach_on_Kh(sys: SystemQuad, spec, tol: Tol = DEFAULT_TOL) -> Subspace:
+    """Reachability subspace on the maximal assignable subspace of ``spec``,
+    as :func:`build_Kh` builds (and certifies) it.
 
-    Independent of which admissible eigenvalues are used, only of how many;
-    it coincides with the supremal output-nulling subspace contained in the
-    h-th input-containing term, for h the spectrum size.
+    Independent of which admissible eigenvalues are used, only of how many
+    (h): the supremal output-nulling subspace in the h-th input-containing term.
     """
-    kh, _ = build_Kh(sys, spec, tol, forbidden=forbidden)
+    kh, _ = build_Kh(sys, spec, tol)
     return geometry.reachability_on(sys, kh, tol)
 
 

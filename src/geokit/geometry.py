@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import DecompositionError, NotInvariantError, NumericalError, ValidationError
 from .linalg import (
@@ -39,8 +40,7 @@ from .linalg import (
     image_basis,
     kernel_basis,
     orthonormal_complement,
-    preimage,
-    realify_subspace,
+    require_real,
     subspace_intersect,
     subspace_sum,
 )
@@ -93,6 +93,8 @@ def _staircase(A, B, C, D, start, steps: int, tol: Tol) -> tuple[np.ndarray, lis
     n, m = B.shape
     p, d = C.shape[0], start.shape[1]
     dtype = np.result_type(A, B, C, D, start)
+    # QR through LAPACK: numpy's wrapper costs more than a small factorization
+    geqrf, orgqr = get_lapack_funcs(("geqrf", ("orgqr", "ungqr")[dtype.kind == "c"]), dtype=dtype)
     ab_scale = float(np.linalg.norm(np.hstack([A, B]), 2))
     cd_scale = float(np.linalg.norm(np.hstack([C, D]), 2)) if p else 0.0
     # Q and the prefixes [B, AQ] and [D, CQ] grow in place.
@@ -108,17 +110,17 @@ def _staircase(A, B, C, D, start, steps: int, tol: Tol) -> tuple[np.ndarray, lis
             dims.append(n)
             break
         Q = Qbuf[:, :d]
-        W = np.zeros((m + d, infeasible.shape[1] + new), dtype=dtype)
-        W[:m + d - new, :infeasible.shape[1]] = infeasible
-        W[m + d - new:, infeasible.shape[1]:] = np.eye(new)
         if p:
+            W = np.zeros((m + d, infeasible.shape[1] + new), dtype=dtype)
+            W[:m + d - new, :infeasible.shape[1]] = infeasible
+            W[m + d - new:, infeasible.shape[1]:] = np.eye(new)
             _, s, vh = np.linalg.svd(DCQ[:, :m + d], full_matrices=False)
             r = _svd_rank(s, (p, n + m), tol, scale=cd_scale)
             infeasible = vh[:r].conj().T
-            G = W @ np.linalg.svd(infeasible.conj().T @ W)[2][r:].conj().T
-        else:  # no constraints: every new coefficient is feasible
-            infeasible, G = W[:, :0], W
-        Z = BAQ[:, :m + d] @ G
+            Z = BAQ[:, :m + d] @ (W @ np.linalg.svd(infeasible.conj().T @ W)[2][r:].conj().T)
+        else:  # no constraints: the new coefficients (all of U at first) are feasible
+            Z = BAQ[:, m + d - new - infeasible.shape[1]:m + d].copy()
+            infeasible = infeasible[:, :0]
         Z -= Q @ (Q.conj().T @ Z)
         Z -= Q @ (Q.conj().T @ Z)
         u, s, _ = np.linalg.svd(Z, full_matrices=False)
@@ -127,7 +129,7 @@ def _staircase(A, B, C, D, start, steps: int, tol: Tol) -> tuple[np.ndarray, lis
             dims.append(d)
             break
         X = u[:, :new]
-        X = np.linalg.qr(X - Q @ (Q.conj().T @ X))[0]
+        X = orgqr(*geqrf(X - Q @ (Q.conj().T @ X))[:2])[0]
         Qbuf[:, d:d + new] = X
         BAQ[:, m + d:m + d + new], DCQ[:, m + d:m + d + new] = A @ X, C @ X
         d += new
@@ -184,12 +186,6 @@ def unobservable_subspace(C, A, tol: Tol = DEFAULT_TOL) -> Subspace:
     return orthonormal_complement(krylov_image(A.conj().T, C.conj().T, A.shape[0], tol), tol)
 
 
-def _stacked_maps(sys: SystemQuad):
-    AC = np.vstack([sys.A, sys.C])
-    BD = np.vstack([sys.B, sys.D])
-    return AC, BD
-
-
 def vstar_sequence(sys: SystemQuad, E: Subspace | None = None, tol: Tol = DEFAULT_TOL) -> list[Subspace]:
     """Non-increasing recursion converging to the supremal output-nulling
     subspace contained in E.
@@ -218,14 +214,6 @@ def vstar_sequence(sys: SystemQuad, E: Subspace | None = None, tol: Tol = DEFAUL
 def vstar(sys: SystemQuad, E: Subspace | None = None, tol: Tol = DEFAULT_TOL) -> Subspace:
     """The supremal output-nulling subspace contained in E (default: whole space)."""
     return vstar_sequence(sys, E, tol)[-1]
-
-
-def _input_lift(S: Subspace, m: int) -> Subspace:
-    """S ⊕ U inside the stacked state-input space."""
-    n, k = S.basis.shape
-    top = np.hstack([S.basis, np.zeros((n, m))])
-    bottom = np.hstack([np.zeros((m, k)), np.eye(m)])
-    return Subspace(np.vstack([top, bottom]))
 
 
 def sstar_sequence(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> list[Subspace]:
@@ -268,7 +256,7 @@ def is_controlled_invariant(A, B, V: Subspace, tol: Tol = DEFAULT_TOL) -> bool:
 
 def is_output_nulling(sys: SystemQuad, V: Subspace, tol: Tol = DEFAULT_TOL) -> bool:
     """[A; C] V ⊆ (V ⊕ 0) + im [B; D]; for p = 0 this is controlled invariance."""
-    AC, BD = _stacked_maps(sys)
+    AC, BD = np.vstack([sys.A, sys.C]), np.vstack([sys.B, sys.D])
     lifted = np.vstack([V.basis, np.zeros((sys.p, V.dim))])
     target = image_basis(np.hstack([lifted, BD]), tol)
     scale = float(np.linalg.norm(AC, 2))
@@ -288,7 +276,9 @@ def is_input_containing(sys: SystemQuad, S: Subspace, tol: Tol = DEFAULT_TOL) ->
     """[A  B] ((S ⊕ U) ∩ ker [C  D]) ⊆ S."""
     AB = np.hstack([sys.A, sys.B])
     ker_cd = kernel_basis(np.hstack([sys.C, sys.D]), tol)
-    feasible = subspace_intersect(_input_lift(S, sys.m), ker_cd, tol)
+    lifted = Subspace(np.block([[S.basis, np.zeros((sys.n, sys.m))],  # S ⊕ U
+                                [np.zeros((sys.m, S.dim)), np.eye(sys.m)]]))
+    feasible = subspace_intersect(lifted, ker_cd, tol)
     scale = float(np.linalg.norm(AB, 2))
     return contains(S, image_basis(AB @ feasible.basis, tol, scale=scale), tol)
 
@@ -314,7 +304,8 @@ def friend_of(sys: SystemQuad, V: Subspace, spectrum=None, tol: Tol = DEFAULT_TO
     """
     from .assignment import _friend_engine  # deferred: assignment imports this module
 
-    V = realify_subspace(V, tol)
+    if np.iscomplexobj(V.basis):
+        V = Subspace(require_real(V.basis, tol, "basis of V"))
     if not is_output_nulling(sys, V, tol):
         raise NotInvariantError("subspace is not output nulling (or controlled invariant for p=0)")
     return _friend_engine(sys, V, spectrum, tol)
@@ -327,23 +318,25 @@ def reachability_on(sys: SystemQuad, V: Subspace, tol: Tol = DEFAULT_TOL) -> Sub
     V ∩ B ker D.  The result does not depend on the friend.  Raises
     :class:`NumericalError` if it leaves V by more than ``tol.abs``.
     """
-    return _reach_along(sys, V, lambda: friend_of(sys, V, None, tol).F, tol)
+    return _span(_reach_along(sys, V, lambda: friend_of(sys, V, None, tol).F, tol)[2])
 
 
-def _reach_along(sys: SystemQuad, V: Subspace, friend, tol: Tol) -> Subspace:
-    """:func:`reachability_on` with the friend's F supplied by ``friend()``,
-    which is called only when the seed V ∩ B ker D is nonzero."""
-    b_scale = float(np.linalg.norm(sys.B, 2))
-    seed = subspace_intersect(
-        V, image_basis(sys.B @ kernel_basis(sys.D, tol).basis, tol, scale=b_scale), tol
-    )
-    if seed.dim == 0:
-        return Subspace.zero(sys.n)
-    R = krylov_image(sys.A + sys.B @ friend(), seed.basis, sys.n, tol)
-    leak = containment_residual(V, R)
+def _reach_along(sys: SystemQuad, V: Subspace, friend, tol: Tol):
+    """``(Omega, m1, Q, dims)``: orthogonal ``Omega`` whose first m1 columns
+    span ker D ∩ B⁻¹V = ker[P B; D] (one SVD; P projects onto V⊥), and the
+    staircase of (A+BF, B Omega1), F from ``friend()``, called only when m1 >
+    0.  For V = V* it is Morse's R* recursion: Q[:, :dims[h]] spans V* ∩ S_h."""
+    M = np.vstack([V.perp_projector() @ sys.B, sys.D])
+    _, s, vh = np.linalg.svd(M)
+    r = _svd_rank(s, M.shape, tol, scale=float(np.linalg.norm(np.vstack([sys.B, sys.D]), 2)))
+    Omega, m1 = np.vstack([vh[r:], vh[:r]]).conj().T, sys.m - r
+    if m1 == 0:
+        return Omega, m1, np.zeros((sys.n, 0)), [0, 0]
+    Q, dims = _krylov(sys.A + sys.B @ friend(), sys.B @ Omega[:, :m1], sys.n + 1, tol)
+    leak = containment_residual(V, Subspace(Q))
     if leak > tol.abs:
         raise NumericalError(f"reachability subspace leaves V by {leak:.3e}")
-    return R
+    return Omega, m1, Q, dims
 
 
 def rstar(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> Subspace:
@@ -357,11 +350,12 @@ class MorseDecomposition:
     """Triangularizing state/input coordinate change adapted to the chain
     reachability-part ⊆ output-nulling-part ⊆ state space.
 
-    ``T = [T1 T2 T3]`` is orthogonal with T1 spanning the reachability part
-    and [T1 T2] spanning the supremal output-nulling subspace; ``Omega =
-    [Omega1 Omega2]`` is orthogonal with Omega1 spanning B^{-1}V ∩ ker D.
-    In these coordinates A+BF is block upper triangular, the first block
-    column of T^{-1}B Omega is supported on the first block row, C+DF
+    ``T = [T1 T2 T3]`` is orthogonal with T1, the staircase of (A+BF,
+    B Omega1), spanning the reachability part (its first ``stairs[h]``
+    columns span V* ∩ S_h) and [T1 T2] the supremal output-nulling subspace;
+    ``Omega = [Omega1 Omega2]`` is orthogonal with Omega1 spanning B^{-1}V ∩
+    ker D.  In these coordinates A+BF is block upper triangular, the first
+    block column of T^{-1}B Omega is supported on the first block row, C+DF
     annihilates the first two blocks, and D Omega annihilates the first.
     The middle diagonal block carries the invariant-zero dynamics.
     """
@@ -378,27 +372,24 @@ class MorseDecomposition:
     m1: int
     invariant_zeros: np.ndarray
     residual: float
+    stairs: list
 
 
 def morse_decomposition(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> MorseDecomposition:
     """Adapted-basis decomposition exposing the invariant-zero block.
 
     Raises :class:`DecompositionError` when a block that must vanish exceeds
-    tolerance or when the leading pair fails its reachability check, either
-    of which indicates an upstream failure.
+    tolerance, which indicates an upstream failure.  The leading pair is
+    reachable by construction: T1 is its staircase.
     """
     if sys.p == 0:
         raise ValidationError("morse_decomposition requires p >= 1")
-    n = sys.n
     vst = vstar(sys, None, tol)
     F = friend_of(sys, vst, None, tol).F
-    rst = _reach_along(sys, vst, lambda: F, tol)
+    Omega, m1, T1, stairs = _reach_along(sys, vst, lambda: F, tol)
 
-    T2 = image_basis(rst.perp_projector() @ vst.basis, tol, scale=1.0).basis
-    T = np.hstack([rst.basis, T2, orthonormal_complement(vst, tol).basis])
-
-    om1 = subspace_intersect(preimage(sys.B, vst, tol), kernel_basis(sys.D, tol), tol)
-    Omega = np.hstack([om1.basis, orthonormal_complement(om1, tol).basis])
+    T2 = image_basis(vst.basis - T1 @ (T1.T @ vst.basis), tol, scale=1.0).basis
+    T = np.hstack([T1, T2, orthonormal_complement(vst, tol).basis])
 
     Acl = sys.A + sys.B @ F
     Ccl = sys.C + sys.D @ F
@@ -407,8 +398,7 @@ def morse_decomposition(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> MorseDecompo
     Cbar = Ccl @ T
     Dbar = sys.D @ Omega
 
-    n1, n2 = rst.dim, vst.dim - rst.dim
-    m1 = om1.dim
+    n1, n2 = T1.shape[1], vst.dim - T1.shape[1]
     must_vanish = [
         Abar[n1:, :n1],
         Abar[n1 + n2:, n1:n1 + n2],
@@ -424,14 +414,12 @@ def morse_decomposition(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> MorseDecompo
         )
 
     zeros = np.linalg.eigvals(Abar[n1:n1 + n2, n1:n1 + n2])
-    if n1 and reachable_subspace(Abar[:n1, :n1], Bbar[:n1, :m1], tol)[0].dim != n1:
-        raise DecompositionError("leading block pair is not completely reachable")
 
     return MorseDecomposition(
         T=T, Omega=Omega, F=F,
         Abar=Abar, Bbar=Bbar, Cbar=Cbar, Dbar=Dbar,
         dim_rstar=n1, dim_vstar=vst.dim, m1=m1,
-        invariant_zeros=zeros, residual=residual,
+        invariant_zeros=zeros, residual=residual, stairs=stairs,
     )
 
 

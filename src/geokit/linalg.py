@@ -41,7 +41,6 @@ __all__ = [
     "orthonormal_complement",
     "max_imag",
     "require_real",
-    "realify_subspace",
 ]
 
 
@@ -158,18 +157,9 @@ class Subspace:
         """The whole space; every instance of one size shares one basis array."""
         return cls(_identity(n))
 
-    @classmethod
-    def from_span(cls, M, tol: Tol = DEFAULT_TOL) -> "Subspace":
-        """Orthonormalize the columns of ``M`` into a Subspace."""
-        return image_basis(M, tol)
-
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the subspace, as an (n, n) matrix."""
-        return self.basis @ self.basis.conj().T
-
     def perp_projector(self) -> np.ndarray:
         """Orthogonal projector onto the orthogonal complement."""
-        return np.eye(self.ambient_dim) - self.projector()
+        return np.eye(self.ambient_dim) - self.basis @ self.basis.conj().T
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -301,19 +291,3 @@ def require_real(M, tol: Tol = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
         raise NumericalError(f"{name} has imaginary magnitude {im:.3e} above tolerance")
     return np.ascontiguousarray(M.real, dtype=np.float64)
 
-
-def realify_subspace(S: Subspace, tol: Tol = DEFAULT_TOL) -> Subspace:
-    """Re-express a conjugation-closed subspace with a real basis.
-
-    A real basis is returned as is.  Raises if the real span of (Re, Im)
-    parts has larger dimension than S, which means S was not closed under
-    conjugation.
-    """
-    if S.dim == 0 or not np.iscomplexobj(S.basis):
-        return S
-    if max_imag(S.basis) <= tol.abs:
-        return image_basis(S.basis.real, tol)
-    R = image_basis(np.hstack([S.basis.real, S.basis.imag]), tol)
-    if R.dim != S.dim:
-        raise ValidationError("subspace is not closed under conjugation")
-    return R

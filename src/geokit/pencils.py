@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpectrumError, ValidationError
-from .linalg import DEFAULT_TOL, Tol, as_matrix, kernel_basis, rank_of
+from .linalg import DEFAULT_TOL, Tol, _svd_rank, as_matrix, rank_of
 from .sysmodel import SystemQuad
 
 __all__ = [
@@ -71,7 +71,8 @@ def rosenbrock_matrix(sys: SystemQuad, lam: complex) -> np.ndarray:
 
 
 def _split_kernel(M: np.ndarray, n: int, lam: complex, kind: str, tol: Tol) -> PencilKernel:
-    K = kernel_basis(M, tol).basis
+    _, s, vh = np.linalg.svd(M)  # kernel_basis's decision, without building a Subspace;
+    K = vh[_svd_rank(s, M.shape, tol):].conj().T.copy()  # a copy frees the rest of vh
     return PencilKernel(lam=complex(lam), V=K[:n], W=K[n:], kind=kind)
 
 

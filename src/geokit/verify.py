@@ -14,13 +14,15 @@ with the first failing seed.  The identities under test:
     input-containing term, computed both directly and by the Markov-kernel
     formula (three-way agreement).
 ``lattice``
-    The joined kernel span is the maximum output-nulling subspace carrying
-    the requested spectrum with a diagonalizable closed-loop restriction.
+    The maximal subspace Kh, built from the R* staircase, carries the
+    requested spectrum with a diagonalizable closed-loop restriction and
+    contains kernel columns drawn from the pencils, the independent check
+    that it is their span (``th1`` and ``th2`` rank the raw kernel stack).
 ``thlast`` / ``corollary-last``
-    The reachability subspace on the joined kernel span equals the supremal
-    output-nulling subspace inside the h-th input-containing term (for
-    p = 0: the largest controlled invariant inside the h-step reachable
-    subspace), independently of which admissible eigenvalues were used.
+    The reachability subspace on Kh equals the supremal output-nulling
+    subspace inside the h-th input-containing term (for p = 0: the largest
+    controlled invariant inside the h-step reachable subspace),
+    independently of which admissible eigenvalues were used.
 ``lemma-diag``
     Krylov chains of diagonal pairs saturate within the number of distinct
     diagonal values.
@@ -38,7 +40,8 @@ The chains are structural: they do not depend on the eigenvalues a trial
 draws.  So each trial computes its chains once and reads every h off them:
 one Krylov (input-containing) chain for all h, where the term of h steps is
 the h-th prefix of the full run, and one Markov-kernel pass
-(:func:`geokit.geometry.intersection_formulas`) for all (i, j).
+(:func:`geokit.geometry.intersection_formulas`) for all (i, j), and one
+Morse decomposition that leaves each Kh only small solves on R*.
 """
 
 from __future__ import annotations
@@ -52,11 +55,11 @@ from . import assignment, geometry, pencils
 from .errors import ValidationError
 from .linalg import (
     DEFAULT_TOL,
+    Subspace,
     Tol,
     containment_residual,
     equals,
     image_basis,
-    kernel_basis,
     rank_of,
     subspace_intersect,
 )
@@ -201,13 +204,11 @@ def _drive(theorem: str, trials: int, seed: int, body) -> VerifyReport:
 def run_th1(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
     def trial(rng, t):
         A, B = _draw_pair(rng, nmax, uncontrollable=(t % 2 == 1))
-        n = A.shape[0]
-        forbidden = pencils.uncontrollable_eigenvalues(A, B, tol)
-        chain = geometry.sstar_sequence(SystemQuad.from_matrices(A, B), tol)
-        for h in range(1, n + 1):
-            want = geometry.chain_term(chain, h).dim
+        frame = assignment._kh_frame(SystemQuad.from_matrices(A, B), tol)
+        for h in range(1, A.shape[0] + 1):
+            want = frame.stairs[min(h, len(frame.stairs) - 1)]
             for _ in range(2):
-                lams = _draw_distinct(rng, h, forbidden, self_conjugate=False)
+                lams = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=False)
                 kernels = [pencils.reach_pencil_kernel(A, B, lam, tol) for lam in lams]
                 got = _kernel_span_rank(kernels, tol)
                 if got != want:
@@ -241,10 +242,10 @@ def run_th2(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_
 def run_lattice(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
     def trial(rng, t):
         sys = _draw_quad(rng, nmax, p_min=1)
-        zeros = pencils.invariant_zeros(sys, tol)
+        frame = assignment._kh_frame(sys, tol)
         h = int(rng.integers(1, sys.n + 1))
-        lams = _draw_distinct(rng, h, zeros, self_conjugate=True)
-        kh, kernels = assignment.build_Kh(sys, lams, tol, forbidden=zeros)
+        lams = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
+        kh = assignment._kh(frame, lams, tol)
         fb = geometry.friend_of(sys, kh, lams, tol)
         if fb.residual_out > _SUBSPACE_TOL or fb.residual_inv > _SUBSPACE_TOL:
             return f"friend residuals {fb.residual_out:.2e}/{fb.residual_inv:.2e}"
@@ -254,7 +255,8 @@ def run_lattice(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFA
         bad_lam = [lam for lam, _v in fb.assigned if min(abs(lam - mu) for mu in lams) > _EIG_TOL]
         if bad_lam:
             return f"assigned eigenvalue {bad_lam[0]} not requested"
-        # containment of a constructively generated member
+        # the structural Kh must contain a member drawn from the kernels
+        kernels = [pencils.rosenbrock_kernel(sys, lam, tol) for lam in lams]
         cols = [K.V[:, [int(rng.integers(0, K.q))]] for K in kernels if K.q]
         if cols:
             member = image_basis(np.hstack(cols), tol, scale=1.0)
@@ -271,22 +273,21 @@ def run_lattice(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFA
 def run_thlast(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
     def trial(rng, t):
         sys = _draw_quad(rng, nmax, p_min=1)
-        zeros = pencils.invariant_zeros(sys, tol)
+        frame = assignment._kh_frame(sys, tol)
         chain = geometry.sstar_sequence(sys, tol)
-        bkd = image_basis(sys.B @ kernel_basis(sys.D, tol).basis, tol,
-                          scale=float(np.linalg.norm(sys.B, 2)))
+        seed_space = Subspace(frame.T[:, :frame.stairs[1]])  # V* ∩ B ker D
         for h in range(1, sys.n + 1):
-            lams1 = _draw_distinct(rng, h, zeros, self_conjugate=True)
-            lams2 = _draw_distinct(rng, h, zeros, self_conjugate=True)
-            kh1, _ = assignment.build_Kh(sys, lams1, tol, forbidden=zeros)
-            kh2, _ = assignment.build_Kh(sys, lams2, tol, forbidden=zeros)
+            lams1 = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
+            lams2 = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
+            kh1 = assignment._kh(frame, lams1, tol)
+            kh2 = assignment._kh(frame, lams2, tol)
             r1 = geometry.reachability_on(sys, kh1, tol)
             r2 = geometry.reachability_on(sys, kh2, tol)
             target = geometry.vstar(sys, geometry.chain_term(chain, h), tol)
             if not (equals(r1, target, tol) and equals(r1, r2, tol)):
                 return f"h={h}: reachability dims {r1.dim}/{r2.dim}, target {target.dim}"
-            lhs = subspace_intersect(kh1, bkd, tol)
-            rhs = subspace_intersect(target, bkd, tol)
+            lhs = subspace_intersect(kh1, seed_space, tol)
+            rhs = subspace_intersect(target, seed_space, tol)
             if not equals(lhs, rhs, tol):
                 return f"h={h}: seed intersections differ"
         return None
@@ -301,11 +302,11 @@ def run_corollary_last(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol
         # recursion limit is not decidable at working precision
         A, B = _draw_pair(rng, nmax)
         sys = SystemQuad.from_matrices(A, B)
-        forbidden = pencils.uncontrollable_eigenvalues(A, B, tol)
+        frame = assignment._kh_frame(sys, tol)
         chain = geometry.sstar_sequence(sys, tol)
         for h in range(1, sys.n + 1):
-            lams = _draw_distinct(rng, h, forbidden, self_conjugate=True)
-            rh = assignment.reach_on_Kh(sys, lams, tol, forbidden=forbidden)
+            lams = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
+            rh = geometry.reachability_on(sys, assignment._kh(frame, lams, tol), tol)
             target = geometry.vstar(sys, geometry.chain_term(chain, h), tol)
             if not equals(rh, target, tol):
                 return f"h={h}: dims {rh.dim} vs {target.dim}"

@@ -16,16 +16,24 @@ genuine pivots.  Usage:
 
 prints the dimensions of the S chain and of the V chain inside S_H, each up
 to and including its first repeated term.  The pinned chains in
-``tests/test_geometry.py`` come from this script.  It is not a test module,
-so pytest does not collect it.
+``tests/test_geometry.py`` come from this script.
+
+    PYTHONPATH=src python tests/mp_chain_oracle.py kh N M P SEED H
+
+solves the pencils at H real values spread over [-3, -0.5] at 80 digits
+and prints the distance (the largest sine of a principal angle) between the
+span of their kernels' state parts and ``build_Kh``'s basis.  It is not a
+test module, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import sys
 
+import numpy as np
 from mpmath import mp, mpf
 
+from geokit.assignment import build_Kh
 from geokit.sysmodel import GenSpec, random_system
 
 mp.dps = 80
@@ -151,7 +159,32 @@ def v_chain(A, B, C, D, E, n: int, m: int) -> list[int]:
     raise RuntimeError("V chain did not become stationary")
 
 
+def kh_basis(sys, lams) -> np.ndarray:
+    """Orthonormal basis, rounded to float64, of the span of the state parts
+    of the pencil kernels (Rosenbrock, or [A - λI  B] for p = 0) at the real
+    values ``lams``, each pencil formed and solved at 80 digits."""
+    n, m = sys.n, sys.m
+    rows = [a + b for a, b in zip(_rows(sys.A), _rows(sys.B))]
+    rows += [c + d for c, d in zip(_rows(sys.C), _rows(sys.D))]
+    states = []
+    for lam in lams:
+        shifted = [list(r) for r in rows]
+        for i in range(n):
+            shifted[i][i] -= mpf(float(lam))
+        states += [x[:n] for x in kernel(shifted, n + m)]
+    basis = orth(states, n, max([mpf(1)] + [mp.norm(x) for x in states]))
+    return np.array([[float(x) for x in q] for q in basis]).reshape(len(basis), n).T
+
+
 def main(argv: list[str]) -> None:
+    if argv[0] == "kh":
+        n, m, p, seed, h = (int(a) for a in argv[1:])
+        s = random_system(GenSpec(n=n, m=m, p=p, seed=seed))
+        lams = np.linspace(-3.0, -0.5, h)
+        exact, kh = kh_basis(s, lams), build_Kh(s, lams)[0].basis
+        print(f"dims: exact {exact.shape[1]}, build_Kh {kh.shape[1]}")
+        print(f"distance: {np.linalg.norm(exact - kh @ (kh.T @ exact), 2):.2e}")
+        return
     n, m, p, seed, h = (int(a) for a in argv)
     s = random_system(GenSpec(n=n, m=m, p=p, seed=seed))
     A, B, C, D = _rows(s.A), _rows(s.B), _rows(s.C), _rows(s.D)

@@ -91,7 +91,7 @@ def test_criterion_6_friend_contract():
         zeros = pencils.invariant_zeros(sys)
         for h in range(1, sys.n + 1):
             lams = _draw_distinct(rng, h, zeros, self_conjugate=True)
-            kh, _ = assignment.build_Kh(sys, lams, forbidden=zeros)
+            kh, _ = assignment.build_Kh(sys, lams)
             fb = geometry.friend_of(sys, kh, lams)
             if fb.residual_out > 1e-8 or fb.residual_inv > 1e-8:
                 failures.append((t, h, fb.residual_out, fb.residual_inv))

@@ -9,9 +9,16 @@ from geokit.assignment import (
     place_poles,
     synthesize_feedback,
 )
-from geokit.errors import SynthesisError, ValidationError
-from geokit.geometry import rstar
-from geokit.linalg import equals, max_imag, rank_of
+from geokit.errors import NumericalError, SynthesisError, ValidationError
+from geokit.geometry import (
+    chain_term,
+    is_output_nulling,
+    morse_decomposition,
+    rstar,
+    sstar_sequence,
+    vstar,
+)
+from geokit.linalg import Subspace, equals, image_basis, max_imag, rank_of, subspace_intersect
 from geokit.pencils import SpectrumError, reach_pencil_kernel
 from geokit.sysmodel import GenSpec, SystemQuad, random_system
 
@@ -148,26 +155,83 @@ class TestBuildKh:
     def test_saturated_equals_rstar(self):
         for seed in range(5):
             sys = random_system(GenSpec(n=4, m=2, p=1, seed=seed))
-            from geokit.pencils import invariant_zeros
-
-            zeros = invariant_zeros(sys)
             lams = [-1.0 - k for k in range(sys.n)]
-            kh, _ = build_Kh(sys, lams, forbidden=zeros)
+            kh, _ = build_Kh(sys, lams)
             assert equals(kh, rstar(sys))
 
     def test_output_nulling(self):
-        from geokit.geometry import is_output_nulling
-        from geokit.pencils import invariant_zeros
-
         for seed in range(5):
             sys = random_system(GenSpec(n=4, m=2, p=1, seed=20 + seed))
-            zeros = invariant_zeros(sys)
-            kh, _ = build_Kh(sys, [-1.0, -2.5], forbidden=zeros)
+            kh, _ = build_Kh(sys, [-1.0, -2.5])
             assert is_output_nulling(sys, kh)
 
     def test_spectrum_validated(self):
         with pytest.raises(SpectrumError):
             build_Kh(SystemQuad.from_matrices(np.diag([1.0, 2.0]), np.eye(2)[:, :1]), [2.0])
+
+    @pytest.mark.parametrize("m, p, want", [(3, 2, 20), (2, 0, 40)])
+    def test_dimension_is_structural_at_forty_states(self, m, p, want):
+        # the rank decided on the stacked kernel state parts gave 14 of 20
+        # and 25 of 40 here
+        sys = random_system(GenSpec(n=40, m=m, p=p, seed=7))
+        oracle = subspace_intersect(vstar(sys), chain_term(sstar_sequence(sys), 20)).dim
+        kh, _ = build_Kh(sys, np.linspace(-3.0, -0.5, 20))
+        assert kh.dim == oracle == want
+
+    @pytest.mark.parametrize("lams", [[-1.0], [-1.0, -2.0], [-1.0, -5.0]])
+    def test_requested_eigenvalue_of_A_without_outputs(self, lams):
+        # every eigenvalue of A is controllable, so -1 is admissible, but
+        # A + I is singular: the dynamics are shifted before the solves
+        sys = SystemQuad.from_matrices(np.diag([-1.0, -2.0, -3.0]), np.ones((3, 1)))
+        kh, kernels = build_Kh(sys, lams)
+        span = image_basis(np.hstack([K.V for K in kernels]), scale=1.0)
+        assert kh.dim == span.dim == len(lams) and equals(kh, span)
+
+    def test_requested_eigenvalue_of_the_rstar_block(self):
+        # a real eigenvalue of A+BF on R* (not an invariant zero) is admissible
+        sys = random_system(GenSpec(n=5, m=2, p=1, seed=0))
+        dec = morse_decomposition(sys)
+        n1 = dec.dim_rstar
+        real = [e.real for e in np.linalg.eigvals(dec.Abar[:n1, :n1]) if e.imag == 0.0]
+        for lams in ([real[0]], [real[0], -1.0]):
+            kh, kernels = build_Kh(sys, lams)
+            span = image_basis(np.hstack([K.V for K in kernels]), scale=1.0)
+            assert kh.dim == span.dim == len(lams) and equals(kh, span)
+
+    def test_basis_against_80_digit_kernels(self):
+        # the span of the pencil kernels' state parts, solved at 80 digits
+        # from the exact binary data (tests/mp_chain_oracle.py kh 24 3 2 7 12)
+        pytest.importorskip("mpmath")
+        from mp_chain_oracle import kh_basis
+
+        sys = random_system(GenSpec(n=24, m=3, p=2, seed=7))
+        lams = np.linspace(-3.0, -0.5, 12)
+        exact, (kh, _) = kh_basis(sys, lams), build_Kh(sys, lams)
+        assert kh.dim == exact.shape[1] == 12
+        assert np.linalg.norm(exact - kh.basis @ (kh.basis.T @ exact), 2) < 1e-12
+
+    @pytest.mark.parametrize("n", [60, 80])
+    def test_one_input_direction_on_rstar(self, n):
+        # B ker D is one direction, so Kh is a single-input rational Krylov
+        # space: the kernel stack returned 15 of 20 dimensions here, and
+        # p(A+BF)⁻¹ applied to a basis of V* ∩ S_20 fails its certificate
+        sys = random_system(GenSpec(n=n, m=3, p=2, seed=5))
+        want = subspace_intersect(vstar(sys), chain_term(sstar_sequence(sys), 20)).dim
+        kh, kernels = build_Kh(sys, np.linspace(-3.0, -0.5, 20))
+        V = np.hstack([K.V for K in kernels])
+        assert kh.dim == want == 20
+        assert np.linalg.norm(V - kh.basis @ (kh.basis.T @ V), axis=0).max() <= 1e-8
+        assert is_output_nulling(sys, kh)
+
+    def test_certificate_refuses_a_basis_missing_a_direction(self, monkeypatch):
+        from geokit import assignment
+
+        structural = assignment._kh
+        monkeypatch.setattr(assignment, "_kh",
+                            lambda *args: Subspace(structural(*args).basis[:, :-1]))
+        sys = random_system(GenSpec(n=6, m=2, p=1, seed=3))
+        with pytest.raises(NumericalError):
+            build_Kh(sys, [-1.0, -2.0, -3.0])
 
 
 class TestMinDistinctSpectrum:
@@ -220,13 +284,11 @@ class TestReachOnKh:
 
     def test_saturated_rstar(self):
         from geokit.assignment import reach_on_Kh
-        from geokit.pencils import invariant_zeros
 
         for seed in range(4):
             sys = random_system(GenSpec(n=4, m=2, p=1, seed=40 + seed))
-            zeros = invariant_zeros(sys)
             lams = [-1.0 - 0.7 * k for k in range(sys.n)]
-            assert equals(reach_on_Kh(sys, lams, forbidden=zeros), rstar(sys))
+            assert equals(reach_on_Kh(sys, lams), rstar(sys))
 
 
 class TestDiagKrylov:

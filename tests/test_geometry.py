@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from geokit.errors import NotInvariantError, SpectrumError, ValidationError
+from geokit.errors import NotInvariantError, NumericalError, SpectrumError, ValidationError
 from geokit.geometry import (
     chain_term,
     friend_of,
@@ -317,6 +317,12 @@ class TestFriendOf:
     def test_rejects_non_invariant_subspace(self):
         with pytest.raises(NotInvariantError):
             friend_of(DI_VEL, line(0.0, 1.0))
+
+    def test_complex_basis_is_refused(self):
+        # a real system's subspaces come back real; no realification is tried
+        V = Subspace(np.array([[1.0], [1.0j]]) / np.sqrt(2.0))
+        with pytest.raises(NumericalError):
+            friend_of(SystemQuad.from_matrices(A2, B2), V)
 
     def test_real_system_gives_real_friend(self):
         sys = random_system(GenSpec(n=6, m=2, p=1, seed=3))

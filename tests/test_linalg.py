@@ -16,7 +16,6 @@ from geokit.linalg import (
     pinv,
     preimage,
     rank_of,
-    realify_subspace,
     require_real,
     subspace_intersect,
     subspace_sum,
@@ -294,18 +293,6 @@ class TestRealHelpers:
 
         with pytest.raises(NumericalError):
             require_real(np.array([[1e-3j]]))
-
-    def test_realify_conjugate_closed(self):
-        v = np.array([1.0 + 1.0j, 2.0 - 1.0j, 0.5j])
-        S = image_basis(np.column_stack([v, v.conj()]))
-        R = realify_subspace(S)
-        assert R.dim == 2
-        assert max_imag(R.basis) < 1e-12
-
-    def test_realify_rejects_unbalanced(self):
-        v = np.array([1.0 + 1.0j, 2.0 - 1.0j, 0.5j])
-        with pytest.raises(ValidationError):
-            realify_subspace(image_basis(v[:, None]))
 
     def test_complement(self):
         C = orthonormal_complement(span(E1))

@@ -40,3 +40,16 @@ def test_lemma_reach_at_forty_states():
     # after normalizing, or the basis drifts out of orthonormality here
     rep = verify.run("lemma-reach", trials=5, seed=0, nmax=40)[0]
     assert rep.ok, rep.failures
+
+
+def test_thlast_seed_with_clustered_spectrum():
+    # trial 9 draws eight real values, five of them in [0.45, 0.60]: the
+    # stacked kernel state parts lost a direction there (dim 7 of 8)
+    rep = verify.run("thlast", trials=10, seed=2099642678)[0]
+    assert rep.ok, rep.failures[:3]
+
+
+def test_corollary_last_at_twenty_states():
+    # trial 7 (h = 17) got a zero reachability subspace from the kernel stack
+    rep = verify.run("corollary-last", trials=20, seed=0, nmax=20)[0]
+    assert rep.ok, rep.failures[:3]
