@@ -29,12 +29,15 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tol,
+    _svd_rank,
     as_matrix,
     image_basis,
     kernel_basis,
+    norm2,
     pinv,
     rank_of,
     require_real,
+    svd,
 )
 from .pencils import PencilKernel, spectrum_scale, validate_spectrum
 from .sysmodel import SystemQuad
@@ -182,10 +185,9 @@ def _assemble_feedback(
         return FeedbackResult(F, (), 0.0, 0.0, 0.0, 1.0)
     Vsel = np.column_stack(vcols)
     Wsel = np.column_stack(wcols) if wcols else np.zeros((m, Vsel.shape[1]))
-    r = Vsel.shape[1]
-    if rank_of(Vsel, tol) != r:
+    svals = svd(Vsel, compute_uv=False)  # one call decides the rank and gives cond_V
+    if _svd_rank(svals, Vsel.shape, tol) != Vsel.shape[1]:
         raise SynthesisError("dependent selection: chosen eigenvector columns are not independent")
-    svals = np.linalg.svd(Vsel, compute_uv=False)
     cond_v = float(svals[0] / svals[-1])
     if cond_v > COND_WARNING:
         warnings.warn(
@@ -203,15 +205,15 @@ def _assemble_feedback(
     if target.dim:
         tb = target.basis
         mapped = Acl @ tb
-        res_inv = float(np.linalg.norm(mapped - tb @ (tb.T @ mapped), 2))
+        res_inv = norm2(mapped - tb @ (tb.T @ mapped))
         if C is not None and C.shape[0]:
-            res_out = float(np.linalg.norm((C + D @ F) @ tb, 2))
+            res_out = norm2((C + D @ F) @ tb)
         else:
             res_out = 0.0
     else:
         res_inv = 0.0
         res_out = 0.0
-    scale = max(1.0, float(np.linalg.norm(Acl, 2)))
+    scale = max(1.0, norm2(Acl))
     if res_inv > tol.abs * scale or res_out > tol.abs * scale:
         raise SynthesisError(
             f"synthesis residual above tolerance (invariance {res_inv:.3e}, output {res_out:.3e})"
@@ -592,7 +594,7 @@ def diag_krylov_saturation(Delta, H, tol: Tol = DEFAULT_TOL) -> int:
     grouped = np.zeros((n, len(reps) * q), dtype=H.dtype)
     for g, mask in enumerate(masks):
         grouped[mask, g * q:(g + 1) * q] = H[mask]
-    g_scale = max(1.0, float(np.linalg.norm(grouped, 2)))
+    g_scale = max(1.0, norm2(grouped))
     prev = 0
     for j in range(1, len(reps) + 1):
         vand = np.vander(np.asarray(reps), j, increasing=True)

@@ -39,10 +39,12 @@ from .linalg import (
     contains,
     image_basis,
     kernel_basis,
+    norm2,
     orthonormal_complement,
     require_real,
     subspace_intersect,
     subspace_sum,
+    svd,
 )
 from .sysmodel import SystemQuad
 
@@ -69,7 +71,8 @@ __all__ = [
 ]
 
 
-def _staircase(A, B, C, D, start, steps: int, tol: Tol) -> tuple[np.ndarray, list[int]]:
+def _staircase(A, B, C, D, start, steps: int, tol: Tol,
+               scales: tuple[float, float]) -> tuple[np.ndarray, list[int]]:
     """Grow ``S_0 = span(start)``, ``S_{j+1} = S_j + [A B]((S_j ⊕ U) ∩ ker[C D])``
     on one orthonormal basis (Van Dooren's staircase form).
 
@@ -88,15 +91,15 @@ def _staircase(A, B, C, D, start, steps: int, tol: Tol) -> tuple[np.ndarray, lis
     The new images are projected off Q twice and their rank is decided on
     that small residual block with ``scale = ‖[A B]‖₂``.  A direction kept
     just above the threshold is tiny before it is normalized, so it is
-    projected off Q once more and re-orthonormalized.
+    projected off Q once more and re-orthonormalized.  The caller passes
+    ``scales = (‖[A B]‖₂, ‖[C D]‖₂)``, 0.0 for the second when p = 0.
     """
     n, m = B.shape
     p, d = C.shape[0], start.shape[1]
     dtype = np.result_type(A, B, C, D, start)
     # QR through LAPACK: numpy's wrapper costs more than a small factorization
     geqrf, orgqr = get_lapack_funcs(("geqrf", ("orgqr", "ungqr")[dtype.kind == "c"]), dtype=dtype)
-    ab_scale = float(np.linalg.norm(np.hstack([A, B]), 2))
-    cd_scale = float(np.linalg.norm(np.hstack([C, D]), 2)) if p else 0.0
+    ab_scale, cd_scale = scales
     # Q and the prefixes [B, AQ] and [D, CQ] grow in place.
     Qbuf = np.empty((n, n), dtype=dtype)
     BAQ = np.empty((n, m + n), dtype=dtype)
@@ -114,16 +117,16 @@ def _staircase(A, B, C, D, start, steps: int, tol: Tol) -> tuple[np.ndarray, lis
             W = np.zeros((m + d, infeasible.shape[1] + new), dtype=dtype)
             W[:m + d - new, :infeasible.shape[1]] = infeasible
             W[m + d - new:, infeasible.shape[1]:] = np.eye(new)
-            _, s, vh = np.linalg.svd(DCQ[:, :m + d], full_matrices=False)
+            _, s, vh = svd(DCQ[:, :m + d], full_matrices=False)
             r = _svd_rank(s, (p, n + m), tol, scale=cd_scale)
             infeasible = vh[:r].conj().T
-            Z = BAQ[:, :m + d] @ (W @ np.linalg.svd(infeasible.conj().T @ W)[2][r:].conj().T)
+            Z = BAQ[:, :m + d] @ (W @ svd(infeasible.conj().T @ W)[2][r:].conj().T)
         else:  # no constraints: the new coefficients (all of U at first) are feasible
             Z = BAQ[:, m + d - new - infeasible.shape[1]:m + d].copy()
             infeasible = infeasible[:, :0]
         Z -= Q @ (Q.conj().T @ Z)
         Z -= Q @ (Q.conj().T @ Z)
-        u, s, _ = np.linalg.svd(Z, full_matrices=False)
+        u, s, _ = svd(Z, full_matrices=False)
         new = _svd_rank(s, Z.shape, tol, scale=ab_scale)
         if new == 0:
             dims.append(d)
@@ -148,7 +151,8 @@ def _krylov(A, M, steps: int, tol: Tol) -> tuple[np.ndarray, list[int]]:
     A = as_matrix(A, "A")
     M = as_matrix(M, "M")
     n, m = M.shape
-    return _staircase(A, M, np.zeros((0, n)), np.zeros((0, m)), np.zeros((n, 0)), steps, tol)
+    return _staircase(A, M, np.zeros((0, n)), np.zeros((0, m)), np.zeros((n, 0)), steps, tol,
+                      (norm2(np.hstack([A, M])), 0.0))
 
 
 def krylov_image(A, M, steps: int, tol: Tol = DEFAULT_TOL) -> Subspace:
@@ -202,18 +206,27 @@ def vstar_sequence(sys: SystemQuad, E: Subspace | None = None, tol: Tol = DEFAUL
     an orthonormal basis of the state space, the k-th term is spanned by the
     columns past the k-th stair.
     """
+    Q, dims = _dual_stairs(sys, E, tol)
+    return [Subspace.full(sys.n) if E is None else E] + [_span(Q[:, d:]) for d in dims[1:]]
+
+
+def vstar(sys: SystemQuad, E: Subspace | None = None, tol: Tol = DEFAULT_TOL) -> Subspace:
+    """The supremal output-nulling subspace contained in E (default: whole space):
+    the last term of :func:`vstar_sequence`, built alone."""
+    Q, dims = _dual_stairs(sys, E, tol)
+    return _span(Q[:, dims[-1]:])
+
+
+def _dual_stairs(sys: SystemQuad, E: Subspace | None, tol: Tol) -> tuple[np.ndarray, list[int]]:
+    """The dual system's staircase from E⊥, its basis completed to an
+    orthonormal basis of the state space."""
     n = sys.n
     if E is not None and E.ambient_dim != n:
         raise ValidationError(f"E has ambient {E.ambient_dim}, expected {n}")
     start = np.zeros((n, 0)) if E is None else orthonormal_complement(E, tol).basis
-    Q, dims = _staircase(sys.A.T, sys.C.T, sys.B.T, sys.D.T, start, n + 1, tol)
-    Q = np.hstack([Q, np.linalg.qr(Q, mode="complete")[0][:, Q.shape[1]:]])
-    return [Subspace.full(n) if E is None else E] + [_span(Q[:, d:]) for d in dims[1:]]
-
-
-def vstar(sys: SystemQuad, E: Subspace | None = None, tol: Tol = DEFAULT_TOL) -> Subspace:
-    """The supremal output-nulling subspace contained in E (default: whole space)."""
-    return vstar_sequence(sys, E, tol)[-1]
+    Q, dims = _staircase(sys.A.T, sys.C.T, sys.B.T, sys.D.T, start, n + 1, tol,
+                         sys._dual_stair_scales)
+    return np.hstack([Q, np.linalg.qr(Q, mode="complete")[0][:, Q.shape[1]:]]), dims
 
 
 def sstar_sequence(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> list[Subspace]:
@@ -229,13 +242,20 @@ def sstar_sequence(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> list[Subspace]:
     The terms are the stairs of one staircase run: the j-th is spanned by
     the first ``dim S_j`` columns of its orthonormal basis.
     """
-    Q, dims = _staircase(sys.A, sys.B, sys.C, sys.D, np.zeros((sys.n, 0)), sys.n + 1, tol)
+    Q, dims = _stairs(sys, tol)
     return [_span(Q[:, :d]) for d in dims]
 
 
 def sstar(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> Subspace:
-    """The infimal input-containing subspace."""
-    return sstar_sequence(sys, tol)[-1]
+    """The infimal input-containing subspace: the last term of
+    :func:`sstar_sequence`, built alone."""
+    return _span(_stairs(sys, tol)[0])
+
+
+def _stairs(sys: SystemQuad, tol: Tol) -> tuple[np.ndarray, list[int]]:
+    """The system's staircase from the zero subspace."""
+    return _staircase(sys.A, sys.B, sys.C, sys.D, np.zeros((sys.n, 0)), sys.n + 1, tol,
+                      sys._stair_scales)
 
 
 def chain_term(chain: list[Subspace], k: int) -> Subspace:
@@ -250,8 +270,7 @@ def is_controlled_invariant(A, B, V: Subspace, tol: Tol = DEFAULT_TOL) -> bool:
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
     target = subspace_sum(V, image_basis(B, tol), tol)
-    scale = float(np.linalg.norm(A, 2))
-    return contains(target, image_basis(A @ V.basis, tol, scale=scale), tol)
+    return contains(target, image_basis(A @ V.basis, tol, scale=norm2(A)), tol)
 
 
 def is_output_nulling(sys: SystemQuad, V: Subspace, tol: Tol = DEFAULT_TOL) -> bool:
@@ -259,8 +278,7 @@ def is_output_nulling(sys: SystemQuad, V: Subspace, tol: Tol = DEFAULT_TOL) -> b
     AC, BD = np.vstack([sys.A, sys.C]), np.vstack([sys.B, sys.D])
     lifted = np.vstack([V.basis, np.zeros((sys.p, V.dim))])
     target = image_basis(np.hstack([lifted, BD]), tol)
-    scale = float(np.linalg.norm(AC, 2))
-    return contains(target, image_basis(AC @ V.basis, tol, scale=scale), tol)
+    return contains(target, image_basis(AC @ V.basis, tol, scale=sys._ac_scale), tol)
 
 
 def is_conditioned_invariant(C, A, S: Subspace, tol: Tol = DEFAULT_TOL) -> bool:
@@ -268,8 +286,7 @@ def is_conditioned_invariant(C, A, S: Subspace, tol: Tol = DEFAULT_TOL) -> bool:
     A = as_matrix(A, "A")
     C = as_matrix(C, "C")
     core = subspace_intersect(S, kernel_basis(C, tol), tol)
-    scale = float(np.linalg.norm(A, 2))
-    return contains(S, image_basis(A @ core.basis, tol, scale=scale), tol)
+    return contains(S, image_basis(A @ core.basis, tol, scale=norm2(A)), tol)
 
 
 def is_input_containing(sys: SystemQuad, S: Subspace, tol: Tol = DEFAULT_TOL) -> bool:
@@ -279,8 +296,7 @@ def is_input_containing(sys: SystemQuad, S: Subspace, tol: Tol = DEFAULT_TOL) ->
     lifted = Subspace(np.block([[S.basis, np.zeros((sys.n, sys.m))],  # S ⊕ U
                                 [np.zeros((sys.m, S.dim)), np.eye(sys.m)]]))
     feasible = subspace_intersect(lifted, ker_cd, tol)
-    scale = float(np.linalg.norm(AB, 2))
-    return contains(S, image_basis(AB @ feasible.basis, tol, scale=scale), tol)
+    return contains(S, image_basis(AB @ feasible.basis, tol, scale=norm2(AB)), tol)
 
 
 def friend_of(sys: SystemQuad, V: Subspace, spectrum=None, tol: Tol = DEFAULT_TOL):
@@ -327,8 +343,8 @@ def _reach_along(sys: SystemQuad, V: Subspace, friend, tol: Tol):
     staircase of (A+BF, B Omega1), F from ``friend()``, called only when m1 >
     0.  For V = V* it is Morse's R* recursion: Q[:, :dims[h]] spans V* ∩ S_h."""
     M = np.vstack([V.perp_projector() @ sys.B, sys.D])
-    _, s, vh = np.linalg.svd(M)
-    r = _svd_rank(s, M.shape, tol, scale=float(np.linalg.norm(np.vstack([sys.B, sys.D]), 2)))
+    _, s, vh = svd(M)
+    r = _svd_rank(s, M.shape, tol, scale=sys._bd_scale)
     Omega, m1 = np.vstack([vh[r:], vh[:r]]).conj().T, sys.m - r
     if m1 == 0:
         return Omega, m1, np.zeros((sys.n, 0)), [0, 0]
@@ -406,8 +422,8 @@ def morse_decomposition(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> MorseDecompo
         Cbar[:, :n1 + n2],
         Dbar[:, :m1],
     ]
-    residual = max((float(np.linalg.norm(M, 2)) for M in must_vanish if M.size), default=0.0)
-    scale = max(1.0, np.linalg.norm(Acl, 2), np.linalg.norm(Ccl, 2) if Ccl.size else 0.0)
+    residual = max((norm2(M) for M in must_vanish if M.size), default=0.0)
+    scale = max(1.0, norm2(Acl), norm2(Ccl))
     if residual > tol.abs * scale:
         raise DecompositionError(
             f"off-pattern block norm {residual:.3e} exceeds tolerance"
@@ -484,7 +500,7 @@ def intersection_formulas(sys: SystemQuad, pairs, tol: Tol = DEFAULT_TOL) -> lis
                 [np.zeros((m, basis.shape[1])), np.eye(m)],
             ])
         row = np.hstack([markov[t - c] for c in range(t + 1)])
-        row_scale = max(float(np.linalg.norm(row, 2)), 1.0)
+        row_scale = max(norm2(row), 1.0)
         constrained = (row / row_scale) @ ext
         coeff = kernel_basis(constrained, tol, scale=1.0)
         basis = ext @ coeff.basis
@@ -499,5 +515,5 @@ def intersection_formulas(sys: SystemQuad, pairs, tol: Tol = DEFAULT_TOL) -> lis
         L = np.zeros((n, T * m))
         for c in range(j):
             L[:, c * m:(c + 1) * m] = powers[j - 1 - c]
-        out.append(image_basis(L @ stages[T - 1], tol, scale=float(np.linalg.norm(L, 2))))
+        out.append(image_basis(L @ stages[T - 1], tol, scale=norm2(L)))
     return out

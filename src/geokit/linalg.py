@@ -12,6 +12,11 @@ All rank decisions go through a single singular-value threshold,
 ``sigma > rel * sigma_max * max(rows, cols)``, so that dimension bookkeeping
 such as ``dim(U + V) + dim(U ∩ V) = dim U + dim V`` holds with exact integer
 equality across operations.
+
+Every SVD in geokit goes through :func:`svd`, and every spectral norm through
+:func:`norm2`: LAPACK ``gesdd`` called directly, with the results of
+``numpy.linalg.svd`` and ``numpy.linalg.norm(M, 2)`` bit for bit but without
+numpy's per-call overhead, which dominates at the sizes of the sweeps.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import NumericalError, ValidationError
 
@@ -77,6 +83,58 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return M
 
 
+# gesdd and its workspace query, by dtype kind
+_GESDD = {kind: get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=dtype)
+          for kind, dtype in (("f", np.float64), ("c", np.complex128))}
+
+
+@functools.lru_cache(maxsize=1024)
+def _gesdd_lwork(kind: str, m: int, n: int, compute_uv: bool, full_matrices: bool) -> int:
+    # numpy passes LAPACK's optimal workspace; the complex routine's path,
+    # and so its bits, depend on it
+    _, query = _GESDD[kind]
+    work, _ = query(m, n, compute_uv=compute_uv, full_matrices=full_matrices)
+    return int(np.real(work))
+
+
+def svd(M, full_matrices: bool = True, compute_uv: bool = True):
+    """``numpy.linalg.svd`` of a 2-D array, bit for bit, from LAPACK ``gesdd``.
+
+    Returns ``s`` without ``compute_uv``, else ``(u, s, vh)``.  An empty
+    matrix never reaches LAPACK (which rejects it); it gets numpy's empty
+    factors.  Raises ``numpy.linalg.LinAlgError`` when ``gesdd`` fails (a NaN
+    entry, no convergence).  With several BLAS threads the bits of large
+    complex factors (about 80 rows and up) vary with the thread count, in
+    numpy's SVD as well as here.
+    """
+    M = np.asarray(M)
+    m, n = M.shape
+    kind = "c" if M.dtype.kind == "c" else "f"
+    if M.size == 0:
+        s = np.zeros(0)
+        if not compute_uv:
+            return s
+        dtype = np.complex128 if kind == "c" else np.float64
+        if full_matrices:
+            return np.eye(m, dtype=dtype), s, np.eye(n, dtype=dtype)
+        return np.zeros((m, 0), dtype), s, np.zeros((0, n), dtype)
+    gesdd, _ = _GESDD[kind]
+    u, s, vh, info = gesdd(M, compute_uv=compute_uv, full_matrices=full_matrices,
+                           lwork=_gesdd_lwork(kind, m, n, compute_uv, full_matrices))
+    if info:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    if not compute_uv:
+        return s
+    # numpy's factors are C-ordered; matmul rounds differently on other layouts
+    return np.ascontiguousarray(u), s, np.ascontiguousarray(vh)
+
+
+def norm2(M) -> float:
+    """Spectral norm, ``numpy.linalg.norm(M, 2)`` bit for bit; 0.0 when empty."""
+    M = np.asarray(M)
+    return float(svd(M, compute_uv=False)[0]) if M.size else 0.0
+
+
 def _svd_rank(s: np.ndarray, shape, tol: Tol, scale: float | None = None) -> int:
     if s.size == 0:
         return 0
@@ -97,15 +155,8 @@ def rank_of(M, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> int:
     M = as_matrix(M)
     if M.size == 0:
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
+    s = svd(M, compute_uv=False)
     return _svd_rank(s, M.shape, tol, scale)
-
-
-@functools.lru_cache(maxsize=32)
-def _identity(n: int) -> np.ndarray:
-    eye = np.eye(n)
-    eye.setflags(write=False)
-    return eye
 
 
 class Subspace:
@@ -152,10 +203,10 @@ class Subspace:
     def zero(cls, n: int) -> "Subspace":
         return cls(np.zeros((n, 0)))
 
-    @classmethod
-    def full(cls, n: int) -> "Subspace":
-        """The whole space; every instance of one size shares one basis array."""
-        return cls(_identity(n))
+    @staticmethod
+    def full(n: int) -> "Subspace":
+        """The whole space; one shared instance per size."""
+        return _full(n)
 
     def perp_projector(self) -> np.ndarray:
         """Orthogonal projector onto the orthogonal complement."""
@@ -163,6 +214,11 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
+
+
+@functools.lru_cache(maxsize=32)
+def _full(n: int) -> Subspace:
+    return Subspace(np.eye(n))
 
 
 def kernel_basis(M, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> Subspace:
@@ -178,7 +234,7 @@ def kernel_basis(M, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> Subsp
         return Subspace.zero(0)
     if rows == 0:
         return Subspace.full(cols)
-    _, s, vh = np.linalg.svd(M, full_matrices=True)
+    _, s, vh = svd(M)
     r = _svd_rank(s, M.shape, tol, scale)
     return Subspace(vh[r:].conj().T)
 
@@ -191,7 +247,7 @@ def image_basis(M, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> Subspa
         return Subspace.zero(0)
     if cols == 0:
         return Subspace.zero(rows)
-    u, s, _ = np.linalg.svd(M, full_matrices=False)
+    u, s, _ = svd(M, full_matrices=False)
     r = _svd_rank(s, M.shape, tol, scale)
     return Subspace(u[:, :r])
 
@@ -202,7 +258,7 @@ def pinv(M, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     rows, cols = M.shape
     if M.size == 0:
         return np.zeros((cols, rows), dtype=M.dtype)
-    u, s, vh = np.linalg.svd(M, full_matrices=False)
+    u, s, vh = svd(M, full_matrices=False)
     r = _svd_rank(s, M.shape, tol)
     if r == 0:
         return np.zeros((cols, rows), dtype=M.dtype)
@@ -247,8 +303,7 @@ def preimage(M, S: Subspace, tol: Tol = DEFAULT_TOL) -> Subspace:
         raise ValidationError(
             f"map has {M.shape[0]} rows but subspace ambient is {S.ambient_dim}"
         )
-    scale = float(np.linalg.norm(M, 2)) if M.size else 0.0
-    return kernel_basis(S.perp_projector() @ M, tol, scale=scale)
+    return kernel_basis(S.perp_projector() @ M, tol, scale=norm2(M))
 
 
 def containment_residual(U: Subspace, V: Subspace) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpectrumError, ValidationError
-from .linalg import DEFAULT_TOL, Tol, _svd_rank, as_matrix, rank_of
+from .linalg import DEFAULT_TOL, Tol, _svd_rank, as_matrix, norm2, rank_of, svd
 from .sysmodel import SystemQuad
 
 __all__ = [
@@ -71,7 +71,7 @@ def rosenbrock_matrix(sys: SystemQuad, lam: complex) -> np.ndarray:
 
 
 def _split_kernel(M: np.ndarray, n: int, lam: complex, kind: str, tol: Tol) -> PencilKernel:
-    _, s, vh = np.linalg.svd(M)  # kernel_basis's decision, without building a Subspace;
+    _, s, vh = svd(M)  # kernel_basis's decision, without building a Subspace;
     K = vh[_svd_rank(s, M.shape, tol):].conj().T.copy()  # a copy frees the rest of vh
     return PencilKernel(lam=complex(lam), V=K[:n], W=K[n:], kind=kind)
 
@@ -101,8 +101,7 @@ def deduplicate_eigenvalues(values, scale: float) -> list[complex]:
 
 
 def _eig_scale(A: np.ndarray, tol: Tol) -> float:
-    norm = float(np.linalg.norm(A, 2)) if A.size else 1.0
-    return max(tol.abs, 100.0 * tol.rel * max(1.0, norm))
+    return max(tol.abs, 100.0 * tol.rel * max(1.0, norm2(A)))
 
 
 def uncontrollable_eigenvalues(A, B, tol: Tol = DEFAULT_TOL) -> list[complex]:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import GenerationError, SystemFormatError, ValidationError
-from .linalg import DEFAULT_TOL, Tol
+from .linalg import DEFAULT_TOL, Tol, norm2
 
 __all__ = ["SystemQuad", "GenSpec", "load_system", "dump_system", "random_system", "dual_of"]
 
@@ -77,6 +78,31 @@ class SystemQuad:
     @property
     def p(self) -> int:
         return self.C.shape[0]
+
+    # Spectral norms the rank decisions of geokit.geometry scale by, computed
+    # once per system.  Each is the norm of the block as its caller stacks it:
+    # a norm and the norm of the transpose can differ in the last bit.
+
+    @cached_property
+    def _stair_scales(self) -> tuple[float, float]:
+        """(‖[A B]‖₂, ‖[C D]‖₂) for the staircase run of the system (0.0 for p = 0)."""
+        return norm2(np.hstack([self.A, self.B])), norm2(np.hstack([self.C, self.D]))
+
+    @cached_property
+    def _dual_stair_scales(self) -> tuple[float, float]:
+        """(‖[Aᵀ Cᵀ]‖₂, ‖[Bᵀ Dᵀ]‖₂) for the staircase run of the dual system."""
+        return (norm2(np.hstack([self.A.T, self.C.T])),
+                norm2(np.hstack([self.B.T, self.D.T])))
+
+    @cached_property
+    def _bd_scale(self) -> float:
+        """‖[B; D]‖₂."""
+        return norm2(np.vstack([self.B, self.D]))
+
+    @cached_property
+    def _ac_scale(self) -> float:
+        """‖[A; C]‖₂."""
+        return norm2(np.vstack([self.A, self.C]))
 
     @classmethod
     def from_matrices(cls, A, B, C=None, D=None) -> "SystemQuad":

@@ -60,6 +60,7 @@ from .linalg import (
     containment_residual,
     equals,
     image_basis,
+    norm2,
     rank_of,
     subspace_intersect,
 )
@@ -335,7 +336,7 @@ def run_lemma_diag(trials: int = 200, seed: int = 0, nmax: int = 8, tol: Tol = D
         blocks = [H]
         for _ in range(n - 1):
             blocks.append(unit @ blocks[-1])
-        h_scale = float(np.linalg.norm(H, 2))
+        h_scale = norm2(H)
         full = image_basis(np.hstack(blocks), tol, scale=h_scale)
         early = image_basis(np.hstack(blocks[:max(sat, 1)]), tol, scale=h_scale)
         if np.linalg.norm(H) == 0.0:

@@ -178,6 +178,13 @@ class TestVstarChain:
     @pytest.mark.parametrize("n, m, p, seed, h, dims", [
         (17, 3, 2, 1088920536, 9, [9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0]),
         (24, 2, 1, 2092048920, 13, list(range(13, -1, -1)) + [0]),
+        pytest.param(
+            19, 2, 1, 1354216623, 15, list(range(15, -1, -1)) + [0],
+            id="precision-cliff",
+            marks=pytest.mark.xfail(strict=True, reason=(
+                "ROADMAP item 2: sigma_2 of the constraint block [D, CQ] grows "
+                "past the rank threshold at step 14, so the chain stops at "
+                "dimension 2 where the 80-digit oracle reaches 0"))),
     ])
     def test_partial_chain_inside_sstar_term(self, n, m, p, seed, h, dims):
         """The chain inside E = S_h loses one dimension per step.  Pinned from
@@ -188,7 +195,19 @@ class TestVstarChain:
         assert [V.dim for V in vstar_sequence(sys, E)] == dims
 
 
+    def test_limit_is_last_term_bitwise(self):
+        for n, m, p in [(6, 2, 1), (9, 3, 2), (8, 2, 0)]:
+            sys = random_system(GenSpec(n=n, m=m, p=p, seed=n + m + p))
+            for E in (None, chain_term(sstar_sequence(sys), 2)):
+                assert np.array_equal(vstar(sys, E).basis, vstar_sequence(sys, E)[-1].basis)
+
+
 class TestSstarChain:
+    def test_limit_is_last_term_bitwise(self):
+        for n, m, p in [(6, 2, 1), (9, 3, 2), (8, 2, 0)]:
+            sys = random_system(GenSpec(n=n, m=m, p=p, seed=n + m + p))
+            assert np.array_equal(sstar(sys).basis, sstar_sequence(sys)[-1].basis)
+
     def test_full_column_rank_D(self):
         sys = SystemQuad.from_matrices(A2, B2, [[0.0, 0.0]], [[1.0]])
         chain = sstar_sequence(sys)

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from geokit.linalg import (
     image_basis,
     kernel_basis,
     max_imag,
+    norm2,
     orthonormal_complement,
     pinv,
     preimage,
@@ -19,6 +23,7 @@ from geokit.linalg import (
     require_real,
     subspace_intersect,
     subspace_sum,
+    svd,
 )
 
 
@@ -147,6 +152,133 @@ class TestPinv:
             assert np.linalg.norm((P @ M).conj().T - P @ M) < 1e-8
 
 
+def _svd_inputs():
+    """Seeded real and complex matrices in C order, F order and as strided
+    views, rank-deficient ones and empty ones included."""
+    rng = np.random.default_rng(20261018)
+    shapes = [(1, 1), (1, 6), (6, 1), (3, 5), (5, 3), (8, 11), (11, 8), (7, 7), (12, 4)]
+    cases = []
+    for kind in ("real", "complex"):
+        for m, n in shapes:
+            M = rng.standard_normal((m, 2 * n))
+            if kind == "complex":
+                M = M + 1j * rng.standard_normal(M.shape)
+            C = M[:, :n].copy()
+            if min(m, n) > 1:  # a repeated column: one zero singular value
+                C[:, -1] = C[:, 0]
+            cases += [(f"{kind}-{m}x{n}-C", C), (f"{kind}-{m}x{n}-F", np.asfortranarray(M[:, :n])),
+                      (f"{kind}-{m}x{n}-strided", M[:, ::2])]
+        # large enough for LAPACK's blocked code, whose path depends on the
+        # workspace (complex ones stay below the size where the bits of
+        # numpy's own SVD vary with the number of BLAS threads)
+        for m, n in [(40, 43)] + [(100, 40)] * (kind == "real"):
+            M = rng.standard_normal((m, n))
+            cases.append((f"{kind}-{m}x{n}", M + 1j * M[::-1] if kind == "complex" else M))
+        for m, n in [(0, 4), (4, 0), (0, 0)]:
+            cases.append((f"{kind}-{m}x{n}-empty", np.zeros((m, n), complex if kind == "complex" else float)))
+    return cases
+
+
+SVD_INPUTS = _svd_inputs()
+SVD_IDS = [name for name, _ in SVD_INPUTS]
+
+
+def _same_bits(a, b) -> bool:
+    return (a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            and a.flags.c_contiguous == b.flags.c_contiguous)
+
+
+class TestSvdPrimitive:
+    """``linalg.svd`` and ``linalg.norm2`` reproduce numpy bit for bit."""
+
+    @pytest.mark.parametrize("M", [M for _, M in SVD_INPUTS], ids=SVD_IDS)
+    @pytest.mark.parametrize("full_matrices", [True, False], ids=["full", "thin"])
+    def test_factors_match_numpy(self, M, full_matrices):
+        got = svd(M, full_matrices=full_matrices)
+        want = np.linalg.svd(M, full_matrices=full_matrices)
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("M", [M for _, M in SVD_INPUTS], ids=SVD_IDS)
+    def test_values_and_norm_match_numpy(self, M):
+        assert _same_bits(svd(M, compute_uv=False), np.linalg.svd(M, compute_uv=False))
+        if M.size:
+            assert norm2(M) == np.linalg.norm(M, 2)
+        else:
+            assert norm2(M) == 0.0
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_nan_raises(self, dtype):
+        M = np.ones((3, 4), dtype)
+        M[1, 2] = np.nan
+        for kwargs in ({}, {"full_matrices": False}, {"compute_uv": False}):
+            with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+                svd(M, **kwargs)
+        with pytest.raises(np.linalg.LinAlgError):
+            norm2(M)
+
+    def test_empty_never_reaches_lapack(self, capfd):
+        for shape in [(0, 3), (3, 0), (0, 0)]:
+            for dtype in (float, complex):
+                M = np.zeros(shape, dtype)
+                svd(M)
+                svd(M, full_matrices=False)
+                svd(M, compute_uv=False)
+                norm2(M)
+        assert capfd.readouterr() == ("", "")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "geokit"
+
+
+def _svd_bypasses(source: str) -> list[int]:
+    """Lines that call numpy's SVD or spectral norm instead of ``linalg.svd``
+    and ``linalg.norm2``: any use of ``np.linalg.svd``, and
+    ``np.linalg.norm`` with an ``ord`` that is 2, -2, "nuc" or not a constant."""
+    def np_linalg(node) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == "linalg"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            if any(alias.name in ("svd", "norm") for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "svd" and np_linalg(node.value):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "norm" and np_linalg(node.func.value)):
+            order = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "ord"), None)
+            if order is not None and not (isinstance(order, ast.Constant)
+                                          and order.value not in (2, -2, "nuc")):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+class TestOneSvdPrimitive:
+    """Every SVD in geokit goes through ``linalg.svd``, every spectral norm
+    through ``linalg.norm2``: one place to count or record rank decisions."""
+
+    def test_sources_use_the_primitive(self):
+        files = sorted(SRC.glob("*.py"))
+        assert files
+        bypasses = {f.name: _svd_bypasses(f.read_text(encoding="utf-8")) for f in files}
+        assert {name: lines for name, lines in bypasses.items() if lines} == {}
+
+    def test_scan_finds_bypasses(self):
+        source = "\n".join([
+            "import numpy as np",
+            "from numpy.linalg import svd",
+            "u, s, vh = np.linalg.svd(M)",
+            "r = np.linalg.norm(M, 2)",
+            "r = numpy.linalg.norm(M, ord=-2)",
+            "r = np.linalg.norm(M, order)",
+            "f = np.linalg.svd",
+            "v = np.linalg.norm(x) + np.linalg.norm(M, axis=0) + np.linalg.norm(M, 'fro')",
+        ])
+        assert _svd_bypasses(source) == [2, 3, 4, 5, 6, 7]
+
+
 class TestSubspaceType:
     def test_zero_subspace_is_first_class(self):
         Z = Subspace.zero(4)
@@ -190,6 +322,7 @@ class TestSubspaceType:
         full = Subspace.full(12)
         assert V.dim == 12 and np.shares_memory(full.basis, V.basis)
         assert not full.basis.flags.writeable and not V.basis.flags.writeable
+        assert Subspace.full(12) is full and np.array_equal(full.basis, np.eye(12))
 
     def test_read_only_owner_is_shared_and_view_copied(self):
         a = np.eye(3)[:, :2].copy()
