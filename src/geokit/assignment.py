@@ -5,14 +5,14 @@ directions v with their input directions w and set ``F = W V^+``.  Where a
 spectrum is requested, the pairs are eigenvalue / eigenvector / input-
 direction triples from kernels of the relevant pencil, with conjugate pairs
 replaced by real and imaginary parts so the result is real by construction.
-A friend of an output-nulling subspace closes whatever no requested
-eigenvalue covers (all of it when no spectrum is given) by a least-squares
-solve, without choosing eigenvalues.  On top of that engine this module
-provides Moore's solvability check, pole placement over the reachable
-subspace, and, from the R* staircase of the Morse decomposition with no
-rank decided on pencil kernels, the maximal subspace on which a distinct
-spectrum is assignable with a diagonalizable closed loop and the minimal
-number of distinct eigenvalues that needs.
+Whatever no requested eigenvalue covers is closed by the least-squares
+friend of :func:`geokit.geometry.friend_of`, which chooses no eigenvalue.
+On top of that engine this module provides Moore's solvability check, pole
+placement over the reachable subspace, and, from the R* staircase of the
+Morse decomposition (for p = 0 the same frame is Kalman's controllability
+form) with no rank decided on pencil kernels, the maximal subspace on which
+a distinct spectrum is assignable with a diagonalizable closed loop and the
+minimal number of distinct eigenvalues that needs.
 """
 
 from __future__ import annotations
@@ -253,36 +253,23 @@ def _spectrum_representatives(lambdas, partner) -> list[tuple[complex, bool]]:
     return reps
 
 
-def _friend_engine(sys: SystemQuad, V: Subspace, spectrum, tol: Tol) -> FeedbackResult:
-    """Shared synthesis path behind :func:`geokit.geometry.friend_of`.
+def _friend_engine(sys: SystemQuad, V: Subspace, spectrum, F: np.ndarray, tol: Tol) -> FeedbackResult:
+    """The spectrum path of :func:`geokit.geometry.friend_of`.
 
-    With a spectrum, eigenvector/input-direction units are selected first;
-    every direction of V they leave uncovered (all of V without a spectrum)
-    is closed by the least-squares output-nulling relation: for a unit
-    direction e, ``[P B; D] w = -[P A e; C e]`` with P the projector onto
-    the orthogonal complement of V, and the feedback sends e to w.
+    Eigenvector/input-direction units at the requested eigenvalues are
+    selected first; the least-squares friend F of V closes every direction
+    they leave uncovered: E, an orthonormal basis of that part of V, is sent
+    to F E, since E ⊆ V.
     """
-    n, m = sys.n, sys.m
-    r = V.dim
-    if r == 0:
-        return FeedbackResult(np.zeros((m, n)), (), 0.0, 0.0, 0.0, 1.0)
-    vcols, wcols, assigned = [], [], []
-    Q = np.zeros((n, 0))
-    if spectrum is not None:
-        checked = validate_spectrum(spectrum, (), tol)
-        reps = _spectrum_representatives(list(checked.lambdas), list(checked.partner))
-        pools = _candidate_pools(sys, reps, V, tol)
-        units, Q, _total = _greedy_units(pools, r, n)
-        vcols, wcols, assigned = _expand_units(units)
-    if len(vcols) < r:
-        vb = V.basis
-        Pperp_v = V.perp_projector()
-        E = image_basis(vb - Q @ (Q.T @ vb), tol, scale=1.0).basis
-        lhs = np.vstack([Pperp_v @ sys.B, sys.D])
-        rhs = -np.vstack([Pperp_v @ (sys.A @ E), sys.C @ E])
-        W, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    checked = validate_spectrum(spectrum, (), tol)
+    reps = _spectrum_representatives(list(checked.lambdas), list(checked.partner))
+    pools = _candidate_pools(sys, reps, V, tol)
+    units, Q, _total = _greedy_units(pools, V.dim, sys.n)
+    vcols, wcols, assigned = _expand_units(units)
+    if len(vcols) < V.dim:
+        E = image_basis(V.basis - Q @ (Q.T @ V.basis), tol, scale=1.0).basis
         vcols += list(E.T)
-        wcols += list(W.T)
+        wcols += list((F @ E).T)
     return _assemble_feedback(sys.A, sys.B, vcols, wcols, assigned, tol, sys.C, sys.D, target=V)
 
 
@@ -384,7 +371,7 @@ def place_poles(A, B, lambdas, tol: Tol = DEFAULT_TOL) -> FeedbackResult:
     A = require_real(as_matrix(A, "A"), tol, "A")
     B = require_real(as_matrix(B, "B"), tol, "B")
     sysab = SystemQuad.from_matrices(A, B)
-    frame = _kh_frame(sysab, tol)  # its zeros are the uncontrollable eigenvalues
+    frame = geometry._morse(sysab, tol)  # its zeros are the uncontrollable eigenvalues
     checked = validate_spectrum(lambdas, frame.invariant_zeros, tol)
     r = frame.dim_rstar
     reps = _spectrum_representatives(checked.lambdas, checked.partner)
@@ -449,23 +436,6 @@ def moore_check(A, B, candidates, tol: Tol = DEFAULT_TOL) -> MooreReport:
     return MooreReport(ok, independent, tuple(conj_ok), tuple(member_ok))
 
 
-def _kh_frame(sys: SystemQuad, tol: Tol) -> geometry.MorseDecomposition:
-    """The Morse decomposition :func:`build_Kh` needs; for p = 0 Kalman's
-    controllability form (F = 0, Omega = I, uncontrollable eigenvalues as zeros)."""
-    if sys.p:
-        return geometry.morse_decomposition(sys, tol)
-    n, m = sys.n, sys.m
-    T, stairs = geometry._krylov(sys.A, sys.B, n + 1, tol)
-    n1 = T.shape[1]
-    if n1 < n:
-        T = np.hstack([T, np.linalg.qr(T, mode="complete")[0][:, n1:]])
-    Abar = T.T @ sys.A @ T
-    return geometry.MorseDecomposition(
-        T=T, Omega=np.eye(m), F=np.zeros((m, n)), Abar=Abar, Bbar=T.T @ sys.B, Cbar=sys.C,
-        Dbar=sys.D, dim_rstar=n1, dim_vstar=n, m1=m, residual=0.0, stairs=stairs,
-        invariant_zeros=np.linalg.eigvals(Abar[n1:, n1:]) if n1 < n else np.zeros(0))
-
-
 def _kh(frame: geometry.MorseDecomposition, spec, tol: Tol) -> Subspace:
     """Kh = p(A11)⁻¹ (V* ∩ S_h) on the R* block, p(s) = Π(s - λ_i).
 
@@ -514,7 +484,7 @@ def build_Kh(sys: SystemQuad, spec, tol: Tol = DEFAULT_TOL) -> tuple[Subspace, l
     one of their columns lies over ``tol.abs`` outside Kh, raises
     :class:`NumericalError`.
     """
-    frame = _kh_frame(sys, tol)
+    frame = geometry._morse(sys, tol)
     checked = validate_spectrum(spec, frame.invariant_zeros, tol)
     kh = _kh(frame, checked, tol)
     kernels = [pencils.rosenbrock_kernel(sys, lam, tol) if sys.p
@@ -539,7 +509,7 @@ def min_distinct_spectrum(sys: SystemQuad, mode: str, tol: Tol = DEFAULT_TOL) ->
         return geometry.reachable_subspace(sys.A, sys.B, tol)[1]
     if mode != "rosenbrock":
         raise ValidationError(f"unknown mode {mode!r}")
-    return len(_kh_frame(sys, tol).stairs) - 2
+    return len(geometry._morse(sys, tol).stairs) - 2
 
 
 def reach_on_Kh(sys: SystemQuad, spec, tol: Tol = DEFAULT_TOL) -> Subspace:

@@ -302,29 +302,52 @@ def is_input_containing(sys: SystemQuad, S: Subspace, tol: Tol = DEFAULT_TOL) ->
 def friend_of(sys: SystemQuad, V: Subspace, spectrum=None, tol: Tol = DEFAULT_TOL):
     """Real feedback F with (A+BF) V ⊆ V and (C+DF) V = 0.
 
-    Without a ``spectrum`` no eigenvalue is chosen: each direction e of an
-    orthonormal basis of V is sent to the least-squares solution w of
-    ``[P B; D] w = -[P A e; C e]``, P the projector onto the orthogonal
-    complement of V; the system is consistent because V is output nulling
-    (Basile & Marro, *Controlled and Conditioned Invariants in Linear System
-    Theory*, 1992).  When a ``spectrum`` is supplied (distinct,
+    Without a ``spectrum`` no eigenvalue is chosen: F is the least-squares
+    friend of V (Basile & Marro, *Controlled and Conditioned Invariants in
+    Linear System Theory*, 1992), built from one SVD of ``[P B; D]``, P the
+    projector onto the orthogonal complement of V; its residuals certify
+    that V is output nulling.  When a ``spectrum`` is supplied (distinct,
     self-conjugate, away from the fixed eigenvalues), eigenvector/input-
     direction pairs are first taken from pencil kernels restricted to V (the
     Rosenbrock matrix for p >= 1, the reachability pencil for p = 0), so the
-    assignable part of the closed-loop restriction matches it, and the rest
-    of V is closed the same least-squares way.
+    assignable part of the closed-loop restriction matches it, and the least-
+    squares friend closes the rest of V.
 
     Returns a :class:`geokit.assignment.FeedbackResult`.  Raises
     :class:`NotInvariantError` if V is not output nulling and
-    :class:`SynthesisError` if residuals exceed tolerance.
+    :class:`SynthesisError` if the spectrum's residuals exceed tolerance.
     """
-    from .assignment import _friend_engine  # deferred: assignment imports this module
+    from .assignment import FeedbackResult, _friend_engine  # deferred: assignment imports this module
 
     if np.iscomplexobj(V.basis):
         V = Subspace(require_real(V.basis, tol, "basis of V"))
-    if not is_output_nulling(sys, V, tol):
-        raise NotInvariantError("subspace is not output nulling (or controlled invariant for p=0)")
-    return _friend_engine(sys, V, spectrum, tol)
+    F, _, _, res_inv, res_out = _friend(sys, V, tol)
+    if spectrum is None or V.dim == 0:
+        return FeedbackResult(F, (), 0.0, res_out, res_inv, 1.0)
+    return _friend_engine(sys, V, spectrum, F, tol)
+
+
+def _friend(sys: SystemQuad, V: Subspace, tol: Tol):
+    """``(F, Omega, m1, res_inv, res_out)`` from one SVD of M = [P B; D], P
+    the projector onto V⊥, and its rank r: Omega is orthogonal, its first
+    ``m1 = m - r`` columns span ker M = ker D ∩ B⁻¹V; F = W Vᵀ with W =
+    -M⁺ [P A V; C V], M⁺ truncated at rank r, is the least-squares friend.
+    The residual [P A V; C V] + M W = [P (A+BF) V; (C+DF) V] has block norms
+    ``res_inv`` and ``res_out``; either above ``tol.abs · max(1, ‖[A; C]‖₂)``
+    raises :class:`NotInvariantError`: V is not output nulling.
+    """
+    P, vb = V.perp_projector(), V.basis
+    M = np.vstack([P @ sys.B, sys.D])
+    u, s, vh = svd(M)
+    r = _svd_rank(s, M.shape, tol, scale=sys._bd_scale)
+    rhs = np.vstack([P @ (sys.A @ vb), sys.C @ vb])
+    W = -(vh[:r].conj().T / s[:r]) @ (u[:, :r].conj().T @ rhs)
+    R = rhs + M @ W
+    res_inv, res_out = norm2(R[:sys.n]), norm2(R[sys.n:])
+    if max(res_inv, res_out) > tol.abs * max(1.0, sys._ac_scale):
+        raise NotInvariantError(f"subspace is not output nulling: residuals {res_inv:.3e}/{res_out:.3e}")
+    Omega = np.vstack([vh[r:], vh[:r]]).conj().T
+    return W @ vb.conj().T, Omega, sys.m - r, res_inv, res_out
 
 
 def reachability_on(sys: SystemQuad, V: Subspace, tol: Tol = DEFAULT_TOL) -> Subspace:
@@ -332,27 +355,24 @@ def reachability_on(sys: SystemQuad, V: Subspace, tol: Tol = DEFAULT_TOL) -> Sub
 
     One Krylov run of A+BF, F the least-squares friend of V, from
     V ∩ B ker D.  The result does not depend on the friend.  Raises
-    :class:`NumericalError` if it leaves V by more than ``tol.abs``.
+    :class:`NotInvariantError` if V is not output nulling and
+    :class:`NumericalError` if the result leaves V by more than ``tol.abs``.
     """
-    return _span(_reach_along(sys, V, lambda: friend_of(sys, V, None, tol).F, tol)[2])
+    return _span(_reach_along(sys, V, tol)[3])
 
 
-def _reach_along(sys: SystemQuad, V: Subspace, friend, tol: Tol):
-    """``(Omega, m1, Q, dims)``: orthogonal ``Omega`` whose first m1 columns
-    span ker D ∩ B⁻¹V = ker[P B; D] (one SVD; P projects onto V⊥), and the
-    staircase of (A+BF, B Omega1), F from ``friend()``, called only when m1 >
-    0.  For V = V* it is Morse's R* recursion: Q[:, :dims[h]] spans V* ∩ S_h."""
-    M = np.vstack([V.perp_projector() @ sys.B, sys.D])
-    _, s, vh = svd(M)
-    r = _svd_rank(s, M.shape, tol, scale=sys._bd_scale)
-    Omega, m1 = np.vstack([vh[r:], vh[:r]]).conj().T, sys.m - r
+def _reach_along(sys: SystemQuad, V: Subspace, tol: Tol):
+    """``(F, Omega, m1, Q, dims)``: the least-squares friend F and Omega of
+    :func:`_friend`, and the staircase of (A+BF, B Omega1).  For V = V* it
+    is Morse's R* recursion: Q[:, :dims[h]] spans V* ∩ S_h."""
+    F, Omega, m1, _, _ = _friend(sys, V, tol)
     if m1 == 0:
-        return Omega, m1, np.zeros((sys.n, 0)), [0, 0]
-    Q, dims = _krylov(sys.A + sys.B @ friend(), sys.B @ Omega[:, :m1], sys.n + 1, tol)
+        return F, Omega, m1, np.zeros((sys.n, 0)), [0, 0]
+    Q, dims = _krylov(sys.A + sys.B @ F, sys.B @ Omega[:, :m1], sys.n + 1, tol)
     leak = containment_residual(V, Subspace(Q))
     if leak > tol.abs:
         raise NumericalError(f"reachability subspace leaves V by {leak:.3e}")
-    return Omega, m1, Q, dims
+    return F, Omega, m1, Q, dims
 
 
 def rstar(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> Subspace:
@@ -370,10 +390,13 @@ class MorseDecomposition:
     B Omega1), spanning the reachability part (its first ``stairs[h]``
     columns span V* ∩ S_h) and [T1 T2] the supremal output-nulling subspace;
     ``Omega = [Omega1 Omega2]`` is orthogonal with Omega1 spanning B^{-1}V ∩
-    ker D.  In these coordinates A+BF is block upper triangular, the first
-    block column of T^{-1}B Omega is supported on the first block row, C+DF
+    ker D; F is the least-squares friend of V*, from the same SVD as Omega.
+    In these coordinates A+BF is block upper triangular, the first block
+    column of T^{-1}B Omega is supported on the first block row, C+DF
     annihilates the first two blocks, and D Omega annihilates the first.
-    The middle diagonal block carries the invariant-zero dynamics.
+    The middle diagonal block carries the invariant-zero dynamics.  At p = 0
+    (built only inside geokit) it is Kalman's controllability form: F = 0,
+    Omega = I, T1 the Krylov basis of (A, B), zeros uncontrollable eigenvalues.
     """
 
     T: np.ndarray
@@ -394,15 +417,19 @@ class MorseDecomposition:
 def morse_decomposition(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> MorseDecomposition:
     """Adapted-basis decomposition exposing the invariant-zero block.
 
-    Raises :class:`DecompositionError` when a block that must vanish exceeds
-    tolerance, which indicates an upstream failure.  The leading pair is
-    reachable by construction: T1 is its staircase.
+    Requires p >= 1.  Raises :class:`DecompositionError` when a block that
+    must vanish exceeds tolerance, which indicates an upstream failure.  The
+    leading pair is reachable by construction: T1 is its staircase.
     """
     if sys.p == 0:
         raise ValidationError("morse_decomposition requires p >= 1")
+    return _morse(sys, tol)
+
+
+def _morse(sys: SystemQuad, tol: Tol) -> MorseDecomposition:
+    """:func:`morse_decomposition` without its p >= 1 guard."""
     vst = vstar(sys, None, tol)
-    F = friend_of(sys, vst, None, tol).F
-    Omega, m1, T1, stairs = _reach_along(sys, vst, lambda: F, tol)
+    F, Omega, m1, T1, stairs = _reach_along(sys, vst, tol)
 
     T2 = image_basis(vst.basis - T1 @ (T1.T @ vst.basis), tol, scale=1.0).basis
     T = np.hstack([T1, T2, orthonormal_complement(vst, tol).basis])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.signal
 
 from geokit.assignment import (
     build_Kh,
@@ -21,6 +22,7 @@ from geokit.geometry import (
 from geokit.linalg import Subspace, equals, image_basis, max_imag, rank_of, subspace_intersect
 from geokit.pencils import SpectrumError, reach_pencil_kernel
 from geokit.sysmodel import GenSpec, SystemQuad, random_system
+from geokit.verify import eig_multiset_match
 
 A2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 B2 = np.array([[0.0], [1.0]])
@@ -140,6 +142,35 @@ class TestPlacePoles:
             lams = [-2.0, -2.0 + 1e-3, -2.0 - 1e-3]
             kernels = [reach_pencil_kernel(sys.A, sys.B, lam) for lam in lams]
             assert rank_of(np.hstack([K.V for K in kernels]), scale=1.0) == 3
+
+
+class TestPlacePolesAgainstScipy:
+    """``scipy.signal.place_poles`` (Kautsky-Nichols-Van Dooren) as an
+    independent oracle, on seeded controllable systems where both methods
+    are well conditioned; it returns K with A - BK, geokit F with A + BF."""
+
+    @staticmethod
+    def _case(n, m, s):
+        sys = random_system(GenSpec(n, m, 0, seed=100 * n + 10 * m + s, controllable=True))
+        return sys.A, sys.B, -1.0 - 0.5 * np.arange(n)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_single_input_gain_is_scipys(self, n):
+        # with one input the placing gain is unique
+        for s in range(5):
+            A, B, lams = self._case(n, 1, s)
+            K = scipy.signal.place_poles(A, B, lams).gain_matrix
+            F = place_poles(A, B, lams).F
+            assert np.abs(F + K).max() <= 1e-8 * np.abs(K).max()
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_multi_input_spectrum_is_placed(self, m, n):
+        for s in range(5):
+            A, B, lams = self._case(n, m, s)
+            F = place_poles(A, B, lams).F
+            ok, worst = eig_multiset_match(lams, np.linalg.eigvals(A + B @ F))
+            assert ok, f"seed {s}: spectrum off by {worst:.2e}"
 
 
 class TestBuildKh:

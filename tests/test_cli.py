@@ -162,6 +162,11 @@ class TestVerifyCommand:
         sweep = rep["result"]["sweeps"][0]
         assert sweep["passed"] == 10 and sweep["first_failing_seed"] is None
 
+    def test_negative_trials_exit_one(self, capsys):
+        code, rep = run_cli(capsys, "verify", "th1", "--trials", "-3")
+        assert code == 1 and rep["error"]["kind"] == "validation"
+        assert "result" not in rep
+
 
 class TestReportContract:
     def test_report_keys(self, capsys, di_file):

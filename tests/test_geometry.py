@@ -4,6 +4,8 @@ import scipy.linalg
 
 from geokit.errors import NotInvariantError, NumericalError, SpectrumError, ValidationError
 from geokit.geometry import (
+    _krylov,
+    _morse,
     chain_term,
     friend_of,
     intersection_formula,
@@ -24,6 +26,7 @@ from geokit.geometry import (
     vstar_sequence,
 )
 from geokit.linalg import (
+    DEFAULT_TOL,
     Subspace,
     contains,
     containment_residual,
@@ -33,9 +36,9 @@ from geokit.linalg import (
     orthonormal_complement,
     subspace_intersect,
 )
-from geokit.pencils import SpectrumSpec
+from geokit.pencils import SpectrumSpec, deduplicate_eigenvalues, uncontrollable_eigenvalues
 from geokit.sysmodel import GenSpec, SystemQuad, dual_of, random_system
-from geokit.verify import eig_multiset_match
+from geokit.verify import _draw_pair, eig_multiset_match
 
 A2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 B2 = np.array([[0.0], [1.0]])
@@ -404,6 +407,15 @@ class TestReachabilityOn:
     def test_zero_subspace(self):
         assert reachability_on(DI_VEL, Subspace.zero(2)).dim == 0
 
+    def test_refuses_subspace_that_is_not_output_nulling(self):
+        # V ∩ B ker D = 0 for this line, so no reachability step runs: the
+        # friend's residual must refuse V on its own
+        sys = random_system(GenSpec(4, 2, 2, seed=3))
+        V = image_basis(np.random.default_rng(1).standard_normal((4, 1)))
+        assert not is_output_nulling(sys, V)
+        with pytest.raises(NotInvariantError):
+            reachability_on(sys, V)
+
 
 class TestRstar:
     def test_full_column_rank_D_identity_C(self):
@@ -445,6 +457,20 @@ class TestMorse:
     def test_requires_outputs(self):
         with pytest.raises(ValidationError):
             morse_decomposition(SystemQuad.from_matrices(A2, B2))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_frame_without_outputs_is_controllability_form(self, seed):
+        # V* is the whole space: F = 0, Omega = I, T1 the Krylov basis of
+        # (A, B) bit for bit, and the zeros are the uncontrollable
+        # eigenvalues of the PBH test
+        A, B = _draw_pair(np.random.default_rng(seed), 8, uncontrollable=True)
+        n, m = B.shape
+        frame = _morse(SystemQuad.from_matrices(A, B), DEFAULT_TOL)
+        assert np.all(frame.F == 0.0) and np.array_equal(frame.Omega, np.eye(m))
+        assert np.array_equal(frame.T[:, :frame.dim_rstar], _krylov(A, B, n + 1, DEFAULT_TOL)[0])
+        zeros = deduplicate_eigenvalues(frame.invariant_zeros, 1e-9)
+        ok, worst = eig_multiset_match(zeros, uncontrollable_eigenvalues(A, B))
+        assert ok, f"zeros off by {worst:.2e}"
 
     def test_double_integrator_blocks(self):
         dec = morse_decomposition(DI_VEL)

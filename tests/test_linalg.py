@@ -230,10 +230,15 @@ class TestSvdPrimitive:
 SRC = Path(__file__).resolve().parent.parent / "src" / "geokit"
 
 
+# numpy routines that run an SVD: each decides a rank with its own cutoff
+_NUMPY_SVD_USERS = ("svd", "lstsq", "pinv", "matrix_rank")
+
+
 def _svd_bypasses(source: str) -> list[int]:
     """Lines that call numpy's SVD or spectral norm instead of ``linalg.svd``
-    and ``linalg.norm2``: any use of ``np.linalg.svd``, and
-    ``np.linalg.norm`` with an ``ord`` that is 2, -2, "nuc" or not a constant."""
+    and ``linalg.norm2``: any use of ``np.linalg.svd``, ``lstsq``, ``pinv``
+    or ``matrix_rank``, and ``np.linalg.norm`` with an ``ord`` that is 2,
+    -2, "nuc" or not a constant."""
     def np_linalg(node) -> bool:
         return (isinstance(node, ast.Attribute) and node.attr == "linalg"
                 and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
@@ -241,9 +246,10 @@ def _svd_bypasses(source: str) -> list[int]:
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
-            if any(alias.name in ("svd", "norm") for alias in node.names):
+            if any(alias.name in _NUMPY_SVD_USERS + ("norm",) for alias in node.names):
                 lines.append(node.lineno)
-        elif isinstance(node, ast.Attribute) and node.attr == "svd" and np_linalg(node.value):
+        elif (isinstance(node, ast.Attribute) and node.attr in _NUMPY_SVD_USERS
+              and np_linalg(node.value)):
             lines.append(node.lineno)
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
               and node.func.attr == "norm" and np_linalg(node.func.value)):
@@ -275,8 +281,13 @@ class TestOneSvdPrimitive:
             "r = np.linalg.norm(M, order)",
             "f = np.linalg.svd",
             "v = np.linalg.norm(x) + np.linalg.norm(M, axis=0) + np.linalg.norm(M, 'fro')",
+            "W, *_ = np.linalg.lstsq(M, b, rcond=None)",
+            "X = numpy.linalg.pinv(M)",
+            "r = np.linalg.matrix_rank(M)",
+            "from numpy.linalg import lstsq, qr",
+            "Q, R = np.linalg.qr(M)",
         ])
-        assert _svd_bypasses(source) == [2, 3, 4, 5, 6, 7]
+        assert _svd_bypasses(source) == [2, 3, 4, 5, 6, 7, 9, 10, 11, 12]
 
 
 class TestSubspaceType:

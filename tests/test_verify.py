@@ -22,6 +22,12 @@ def test_unknown_id():
         verify.run("nope")
 
 
+@pytest.mark.parametrize("theorem", ["th1", "all"])
+def test_negative_trials_refused(theorem):
+    with pytest.raises(ValidationError):
+        verify.run(theorem, trials=-3)
+
+
 def test_reports_deterministic():
     a = verify.run("th1", trials=5, seed=11)[0].to_dict()
     b = verify.run("th1", trials=5, seed=11)[0].to_dict()
