@@ -12,7 +12,9 @@ placement over the reachable subspace, and, from the R* staircase of the
 Morse decomposition (for p = 0 the same frame is Kalman's controllability
 form) with no rank decided on pencil kernels, the maximal subspace on which
 a distinct spectrum is assignable with a diagonalizable closed loop and the
-minimal number of distinct eigenvalues that needs.
+minimal number of distinct eigenvalues that needs.  The Krylov saturation
+index of a diagonal pair, which that count rests on, comes from the same
+staircase as every other Krylov chain (:func:`geokit.geometry.reachable_subspace`).
 """
 
 from __future__ import annotations
@@ -530,11 +532,11 @@ def diag_krylov_saturation(Delta, H, tol: Tol = DEFAULT_TOL) -> int:
     diagonal matrix repeat directions once a Vandermonde system in the
     distinct values becomes square.  Raises on non-diagonal input.
 
-    The chain ranks are evaluated through the exact factorization
-    ``Δ^k H = Σ_g λ_g^k E_g H`` (one diagonal mask E_g per distinct value),
-    with Δ normalized to unit norm first; Krylov spans are scale invariant,
-    and this keeps every rank decision free of geometrically graded powers,
-    which an iterated product would accumulate for clustered values.
+    The index is that of :func:`geokit.geometry.reachable_subspace`, the
+    staircase behind every Krylov chain in geokit, run on Δ scaled to unit
+    norm (Krylov spans are scale invariant).  No basis of monomial powers
+    ``Δ^k H`` is formed: for clustered values its columns lose directions
+    that the orthonormal staircase keeps.
     """
     Delta = as_matrix(Delta, "Delta")
     n = Delta.shape[0]
@@ -547,29 +549,5 @@ def diag_krylov_saturation(Delta, H, tol: Tol = DEFAULT_TOL) -> int:
     if H.shape[0] != n:
         raise ValidationError("H has wrong number of rows")
     diag = np.diag(Delta)
-    unit = diag / max(1.0, float(np.abs(diag).max()))
-    scale = spectrum_scale(unit, tol)
-    reps = []
-    masks: list[np.ndarray] = []
-    for i, lam in enumerate(unit):
-        for g, rep in enumerate(reps):
-            if abs(lam - rep) <= scale:
-                masks[g][i] = True
-                break
-        else:
-            reps.append(lam)
-            masks.append(np.zeros(n, dtype=bool))
-            masks[-1][i] = True
-    q = H.shape[1]
-    grouped = np.zeros((n, len(reps) * q), dtype=H.dtype)
-    for g, mask in enumerate(masks):
-        grouped[mask, g * q:(g + 1) * q] = H[mask]
-    g_scale = max(1.0, norm2(grouped))
-    prev = 0
-    for j in range(1, len(reps) + 1):
-        vand = np.vander(np.asarray(reps), j, increasing=True)
-        r = rank_of(grouped @ np.kron(vand, np.eye(q)), tol, scale=g_scale)
-        if r == prev:
-            return j - 1
-        prev = r
-    return len(reps)
+    unit = np.diag(diag / max(1.0, float(np.abs(diag).max())))
+    return geometry.reachable_subspace(unit, H, tol)[1]

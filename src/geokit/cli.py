@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 
 import numpy as np
@@ -21,8 +20,6 @@ from . import assignment, geometry, pencils, verify
 from .errors import GeokitError, NumericalError, ValidationError
 from .linalg import Tol, containment_residual, max_imag, rank_of, subspace_intersect
 from .sysmodel import load_system
-
-_TOL_REL_ENV = "GEOKIT_TOL_REL"
 
 _COMPUTE_OPS = (
     "reach", "unobs", "vstar", "sstar", "rstar", "zeros", "uncontrollable",
@@ -68,9 +65,8 @@ def _digest(op: str, file_bytes: bytes | None, flags: dict) -> str:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-rel", type=float,
-                        default=float(os.environ.get(_TOL_REL_ENV, 1e-11)),
-                        help="relative rank threshold (env GEOKIT_TOL_REL overrides the default)")
+    common.add_argument("--tol-rel", type=float, default=1e-11,
+                        help="relative rank threshold")
     common.add_argument("--tol-abs", type=float, default=1e-8,
                         help="absolute residual threshold")
     common.add_argument("--seed", type=int, default=0, help="base seed")

@@ -153,8 +153,6 @@ def rank_of(M, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> int:
     that may be zero up to roundoff.
     """
     M = as_matrix(M)
-    if M.size == 0:
-        return 0
     s = svd(M, compute_uv=False)
     return _svd_rank(s, M.shape, tol, scale)
 
@@ -229,11 +227,6 @@ def kernel_basis(M, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> Subsp
     ambient space as its kernel.
     """
     M = as_matrix(M)
-    rows, cols = M.shape
-    if cols == 0:
-        return Subspace.zero(0)
-    if rows == 0:
-        return Subspace.full(cols)
     _, s, vh = svd(M)
     r = _svd_rank(s, M.shape, tol, scale)
     return Subspace(vh[r:].conj().T)
@@ -242,11 +235,6 @@ def kernel_basis(M, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> Subsp
 def image_basis(M, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> Subspace:
     """Orthonormal basis of the column space of ``M``."""
     M = as_matrix(M)
-    rows, cols = M.shape
-    if rows == 0:
-        return Subspace.zero(0)
-    if cols == 0:
-        return Subspace.zero(rows)
     u, s, _ = svd(M, full_matrices=False)
     r = _svd_rank(s, M.shape, tol, scale)
     return Subspace(u[:, :r])
@@ -255,13 +243,10 @@ def image_basis(M, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> Subspa
 def pinv(M, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via rank-truncated SVD."""
     M = as_matrix(M)
-    rows, cols = M.shape
-    if M.size == 0:
-        return np.zeros((cols, rows), dtype=M.dtype)
     u, s, vh = svd(M, full_matrices=False)
     r = _svd_rank(s, M.shape, tol)
     if r == 0:
-        return np.zeros((cols, rows), dtype=M.dtype)
+        return np.zeros(M.shape[::-1], dtype=M.dtype)
     return (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
 
 

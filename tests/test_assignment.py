@@ -15,6 +15,7 @@ from geokit.geometry import (
     chain_term,
     is_output_nulling,
     morse_decomposition,
+    reachable_subspace,
     rstar,
     sstar_sequence,
     vstar,
@@ -332,6 +333,13 @@ class TestDiagKrylov:
 
     def test_zero_seed(self):
         assert diag_krylov_saturation(np.diag([1.0, 2.0]), np.zeros((2, 1))) == 0
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-3, 1e-4])
+    def test_clustered_values_saturate_at_n(self, gap):
+        # eight distinct values and a seed with no zero entry: the exact
+        # chain grows for eight steps, which a basis of raw powers misses
+        Delta, H = np.diag(1.0 + gap * np.arange(8)), np.ones((8, 1))
+        assert diag_krylov_saturation(Delta, H) == 8 == reachable_subspace(Delta, H)[1]
 
     def test_rejects_non_diagonal(self):
         with pytest.raises(ValidationError):

@@ -185,9 +185,3 @@ class TestReportContract:
         _, rep2 = run_cli(capsys, "reach", di_file, "--tol-rel", "1e-10")
         assert rep1["inputs_digest"] != rep2["inputs_digest"]
 
-    def test_env_overrides_tol_rel(self, capsys, di_file, monkeypatch):
-        monkeypatch.setenv("GEOKIT_TOL_REL", "1e-9")
-        _, rep = run_cli(capsys, "reach", di_file)
-        monkeypatch.delenv("GEOKIT_TOL_REL")
-        _, rep_default = run_cli(capsys, "reach", di_file)
-        assert rep["inputs_digest"] != rep_default["inputs_digest"]

@@ -38,7 +38,7 @@ from geokit.linalg import (
 )
 from geokit.pencils import SpectrumSpec, deduplicate_eigenvalues, uncontrollable_eigenvalues
 from geokit.sysmodel import GenSpec, SystemQuad, dual_of, random_system
-from geokit.verify import _draw_pair, eig_multiset_match
+from geokit.verify import _draw_pair, _rng_for, eig_multiset_match
 
 A2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 B2 = np.array([[0.0], [1.0]])
@@ -86,6 +86,34 @@ class TestReachable:
     def test_zero_input(self):
         R, h = reachable_subspace(A2, np.zeros((2, 1)))
         assert R.dim == 0 and h == 0
+
+    @staticmethod
+    def _lemma_diag_draw(seed, trial, nmax=8):
+        """The diagonal pair of ``verify.run_lemma_diag``'s trial, replayed."""
+        rng = _rng_for(seed, trial)
+        n = int(rng.integers(1, nmax + 1))
+        k = int(rng.integers(1, n + 1))
+        vals = 2.0 * rng.standard_normal(k)
+        diag = np.concatenate([vals, vals[rng.integers(0, k, size=n - k)]])
+        rng.shuffle(diag)
+        return diag, rng.standard_normal((n, int(rng.integers(1, 4))))
+
+    def test_repeated_value_draw(self):
+        diag, H = self._lemma_diag_draw(33, 71)
+        assert H.shape == (8, 1)
+        assert len(deduplicate_eigenvalues(diag, 1e-9)) == 7
+        assert np.count_nonzero(diag == 3.1389592244765305) == 2
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 2: the seventh step keeps a direction with sigma 1.8e-3, "
+        "and the eighth a residual of sigma 1.57e-8 against a threshold of "
+        "3.32e-10, so the staircase counts a direction one input cannot reach"))
+    def test_one_input_misses_repeated_value(self):
+        """One input reaches one direction of the two-dimensional eigenspace of
+        the repeated value: dimension and index 7, as a 60-digit count finds."""
+        diag, H = self._lemma_diag_draw(33, 71)
+        R, h = reachable_subspace(np.diag(diag), H)
+        assert (R.dim, h) == (7, 7)
 
 
 class TestUnobservable:

@@ -152,6 +152,22 @@ class TestPinv:
             assert np.linalg.norm((P @ M).conj().T - P @ M) < 1e-8
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("shape, kernel_dim", [((0, 3), 3), ((3, 0), 0), ((0, 0), 0)])
+def test_empty_shapes(shape, kernel_dim, dtype):
+    """An empty matrix takes the SVD path: rank 0, a kernel of the full
+    input space, a zero image, and bases of the input's dtype."""
+    M = np.zeros(shape, dtype)
+    rows, cols = shape
+    K, R = kernel_basis(M), image_basis(M)
+    assert rank_of(M) == 0
+    assert (K.dim, K.ambient_dim) == (kernel_dim, cols)
+    assert (R.dim, R.ambient_dim) == (0, rows)
+    assert K.basis.dtype == R.basis.dtype == dtype
+    P = pinv(M)
+    assert P.shape == (cols, rows) and P.dtype == dtype
+
+
 def _svd_inputs():
     """Seeded real and complex matrices in C order, F order and as strided
     views, rank-deficient ones and empty ones included."""
