@@ -3,8 +3,9 @@
 Feedback matrices are assembled the same way throughout: collect state
 directions v with their input directions w and set ``F = W V^+``.  Where a
 spectrum is requested, the pairs are eigenvalue / eigenvector / input-
-direction triples from kernels of the relevant pencil, with conjugate pairs
-replaced by real and imaginary parts so the result is real by construction.
+direction triples from Rosenbrock kernels, with conjugate pairs replaced by
+real and imaginary parts so the result is real by construction; an explicit
+selection is taken as given, and the imaginary part of F certifies it.
 Whatever no requested eigenvalue covers is closed by the least-squares
 friend of :func:`geokit.geometry.friend_of`, which chooses no eigenvalue.
 On top of that engine this module provides Moore's solvability check, pole
@@ -35,6 +36,7 @@ from .linalg import (
     as_matrix,
     image_basis,
     kernel_basis,
+    max_imag,
     norm2,
     pinv,
     rank_of,
@@ -79,7 +81,8 @@ class FeedbackResult:
     ``residual_out`` the output-nulling residual ``(C+DF)V`` (zero by
     convention when no outputs are in scope), ``residual_inv`` the invariance
     residual of the target subspace under A+BF, and ``cond_V`` the condition
-    number of the selected (realified) eigenvector matrix.
+    number of the selected eigenvector matrix (realified, except for an
+    explicit selection).
     """
 
     F: np.ndarray
@@ -186,7 +189,7 @@ def _assemble_feedback(
         F = np.zeros((m, n))
         return FeedbackResult(F, (), 0.0, 0.0, 0.0, 1.0)
     Vsel = np.column_stack(vcols)
-    Wsel = np.column_stack(wcols) if wcols else np.zeros((m, Vsel.shape[1]))
+    Wsel = np.column_stack(wcols)
     svals = svd(Vsel, compute_uv=False)  # one call decides the rank and gives cond_V
     if _svd_rank(svals, Vsel.shape, tol) != Vsel.shape[1]:
         raise SynthesisError("dependent selection: chosen eigenvector columns are not independent")
@@ -197,24 +200,19 @@ def _assemble_feedback(
             RuntimeWarning,
             stacklevel=3,
         )
-    F = require_real(Wsel @ pinv(Vsel, tol), tol, "feedback matrix")
+    F = Wsel @ pinv(Vsel, tol)
+    im = max_imag(F)
+    if im > tol.abs:
+        raise SynthesisError(f"non-self-conjugate selection: F has imaginary magnitude {im:.3e}")
+    F = np.ascontiguousarray(F.real)
     Acl = A + B @ F
     res_eig = 0.0
     for lam, v in assigned:
         res_eig = max(res_eig, float(np.linalg.norm(Acl @ v - lam * v)))
-    if target is None:
-        target = image_basis(Vsel, tol)
-    if target.dim:
-        tb = target.basis
-        mapped = Acl @ tb
-        res_inv = norm2(mapped - tb @ (tb.T @ mapped))
-        if C is not None and C.shape[0]:
-            res_out = norm2((C + D @ F) @ tb)
-        else:
-            res_out = 0.0
-    else:
-        res_inv = 0.0
-        res_out = 0.0
+    tb = (image_basis(Vsel, tol) if target is None else target).basis
+    mapped = Acl @ tb
+    res_inv = norm2(mapped - tb @ (tb.conj().T @ mapped))  # norm2 of an empty block is 0.0
+    res_out = 0.0 if C is None else norm2((C + D @ F) @ tb)
     scale = max(1.0, norm2(Acl))
     if res_inv > tol.abs * scale or res_out > tol.abs * scale:
         raise SynthesisError(
@@ -228,10 +226,7 @@ def _candidate_pools(sys: SystemQuad, reps, V: Subspace, tol: Tol):
     Pperp = V.perp_projector()
     pools = []
     for lam, is_pair in reps:
-        if sys.p:
-            K = pencils.rosenbrock_kernel(sys, lam, tol)
-        else:
-            K = pencils.reach_pencil_kernel(sys.A, sys.B, lam, tol)
+        K = pencils.rosenbrock_kernel(sys, lam, tol)
         cols = []
         if K.q:
             coeff = kernel_basis(Pperp @ K.V, tol, scale=1.0)
@@ -286,9 +281,10 @@ def synthesize_feedback(A, B, selection, tol: Tol = DEFAULT_TOL) -> FeedbackResu
         Each entry contributes the columns ``V @ coefficients`` (state parts)
         and ``W @ coefficients`` (input parts) of one kernel; coefficients
         may be a 1-D vector (one column) or a (q, k) array.  The chosen
-        state-part columns must be linearly independent and the eigenvalue /
-        column set must be self-conjugate with matched selections, so that
-        the realified feedback is real by construction.
+        state-part columns must be linearly independent and the selection
+        must yield a real ``F = W V⁺`` (a complex column needs a multiple of
+        its conjugate at the conjugate eigenvalue): an imaginary part above
+        ``tol.abs`` raises :class:`SynthesisError`.
 
     Returns
     -------
@@ -298,7 +294,7 @@ def synthesize_feedback(A, B, selection, tol: Tol = DEFAULT_TOL) -> FeedbackResu
     """
     A = require_real(as_matrix(A, "A"), tol, "A")
     B = require_real(as_matrix(B, "B"), tol, "B")
-    entries = []
+    vcols, wcols, assigned = [], [], []
     for kernel, coeffs in selection:
         if not isinstance(kernel, PencilKernel):
             raise ValidationError("selection entries must be (PencilKernel, coefficients)")
@@ -309,58 +305,13 @@ def synthesize_feedback(A, B, selection, tol: Tol = DEFAULT_TOL) -> FeedbackResu
             raise ValidationError(
                 f"coefficients have {Cf.shape[0]} rows, kernel has {kernel.q} columns"
             )
-        Vc, Wc = kernel.V @ Cf, kernel.W @ Cf
-        for k in range(Vc.shape[1]):
-            v, w = Vc[:, k], Wc[:, k]
-            nv = float(np.linalg.norm(v))
-            if nv <= _STATE_FLOOR:
-                raise SynthesisError("dependent selection: a chosen column has zero state part")
-            entries.append((complex(kernel.lam), v / nv, w / nv))
-    vcols, wcols, assigned = _expand_units(_pair_selection(entries, tol))
+        cols = _unit_state_columns(kernel.V @ Cf, kernel.W @ Cf)
+        if len(cols) < Cf.shape[1]:
+            raise SynthesisError("dependent selection: a chosen column has zero state part")
+        vcols += [v for v, _ in cols]
+        wcols += [w for _, w in cols]
+        assigned += [(complex(kernel.lam), v) for v, _ in cols]
     return _assemble_feedback(A, B, vcols, wcols, assigned, tol)
-
-
-def _pair_selection(entries, tol: Tol):
-    """Validate self-conjugacy of explicit (λ, v, w) selections and pair
-    them into (λ, is_pair, v, w) units, one per real eigenvalue and one per
-    conjugate pair (represented at Im λ > 0)."""
-    scale = spectrum_scale([lam for lam, _, _ in entries], tol)
-    match_tol = max(1e-8, 10.0 * tol.abs)
-    used = [False] * len(entries)
-    units = []
-    for k, (lam, v, w) in enumerate(entries):
-        if used[k]:
-            continue
-        if abs(lam.imag) <= scale:
-            if np.abs(v.imag).max() > match_tol or np.abs(w.imag).max() > match_tol:
-                raise SynthesisError(
-                    "non-self-conjugate selection: complex column at a real eigenvalue"
-                )
-            used[k] = True
-            units.append((lam, False, v, w))
-            continue
-        mate = -1
-        for j in range(len(entries)):
-            if j == k or used[j]:
-                continue
-            lj, vj, wj = entries[j]
-            if (
-                abs(lj - lam.conjugate()) <= scale
-                and np.abs(vj - v.conjugate()).max() <= match_tol
-                and np.abs(wj - w.conjugate()).max() <= match_tol
-            ):
-                mate = j
-                break
-        if mate < 0:
-            raise SynthesisError(
-                f"non-self-conjugate selection: no conjugate partner for eigenvalue {lam}"
-            )
-        used[k] = used[mate] = True
-        if lam.imag > 0:
-            units.append((lam, True, v, w))
-        else:
-            units.append((lam.conjugate(), True, v.conjugate(), w.conjugate()))
-    return units
 
 
 def place_poles(A, B, lambdas, tol: Tol = DEFAULT_TOL) -> FeedbackResult:
@@ -373,7 +324,7 @@ def place_poles(A, B, lambdas, tol: Tol = DEFAULT_TOL) -> FeedbackResult:
     A = require_real(as_matrix(A, "A"), tol, "A")
     B = require_real(as_matrix(B, "B"), tol, "B")
     sysab = SystemQuad.from_matrices(A, B)
-    frame = geometry._morse(sysab, tol)  # its zeros are the uncontrollable eigenvalues
+    frame = geometry.morse_decomposition(sysab, tol)  # its zeros are the uncontrollable eigenvalues
     checked = validate_spectrum(lambdas, frame.invariant_zeros, tol)
     r = frame.dim_rstar
     reps = _spectrum_representatives(checked.lambdas, checked.partner)
@@ -477,20 +428,18 @@ def build_Kh(sys: SystemQuad, spec, tol: Tol = DEFAULT_TOL) -> tuple[Subspace, l
     """Maximal subspace on which the given distinct self-conjugate spectrum
     is assignable with a diagonalizable closed-loop restriction.
 
-    It is the span of the pencil kernels' state parts at the requested
-    eigenvalues (Rosenbrock for p >= 1: output nulling; reachability pencil
-    for p = 0: controlled invariant), built without a rank decision as
-    p(A+BF)⁻¹ (V* ∩ S_h) on R*: its dimension is dim(V* ∩ S_h), its basis
-    real.  The spectrum must avoid the invariant zeros (uncontrollable
-    eigenvalues for p = 0).  The kernels are returned as its certificate: if
-    one of their columns lies over ``tol.abs`` outside Kh, raises
-    :class:`NumericalError`.
+    It is the span of the Rosenbrock kernels' state parts at the requested
+    eigenvalues (output nulling; controlled invariant at p = 0), built
+    without a rank decision as p(A+BF)⁻¹ (V* ∩ S_h) on R*: its dimension is
+    dim(V* ∩ S_h), its basis real.  The spectrum must avoid the invariant
+    zeros (the uncontrollable eigenvalues at p = 0).  The kernels are
+    returned as its certificate: if one of their columns lies over
+    ``tol.abs`` outside Kh, raises :class:`NumericalError`.
     """
-    frame = geometry._morse(sys, tol)
+    frame = geometry.morse_decomposition(sys, tol)
     checked = validate_spectrum(spec, frame.invariant_zeros, tol)
     kh = _kh(frame, checked, tol)
-    kernels = [pencils.rosenbrock_kernel(sys, lam, tol) if sys.p
-               else pencils.reach_pencil_kernel(sys.A, sys.B, lam, tol) for lam in checked.lambdas]
+    kernels = [pencils.rosenbrock_kernel(sys, lam, tol) for lam in checked.lambdas]
     V = np.hstack([K.V for K in kernels])
     outside = float(np.linalg.norm(V - kh.basis @ (kh.basis.T @ V), axis=0).max(initial=0.0))
     if outside > tol.abs:
@@ -511,7 +460,7 @@ def min_distinct_spectrum(sys: SystemQuad, mode: str, tol: Tol = DEFAULT_TOL) ->
         return geometry.reachable_subspace(sys.A, sys.B, tol)[1]
     if mode != "rosenbrock":
         raise ValidationError(f"unknown mode {mode!r}")
-    return len(geometry._morse(sys, tol).stairs) - 2
+    return len(geometry.morse_decomposition(sys, tol).stairs) - 2
 
 
 def reach_on_Kh(sys: SystemQuad, spec, tol: Tol = DEFAULT_TOL) -> Subspace:

@@ -15,10 +15,13 @@ Krylov and reachable subspaces are its runs without outputs, and the
 output-nulling terms are complements of the dual system's run (Basile &
 Marro, 1992).
 
-Conventions: a quadruple with ``p = 0`` (no outputs) degrades gracefully;
-the output-nulling recursion becomes the largest-controlled-invariant
-recursion and the input-containing terms become the step-wise reachable
-subspaces.
+Conventions: every function here accepts a quadruple with ``p = 0`` (no
+outputs).  The output-nulling recursion then becomes the largest-controlled-
+invariant recursion, the input-containing terms the step-wise reachable
+subspaces, the unobservable subspace the whole state space, and the Morse
+decomposition Kalman's controllability form, whose zeros are the
+input-decoupling zeros, i.e. the uncontrollable eigenvalues (Rosenbrock,
+*State-Space and Multivariable Theory*, 1970).
 """
 
 from __future__ import annotations
@@ -182,11 +185,10 @@ def reachable_subspace(A, B, tol: Tol = DEFAULT_TOL) -> tuple[Subspace, int]:
 
 def unobservable_subspace(C, A, tol: Tol = DEFAULT_TOL) -> Subspace:
     """Largest A-invariant subspace contained in ker C: the orthogonal
-    complement of the reachable subspace of the dual pair (A*, C*)."""
+    complement of the reachable subspace of the dual pair (A*, C*), which is
+    the whole state space when C has no rows (p = 0)."""
     A = as_matrix(A, "A")
     C = as_matrix(C, "C")
-    if C.shape[0] == 0:
-        raise ValidationError("unobservable_subspace requires p >= 1")
     return orthonormal_complement(krylov_image(A.conj().T, C.conj().T, A.shape[0], tol), tol)
 
 
@@ -308,8 +310,8 @@ def friend_of(sys: SystemQuad, V: Subspace, spectrum=None, tol: Tol = DEFAULT_TO
     projector onto the orthogonal complement of V; its residuals certify
     that V is output nulling.  When a ``spectrum`` is supplied (distinct,
     self-conjugate, away from the fixed eigenvalues), eigenvector/input-
-    direction pairs are first taken from pencil kernels restricted to V (the
-    Rosenbrock matrix for p >= 1, the reachability pencil for p = 0), so the
+    direction pairs are first taken from kernels of the Rosenbrock matrix
+    restricted to V (at p = 0 it is the reachability pencil), so the
     assignable part of the closed-loop restriction matches it, and the least-
     squares friend closes the rest of V.
 
@@ -395,8 +397,8 @@ class MorseDecomposition:
     column of T^{-1}B Omega is supported on the first block row, C+DF
     annihilates the first two blocks, and D Omega annihilates the first.
     The middle diagonal block carries the invariant-zero dynamics.  At p = 0
-    (built only inside geokit) it is Kalman's controllability form: F = 0,
-    Omega = I, T1 the Krylov basis of (A, B), zeros uncontrollable eigenvalues.
+    it is Kalman's controllability form: F = 0, Omega = I, T1 the Krylov
+    basis of (A, B), and the zeros are the uncontrollable eigenvalues.
     """
 
     T: np.ndarray
@@ -417,17 +419,12 @@ class MorseDecomposition:
 def morse_decomposition(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> MorseDecomposition:
     """Adapted-basis decomposition exposing the invariant-zero block.
 
-    Requires p >= 1.  Raises :class:`DecompositionError` when a block that
-    must vanish exceeds tolerance, which indicates an upstream failure.  The
-    leading pair is reachable by construction: T1 is its staircase.
+    Raises :class:`DecompositionError` when a block that must vanish exceeds
+    tolerance, which indicates an upstream failure.  The leading pair is
+    reachable by construction: T1 is its staircase.  At p = 0 the
+    decomposition is Kalman's controllability form, and its zeros are the
+    uncontrollable eigenvalues (the input-decoupling zeros).
     """
-    if sys.p == 0:
-        raise ValidationError("morse_decomposition requires p >= 1")
-    return _morse(sys, tol)
-
-
-def _morse(sys: SystemQuad, tol: Tol) -> MorseDecomposition:
-    """:func:`morse_decomposition` without its p >= 1 guard."""
     vst = vstar(sys, None, tol)
     F, Omega, m1, T1, stairs = _reach_along(sys, vst, tol)
 
@@ -488,10 +485,16 @@ def intersection_formulas(sys: SystemQuad, pairs, tol: Tol = DEFAULT_TOL) -> lis
     intersection.  The kernel of the T-block matrix is the T-th stage of one
     forward block substitution, so a single pass up to the largest i+j
     serves every pair, and each result equals a separate run for its pair
-    bit for bit.  Requires p >= 1 and i, j >= 1.
+    bit for bit.  Requires i, j >= 1.  With no outputs (p = 0) the Markov
+    blocks are empty, every input sequence is kept, and the formula returns
+    S_j, the j-step reachable subspace.
+
+    Scope: it stacks raw powers A^k B.  Against ``subspace_intersect`` of the
+    chain terms at (n, j), j = 1..n, on ``GenSpec(n, m, p, seed=77n+s)``,
+    s < 5, (m, p) in {(2, 1), (3, 2), (1, 1)}, the dimensions agree on all 120
+    pairs at n = 8 but not on 19/180 at n = 12, 102/240 at n = 16 and 294/450
+    at n = 30; which side is right is unverified.  It is an oracle for n <= 8.
     """
-    if sys.p == 0:
-        raise ValidationError("intersection_formula requires p >= 1")
     if any(i < 1 or j < 1 for i, j in pairs):
         raise ValidationError("need i >= 1 and j >= 1")
     n, m = sys.n, sys.m

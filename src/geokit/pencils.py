@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpectrumError, ValidationError
+from .errors import SpectrumError
 from .linalg import DEFAULT_TOL, Tol, _svd_rank, as_matrix, norm2, rank_of, svd
 from .sysmodel import SystemQuad
 
@@ -83,9 +83,8 @@ def reach_pencil_kernel(A, B, lam: complex, tol: Tol = DEFAULT_TOL) -> PencilKer
 
 
 def rosenbrock_kernel(sys: SystemQuad, lam: complex, tol: Tol = DEFAULT_TOL) -> PencilKernel:
-    """Kernel of the Rosenbrock matrix at λ, split into state and input parts."""
-    if sys.p == 0:
-        raise ValidationError("rosenbrock_kernel requires p >= 1; use reach_pencil_kernel")
+    """Kernel of the Rosenbrock matrix at λ, split into state and input parts;
+    at p = 0 the matrix is [A - λI  B] and the kernel is that pencil's, bit for bit."""
     return _split_kernel(rosenbrock_matrix(sys, lam), sys.n, lam, "rosenbrock", tol)
 
 
@@ -139,9 +138,11 @@ def invariant_zeros(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> list[complex]:
     Computed as the spectrum of the middle diagonal block of the triangular
     form produced by :func:`geokit.geometry.morse_decomposition` (the map
     induced between the supremal output-nulling subspace and its reachability
-    part).  Use :func:`deduplicate_eigenvalues` for the zero set without
-    multiplicities, and :func:`normal_rank_rosenbrock` to cross-check each
-    zero as a rank-drop point of the Rosenbrock matrix.
+    part).  At p = 0 they are the input-decoupling zeros, i.e. the
+    uncontrollable eigenvalues of the PBH test (:func:`uncontrollable_eigenvalues`).
+    Use :func:`deduplicate_eigenvalues` for the zero set without multiplicities,
+    and :func:`normal_rank_rosenbrock` to cross-check each zero as a rank-drop
+    point of the Rosenbrock matrix.
     """
     from . import geometry  # deferred: geometry depends on this module
 
@@ -183,7 +184,8 @@ def validate_spectrum(
     forbidden=(),
     tol: Tol = DEFAULT_TOL,
 ) -> SpectrumSpec:
-    """Check distinctness, self-conjugacy, and distance from a forbidden set.
+    """Check finiteness, distinctness, self-conjugacy, and distance from a
+    forbidden set.
 
     Returns a new :class:`SpectrumSpec` with conjugate pairing computed.
     The forbidden set (uncontrollable eigenvalues or invariant zeros) must be
@@ -193,6 +195,9 @@ def validate_spectrum(
     lambdas = tuple(complex(v) for v in (spec.lambdas if isinstance(spec, SpectrumSpec) else spec))
     if not lambdas:
         raise SpectrumError("empty spectrum")
+    for lam in lambdas:
+        if not np.isfinite(lam):
+            raise SpectrumError(f"eigenvalue {lam} is not finite")
     scale = spectrum_scale(lambdas, tol)
     h = len(lambdas)
     for i in range(h):

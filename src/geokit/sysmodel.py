@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GenerationError, SystemFormatError, ValidationError
-from .linalg import DEFAULT_TOL, Tol, norm2
+from .linalg import DEFAULT_TOL, Tol, as_matrix, norm2
 
 __all__ = ["SystemQuad", "GenSpec", "load_system", "dump_system", "random_system", "dual_of"]
 
@@ -25,11 +25,12 @@ _RETRY_BUDGET = 100
 
 
 def _real_matrix(a, name: str) -> np.ndarray:
-    M = np.asarray(a, dtype=np.float64)
-    if M.ndim != 2:
-        raise ValidationError(f"{name} must be 2-D")
-    if M.size and not np.isfinite(M).all():
-        raise ValidationError(f"{name} contains non-finite entries")
+    """A finite, read-only 2-D float64 array; complex input needs zero imaginary parts."""
+    M = as_matrix(a, name)
+    if M.dtype.kind == "c":
+        if M.imag.any():
+            raise ValidationError(f"{name} has entries with a nonzero imaginary part")
+        M = M.real.copy()
     M.setflags(write=False)
     return M
 
@@ -107,14 +108,12 @@ class SystemQuad:
     @classmethod
     def from_matrices(cls, A, B, C=None, D=None) -> "SystemQuad":
         """Build a quadruple; omit C and D for a system without outputs."""
-        A = _real_matrix(A, "A")
-        B = _real_matrix(B, "B")
         if (C is None) != (D is None):
             raise ValidationError("C and D must be given together or not at all")
         if C is None:
-            C = np.zeros((0, A.shape[0]))
-            D = np.zeros((0, B.shape[1]))
-        return cls(A=A, B=B, C=np.asarray(C, dtype=float), D=np.asarray(D, dtype=float))
+            A, B = _real_matrix(A, "A"), _real_matrix(B, "B")
+            C, D = np.zeros((0, A.shape[0])), np.zeros((0, B.shape[1]))
+        return cls(A=A, B=B, C=C, D=D)
 
     def to_dict(self) -> dict:
         d = {"A": self.A.tolist(), "B": self.B.tolist()}
@@ -160,9 +159,8 @@ def _parse_json_matrix(obj, key: str) -> list[list[float]]:
             )
         vals = []
         for c, v in enumerate(row):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
+            if isinstance(v, bool) or not isinstance(v, float):
                 raise SystemFormatError(f'"{key}"[{r}][{c}] is not a number')
-            v = float(v)
             if not np.isfinite(v):
                 raise SystemFormatError(f'"{key}"[{r}][{c}] is not finite')
             vals.append(v)
@@ -177,7 +175,7 @@ def load_system(path) -> SystemQuad:
     except UnicodeDecodeError as e:
         raise SystemFormatError(f"system file is not UTF-8: {e}") from e
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=float)  # an integer past the float range is inf
     except json.JSONDecodeError as e:
         raise SystemFormatError(f"malformed JSON: {e}") from e
     if not isinstance(data, dict):
@@ -218,12 +216,9 @@ def random_system(spec: GenSpec, tol: Tol = DEFAULT_TOL) -> SystemQuad:
     for _ in range(_RETRY_BUDGET):
         A = rng.standard_normal((spec.n, spec.n))
         B = rng.standard_normal((spec.n, spec.m))
-        if spec.p:
-            C = rng.standard_normal((spec.p, spec.n))
-            D = rng.standard_normal((spec.p, spec.m))
-            sys = SystemQuad.from_matrices(A, B, C, D)
-        else:
-            sys = SystemQuad.from_matrices(A, B)
+        C = rng.standard_normal((spec.p, spec.n))  # a draw of size 0 consumes nothing
+        D = rng.standard_normal((spec.p, spec.m))
+        sys = SystemQuad.from_matrices(A, B, C, D)
         if spec.controllable and geometry.krylov_image(A, B, spec.n, tol).dim != spec.n:
             continue
         if spec.target_dim_rstar is not None and geometry.rstar(sys, tol).dim != spec.target_dim_rstar:

@@ -205,7 +205,7 @@ def _drive(theorem: str, trials: int, seed: int, body) -> VerifyReport:
 def run_th1(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
     def trial(rng, t):
         A, B = _draw_pair(rng, nmax, uncontrollable=(t % 2 == 1))
-        frame = geometry._morse(SystemQuad.from_matrices(A, B), tol)
+        frame = geometry.morse_decomposition(SystemQuad.from_matrices(A, B), tol)
         for h in range(1, A.shape[0] + 1):
             want = frame.stairs[min(h, len(frame.stairs) - 1)]
             for _ in range(2):
@@ -243,7 +243,7 @@ def run_th2(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_
 def run_lattice(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
     def trial(rng, t):
         sys = _draw_quad(rng, nmax, p_min=1)
-        frame = geometry._morse(sys, tol)
+        frame = geometry.morse_decomposition(sys, tol)
         h = int(rng.integers(1, sys.n + 1))
         lams = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
         kh = assignment._kh(frame, lams, tol)
@@ -274,7 +274,7 @@ def run_lattice(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFA
 def run_thlast(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
     def trial(rng, t):
         sys = _draw_quad(rng, nmax, p_min=1)
-        frame = geometry._morse(sys, tol)
+        frame = geometry.morse_decomposition(sys, tol)
         chain = geometry.sstar_sequence(sys, tol)
         seed_space = Subspace(frame.T[:, :frame.stairs[1]])  # V* ∩ B ker D
         for h in range(1, sys.n + 1):
@@ -303,7 +303,7 @@ def run_corollary_last(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol
         # recursion limit is not decidable at working precision
         A, B = _draw_pair(rng, nmax)
         sys = SystemQuad.from_matrices(A, B)
-        frame = geometry._morse(sys, tol)
+        frame = geometry.morse_decomposition(sys, tol)
         chain = geometry.sstar_sequence(sys, tol)
         for h in range(1, sys.n + 1):
             lams = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)

@@ -13,6 +13,7 @@ from geokit.assignment import (
 from geokit.errors import NumericalError, SynthesisError, ValidationError
 from geokit.geometry import (
     chain_term,
+    friend_of,
     is_output_nulling,
     morse_decomposition,
     reachable_subspace,
@@ -102,16 +103,52 @@ class TestSynthesize:
         eigs = sorted(np.linalg.eigvals(A2 + B2 @ fb.F), key=lambda z: z.imag)
         assert np.allclose(eigs, [complex(-1, -1), complex(-1, 1)], atol=1e-8)
 
+    def test_phase_rotated_partner_placed(self):
+        # a conjugate partner times a unit scalar spans the same column pair,
+        # so F = W V⁺ is still real: λ = -1 ± i gives s² + 2s + 2
+        lam = complex(-1.0, 1.0)
+        K = reach_pencil_kernel(A2, B2, lam)
+        Kc = reach_pencil_kernel(A2, B2, lam.conjugate())
+        cc, *_ = np.linalg.lstsq(np.vstack([Kc.V, Kc.W]), np.vstack([K.V, K.W]).conj()[:, 0],
+                                 rcond=None)
+        fb = synthesize_feedback(A2, B2, [(K, np.ones(1)), (Kc, np.exp(0.7j) * cc)])
+        assert fb.F.dtype == np.float64
+        assert np.allclose(fb.F, [[-2.0, -2.0]], atol=1e-9)
+        assert fb.residual_eig <= 1e-8
+
+    def test_complex_multiple_of_real_columns_placed(self):
+        kernels = [reach_pencil_kernel(A2, B2, lam) for lam in (-1.0, -2.0)]
+        fb = synthesize_feedback(A2, B2, [(K, 1j * np.ones(1)) for K in kernels])
+        assert fb.F.dtype == np.float64
+        assert np.allclose(fb.F, [[-2.0, -3.0]], atol=1e-9)
+
     def test_unmatched_complex_selection_rejected(self):
         lam = complex(-1.0, 1.0)
         K = reach_pencil_kernel(A2, B2, lam)
-        with pytest.raises(SynthesisError):
+        with pytest.raises(SynthesisError, match="non-self-conjugate selection"):
             synthesize_feedback(A2, B2, [(K, np.ones(1))])
+
+    def test_complex_column_at_real_eigenvalue_rejected(self):
+        # a genuinely complex combination of two real kernel columns
+        A, B = np.diag([-1.0, -2.0]), np.eye(2)
+        K = reach_pencil_kernel(A, B, -1.0)
+        with pytest.raises(SynthesisError, match="non-self-conjugate selection"):
+            synthesize_feedback(A, B, [(K, np.array([1.0, 1j]))])
 
     def test_dependent_selection_rejected(self):
         K = reach_pencil_kernel(A2, B2, -1.0)
         with pytest.raises(SynthesisError):
             synthesize_feedback(A2, B2, [(K, np.ones(1)), (K, 2.0 * np.ones(1))])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_spectrum_refused_by_every_op(bad):
+    with pytest.raises(SpectrumError, match="not finite"):
+        place_poles(A2, B2, [bad, -1.0])
+    with pytest.raises(SpectrumError, match="not finite"):
+        build_Kh(DI_VEL, [bad, -1.0])
+    with pytest.raises(SpectrumError, match="not finite"):
+        friend_of(DI_VEL, vstar(DI_VEL), [bad, -1.0])
 
 
 class TestPlacePoles:

@@ -87,10 +87,35 @@ class TestComputeCommands:
         assert code == 0
         assert rep["diagnostics"]["residual_out"] <= 1e-8
 
-    def test_unobs_requires_outputs(self, capsys, di_p0_file):
+    def test_unobs_without_outputs_is_whole_space(self, capsys, di_p0_file):
         code, rep = run_cli(capsys, "unobs", di_p0_file)
-        assert code == 1
-        assert rep["error"]["kind"] == "validation"
+        assert code == 0 and rep["result"]["dim"] == 2
+        assert np.allclose(np.abs(np.asarray(rep["result"]["basis"])), np.eye(2))
+
+    def test_unobs_velocity_output(self, capsys, di_file):
+        # y = velocity: the position never shows in the output
+        code, rep = run_cli(capsys, "unobs", di_file)
+        assert code == 0 and rep["result"]["dim"] == 1
+        assert np.allclose(np.abs(np.asarray(rep["result"]["basis"])), [[1.0], [0.0]])
+
+    def test_uncontrollable(self, capsys, tmp_path):
+        path = tmp_path / "diag.json"
+        path.write_text(json.dumps(DIAG))
+        code, rep = run_cli(capsys, "uncontrollable", str(path))
+        assert code == 0 and rep["result"]["eigenvalues"] == [{"re": 2.0, "im": 0.0}]
+
+    def test_zeros_and_morse_without_outputs(self, capsys, tmp_path):
+        # p = 0: the zeros are the input-decoupling zeros, here the
+        # uncontrollable eigenvalue 2, and Morse's frame is Kalman's
+        path = tmp_path / "diag.json"
+        path.write_text(json.dumps(DIAG))
+        code, rep = run_cli(capsys, "zeros", str(path))
+        assert code == 0 and rep["result"]["zeros_distinct"] == [{"re": 2.0, "im": 0.0}]
+        assert rep["diagnostics"]["rank_at_zeros"][0]["rank"] == 1
+        code, rep = run_cli(capsys, "morse", str(path))
+        res = rep["result"]
+        assert code == 0 and (res["dim_rstar"], res["dim_vstar"], res["m1"]) == (1, 2, 1)
+        assert res["invariant_zeros"] == [{"re": 2.0, "im": 0.0}]
 
     def test_chains_without_outputs(self, capsys, di_p0_file):
         # p = 0: the output-nulling limit is everything and the
@@ -152,6 +177,20 @@ class TestErrorPaths:
     def test_bad_lambda_syntax(self, capsys, di_p0_file):
         code, rep = run_cli(capsys, "place", di_p0_file, "--lambdas=-1,huh")
         assert code == 1
+
+    @pytest.mark.parametrize("op", ["place", "kh", "friend"])
+    @pytest.mark.parametrize("bad", ["nan", "1e999", "-1e999", "1+nani"])
+    def test_non_finite_lambda(self, capsys, di_file, op, bad):
+        code, rep = run_cli(capsys, op, di_file, f"--lambdas={bad},-1")
+        assert code == 1 and rep["error"]["kind"] == "validation"
+        assert "not finite" in rep["error"]["message"]
+
+    def test_integer_beyond_float_range(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"A": [[1' + "0" * 400 + ', 0], [0, 0]], "B": [[0], [1]]}')
+        code, rep = run_cli(capsys, "reach", str(path))
+        assert code == 1 and rep["error"]["kind"] == "validation"
+        assert rep["error"]["message"] == '"A"[0][0] is not finite'
 
 
 class TestVerifyCommand:

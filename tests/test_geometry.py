@@ -5,7 +5,6 @@ import scipy.linalg
 from geokit.errors import NotInvariantError, NumericalError, SpectrumError, ValidationError
 from geokit.geometry import (
     _krylov,
-    _morse,
     chain_term,
     friend_of,
     intersection_formula,
@@ -36,7 +35,12 @@ from geokit.linalg import (
     orthonormal_complement,
     subspace_intersect,
 )
-from geokit.pencils import SpectrumSpec, deduplicate_eigenvalues, uncontrollable_eigenvalues
+from geokit.pencils import (
+    SpectrumSpec,
+    deduplicate_eigenvalues,
+    invariant_zeros,
+    uncontrollable_eigenvalues,
+)
 from geokit.sysmodel import GenSpec, SystemQuad, dual_of, random_system
 from geokit.verify import _draw_pair, _rng_for, eig_multiset_match
 
@@ -134,9 +138,12 @@ class TestUnobservable:
         assert equals(Q, oracle)
         assert Q.dim == 1 and contains(line(1.0, 0.0), Q)
 
-    def test_requires_outputs(self):
-        with pytest.raises(ValidationError):
-            unobservable_subspace(np.zeros((0, 2)), A2)
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_no_outputs_is_whole_space(self, n):
+        # ker C is the whole space and so is every A-invariant subspace in it
+        A = np.random.default_rng(n).standard_normal((n, n))
+        Q = unobservable_subspace(np.zeros((0, n)), A)
+        assert Q.dim == n and equals(Q, Subspace.full(n))
 
     def test_duality_with_reachability(self):
         rng = np.random.default_rng(0)
@@ -482,9 +489,17 @@ class TestRstar:
 
 
 class TestMorse:
-    def test_requires_outputs(self):
-        with pytest.raises(ValidationError):
-            morse_decomposition(SystemQuad.from_matrices(A2, B2))
+    @pytest.mark.parametrize("n", [4, 6, 8, 12, 20, 40])
+    def test_no_outputs_zeros_are_uncontrollable_eigenvalues(self, n):
+        # at p = 0 the Rosenbrock zeros are the input-decoupling zeros: the
+        # PBH test's uncontrollable eigenvalues are the oracle
+        rng = np.random.default_rng(1000 + n)
+        for t in range(6):
+            A, B = _draw_pair(rng, n, uncontrollable=(t % 2 == 1))
+            zeros = invariant_zeros(SystemQuad.from_matrices(A, B))
+            want = uncontrollable_eigenvalues(A, B)
+            ok, worst = eig_multiset_match(deduplicate_eigenvalues(zeros, 1e-6), want)
+            assert ok, f"zeros off by {worst:.2e}"
 
     @pytest.mark.parametrize("seed", range(8))
     def test_frame_without_outputs_is_controllability_form(self, seed):
@@ -493,7 +508,7 @@ class TestMorse:
         # eigenvalues of the PBH test
         A, B = _draw_pair(np.random.default_rng(seed), 8, uncontrollable=True)
         n, m = B.shape
-        frame = _morse(SystemQuad.from_matrices(A, B), DEFAULT_TOL)
+        frame = morse_decomposition(SystemQuad.from_matrices(A, B))
         assert np.all(frame.F == 0.0) and np.array_equal(frame.Omega, np.eye(m))
         assert np.array_equal(frame.T[:, :frame.dim_rstar], _krylov(A, B, n + 1, DEFAULT_TOL)[0])
         zeros = deduplicate_eigenvalues(frame.invariant_zeros, 1e-9)
@@ -549,13 +564,18 @@ class TestMorse:
 
 
 class TestIntersectionFormula:
-    def test_requires_outputs_and_positive_indices(self):
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_no_outputs_gives_sstar_term(self, n):
+        # with no outputs V_i is the whole space, so V_i ∩ S_j = S_j
+        sys = random_system(GenSpec(n=n, m=2 if n > 2 else 1, p=0, seed=240 + n))
+        chain = sstar_sequence(sys)
+        pairs = [(i, j) for i in (1, n) for j in range(1, n + 1)]
+        for (i, j), got in zip(pairs, intersection_formulas(sys, pairs)):
+            assert equals(got, chain_term(chain, j)), (i, j)
+        assert equals(intersection_formula(sys, 1, 1), chain[1])
+
+    def test_requires_positive_indices(self):
         # the one-pair and the batch forms refuse the same input alike
-        p0 = SystemQuad.from_matrices(A2, B2)
-        for call in (lambda: intersection_formula(p0, 1, 1),
-                     lambda: intersection_formulas(p0, [(1, 1)])):
-            with pytest.raises(ValidationError, match="requires p >= 1"):
-                call()
         for i, j in [(0, 1), (1, 0)]:
             for call in (lambda: intersection_formula(DI_VEL, i, j),
                          lambda: intersection_formulas(DI_VEL, [(1, 1), (i, j)])):

@@ -7,6 +7,7 @@ from geokit.pencils import (
     deduplicate_eigenvalues,
     invariant_zeros,
     normal_rank_rosenbrock,
+    reach_pencil,
     reach_pencil_kernel,
     rosenbrock_kernel,
     rosenbrock_matrix,
@@ -78,9 +79,16 @@ class TestReachKernel:
 
 
 class TestRosenbrockKernel:
-    def test_requires_outputs(self):
-        with pytest.raises(ValidationError):
-            rosenbrock_kernel(SystemQuad.from_matrices([[0.0]], [[1.0]]), 0.0)
+    def test_no_outputs_is_reach_pencil_kernel(self):
+        # with p = 0 the Rosenbrock matrix is [A - λI  B], bit for bit, at
+        # real and complex λ and at an eigenvalue of A alike
+        sys = random_system(GenSpec(n=6, m=2, p=0, seed=3))
+        for lam in (0.0, -1.5, 0.3 + 2.0j, np.linalg.eigvals(sys.A)[0]):
+            M = rosenbrock_matrix(sys, lam)
+            assert M.dtype == reach_pencil(sys.A, sys.B, lam).dtype
+            assert np.array_equal(M, reach_pencil(sys.A, sys.B, lam))
+            K, R = rosenbrock_kernel(sys, lam), reach_pencil_kernel(sys.A, sys.B, lam)
+            assert np.array_equal(K.V, R.V) and np.array_equal(K.W, R.W)
 
     def test_double_integrator_trivial_kernel(self):
         # at lambda = -1 the 3x3 system matrix [[1,1,0],[0,1,1],[0,1,0]] has
@@ -193,6 +201,12 @@ class TestValidateSpectrum:
         spec = validate_spectrum([complex(-1, 1), -3.0, complex(-1, -1)])
         assert spec.partner == (2, 1, 0)
         assert not spec.is_real(0) and spec.is_real(1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(-1.0, np.nan), complex(np.inf, 1.0)])
+    def test_rejects_non_finite(self, bad):
+        # NaN compares unequal to everything, so it would pass the other checks
+        with pytest.raises(SpectrumError, match="not finite"):
+            validate_spectrum([bad, -1.0])
 
     def test_forbidden_margin(self):
         # within ten comparison scales of a forbidden value: rejected

@@ -34,6 +34,19 @@ class TestSystemQuad:
         with pytest.raises(ValidationError):
             SystemQuad.from_matrices([[np.inf]], [[1.0]])
 
+    @pytest.mark.parametrize("which", range(4))
+    def test_complex_entries_rejected(self, which):
+        # each of A, B, C, D is checked before any conversion to float
+        mats = [[[1.0]], [[1.0]], [[1.0]], [[0.0]]]
+        mats[which] = [[1.0 + 2.0j]]
+        with pytest.raises(ValidationError, match="nonzero imaginary part"):
+            SystemQuad.from_matrices(*mats)
+
+    def test_complex_with_zero_imaginary_part_accepted(self):
+        sys = SystemQuad.from_matrices(np.array([[1.0 + 0j]]), [[1.0]], [[2.0 + 0j]], [[0.0]])
+        assert sys.A.dtype == sys.C.dtype == np.float64
+        assert sys.A[0, 0] == 1.0 and sys.C[0, 0] == 2.0
+
 
     @pytest.mark.parametrize("m, p", [(2, 1), (3, 2), (2, 0)])
     def test_scales_are_norms_as_stacked(self, m, p):
@@ -72,6 +85,12 @@ class TestLoadSystem:
     def test_nan_entry(self, tmp_path):
         path = write(tmp_path, '{"A": [[NaN, 0], [0, 0]], "B": [[0], [1]]}')
         with pytest.raises(SystemFormatError):
+            load_system(path)
+
+    def test_integer_beyond_float_range(self, tmp_path):
+        # as non-finite as NaN, though Python's int holds it
+        path = write(tmp_path, '{"A": [[0, 1], [0, -1' + "0" * 400 + ']], "B": [[0], [1]]}')
+        with pytest.raises(SystemFormatError, match=r'"A"\[1\]\[1\] is not finite'):
             load_system(path)
 
     def test_string_entry(self, tmp_path):
