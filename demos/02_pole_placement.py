@@ -1,7 +1,10 @@
-# Pole placement by pencil-kernel extraction.
+# Pole placement, parametrically on the reachability staircase.
 #
-# Kernels of [A - lambda*I  B] hold every closed-loop eigenvector candidate;
-# stacking a selection and forming F = W V^+ assigns the chosen pairs.
+# The state parts of the kernel of [A - lambda*I  B] hold every closed-loop
+# eigenvector at lambda: on Kalman's controllability form they are
+# v = (lambda - A11)^-1 B11 g.  Each requested value gets such columns (the
+# free parameters g refined by KNV method 0); stacking them in V with their
+# input parts W and forming F = W V^+ assigns them.
 
 import numpy as np
 

@@ -2,20 +2,27 @@
 
 Feedback matrices are assembled the same way throughout: collect state
 directions v with their input directions w and set ``F = W V^+``.  Where a
-spectrum is requested, the pairs are eigenvalue / eigenvector / input-
-direction triples from Rosenbrock kernels, with conjugate pairs replaced by
-real and imaginary parts so the result is real by construction; an explicit
-selection is taken as given, and the imaginary part of F certifies it.
-Whatever no requested eigenvalue covers is closed by the least-squares
-friend of :func:`geokit.geometry.friend_of`, which chooses no eigenvalue.
-On top of that engine this module provides Moore's solvability check, pole
-placement over the reachable subspace, and, from the R* staircase of the
-Morse decomposition (for p = 0 the same frame is Kalman's controllability
-form) with no rank decided on pencil kernels, the maximal subspace on which
-a distinct spectrum is assignable with a diagonalizable closed loop and the
-minimal number of distinct eigenvalues that needs.  The Krylov saturation
-index of a diagonal pair, which that count rests on, comes from the same
-staircase as every other Krylov chain (:func:`geokit.geometry.reachable_subspace`).
+spectrum is requested, they are placed parametrically (Roppenecker, IJC
+1981) on the reachability staircase Q of (A+BF, B Omega1), F a friend of
+the target subspace and Omega1 its inputs that keep the state in it: the
+state parts of the Rosenbrock kernel at λ are v = Q (λ - A11)⁻¹ B11 g, with
+w = F v + Omega1 g.  The values take columns in turn until they span the
+stair their count reaches; seeded parameters g are refined by Kautsky,
+Nichols & Van Dooren's method 0 (IJC 1985), and a conjugate pair
+contributes the real and imaginary parts of one complex column, so the
+result is real by construction.  An explicit selection is taken as given,
+and the imaginary part of F certifies it.  Whatever no requested eigenvalue
+covers is closed by the least-squares friend of
+:func:`geokit.geometry.friend_of`, which chooses no eigenvalue.  On top of
+that engine this module provides Moore's
+solvability check, pole placement over the reachable subspace (on Kalman's
+controllability form, the Morse decomposition at p = 0), and, from the R*
+staircase of the Morse decomposition with no rank decided on pencil
+kernels, the maximal subspace on which a distinct spectrum is assignable
+with a diagonalizable closed loop and the minimal number of distinct
+eigenvalues that needs.  The Krylov saturation index of a diagonal pair,
+which that count rests on, comes from the same staircase as every other
+Krylov chain (:func:`geokit.geometry.reachable_subspace`).
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ from .linalg import (
     _svd_rank,
     as_matrix,
     image_basis,
-    kernel_basis,
     max_imag,
     norm2,
     pinv,
@@ -58,18 +64,16 @@ __all__ = [
     "diag_krylov_saturation",
 ]
 
-# Minimum projection residual for a candidate column to count as a new
-# direction during greedy selection; bounds the conditioning of the selected
-# eigenvector matrix.
-_SELECT_FLOOR = 1e-6
-# Candidate kernel columns whose state part is smaller than this carry no
-# eigenvector information and are skipped.
+# A selected kernel column whose state part is smaller than this carries no
+# eigenvector information: the selection is refused.
 _STATE_FLOOR = 1e-8
 # Condition numbers above this trigger a warning (not an error).
 COND_WARNING = 1e8
-# build_Kh shifts A+BF on R* by a seeded B Omega1 K, which changes no stair, when
-# an eigenvalue lies this close (relative) to a requested one: its solve is ill-posed.
+# The staircase block A11 is shifted by a seeded B11 K, which changes no stair,
+# when an eigenvalue lies this close (relative) to a requested one: its solve is ill-posed.
 _NEAR = 1e-6
+# KNV method 0 sweeps over the free columns of a parametric placement.
+_KNV_SWEEPS = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,91 +97,11 @@ class FeedbackResult:
     cond_V: float
 
 
-def _unit_state_columns(V: np.ndarray, W: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    cols = []
-    for k in range(V.shape[1]):
-        v, w = V[:, k], W[:, k]
-        nv = float(np.linalg.norm(v))
-        if nv > _STATE_FLOOR:
-            cols.append((v / nv, w / nv))
-    return cols
-
-
-def _pair_score(Q: np.ndarray, v: np.ndarray, is_pair: bool):
-    """Projection residual of a candidate (or conjugate pair) against the
-    currently selected directions; returns (score, new orthonormal columns)."""
-    if is_pair:
-        X = np.column_stack([v.real, v.imag])
-    else:
-        X = v.real.reshape(-1, 1)
-    D = X
-    if Q.shape[1]:
-        # project twice: a second pass removes the roundoff left in nearly
-        # dependent candidates and keeps the accumulated basis orthonormal
-        D = D - Q @ (Q.T @ D)
-        D = D - Q @ (Q.T @ D)
-    qf, rf = np.linalg.qr(D)
-    diag = np.abs(np.diag(rf))
-    return (float(diag.min()) if diag.size else 0.0), qf
-
-
-def _greedy_units(pools, r_target: int, n: int):
-    """Round-robin, best-candidate-first greedy selection of independent
-    eigenvector columns.  Conjugate pairs are atomic (two real directions)."""
-    Q = np.zeros((n, 0))
-    units = []
-    total = 0
-    state = [[lam, is_pair, list(cols)] for lam, is_pair, cols in pools]
-    while total < r_target:
-        progressed = False
-        for entry in state:
-            lam, is_pair, cols = entry
-            if not cols:
-                continue
-            if is_pair and r_target - total < 2:
-                continue
-            best_idx, best_score, best_dirs = -1, _SELECT_FLOOR, None
-            for idx, (v, _w) in enumerate(cols):
-                score, dirs = _pair_score(Q, v, is_pair)
-                if score > best_score:
-                    best_idx, best_score, best_dirs = idx, score, dirs
-            if best_idx < 0:
-                entry[2] = []  # residuals only shrink as Q grows; pool is spent
-                continue
-            v, w = cols.pop(best_idx)
-            units.append((lam, is_pair, v, w))
-            Q = np.hstack([Q, best_dirs])
-            total += 2 if is_pair else 1
-            progressed = True
-            if total >= r_target:
-                break
-        if not progressed:
-            break
-    return units, Q, total
-
-
-def _expand_units(units):
-    """Turn (λ, is_pair, v, w) units into real column lists plus the
-    assigned pairs: a conjugate pair contributes the real and imaginary
-    parts of its representative, a real eigenvalue its (real) columns."""
-    vcols, wcols, assigned = [], [], []
-    for lam, is_pair, v, w in units:
-        if is_pair:
-            vcols += [v.real, v.imag]
-            wcols += [w.real, w.imag]
-            assigned += [(lam, v), (lam.conjugate(), v.conjugate())]
-        else:
-            vcols.append(v.real)
-            wcols.append(w.real)
-            assigned.append((lam, v))
-    return vcols, wcols, assigned
-
-
 def _assemble_feedback(
     A: np.ndarray,
     B: np.ndarray,
-    vcols,
-    wcols,
+    Vsel: np.ndarray,
+    Wsel: np.ndarray,
     assigned,
     tol: Tol,
     C: np.ndarray | None = None,
@@ -185,11 +109,9 @@ def _assemble_feedback(
     target: Subspace | None = None,
 ) -> FeedbackResult:
     n, m = A.shape[0], B.shape[1]
-    if not vcols:
+    if not Vsel.shape[1]:
         F = np.zeros((m, n))
         return FeedbackResult(F, (), 0.0, 0.0, 0.0, 1.0)
-    Vsel = np.column_stack(vcols)
-    Wsel = np.column_stack(wcols)
     svals = svd(Vsel, compute_uv=False)  # one call decides the rank and gives cond_V
     if _svd_rank(svals, Vsel.shape, tol) != Vsel.shape[1]:
         raise SynthesisError("dependent selection: chosen eigenvector columns are not independent")
@@ -221,20 +143,6 @@ def _assemble_feedback(
     return FeedbackResult(F, tuple(assigned), res_eig, res_out, res_inv, cond_v)
 
 
-def _candidate_pools(sys: SystemQuad, reps, V: Subspace, tol: Tol):
-    """Per-eigenvalue kernel directions whose state part lies in V."""
-    Pperp = V.perp_projector()
-    pools = []
-    for lam, is_pair in reps:
-        K = pencils.rosenbrock_kernel(sys, lam, tol)
-        cols = []
-        if K.q:
-            coeff = kernel_basis(Pperp @ K.V, tol, scale=1.0)
-            cols = _unit_state_columns(K.V @ coeff.basis, K.W @ coeff.basis)
-        pools.append((lam, is_pair, cols))
-    return pools
-
-
 def _spectrum_representatives(lambdas, partner) -> list[tuple[complex, bool]]:
     reps = []
     seen = set()
@@ -250,24 +158,99 @@ def _spectrum_representatives(lambdas, partner) -> list[tuple[complex, bool]]:
     return reps
 
 
-def _friend_engine(sys: SystemQuad, V: Subspace, spectrum, F: np.ndarray, tol: Tol) -> FeedbackResult:
+def _near_shift(A: np.ndarray, B: np.ndarray, lambdas) -> np.ndarray | None:
+    """A seeded K for which A + BK has no eigenvalue within ``_NEAR``
+    (relative) of a requested value, or None when A has none already."""
+    eigs = np.linalg.eigvals(A)
+    radius = max(1.0, float(np.abs(eigs).max(initial=0.0)))
+    if np.abs(np.subtract.outer(eigs, lambdas)).min(initial=np.inf) > _NEAR * radius:
+        return None
+    return radius / np.linalg.norm(B) * np.random.default_rng(0).standard_normal(B.T.shape)
+
+
+def _columns(x: np.ndarray, is_pair: bool) -> np.ndarray:
+    """x as real columns: its real and imaginary parts for a conjugate pair."""
+    return np.column_stack([x.real, x.imag][:1 + is_pair])
+
+
+def _parametric(A, B, F, Omega1, Q, stairs, checked):
+    """``(V, W, assigned)`` with A V + B W = V Λ for the values of
+    ``checked``, placed on the staircase Q of (A+BF, B Omega1).
+
+    The values take columns in turn, at most d = ``stairs[1]`` each, until
+    they fill the stair their count reaches; a conjugate pair takes two.
+    The columns of λ lie in the span U of (λ - A11)⁻¹ B11 G, G spanning the
+    d inputs that move a state.  A value that takes d columns gets U itself;
+    the other columns start from seeded coefficients and each KNV-0 sweep
+    moves them in turn to the projection onto U of their part off the other
+    columns, found from a QR of those columns.
+    """
+    reps = _spectrum_representatives(checked.lambdas, checked.partner)
+    d, target = stairs[1], stairs[min(len(checked.lambdas), len(stairs) - 1)]
+    counts, total = [0] * len(reps), 0
+    for _ in range(d):
+        for i, (_, is_pair) in enumerate(reps):
+            if total + 1 + is_pair <= target:
+                counts[i] += 1
+                total += 1 + is_pair
+    if not total:
+        return np.zeros((Q.shape[0], 0)), np.zeros((B.shape[1], 0)), []
+    A11, B11 = Q.T @ (A + B @ F) @ Q, Q.T @ (B @ Omega1)
+    K = _near_shift(A11, B11, checked.lambdas)
+    if K is not None:  # folded into F, so that A11 stays the block of A + BF
+        A11, F = A11 + B11 @ K, F + Omega1 @ K @ Q.T
+    G = np.linalg.qr(B11[:d].T)[0]  # B11 vanishes below the first stair
+    rng = np.random.default_rng(0)
+    units, coeffs = [], []  # (λ, is_pair, U, R, free) per column or conjugate pair; its coefficients in U
+    for (lam, is_pair), c in zip(reps, counts):
+        if c:
+            M = np.linalg.solve((lam if is_pair else lam.real) * np.eye(len(A11)) - A11, B11 @ G)
+            U, R = np.linalg.qr(M)
+            C = np.eye(d) if c == d else rng.standard_normal((d, c))
+            if c < d and is_pair:
+                C = C + 1j * rng.standard_normal((d, c))
+            units += [(lam, is_pair, U, R, c < d)] * c
+            coeffs += list((C / np.linalg.norm(C, axis=0)).T)
+    X = np.hstack([_columns(unit[2] @ c, unit[1]) for unit, c in zip(units, coeffs)])
+    starts = np.cumsum([0] + [1 + unit[1] for unit in units])
+    for _ in range(_KNV_SWEEPS if any(unit[4] for unit in units) else 0):
+        for j, (_, is_pair, U, _, free) in enumerate(units):
+            if free:
+                lo, hi = starts[j], starts[j + 1]
+                others = np.delete(X, np.s_[lo:hi], axis=1)
+                Y = np.linalg.qr(others, mode="complete")[0][:, others.shape[1]:]
+                x = X[:, lo] + 1j * X[:, lo + 1] if is_pair else X[:, lo]
+                c = U.conj().T @ (Y @ (Y.T @ x))
+                if np.linalg.norm(c):
+                    coeffs[j] = c / np.linalg.norm(c)
+                    X[:, lo:hi] = _columns(U @ coeffs[j], is_pair)
+    V = Q @ X
+    W = F @ V
+    assigned = []
+    for j, ((lam, is_pair, U, R, _), c) in enumerate(zip(units, coeffs)):
+        W[:, starts[j]:starts[j + 1]] += _columns(Omega1 @ (G @ np.linalg.solve(R, c)), is_pair)
+        v = Q @ (U @ c)
+        assigned += [(lam, v), (lam.conjugate(), v.conjugate())] if is_pair else [(lam, v)]
+    return V, W, assigned
+
+
+def _friend_engine(sys: SystemQuad, V: Subspace, spectrum, tol: Tol) -> FeedbackResult:
     """The spectrum path of :func:`geokit.geometry.friend_of`.
 
-    Eigenvector/input-direction units at the requested eigenvalues are
-    selected first; the least-squares friend F of V closes every direction
-    they leave uncovered: E, an orthonormal basis of that part of V, is sent
-    to F E, since E ⊆ V.
+    The requested eigenvalues are placed on the reachability staircase of V
+    (:func:`_parametric`), as many directions as the stair their count
+    reaches; the least-squares friend F of V closes every direction they
+    leave uncovered: E, an orthonormal basis of that part of V, is sent to
+    F E, since E ⊆ V.
     """
+    F, Omega, m1, Q, dims = geometry._reach_along(sys, V, tol)
     checked = validate_spectrum(spectrum, (), tol)
-    reps = _spectrum_representatives(list(checked.lambdas), list(checked.partner))
-    pools = _candidate_pools(sys, reps, V, tol)
-    units, Q, _total = _greedy_units(pools, V.dim, sys.n)
-    vcols, wcols, assigned = _expand_units(units)
-    if len(vcols) < V.dim:
-        E = image_basis(V.basis - Q @ (Q.T @ V.basis), tol, scale=1.0).basis
-        vcols += list(E.T)
-        wcols += list((F @ E).T)
-    return _assemble_feedback(sys.A, sys.B, vcols, wcols, assigned, tol, sys.C, sys.D, target=V)
+    Vsel, Wsel, assigned = _parametric(sys.A, sys.B, F, Omega[:, :m1], Q, dims, checked)
+    if Vsel.shape[1] < V.dim:
+        P = np.linalg.qr(Vsel)[0]
+        E = image_basis(V.basis - P @ (P.T @ V.basis), tol, scale=1.0).basis
+        Vsel, Wsel = np.hstack([Vsel, E]), np.hstack([Wsel, F @ E])
+    return _assemble_feedback(sys.A, sys.B, Vsel, Wsel, assigned, tol, sys.C, sys.D, target=V)
 
 
 def synthesize_feedback(A, B, selection, tol: Tol = DEFAULT_TOL) -> FeedbackResult:
@@ -294,7 +277,7 @@ def synthesize_feedback(A, B, selection, tol: Tol = DEFAULT_TOL) -> FeedbackResu
     """
     A = require_real(as_matrix(A, "A"), tol, "A")
     B = require_real(as_matrix(B, "B"), tol, "B")
-    vcols, wcols, assigned = [], [], []
+    Vs, Ws, assigned = [np.zeros((A.shape[0], 0))], [np.zeros((B.shape[1], 0))], []
     for kernel, coeffs in selection:
         if not isinstance(kernel, PencilKernel):
             raise ValidationError("selection entries must be (PencilKernel, coefficients)")
@@ -305,21 +288,24 @@ def synthesize_feedback(A, B, selection, tol: Tol = DEFAULT_TOL) -> FeedbackResu
             raise ValidationError(
                 f"coefficients have {Cf.shape[0]} rows, kernel has {kernel.q} columns"
             )
-        cols = _unit_state_columns(kernel.V @ Cf, kernel.W @ Cf)
-        if len(cols) < Cf.shape[1]:
+        norms = np.linalg.norm(kernel.V @ Cf, axis=0)
+        if not (norms > _STATE_FLOOR).all():
             raise SynthesisError("dependent selection: a chosen column has zero state part")
-        vcols += [v for v, _ in cols]
-        wcols += [w for _, w in cols]
-        assigned += [(complex(kernel.lam), v) for v, _ in cols]
-    return _assemble_feedback(A, B, vcols, wcols, assigned, tol)
+        Vs.append(kernel.V @ Cf / norms)
+        Ws.append(kernel.W @ Cf / norms)
+        assigned += [(complex(kernel.lam), v) for v in Vs[-1].T]
+    return _assemble_feedback(A, B, np.hstack(Vs), np.hstack(Ws), assigned, tol)
 
 
 def place_poles(A, B, lambdas, tol: Tol = DEFAULT_TOL) -> FeedbackResult:
-    """Pole placement over the reachable subspace by kernel extraction.
+    """Pole placement over the reachable subspace, parametrically on the
+    staircase of Kalman's controllability form.
 
     The requested set must be distinct, self-conjugate, and away from the
     uncontrollable eigenvalues; it needs at least as many values as the
     Krylov saturation count of (A, B), since no Jordan blocks are formed.
+    Raises :class:`SynthesisError` when the eigenvector matrix loses
+    numerical rank; a condition number above ``COND_WARNING`` only warns.
     """
     A = require_real(as_matrix(A, "A"), tol, "A")
     B = require_real(as_matrix(B, "B"), tol, "B")
@@ -327,16 +313,14 @@ def place_poles(A, B, lambdas, tol: Tol = DEFAULT_TOL) -> FeedbackResult:
     frame = geometry.morse_decomposition(sysab, tol)  # its zeros are the uncontrollable eigenvalues
     checked = validate_spectrum(lambdas, frame.invariant_zeros, tol)
     r = frame.dim_rstar
-    reps = _spectrum_representatives(checked.lambdas, checked.partner)
-    pools = _candidate_pools(sysab, reps, Subspace.full(A.shape[0]), tol)
-    units, _Q, total = _greedy_units(pools, r, A.shape[0])
-    if total < r:
+    Q = frame.T[:, :r]
+    Vsel, Wsel, assigned = _parametric(A, B, frame.F, frame.Omega[:, :frame.m1], Q, frame.stairs, checked)
+    if Vsel.shape[1] < r:
         raise SynthesisError(
-            f"requested eigenvalues span only {total} of {r} reachable directions; "
+            f"requested eigenvalues span only {Vsel.shape[1]} of {r} reachable directions; "
             "supply more distinct values"
         )
-    vcols, wcols, assigned = _expand_units(units)
-    return _assemble_feedback(A, B, vcols, wcols, assigned, tol, target=Subspace(frame.T[:, :r]))
+    return _assemble_feedback(A, B, Vsel, Wsel, assigned, tol, target=Subspace(Q))
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,11 +386,9 @@ def _kh(frame: geometry.MorseDecomposition, spec, tol: Tol) -> Subspace:
     checked = validate_spectrum(spec, frame.invariant_zeros, tol)
     n1, stairs = frame.dim_rstar, frame.stairs
     A, B = frame.Abar[:n1, :n1], frame.Bbar[:n1, :frame.m1]
-    eigs = np.linalg.eigvals(A)
-    radius = max(1.0, float(np.abs(eigs).max(initial=0.0)))
-    if np.abs(np.subtract.outer(eigs, checked.lambdas)).min(initial=np.inf) <= _NEAR * radius:
-        K = np.random.default_rng(0).standard_normal(B.T.shape)
-        A = A + B @ (radius / np.linalg.norm(B) * K)
+    K = _near_shift(A, B, checked.lambdas)
+    if K is not None:
+        A = A + B @ K
     Q, h, eye = np.zeros((n1, 0)), 0, np.eye(n1)
     for lam, is_pair in _spectrum_representatives(checked.lambdas, checked.partner):
         h += 2 if is_pair else 1

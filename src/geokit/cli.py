@@ -39,14 +39,17 @@ def _matrix_out(M: np.ndarray) -> object:
 
 
 def parse_lambdas(text: str) -> list[complex]:
-    """Parse a comma-separated eigenvalue list with `a+bi` complex literals."""
+    """Parse a comma-separated eigenvalue list with `a+bi` complex literals.
+
+    Only a trailing imaginary unit ``i`` becomes Python's ``j``, so ``inf``
+    and ``nan`` parse, and are refused as non-finite downstream."""
     values = []
     for raw in text.split(","):
         token = raw.strip().replace(" ", "")
         if not token:
             raise ValidationError("empty eigenvalue entry in --lambdas")
         try:
-            values.append(complex(token.replace("i", "j")))
+            values.append(complex(token[:-1] + "j" if token.endswith("i") else token))
         except ValueError as e:
             raise ValidationError(f"cannot parse eigenvalue {raw.strip()!r}") from e
     if not values:

@@ -309,24 +309,26 @@ def friend_of(sys: SystemQuad, V: Subspace, spectrum=None, tol: Tol = DEFAULT_TO
     Linear System Theory*, 1992), built from one SVD of ``[P B; D]``, P the
     projector onto the orthogonal complement of V; its residuals certify
     that V is output nulling.  When a ``spectrum`` is supplied (distinct,
-    self-conjugate, away from the fixed eigenvalues), eigenvector/input-
-    direction pairs are first taken from kernels of the Rosenbrock matrix
-    restricted to V (at p = 0 it is the reachability pencil), so the
-    assignable part of the closed-loop restriction matches it, and the least-
-    squares friend closes the rest of V.
+    self-conjugate, away from the fixed eigenvalues), it is placed first on
+    the reachability subspace of V, parametrically on the staircase of
+    (A+BF, B Omega1), Omega1 spanning B⁻¹V ∩ ker D: h requested values take
+    as many eigenvector columns as the h-th stair has directions, each a
+    state part of the Rosenbrock kernel at its value (at p = 0, of the
+    reachability pencil).  The least-squares friend closes the rest of V.
 
-    Returns a :class:`geokit.assignment.FeedbackResult`.  Raises
-    :class:`NotInvariantError` if V is not output nulling and
-    :class:`SynthesisError` if the spectrum's residuals exceed tolerance.
+    Returns a :class:`geokit.assignment.FeedbackResult`, whose ``assigned``
+    lists the values placed.  Raises :class:`NotInvariantError` if V is not
+    output nulling and :class:`SynthesisError` if the eigenvector columns
+    are numerically dependent or the residuals exceed tolerance.
     """
     from .assignment import FeedbackResult, _friend_engine  # deferred: assignment imports this module
 
     if np.iscomplexobj(V.basis):
         V = Subspace(require_real(V.basis, tol, "basis of V"))
+    if spectrum is not None and V.dim:
+        return _friend_engine(sys, V, spectrum, tol)
     F, _, _, res_inv, res_out = _friend(sys, V, tol)
-    if spectrum is None or V.dim == 0:
-        return FeedbackResult(F, (), 0.0, res_out, res_inv, 1.0)
-    return _friend_engine(sys, V, spectrum, F, tol)
+    return FeedbackResult(F, (), 0.0, res_out, res_inv, 1.0)
 
 
 def _friend(sys: SystemQuad, V: Subspace, tol: Tol):

@@ -25,12 +25,17 @@ _RETRY_BUDGET = 100
 
 
 def _real_matrix(a, name: str) -> np.ndarray:
-    """A finite, read-only 2-D float64 array; complex input needs zero imaginary parts."""
+    """A finite, read-only 2-D float64 array; complex input needs zero imaginary parts.
+
+    A caller's writable array is copied before it is frozen, so it stays
+    writable; a read-only array that owns its data is shared."""
     M = as_matrix(a, name)
     if M.dtype.kind == "c":
         if M.imag.any():
             raise ValidationError(f"{name} has entries with a nonzero imaginary part")
-        M = M.real.copy()
+        M = M.real
+    if M.flags.writeable or not M.flags.owndata:
+        M = M.copy()
     M.setflags(write=False)
     return M
 

@@ -22,8 +22,16 @@ to and including its first repeated term.  The pinned chains in
 
 solves the pencils at H real values spread over [-3, -0.5] at 80 digits
 and prints the distance (the largest sine of a principal angle) between the
-span of their kernels' state parts and ``build_Kh``'s basis.  It is not a
-test module, so pytest does not collect it.
+span of their kernels' state parts and ``build_Kh``'s basis.
+
+    PYTHONPATH=src python tests/mp_chain_oracle.py place N M SEED
+
+places λ = -1 - 0.5k, k < N, on the controllable draw
+``GenSpec(N, M, 0, SEED, controllable=True)`` and prints the worst distance
+between the request and the eigenvalues of A+BF from ``mpmath.eig`` at 60
+digits, under the pairing that minimizes it (``place_poles``'s refusal,
+if any, instead).  The placement regression tests use SEED = 100 N + 10 M + s.
+It is not a test module, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -33,8 +41,10 @@ import sys
 import numpy as np
 from mpmath import mp, mpf
 
-from geokit.assignment import build_Kh
+from geokit.assignment import build_Kh, place_poles
+from geokit.errors import SynthesisError
 from geokit.sysmodel import GenSpec, random_system
+from geokit.verify import eig_multiset_match
 
 mp.dps = 80
 REL = mpf("1e-50")
@@ -176,7 +186,24 @@ def kh_basis(sys, lams) -> np.ndarray:
     return np.array([[float(x) for x in q] for q in basis]).reshape(len(basis), n).T
 
 
+def place_distance(n: int, m: int, seed: int) -> str:
+    s = random_system(GenSpec(n, m, 0, seed=seed, controllable=True))
+    lams = -1.0 - 0.5 * np.arange(n)
+    try:
+        F = place_poles(s.A, s.B, lams).F
+    except SynthesisError as e:
+        return f"place_poles refused: {e}"
+    with mp.workdps(60):
+        A, B, Fm = mp.matrix(_rows(s.A)), mp.matrix(_rows(s.B)), mp.matrix(_rows(F))
+        eigs = mp.eig(A + B * Fm, left=False, right=False)
+        _, worst = eig_multiset_match(lams, [complex(e) for e in eigs], np.inf)
+    return f"worst distance to the request: {worst:.2e}"
+
+
 def main(argv: list[str]) -> None:
+    if argv[0] == "place":
+        print(place_distance(*(int(a) for a in argv[1:])))
+        return
     if argv[0] == "kh":
         n, m, p, seed, h = (int(a) for a in argv[1:])
         s = random_system(GenSpec(n=n, m=m, p=p, seed=seed))

@@ -41,6 +41,10 @@ class TestParseLambdas:
     def test_pure_imaginary(self):
         assert parse_lambdas("2i") == [complex(0, 2)]
 
+    def test_infinity_parses(self):
+        # only the imaginary-unit suffix is rewritten: "inf" keeps its "i"
+        assert parse_lambdas("-inf, 1-infi") == [complex(-np.inf, 0), complex(1, -np.inf)]
+
     def test_garbage(self):
         with pytest.raises(ValidationError):
             parse_lambdas("-1,zap")
@@ -179,7 +183,7 @@ class TestErrorPaths:
         assert code == 1
 
     @pytest.mark.parametrize("op", ["place", "kh", "friend"])
-    @pytest.mark.parametrize("bad", ["nan", "1e999", "-1e999", "1+nani"])
+    @pytest.mark.parametrize("bad", ["nan", "1e999", "-1e999", "1+nani", "-inf", "1-infi"])
     def test_non_finite_lambda(self, capsys, di_file, op, bad):
         code, rep = run_cli(capsys, op, di_file, f"--lambdas={bad},-1")
         assert code == 1 and rep["error"]["kind"] == "validation"

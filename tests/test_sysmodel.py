@@ -42,6 +42,17 @@ class TestSystemQuad:
         with pytest.raises(ValidationError, match="nonzero imaginary part"):
             SystemQuad.from_matrices(*mats)
 
+    def test_caller_arrays_stay_writable(self):
+        # the system freezes copies, not the caller's float64 arrays
+        mats = [np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 2)), np.zeros((1, 1))]
+        systems = [SystemQuad.from_matrices(*mats[:2]), SystemQuad.from_matrices(*mats)]
+        for M in mats:
+            M[0, 0] = 1.0
+        for sys in systems:
+            assert not any(M.any() for M in (sys.A, sys.B, sys.C, sys.D))
+            with pytest.raises(ValueError):
+                sys.A[0, 0] = 2.0
+
     def test_complex_with_zero_imaginary_part_accepted(self):
         sys = SystemQuad.from_matrices(np.array([[1.0 + 0j]]), [[1.0]], [[2.0 + 0j]], [[0.0]])
         assert sys.A.dtype == sys.C.dtype == np.float64
