@@ -49,7 +49,7 @@ from .linalg import (
     require_real,
     svd,
 )
-from .pencils import PencilKernel, spectrum_scale, validate_spectrum
+from .pencils import PencilKernel, SpectrumSpec, spectrum_scale, validate_spectrum
 from .sysmodel import SystemQuad
 
 __all__ = [
@@ -373,8 +373,9 @@ def moore_check(A, B, candidates, tol: Tol = DEFAULT_TOL) -> MooreReport:
     return MooreReport(ok, independent, tuple(conj_ok), tuple(member_ok))
 
 
-def _kh(frame: geometry.MorseDecomposition, spec, tol: Tol) -> Subspace:
-    """Kh = p(A11)⁻¹ (V* ∩ S_h) on the R* block, p(s) = Π(s - λ_i).
+def _kh(frame: geometry.MorseDecomposition, checked: SpectrumSpec, tol: Tol) -> Subspace:
+    """Kh = p(A11)⁻¹ (V* ∩ S_h) on the R* block, p(s) = Π(s - λ_i), for a
+    spectrum validated against the frame's invariant zeros.
 
     By partial fractions, span_i (λ_i - A)⁻¹ B = p(A)⁻¹ im[B, ..., A^(h-1)B],
     the pencil kernels' state parts for the R* block (A11, B11).  Rational
@@ -383,7 +384,6 @@ def _kh(frame: geometry.MorseDecomposition, spec, tol: Tol) -> Subspace:
     real and imaginary parts of (A - λ)⁻¹ Q_j, so Kh is real).  Applying
     p(A)⁻¹ to a basis of V* ∩ S_h instead loses it past about 40 states.
     """
-    checked = validate_spectrum(spec, frame.invariant_zeros, tol)
     n1, stairs = frame.dim_rstar, frame.stairs
     A, B = frame.Abar[:n1, :n1], frame.Bbar[:n1, :frame.m1]
     K = _near_shift(A, B, checked.lambdas)
@@ -416,7 +416,9 @@ def build_Kh(sys: SystemQuad, spec, tol: Tol = DEFAULT_TOL) -> tuple[Subspace, l
     dim(V* ∩ S_h), its basis real.  The spectrum must avoid the invariant
     zeros (the uncontrollable eigenvalues at p = 0).  The kernels are
     returned as its certificate: if one of their columns lies over
-    ``tol.abs`` outside Kh, raises :class:`NumericalError`.
+    ``tol.abs`` outside Kh, raises :class:`NumericalError`.  With m ≤ p
+    each kernel is empty unless the Rosenbrock matrix loses rank at its
+    value, and an empty one costs singular values only.
     """
     frame = geometry.morse_decomposition(sys, tol)
     checked = validate_spectrum(spec, frame.invariant_zeros, tol)

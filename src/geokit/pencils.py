@@ -71,8 +71,19 @@ def rosenbrock_matrix(sys: SystemQuad, lam: complex) -> np.ndarray:
 
 
 def _split_kernel(M: np.ndarray, n: int, lam: complex, kind: str, tol: Tol) -> PencilKernel:
-    _, s, vh = svd(M)  # kernel_basis's decision, without building a Subspace;
-    K = vh[_svd_rank(s, M.shape, tol):].conj().T.copy()  # a copy frees the rest of vh
+    """``kernel_basis``'s decision, without building a Subspace, split at row n.
+
+    A square or tall pencil is factored only when it loses column rank:
+    its singular values alone decide full rank, and then the kernel is
+    empty, (n, 0) and (m, 0) in M's dtype.  Otherwise the full SVD's own
+    singular values decide, so every nonempty kernel comes from one SVD.
+    """
+    rows, cols = M.shape
+    if rows >= cols and _svd_rank(svd(M, compute_uv=False), M.shape, tol) == cols:
+        K = np.zeros((cols, 0), M.dtype)
+    else:
+        _, s, vh = svd(M)
+        K = vh[_svd_rank(s, M.shape, tol):].conj().T.copy()  # a copy frees the rest of vh
     return PencilKernel(lam=complex(lam), V=K[:n], W=K[n:], kind=kind)
 
 
@@ -84,7 +95,11 @@ def reach_pencil_kernel(A, B, lam: complex, tol: Tol = DEFAULT_TOL) -> PencilKer
 
 def rosenbrock_kernel(sys: SystemQuad, lam: complex, tol: Tol = DEFAULT_TOL) -> PencilKernel:
     """Kernel of the Rosenbrock matrix at λ, split into state and input parts;
-    at p = 0 the matrix is [A - λI  B] and the kernel is that pencil's, bit for bit."""
+    at p = 0 the matrix is [A - λI  B] and the kernel is that pencil's, bit for bit.
+
+    With m ≤ p the matrix is square or tall, and away from the invariant
+    zeros (and any normal-rank loss) it has full column rank: its singular
+    values alone then give the empty kernel, with no factors computed."""
     return _split_kernel(rosenbrock_matrix(sys, lam), sys.n, lam, "rosenbrock", tol)
 
 

@@ -162,6 +162,11 @@ def _draw_distinct(rng, h: int, forbidden, self_conjugate: bool,
     raise RuntimeError("could not draw an admissible spectrum")
 
 
+def _kh(frame, lams, tol: Tol) -> Subspace:
+    """:func:`assignment._kh` on drawn values, validated as ``build_Kh`` does."""
+    return assignment._kh(frame, pencils.validate_spectrum(lams, frame.invariant_zeros, tol), tol)
+
+
 def eig_multiset_match(requested, achieved, tol_match: float = _EIG_TOL):
     """Optimal pairing of two eigenvalue multisets.
 
@@ -246,7 +251,7 @@ def run_lattice(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFA
         frame = geometry.morse_decomposition(sys, tol)
         h = int(rng.integers(1, sys.n + 1))
         lams = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
-        kh = assignment._kh(frame, lams, tol)
+        kh = _kh(frame, lams, tol)
         fb = geometry.friend_of(sys, kh, lams, tol)
         if fb.residual_out > _SUBSPACE_TOL or fb.residual_inv > _SUBSPACE_TOL:
             return f"friend residuals {fb.residual_out:.2e}/{fb.residual_inv:.2e}"
@@ -280,8 +285,8 @@ def run_thlast(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAU
         for h in range(1, sys.n + 1):
             lams1 = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
             lams2 = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
-            kh1 = assignment._kh(frame, lams1, tol)
-            kh2 = assignment._kh(frame, lams2, tol)
+            kh1 = _kh(frame, lams1, tol)
+            kh2 = _kh(frame, lams2, tol)
             r1 = geometry.reachability_on(sys, kh1, tol)
             r2 = geometry.reachability_on(sys, kh2, tol)
             target = geometry.vstar(sys, geometry.chain_term(chain, h), tol)
@@ -307,7 +312,7 @@ def run_corollary_last(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol
         chain = geometry.sstar_sequence(sys, tol)
         for h in range(1, sys.n + 1):
             lams = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
-            rh = geometry.reachability_on(sys, assignment._kh(frame, lams, tol), tol)
+            rh = geometry.reachability_on(sys, _kh(frame, lams, tol), tol)
             target = geometry.vstar(sys, geometry.chain_term(chain, h), tol)
             if not equals(rh, target, tol):
                 return f"h={h}: dims {rh.dim} vs {target.dim}"

@@ -344,6 +344,21 @@ class TestBuildKh:
         with pytest.raises(NumericalError):
             build_Kh(sys, [-1.0, -2.0, -3.0])
 
+    def test_certificate_of_a_square_system_that_loses_normal_rank(self, monkeypatch):
+        # two equal outputs: the Rosenbrock matrix loses rank at every λ, so
+        # each kernel comes from the full SVD and the certificate checks it
+        from geokit import assignment
+
+        base = random_system(GenSpec(n=8, m=2, p=2, seed=3))
+        sys = SystemQuad.from_matrices(base.A, base.B, base.C[[0, 0]], base.D[[0, 0]])
+        kh, kernels = build_Kh(sys, [-1.0, -2.0, -3.0])
+        assert kh.dim == 3 and [K.q for K in kernels] == [1, 1, 1]
+        structural = assignment._kh
+        monkeypatch.setattr(assignment, "_kh",
+                            lambda *args: Subspace(structural(*args).basis[:, :-1]))
+        with pytest.raises(NumericalError):
+            build_Kh(sys, [-1.0, -2.0, -3.0])
+
 
 class TestMinDistinctSpectrum:
     def test_single_input_chain(self):

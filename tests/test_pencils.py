@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from geokit import pencils
 from geokit.errors import SpectrumError, ValidationError
-from geokit.linalg import equals, image_basis, rank_of
+from geokit.linalg import DEFAULT_TOL, _svd_rank, equals, image_basis, rank_of, svd
 from geokit.pencils import (
     deduplicate_eigenvalues,
     invariant_zeros,
@@ -118,6 +119,69 @@ class TestRosenbrockKernel:
         assert rosenbrock_kernel(sys, 2.0).q == 2
         assert rosenbrock_kernel(sys, 1.0).q == 1
         assert rosenbrock_kernel(sys, 5.0).q == 0
+
+
+def _one_svd_kernel(M, n):
+    """The kernel that one full SVD of M and its own rank decision give."""
+    _, s, vh = svd(M)
+    K = vh[_svd_rank(s, M.shape, DEFAULT_TOL):].conj().T
+    return K[:n], K[n:]
+
+
+SHAPES = {"square": (6, 2, 2), "tall": (6, 2, 3), "wide": (6, 3, 2), "no-outputs": (6, 2, 0)}
+
+
+class TestKernelIsOneSvdDecision:
+    # A square or tall pencil is factored only when it loses rank; each
+    # kernel must still be the one full SVD's, bit for bit, shape and dtype.
+    @pytest.mark.parametrize("lam, dtype", [(-1.3, np.float64), (0.4 + 1.1j, np.complex128)])
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+    def test_rosenbrock_kernel(self, shape, lam, dtype):
+        # empty for m <= p: shaped (n, 0) and (m, 0), in the pencil's dtype
+        sys = random_system(GenSpec(*shape, seed=1))
+        K = rosenbrock_kernel(sys, lam)
+        q = max(sys.m - sys.p, 0)
+        assert K.V.shape == (sys.n, q) and K.W.shape == (sys.m, q)
+        assert K.V.dtype == K.W.dtype == dtype
+        V, W = _one_svd_kernel(rosenbrock_matrix(sys, lam), sys.n)
+        assert np.array_equal(K.V, V) and np.array_equal(K.W, W)
+
+    @pytest.mark.parametrize("lam", [-1.3, 0.4 + 1.1j])
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+    def test_reach_pencil_kernel(self, shape, lam):
+        sys = random_system(GenSpec(*shape, seed=1))
+        K = reach_pencil_kernel(sys.A, sys.B, lam)
+        V, W = _one_svd_kernel(reach_pencil(sys.A, sys.B, lam), sys.n)
+        assert K.V.dtype == V.dtype and K.W.dtype == W.dtype
+        assert np.array_equal(K.V, V) and np.array_equal(K.W, W)
+        assert K.q == sys.m
+
+    def test_at_the_invariant_zeros_of_a_square_system(self):
+        sys = random_system(GenSpec(6, 2, 2, seed=1))
+        zeros = invariant_zeros(sys)
+        assert any(z.imag == 0.0 for z in zeros) and any(z.imag for z in zeros)
+        for z in zeros:
+            K = rosenbrock_kernel(sys, z)
+            V, W = _one_svd_kernel(rosenbrock_matrix(sys, z), sys.n)
+            assert K.q == 1
+            assert K.V.dtype == V.dtype and np.array_equal(K.V, V) and np.array_equal(K.W, W)
+
+    def test_full_rank_pencils_compute_no_factors(self, monkeypatch):
+        # the Kh certificate of a square system: every kernel is empty, so
+        # none of them may pay for singular vectors
+        from geokit.assignment import build_Kh
+
+        calls = []
+
+        def counted(M, full_matrices=True, compute_uv=True):
+            calls.append(compute_uv)
+            return svd(M, full_matrices, compute_uv)
+
+        monkeypatch.setattr(pencils, "svd", counted)
+        sys = random_system(GenSpec(40, 2, 2, seed=5))
+        _, kernels = build_Kh(sys, -np.linspace(1.0, 4.0, 20))
+        assert [K.q for K in kernels] == [0] * 20
+        assert len(calls) == 20 and calls.count(True) == 0
 
 
 class TestUncontrollable:
