@@ -10,6 +10,7 @@ flags and seed produce byte-identical reports on one platform.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -66,6 +67,7 @@ def _digest(op: str, file_bytes: bytes | None, flags: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one build serves every call
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-rel", type=float, default=1e-11,
@@ -196,8 +198,7 @@ def _run_compute(args, tol: Tol) -> tuple[dict, dict]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     indent = args.json_indent if args.json_indent >= 0 else None
 
     try:

@@ -49,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import assignment, geometry, pencils
 from .errors import ValidationError
@@ -180,6 +179,8 @@ def eig_multiset_match(requested, achieved, tol_match: float = _EIG_TOL):
         return False, float("inf")
     if a.size == 0:
         return True, 0.0
+    from scipy.optimize import linear_sum_assignment  # deferred: keeps it out of every CLI start-up
+
     cost = np.abs(a[:, None] - b[None, :])
     r, c = linear_sum_assignment(cost)
     worst = float(cost[r, c].max())

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geokit
+from geokit import cli
 from geokit.cli import main, parse_lambdas
 from geokit.errors import ValidationError
 
@@ -228,3 +234,43 @@ class TestReportContract:
         _, rep2 = run_cli(capsys, "reach", di_file, "--tol-rel", "1e-10")
         assert rep1["inputs_digest"] != rep2["inputs_digest"]
 
+    def test_parser_reuse_leaks_nothing(self, capsys, di_file):
+        # one parser serves every call in a process: no flag of one call
+        # may reach the next, and a usage error must leave it intact
+        assert cli._build_parser() is cli._build_parser()
+        main(["reach", di_file])
+        first = capsys.readouterr().out
+        assert main(["reach", di_file, "--tol-rel", "1e-10"]) == 0
+        assert main(["kh", di_file, "--lambdas=-1"]) == 0
+        capsys.readouterr()
+        _, friend = run_cli(capsys, "friend", di_file)
+        flags = {"json_indent": 2, "seed": 0, "tol_abs": 1e-8, "tol_rel": 1e-11}
+        assert friend["inputs_digest"] == cli._digest("friend", Path(di_file).read_bytes(), flags)
+        with pytest.raises(SystemExit):
+            main(["kh", di_file])  # --lambdas is required
+        assert main(["verify", "lemma-reach", "--trials", "2"]) == 0
+        capsys.readouterr()
+        main(["reach", di_file])
+        assert capsys.readouterr().out == first
+
+
+class TestProcess:
+    @staticmethod
+    def run_python(*args):
+        src = str(Path(geokit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # only the sweeps match spectra, so only they load scipy.optimize
+        proc = self.run_python(
+            "-c", "import sys, geokit.cli; print('scipy.optimize' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_module_entry_point(self, di_file):
+        proc = self.run_python("-m", "geokit.cli", "zeros", di_file)
+        assert proc.returncode == 0, proc.stderr
+        assert set(json.loads(proc.stdout)) == {"op", "inputs_digest", "result", "diagnostics"}

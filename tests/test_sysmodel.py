@@ -90,12 +90,13 @@ class TestLoadSystem:
 
     def test_ragged_rows(self, tmp_path):
         path = write(tmp_path, {"A": [[0, 1], [0]], "B": [[0], [1]]})
-        with pytest.raises(SystemFormatError):
+        with pytest.raises(SystemFormatError,
+                           match=r'^"A" has ragged rows: row 1 has 1 entries, expected 2$'):
             load_system(path)
 
     def test_nan_entry(self, tmp_path):
         path = write(tmp_path, '{"A": [[NaN, 0], [0, 0]], "B": [[0], [1]]}')
-        with pytest.raises(SystemFormatError):
+        with pytest.raises(SystemFormatError, match=r'^"A"\[0\]\[0\] is not finite$'):
             load_system(path)
 
     def test_integer_beyond_float_range(self, tmp_path):
@@ -106,7 +107,29 @@ class TestLoadSystem:
 
     def test_string_entry(self, tmp_path):
         path = write(tmp_path, {"A": [["x", 0], [0, 0]], "B": [[0], [1]]})
-        with pytest.raises(SystemFormatError):
+        with pytest.raises(SystemFormatError, match=r'^"A"\[0\]\[0\] is not a number$'):
+            load_system(path)
+
+    @pytest.mark.parametrize("entry", ["true", "null", "[1]"])
+    def test_non_number_entry(self, tmp_path, entry):
+        path = write(tmp_path, '{"A": [[0, 1], [0, %s]], "B": [[0], [1]]}' % entry)
+        with pytest.raises(SystemFormatError, match=r'^"A"\[1\]\[1\] is not a number$'):
+            load_system(path)
+
+    def test_first_bad_entry_of_a_row_is_named(self, tmp_path):
+        # the NaN comes first, so it is named, not the string after it
+        path = write(tmp_path, '{"A": [[0, NaN, "x"], [0, 0, 0], [0, 0, 0]], "B": [[0], [1], [0]]}')
+        with pytest.raises(SystemFormatError, match=r'^"A"\[0\]\[1\] is not finite$'):
+            load_system(path)
+
+    def test_first_bad_row_is_named(self, tmp_path):
+        path = write(tmp_path, '{"A": [[0, "x"], [Infinity, 0]], "B": [[0], [1]]}')
+        with pytest.raises(SystemFormatError, match=r'^"A"\[0\]\[1\] is not a number$'):
+            load_system(path)
+
+    def test_bad_entry_in_d(self, tmp_path):
+        path = write(tmp_path, '{"A": [[0, 1], [0, 0]], "B": [[0], [1]], "C": [[1, 0]], "D": [[-Infinity]]}')
+        with pytest.raises(SystemFormatError, match=r'^"D"\[0\]\[0\] is not finite$'):
             load_system(path)
 
     def test_malformed_json(self, tmp_path):
