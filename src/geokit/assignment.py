@@ -97,21 +97,10 @@ class FeedbackResult:
     cond_V: float
 
 
-def _assemble_feedback(
-    A: np.ndarray,
-    B: np.ndarray,
-    Vsel: np.ndarray,
-    Wsel: np.ndarray,
-    assigned,
-    tol: Tol,
-    C: np.ndarray | None = None,
-    D: np.ndarray | None = None,
-    target: Subspace | None = None,
-) -> FeedbackResult:
-    n, m = A.shape[0], B.shape[1]
+def _assemble_feedback(sys: SystemQuad, Vsel, Wsel, assigned, target: Subspace, tol: Tol) -> FeedbackResult:
+    """F = Wsel Vsel⁺, certified real, leaving ``target`` invariant and output nulling."""
     if not Vsel.shape[1]:
-        F = np.zeros((m, n))
-        return FeedbackResult(F, (), 0.0, 0.0, 0.0, 1.0)
+        return FeedbackResult(np.zeros((sys.m, sys.n)), (), 0.0, 0.0, 0.0, 1.0)
     svals = svd(Vsel, compute_uv=False)  # one call decides the rank and gives cond_V
     if _svd_rank(svals, Vsel.shape, tol) != Vsel.shape[1]:
         raise SynthesisError("dependent selection: chosen eigenvector columns are not independent")
@@ -127,14 +116,14 @@ def _assemble_feedback(
     if im > tol.abs:
         raise SynthesisError(f"non-self-conjugate selection: F has imaginary magnitude {im:.3e}")
     F = np.ascontiguousarray(F.real)
-    Acl = A + B @ F
+    Acl = sys.A + sys.B @ F
     res_eig = 0.0
     for lam, v in assigned:
         res_eig = max(res_eig, float(np.linalg.norm(Acl @ v - lam * v)))
-    tb = (image_basis(Vsel, tol) if target is None else target).basis
+    tb = target.basis
     mapped = Acl @ tb
     res_inv = norm2(mapped - tb @ (tb.conj().T @ mapped))  # norm2 of an empty block is 0.0
-    res_out = 0.0 if C is None else norm2((C + D @ F) @ tb)
+    res_out = norm2((sys.C + sys.D @ F) @ tb)  # so 0.0 at p = 0
     scale = max(1.0, norm2(Acl))
     if res_inv > tol.abs * scale or res_out > tol.abs * scale:
         raise SynthesisError(
@@ -250,7 +239,7 @@ def _friend_engine(sys: SystemQuad, V: Subspace, spectrum, tol: Tol) -> Feedback
         P = np.linalg.qr(Vsel)[0]
         E = image_basis(V.basis - P @ (P.T @ V.basis), tol, scale=1.0).basis
         Vsel, Wsel = np.hstack([Vsel, E]), np.hstack([Wsel, F @ E])
-    return _assemble_feedback(sys.A, sys.B, Vsel, Wsel, assigned, tol, sys.C, sys.D, target=V)
+    return _assemble_feedback(sys, Vsel, Wsel, assigned, V, tol)
 
 
 def synthesize_feedback(A, B, selection, tol: Tol = DEFAULT_TOL) -> FeedbackResult:
@@ -294,7 +283,9 @@ def synthesize_feedback(A, B, selection, tol: Tol = DEFAULT_TOL) -> FeedbackResu
         Vs.append(kernel.V @ Cf / norms)
         Ws.append(kernel.W @ Cf / norms)
         assigned += [(complex(kernel.lam), v) for v in Vs[-1].T]
-    return _assemble_feedback(A, B, np.hstack(Vs), np.hstack(Ws), assigned, tol)
+    Vsel = np.hstack(Vs)
+    return _assemble_feedback(SystemQuad.from_matrices(A, B), Vsel, np.hstack(Ws), assigned,
+                              image_basis(Vsel, tol), tol)
 
 
 def place_poles(A, B, lambdas, tol: Tol = DEFAULT_TOL) -> FeedbackResult:
@@ -320,7 +311,7 @@ def place_poles(A, B, lambdas, tol: Tol = DEFAULT_TOL) -> FeedbackResult:
             f"requested eigenvalues span only {Vsel.shape[1]} of {r} reachable directions; "
             "supply more distinct values"
         )
-    return _assemble_feedback(A, B, Vsel, Wsel, assigned, tol, target=Subspace(Q))
+    return _assemble_feedback(sysab, Vsel, Wsel, assigned, Subspace(Q), tol)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Every invocation prints one JSON report to stdout with keys ``op``,
-``inputs_digest``, ``result`` and ``diagnostics`` (plus ``error`` on
-failure).  Exit codes: 0 success, 1 parse/validation error, 2 numerical
-failure (including failed verification sweeps).  Identical command, file,
-flags and seed produce byte-identical reports on one platform.
+Every invocation that parses prints one JSON report to stdout with keys
+``op``, ``inputs_digest``, ``result`` and ``diagnostics`` (plus ``error`` on
+failure).  Exit codes: 0 success, 1 validation error, 2 numerical failure
+(including failed verification sweeps) or a command line that does not parse
+(an unknown flag, a missing ``--lambdas``: usage text on stderr, no report).
+Identical command, file and flags produce byte-identical reports on one platform.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="relative rank threshold")
     common.add_argument("--tol-abs", type=float, default=1e-8,
                         help="absolute residual threshold")
-    common.add_argument("--seed", type=int, default=0, help="base seed")
     common.add_argument("--json-indent", type=int, default=2, help="report indentation")
 
     parser = argparse.ArgumentParser(
@@ -94,6 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", parents=[common], help="run a seeded verification sweep")
     v.add_argument("theorem", help="one of %s or 'all'" % ", ".join(sorted(verify.THEOREM_IDS)))
     v.add_argument("--trials", type=int, default=100)
+    v.add_argument("--seed", type=int, default=0, help="base seed")
     v.add_argument("--nmax", type=int, default=8)
     return parser
 
@@ -200,21 +201,13 @@ def _run_compute(args, tol: Tol) -> tuple[dict, dict]:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     indent = args.json_indent if args.json_indent >= 0 else None
-
-    try:
-        tol = Tol(rel=args.tol_rel, abs=args.tol_abs)
-    except GeokitError as e:
-        print(json.dumps({"op": args.command, "error": {"kind": "validation", "message": str(e)}},
-                         indent=indent))
-        return 1
-
     flags = {k: v for k, v in sorted(vars(args).items())
              if k not in ("command", "system") and v is not None}
     op = args.command
-    file_bytes = None
     report = {"op": op}
     exit_code = 0
     try:
+        tol = Tol(rel=args.tol_rel, abs=args.tol_abs)  # refused before any digest is taken
         if op == "verify":
             reports = verify.run(args.theorem, trials=args.trials, seed=args.seed,
                                  nmax=args.nmax, tol=tol)

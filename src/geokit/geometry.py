@@ -227,7 +227,7 @@ def _dual_stairs(sys: SystemQuad, E: Subspace | None, tol: Tol) -> tuple[np.ndar
         raise ValidationError(f"E has ambient {E.ambient_dim}, expected {n}")
     start = np.zeros((n, 0)) if E is None else orthonormal_complement(E, tol).basis
     Q, dims = _staircase(sys.A.T, sys.C.T, sys.B.T, sys.D.T, start, n + 1, tol,
-                         sys._dual_stair_scales)
+                         (sys._ac_scale, sys._bd_scale))
     return np.hstack([Q, np.linalg.qr(Q, mode="complete")[0][:, Q.shape[1]:]]), dims
 
 

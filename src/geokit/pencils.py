@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .errors import SpectrumError
 from .linalg import DEFAULT_TOL, Tol, _svd_rank, as_matrix, norm2, rank_of, svd
 from .sysmodel import SystemQuad
@@ -46,7 +47,6 @@ class PencilKernel:
     lam: complex
     V: np.ndarray
     W: np.ndarray
-    kind: str  # "reachability" | "rosenbrock"
 
     @property
     def q(self) -> int:
@@ -70,7 +70,7 @@ def rosenbrock_matrix(sys: SystemQuad, lam: complex) -> np.ndarray:
     return np.vstack([top, np.hstack([sys.C, sys.D])])
 
 
-def _split_kernel(M: np.ndarray, n: int, lam: complex, kind: str, tol: Tol) -> PencilKernel:
+def _split_kernel(M: np.ndarray, n: int, lam: complex, tol: Tol) -> PencilKernel:
     """``kernel_basis``'s decision, without building a Subspace, split at row n.
 
     A square or tall pencil is factored only when it loses column rank:
@@ -84,13 +84,13 @@ def _split_kernel(M: np.ndarray, n: int, lam: complex, kind: str, tol: Tol) -> P
     else:
         _, s, vh = svd(M)
         K = vh[_svd_rank(s, M.shape, tol):].conj().T.copy()  # a copy frees the rest of vh
-    return PencilKernel(lam=complex(lam), V=K[:n], W=K[n:], kind=kind)
+    return PencilKernel(lam=complex(lam), V=K[:n], W=K[n:])
 
 
 def reach_pencil_kernel(A, B, lam: complex, tol: Tol = DEFAULT_TOL) -> PencilKernel:
     """Kernel of [A - λI  B], split into state and input parts."""
     A = as_matrix(A, "A")
-    return _split_kernel(reach_pencil(A, B, lam), A.shape[0], lam, "reachability", tol)
+    return _split_kernel(reach_pencil(A, B, lam), A.shape[0], lam, tol)
 
 
 def rosenbrock_kernel(sys: SystemQuad, lam: complex, tol: Tol = DEFAULT_TOL) -> PencilKernel:
@@ -100,7 +100,7 @@ def rosenbrock_kernel(sys: SystemQuad, lam: complex, tol: Tol = DEFAULT_TOL) -> 
     With m ≤ p the matrix is square or tall, and away from the invariant
     zeros (and any normal-rank loss) it has full column rank: its singular
     values alone then give the empty kernel, with no factors computed."""
-    return _split_kernel(rosenbrock_matrix(sys, lam), sys.n, lam, "rosenbrock", tol)
+    return _split_kernel(rosenbrock_matrix(sys, lam), sys.n, lam, tol)
 
 
 def deduplicate_eigenvalues(values, scale: float) -> list[complex]:
@@ -159,8 +159,6 @@ def invariant_zeros(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> list[complex]:
     and :func:`normal_rank_rosenbrock` to cross-check each zero as a rank-drop
     point of the Rosenbrock matrix.
     """
-    from . import geometry  # deferred: geometry depends on this module
-
     dec = geometry.morse_decomposition(sys, tol)
     return [complex(z) for z in dec.invariant_zeros]
 
@@ -183,9 +181,6 @@ class SpectrumSpec:
 
     def __len__(self) -> int:
         return len(self.lambdas)
-
-    def is_real(self, i: int) -> bool:
-        return self.partner[i] == i
 
 
 def spectrum_scale(lambdas, tol: Tol) -> float:

@@ -87,19 +87,14 @@ class SystemQuad:
         return self.C.shape[0]
 
     # Spectral norms the rank decisions of geokit.geometry scale by, computed
-    # once per system.  Each is the norm of the block as its caller stacks it:
-    # a norm and the norm of the transpose can differ in the last bit.
+    # once per system.  The dual staircase stacks [Aᵀ Cᵀ] and [Bᵀ Dᵀ] and scales
+    # by the norms of [A; C] and [B; D]: a transpose moves a norm by a few units
+    # in the last place, and a scale only floors a rank threshold.
 
     @cached_property
     def _stair_scales(self) -> tuple[float, float]:
         """(‖[A B]‖₂, ‖[C D]‖₂) for the staircase run of the system (0.0 for p = 0)."""
         return norm2(np.hstack([self.A, self.B])), norm2(np.hstack([self.C, self.D]))
-
-    @cached_property
-    def _dual_stair_scales(self) -> tuple[float, float]:
-        """(‖[Aᵀ Cᵀ]‖₂, ‖[Bᵀ Dᵀ]‖₂) for the staircase run of the dual system."""
-        return (norm2(np.hstack([self.A.T, self.C.T])),
-                norm2(np.hstack([self.B.T, self.D.T])))
 
     @cached_property
     def _bd_scale(self) -> float:

@@ -69,6 +69,8 @@ __all__ = ["TrialFailure", "VerifyReport", "THEOREM_IDS", "run", "eig_multiset_m
 
 _EIG_TOL = 1e-6  # eigenvalue multiset matching tolerance
 _SUBSPACE_TOL = 1e-8  # subspace equality residual
+_MIN_SEP = 1e-2  # least gap between two drawn eigenvalues
+_MARGIN = 1e-1  # least gap between a drawn eigenvalue and a forbidden value
 
 
 @dataclass(frozen=True)
@@ -112,13 +114,6 @@ def _rng_for(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial])
 
 
-def _draw_dims(rng, nmax: int, p_min: int = 0):
-    n = int(rng.integers(2, max(nmax, 2) + 1))
-    m = int(rng.integers(1, min(n, 3) + 1))
-    p = int(rng.integers(p_min, min(n, 3) + 1))
-    return n, m, p
-
-
 def _draw_pair(rng, nmax: int, uncontrollable: bool = False):
     """Random (A, B); optionally with an implanted uncontrollable part."""
     n = int(rng.integers(2, max(nmax, 2) + 1))
@@ -134,14 +129,15 @@ def _draw_pair(rng, nmax: int, uncontrollable: bool = False):
     return A, B
 
 
-def _draw_quad(rng, nmax: int, p_min: int = 1) -> SystemQuad:
-    n, m, p = _draw_dims(rng, nmax, p_min=p_min)
+def _draw_quad(rng, nmax: int) -> SystemQuad:
+    n = int(rng.integers(2, max(nmax, 2) + 1))
+    m = int(rng.integers(1, min(n, 3) + 1))
+    p = int(rng.integers(1, min(n, 3) + 1))
     seed = int(rng.integers(0, 2**31))
     return random_system(GenSpec(n=n, m=m, p=p, seed=seed))
 
 
-def _draw_distinct(rng, h: int, forbidden, self_conjugate: bool,
-                   min_sep: float = 1e-2, margin: float = 1e-1):
+def _draw_distinct(rng, h: int, forbidden, self_conjugate: bool):
     """Rejection-sample h distinct values away from a forbidden set."""
     for _ in range(500):
         lams: list[complex] = []
@@ -153,9 +149,9 @@ def _draw_distinct(rng, h: int, forbidden, self_conjugate: bool,
                 lams.append(complex(rng.uniform(-3, 3)))
             else:
                 lams.append(complex(rng.uniform(-3, 3), rng.uniform(-2, 2) * (rng.uniform() < 0.5)))
-        if any(abs(x - y) <= min_sep for i, x in enumerate(lams) for y in lams[:i]):
+        if any(abs(x - y) <= _MIN_SEP for i, x in enumerate(lams) for y in lams[:i]):
             continue
-        if any(abs(x - z) <= margin for x in lams for z in forbidden):
+        if any(abs(x - z) <= _MARGIN for x in lams for z in forbidden):
             continue
         return lams
     raise RuntimeError("could not draw an admissible spectrum")
@@ -188,10 +184,7 @@ def eig_multiset_match(requested, achieved, tol_match: float = _EIG_TOL):
 
 
 def _kernel_span_rank(kernels, tol: Tol) -> int:
-    vparts = np.hstack([K.V for K in kernels])
-    if vparts.shape[1] == 0:
-        return 0
-    return rank_of(vparts, tol, scale=1.0)
+    return rank_of(np.hstack([K.V for K in kernels]), tol, scale=1.0)
 
 
 def _drive(theorem: str, trials: int, seed: int, body) -> VerifyReport:
@@ -227,7 +220,7 @@ def run_th1(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_
 
 def run_th2(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
     def trial(rng, t):
-        sys = _draw_quad(rng, nmax, p_min=1)
+        sys = _draw_quad(rng, nmax)
         zeros = pencils.invariant_zeros(sys, tol)
         vst = geometry.vstar(sys, None, tol)
         chain = geometry.sstar_sequence(sys, tol)
@@ -248,7 +241,7 @@ def run_th2(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_
 
 def run_lattice(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
     def trial(rng, t):
-        sys = _draw_quad(rng, nmax, p_min=1)
+        sys = _draw_quad(rng, nmax)
         frame = geometry.morse_decomposition(sys, tol)
         h = int(rng.integers(1, sys.n + 1))
         lams = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
@@ -279,7 +272,7 @@ def run_lattice(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFA
 
 def run_thlast(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
     def trial(rng, t):
-        sys = _draw_quad(rng, nmax, p_min=1)
+        sys = _draw_quad(rng, nmax)
         frame = geometry.morse_decomposition(sys, tol)
         chain = geometry.sstar_sequence(sys, tol)
         seed_space = Subspace(frame.T[:, :frame.stairs[1]])  # V* ∩ B ker D
@@ -345,8 +338,6 @@ def run_lemma_diag(trials: int = 200, seed: int = 0, nmax: int = 8, tol: Tol = D
         h_scale = norm2(H)
         full = image_basis(np.hstack(blocks), tol, scale=h_scale)
         early = image_basis(np.hstack(blocks[:max(sat, 1)]), tol, scale=h_scale)
-        if np.linalg.norm(H) == 0.0:
-            early = image_basis(np.zeros((n, 1)), tol)
         if not equals(full, early, tol):
             return f"chain kept growing past reported index {sat}"
         return None
@@ -356,7 +347,7 @@ def run_lemma_diag(trials: int = 200, seed: int = 0, nmax: int = 8, tol: Tol = D
 
 def run_lemma_reach(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
     def trial(rng, t):
-        sys = _draw_quad(rng, nmax, p_min=1)
+        sys = _draw_quad(rng, nmax)
         chain = geometry.sstar_sequence(sys, tol)
         h = int(rng.integers(1, sys.n + 1))
         vsh = geometry.vstar(sys, geometry.chain_term(chain, h), tol)
@@ -370,7 +361,7 @@ def run_lemma_reach(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = 
 
 def run_lemma_intersection(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
     def trial(rng, t):
-        sys = _draw_quad(rng, min(nmax, 6), p_min=1)
+        sys = _draw_quad(rng, min(nmax, 6))
         vchain = geometry.vstar_sequence(sys, None, tol)
         schain = geometry.sstar_sequence(sys, tol)
         pairs = [(i, j) for i in range(1, sys.n + 1) for j in range(1, sys.n + 1)]
@@ -386,7 +377,7 @@ def run_lemma_intersection(trials: int = 100, seed: int = 0, nmax: int = 8, tol:
 
 def run_rstar_identity(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
     def trial(rng, t):
-        sys = _draw_quad(rng, nmax, p_min=1)
+        sys = _draw_quad(rng, nmax)
         vchain = geometry.vstar_sequence(sys, None, tol)
         vdims = [S.dim for S in vchain]
         if any(d2 > d1 for d1, d2 in zip(vdims, vdims[1:])) or len(vchain) > sys.n + 2:

@@ -62,7 +62,7 @@ def test_criterion_5_pole_placement():
         m = int(rng.integers(1, min(n, 3) + 1))
         sys = random_system(GenSpec(n=n, m=m, seed=int(rng.integers(0, 2**31)), controllable=True))
         for _ in range(20):
-            lams = _draw_distinct(rng, n, [], self_conjugate=True, min_sep=1e-2)
+            lams = _draw_distinct(rng, n, [], self_conjugate=True)
             res = assignment.place_poles(sys.A, sys.B, lams, DEFAULT_TOL)
             if res.cond_V <= 1e8:
                 break
@@ -87,7 +87,7 @@ def test_criterion_6_friend_contract():
     failures = []
     for t in range(100):
         rng = _rng_for(0, t)
-        sys = _draw_quad(rng, 8, p_min=1)
+        sys = _draw_quad(rng, 8)
         zeros = pencils.invariant_zeros(sys)
         for h in range(1, sys.n + 1):
             lams = _draw_distinct(rng, h, zeros, self_conjugate=True)

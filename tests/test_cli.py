@@ -195,6 +195,19 @@ class TestErrorPaths:
         assert code == 1 and rep["error"]["kind"] == "validation"
         assert "not finite" in rep["error"]["message"]
 
+    @pytest.mark.parametrize("argv, op, message", [
+        (["reach", None, "--tol-rel", "-1"], "reach", "Tol.rel must be positive"),
+        (["verify", "th1", "--trials", "1", "--tol-abs", "-1"], "verify",
+         "Tol.abs must be nonnegative"),
+    ])
+    def test_bad_tolerance_report(self, capsys, di_file, argv, op, message):
+        # a refused tolerance is reported before any input is read: no digest
+        code = main([di_file if a is None else a for a in argv])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out == json.dumps(
+            {"op": op, "error": {"kind": "validation", "message": message}}, indent=2) + "\n"
+
     def test_integer_beyond_float_range(self, capsys, tmp_path):
         path = tmp_path / "huge.json"
         path.write_text('{"A": [[1' + "0" * 400 + ', 0], [0, 0]], "B": [[0], [1]]}')
@@ -217,15 +230,40 @@ class TestVerifyCommand:
         assert "result" not in rep
 
 
+class TestSeedFlag:
+    """``--seed`` belongs to ``verify``, the only command that draws."""
+
+    @pytest.mark.parametrize("argv", [["reach", "--seed", "0"], ["reach", "--bogus"], ["kh"]])
+    def test_command_line_that_does_not_parse(self, capsys, di_file, argv):
+        # --seed on a compute command, an unknown flag or a missing --lambdas:
+        # exit 2 with usage text on stderr and no report
+        with pytest.raises(SystemExit) as info:
+            main([argv[0], di_file, *argv[1:]])
+        out, err = capsys.readouterr()
+        assert info.value.code == 2 and out == "" and "usage:" in err
+
+    def test_verify_seed_enters_digest(self, capsys):
+        digests = set()
+        for seed in ("0", "1"):
+            _, rep = run_cli(capsys, "verify", "lemma-diag", "--trials", "3", "--seed", seed)
+            digests.add(rep["inputs_digest"])
+        assert len(digests) == 2
+
+    def test_compute_digest_has_no_seed(self, capsys, di_file):
+        _, rep = run_cli(capsys, "zeros", di_file)
+        flags = {"json_indent": 2, "tol_abs": 1e-8, "tol_rel": 1e-11}
+        assert rep["inputs_digest"] == cli._digest("zeros", Path(di_file).read_bytes(), flags)
+
+
 class TestReportContract:
     def test_report_keys(self, capsys, di_file):
         _, rep = run_cli(capsys, "vstar", di_file)
         assert set(rep) == {"op", "inputs_digest", "result", "diagnostics"}
 
     def test_byte_identical_reports(self, capsys, di_file):
-        main(["rstar", di_file, "--seed", "4"])
+        main(["rstar", di_file])
         first = capsys.readouterr().out
-        main(["rstar", di_file, "--seed", "4"])
+        main(["rstar", di_file])
         second = capsys.readouterr().out
         assert first == second
 
@@ -244,7 +282,7 @@ class TestReportContract:
         assert main(["kh", di_file, "--lambdas=-1"]) == 0
         capsys.readouterr()
         _, friend = run_cli(capsys, "friend", di_file)
-        flags = {"json_indent": 2, "seed": 0, "tol_abs": 1e-8, "tol_rel": 1e-11}
+        flags = {"json_indent": 2, "tol_abs": 1e-8, "tol_rel": 1e-11}
         assert friend["inputs_digest"] == cli._digest("friend", Path(di_file).read_bytes(), flags)
         with pytest.raises(SystemExit):
             main(["kh", di_file])  # --lambdas is required

@@ -61,13 +61,12 @@ class TestSystemQuad:
 
     @pytest.mark.parametrize("m, p", [(2, 1), (3, 2), (2, 0)])
     def test_scales_are_norms_as_stacked(self, m, p):
-        # each cached scale is numpy's 2-norm of its block in the orientation
-        # its caller stacks it, and is computed once
+        # each cached scale is numpy's 2-norm of its block as the property
+        # stacks it, and is computed once
         sys = random_system(GenSpec(n=7, m=m, p=p, seed=3))
         A, B, C, D = sys.A, sys.B, sys.C, sys.D
         norm = lambda M: np.linalg.norm(M, 2)  # noqa: E731
         assert sys._stair_scales == (norm(np.hstack([A, B])), norm(np.hstack([C, D])) if p else 0.0)
-        assert sys._dual_stair_scales == (norm(np.hstack([A.T, C.T])), norm(np.hstack([B.T, D.T])))
         assert sys._bd_scale == norm(np.vstack([B, D]))
         assert sys._ac_scale == norm(np.vstack([A, C]))
         assert sys._stair_scales is sys._stair_scales

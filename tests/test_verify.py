@@ -59,3 +59,13 @@ def test_corollary_last_at_twenty_states():
     # trial 7 (h = 17) got a zero reachability subspace from the kernel stack
     rep = verify.run("corollary-last", trials=20, seed=0, nmax=20)[0]
     assert rep.ok, rep.failures[:3]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: refuse by conditioning")
+def test_lattice_at_twenty_states():
+    # trial 12 draws cliff A's system, GenSpec(19, 2, 1, seed=1354216623), with
+    # h = 19 = dim Kh: the friend's eigenvector matrix has cond_V 4.4e8, which
+    # only a RuntimeWarning signals, and its output residual is 4.28e-08
+    with pytest.warns(RuntimeWarning, match="condition number"):
+        rep = verify.run("lattice", trials=13, seed=0, nmax=20)[0]
+    assert rep.ok, rep.failures[:3]
