@@ -44,7 +44,6 @@ from .linalg import (
     image_basis,
     max_imag,
     norm2,
-    pinv,
     rank_of,
     require_real,
     svd,
@@ -101,7 +100,7 @@ def _assemble_feedback(sys: SystemQuad, Vsel, Wsel, assigned, target: Subspace, 
     """F = Wsel Vsel⁺, certified real, leaving ``target`` invariant and output nulling."""
     if not Vsel.shape[1]:
         return FeedbackResult(np.zeros((sys.m, sys.n)), (), 0.0, 0.0, 0.0, 1.0)
-    svals = svd(Vsel, compute_uv=False)  # one call decides the rank and gives cond_V
+    u, svals, vh = svd(Vsel, full_matrices=False)  # one factorization: rank, cond_V and Vsel⁺
     if _svd_rank(svals, Vsel.shape, tol) != Vsel.shape[1]:
         raise SynthesisError("dependent selection: chosen eigenvector columns are not independent")
     cond_v = float(svals[0] / svals[-1])
@@ -111,7 +110,7 @@ def _assemble_feedback(sys: SystemQuad, Vsel, Wsel, assigned, target: Subspace, 
             RuntimeWarning,
             stacklevel=3,
         )
-    F = Wsel @ pinv(Vsel, tol)
+    F = Wsel @ ((vh.conj().T / svals) @ u.conj().T)  # pinv's expression at full rank
     im = max_imag(F)
     if im > tol.abs:
         raise SynthesisError(f"non-self-conjugate selection: F has imaginary magnitude {im:.3e}")
@@ -364,7 +363,7 @@ def moore_check(A, B, candidates, tol: Tol = DEFAULT_TOL) -> MooreReport:
     return MooreReport(ok, independent, tuple(conj_ok), tuple(member_ok))
 
 
-def _kh(frame: geometry.MorseDecomposition, checked: SpectrumSpec, tol: Tol) -> Subspace:
+def _kh(frame: geometry.MorseDecomposition, checked: SpectrumSpec) -> Subspace:
     """Kh = p(A11)⁻¹ (V* ∩ S_h) on the R* block, p(s) = Π(s - λ_i), for a
     spectrum validated against the frame's invariant zeros.
 
@@ -413,7 +412,7 @@ def build_Kh(sys: SystemQuad, spec, tol: Tol = DEFAULT_TOL) -> tuple[Subspace, l
     """
     frame = geometry.morse_decomposition(sys, tol)
     checked = validate_spectrum(spec, frame.invariant_zeros, tol)
-    kh = _kh(frame, checked, tol)
+    kh = _kh(frame, checked)
     kernels = [pencils.rosenbrock_kernel(sys, lam, tol) for lam in checked.lambdas]
     V = np.hstack([K.V for K in kernels])
     outside = float(np.linalg.norm(V - kh.basis @ (kh.basis.T @ V), axis=0).max(initial=0.0))

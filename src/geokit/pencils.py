@@ -179,9 +179,6 @@ class SpectrumSpec:
         object.__setattr__(self, "lambdas", tuple(complex(v) for v in self.lambdas))
         object.__setattr__(self, "partner", tuple(int(i) for i in self.partner))
 
-    def __len__(self) -> int:
-        return len(self.lambdas)
-
 
 def spectrum_scale(lambdas, tol: Tol) -> float:
     """Comparison scale for eigenvalue coincidence tests."""

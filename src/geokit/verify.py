@@ -1,8 +1,8 @@
 """Seeded randomized verification sweeps for the structural identities.
 
-Each runner draws ``trials`` systems (deterministically from a base seed),
-checks one identity at its stated tolerance, and reports pass/fail counts
-with the first failing seed.  The identities under test:
+``THEOREM_IDS`` is one table of trial bodies, one per identity, bound to one
+driver that checks it on ``trials`` seeded draws at its stated tolerance and
+reports pass/fail counts with the first failing seed.  The identities:
 
 ``th1``
     The joined state parts of reachability-pencil kernels at h distinct
@@ -46,6 +46,7 @@ Morse decomposition that leaves each Kh only small solves on R*.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,7 +160,7 @@ def _draw_distinct(rng, h: int, forbidden, self_conjugate: bool):
 
 def _kh(frame, lams, tol: Tol) -> Subspace:
     """:func:`assignment._kh` on drawn values, validated as ``build_Kh`` does."""
-    return assignment._kh(frame, pencils.validate_spectrum(lams, frame.invariant_zeros, tol), tol)
+    return assignment._kh(frame, pencils.validate_spectrum(lams, frame.invariant_zeros, tol))
 
 
 def eig_multiset_match(requested, achieved, tol_match: float = _EIG_TOL):
@@ -187,13 +188,13 @@ def _kernel_span_rank(kernels, tol: Tol) -> int:
     return rank_of(np.hstack([K.V for K in kernels]), tol, scale=1.0)
 
 
-def _drive(theorem: str, trials: int, seed: int, body) -> VerifyReport:
-    """Run ``body(rng, t) -> str | None`` per trial; a message (or any
-    exception) records that trial as failed."""
+def _drive(theorem: str, trial, trials: int, seed: int, nmax: int, tol: Tol) -> VerifyReport:
+    """Run ``trial(rng, t, nmax, tol) -> str | None`` per trial; a message (or
+    any exception) records that trial as failed."""
     rep = VerifyReport(theorem, trials)
     for t in range(trials):
         try:
-            message = body(_rng_for(seed, t), t)
+            message = trial(_rng_for(seed, t), t, nmax, tol)
         except Exception as e:
             message = f"exception: {e!r}"
         if message is not None:
@@ -201,211 +202,190 @@ def _drive(theorem: str, trials: int, seed: int, body) -> VerifyReport:
     return rep
 
 
-def run_th1(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
-    def trial(rng, t):
-        A, B = _draw_pair(rng, nmax, uncontrollable=(t % 2 == 1))
-        frame = geometry.morse_decomposition(SystemQuad.from_matrices(A, B), tol)
-        for h in range(1, A.shape[0] + 1):
-            want = frame.stairs[min(h, len(frame.stairs) - 1)]
-            for _ in range(2):
-                lams = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=False)
-                kernels = [pencils.reach_pencil_kernel(A, B, lam, tol) for lam in lams]
-                got = _kernel_span_rank(kernels, tol)
-                if got != want:
-                    return f"h={h}: kernel span rank {got} != ctrb rank {want}"
-        return None
-
-    return _drive("th1", trials, seed, trial)
+def _th1(rng, t, nmax, tol):
+    A, B = _draw_pair(rng, nmax, uncontrollable=(t % 2 == 1))
+    frame = geometry.morse_decomposition(SystemQuad.from_matrices(A, B), tol)
+    for h in range(1, A.shape[0] + 1):
+        want = frame.stairs[min(h, len(frame.stairs) - 1)]
+        for _ in range(2):
+            lams = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=False)
+            kernels = [pencils.reach_pencil_kernel(A, B, lam, tol) for lam in lams]
+            got = _kernel_span_rank(kernels, tol)
+            if got != want:
+                return f"h={h}: kernel span rank {got} != ctrb rank {want}"
+    return None
 
 
-def run_th2(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
-    def trial(rng, t):
-        sys = _draw_quad(rng, nmax)
-        zeros = pencils.invariant_zeros(sys, tol)
-        vst = geometry.vstar(sys, None, tol)
-        chain = geometry.sstar_sequence(sys, tol)
-        formulas = geometry.intersection_formulas(
-            sys, [(sys.n, h) for h in range(1, sys.n + 1)], tol)
-        for h in range(1, sys.n + 1):
-            lams = _draw_distinct(rng, h, zeros, self_conjugate=False)
-            kernels = [pencils.rosenbrock_kernel(sys, lam, tol) for lam in lams]
-            r1 = _kernel_span_rank(kernels, tol)
-            r2 = subspace_intersect(vst, geometry.chain_term(chain, h), tol).dim
-            r3 = formulas[h - 1].dim
-            if not (r1 == r2 == r3):
-                return f"h={h}: ranks {r1}/{r2}/{r3} disagree"
-        return None
-
-    return _drive("th2", trials, seed, trial)
-
-
-def run_lattice(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
-    def trial(rng, t):
-        sys = _draw_quad(rng, nmax)
-        frame = geometry.morse_decomposition(sys, tol)
-        h = int(rng.integers(1, sys.n + 1))
-        lams = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
-        kh = _kh(frame, lams, tol)
-        fb = geometry.friend_of(sys, kh, lams, tol)
-        if fb.residual_out > _SUBSPACE_TOL or fb.residual_inv > _SUBSPACE_TOL:
-            return f"friend residuals {fb.residual_out:.2e}/{fb.residual_inv:.2e}"
-        # every eigenpair the synthesis placed must sit on the request
-        if fb.residual_eig > _EIG_TOL:
-            return f"assigned eigenpair residual {fb.residual_eig:.2e}"
-        bad_lam = [lam for lam, _v in fb.assigned if min(abs(lam - mu) for mu in lams) > _EIG_TOL]
-        if bad_lam:
-            return f"assigned eigenvalue {bad_lam[0]} not requested"
-        # the structural Kh must contain a member drawn from the kernels
+def _th2(rng, t, nmax, tol):
+    sys = _draw_quad(rng, nmax)
+    zeros = pencils.invariant_zeros(sys, tol)
+    vst = geometry.vstar(sys, None, tol)
+    chain = geometry.sstar_sequence(sys, tol)
+    formulas = geometry.intersection_formulas(
+        sys, [(sys.n, h) for h in range(1, sys.n + 1)], tol)
+    for h in range(1, sys.n + 1):
+        lams = _draw_distinct(rng, h, zeros, self_conjugate=False)
         kernels = [pencils.rosenbrock_kernel(sys, lam, tol) for lam in lams]
-        cols = [K.V[:, [int(rng.integers(0, K.q))]] for K in kernels if K.q]
-        if cols:
-            member = image_basis(np.hstack(cols), tol, scale=1.0)
-            resid = containment_residual(kh, member)
-            if resid > _SUBSPACE_TOL:
-                return f"member outside maximal subspace by {resid:.2e}"
-            if not geometry.is_output_nulling(sys, member, tol):
-                return "kernel-column member is not output nulling"
-        return None
-
-    return _drive("lattice", trials, seed, trial)
+        r1 = _kernel_span_rank(kernels, tol)
+        r2 = subspace_intersect(vst, geometry.chain_term(chain, h), tol).dim
+        r3 = formulas[h - 1].dim
+        if not (r1 == r2 == r3):
+            return f"h={h}: ranks {r1}/{r2}/{r3} disagree"
+    return None
 
 
-def run_thlast(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
-    def trial(rng, t):
-        sys = _draw_quad(rng, nmax)
-        frame = geometry.morse_decomposition(sys, tol)
-        chain = geometry.sstar_sequence(sys, tol)
-        seed_space = Subspace(frame.T[:, :frame.stairs[1]])  # V* ∩ B ker D
-        for h in range(1, sys.n + 1):
-            lams1 = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
-            lams2 = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
-            kh1 = _kh(frame, lams1, tol)
-            kh2 = _kh(frame, lams2, tol)
-            r1 = geometry.reachability_on(sys, kh1, tol)
-            r2 = geometry.reachability_on(sys, kh2, tol)
-            target = geometry.vstar(sys, geometry.chain_term(chain, h), tol)
-            if not (equals(r1, target, tol) and equals(r1, r2, tol)):
-                return f"h={h}: reachability dims {r1.dim}/{r2.dim}, target {target.dim}"
-            lhs = subspace_intersect(kh1, seed_space, tol)
-            rhs = subspace_intersect(target, seed_space, tol)
-            if not equals(lhs, rhs, tol):
-                return f"h={h}: seed intersections differ"
-        return None
-
-    return _drive("thlast", trials, seed, trial)
-
-
-def run_corollary_last(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
-    def trial(rng, t):
-        # generic draws only: implanted exactly-uncontrollable structure puts
-        # near-invariant directions at the float64 tolerance cliff, where the
-        # recursion limit is not decidable at working precision
-        A, B = _draw_pair(rng, nmax)
-        sys = SystemQuad.from_matrices(A, B)
-        frame = geometry.morse_decomposition(sys, tol)
-        chain = geometry.sstar_sequence(sys, tol)
-        for h in range(1, sys.n + 1):
-            lams = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
-            rh = geometry.reachability_on(sys, _kh(frame, lams, tol), tol)
-            target = geometry.vstar(sys, geometry.chain_term(chain, h), tol)
-            if not equals(rh, target, tol):
-                return f"h={h}: dims {rh.dim} vs {target.dim}"
-        return None
-
-    return _drive("corollary-last", trials, seed, trial)
+def _lattice(rng, t, nmax, tol):
+    sys = _draw_quad(rng, nmax)
+    frame = geometry.morse_decomposition(sys, tol)
+    h = int(rng.integers(1, sys.n + 1))
+    lams = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
+    kh = _kh(frame, lams, tol)
+    fb = geometry.friend_of(sys, kh, lams, tol)
+    if fb.residual_out > _SUBSPACE_TOL or fb.residual_inv > _SUBSPACE_TOL:
+        return f"friend residuals {fb.residual_out:.2e}/{fb.residual_inv:.2e}"
+    # every eigenpair the synthesis placed must sit on the request
+    if fb.residual_eig > _EIG_TOL:
+        return f"assigned eigenpair residual {fb.residual_eig:.2e}"
+    bad_lam = [lam for lam, _v in fb.assigned if min(abs(lam - mu) for mu in lams) > _EIG_TOL]
+    if bad_lam:
+        return f"assigned eigenvalue {bad_lam[0]} not requested"
+    # the structural Kh must contain a member drawn from the kernels
+    kernels = [pencils.rosenbrock_kernel(sys, lam, tol) for lam in lams]
+    cols = [K.V[:, [int(rng.integers(0, K.q))]] for K in kernels if K.q]
+    if cols:
+        member = image_basis(np.hstack(cols), tol, scale=1.0)
+        resid = containment_residual(kh, member)
+        if resid > _SUBSPACE_TOL:
+            return f"member outside maximal subspace by {resid:.2e}"
+        if not geometry.is_output_nulling(sys, member, tol):
+            return "kernel-column member is not output nulling"
+    return None
 
 
-def run_lemma_diag(trials: int = 200, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
-    def trial(rng, t):
-        n = int(rng.integers(1, max(nmax, 1) + 1))
-        k = int(rng.integers(1, n + 1))
-        vals = 2.0 * rng.standard_normal(k)
-        diag = np.concatenate([vals, vals[rng.integers(0, k, size=n - k)]])
-        rng.shuffle(diag)
-        H = rng.standard_normal((n, int(rng.integers(1, 4))))
-        Delta = np.diag(diag)
-        distinct = len(pencils.deduplicate_eigenvalues(diag, 1e-9))
-        sat = assignment.diag_krylov_saturation(Delta, H, tol)
-        if sat > distinct:
-            return f"saturation {sat} > distinct values {distinct}"
-        # brute-force oracle: stack the raw powers (of the unit-normalized
-        # matrix; Krylov spans are scale invariant) and check that the full
-        # n-step chain adds nothing past the reported index
-        unit = Delta / max(1.0, float(np.abs(diag).max()))
-        blocks = [H]
-        for _ in range(n - 1):
-            blocks.append(unit @ blocks[-1])
-        h_scale = norm2(H)
-        full = image_basis(np.hstack(blocks), tol, scale=h_scale)
-        early = image_basis(np.hstack(blocks[:max(sat, 1)]), tol, scale=h_scale)
-        if not equals(full, early, tol):
-            return f"chain kept growing past reported index {sat}"
-        return None
-
-    return _drive("lemma-diag", trials, seed, trial)
+def _thlast(rng, t, nmax, tol):
+    sys = _draw_quad(rng, nmax)
+    frame = geometry.morse_decomposition(sys, tol)
+    chain = geometry.sstar_sequence(sys, tol)
+    seed_space = Subspace(frame.T[:, :frame.stairs[1]])  # V* ∩ B ker D
+    for h in range(1, sys.n + 1):
+        lams1 = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
+        lams2 = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
+        kh1 = _kh(frame, lams1, tol)
+        kh2 = _kh(frame, lams2, tol)
+        r1 = geometry.reachability_on(sys, kh1, tol)
+        r2 = geometry.reachability_on(sys, kh2, tol)
+        target = geometry.vstar(sys, geometry.chain_term(chain, h), tol)
+        if not (equals(r1, target, tol) and equals(r1, r2, tol)):
+            return f"h={h}: reachability dims {r1.dim}/{r2.dim}, target {target.dim}"
+        lhs = subspace_intersect(kh1, seed_space, tol)
+        rhs = subspace_intersect(target, seed_space, tol)
+        if not equals(lhs, rhs, tol):
+            return f"h={h}: seed intersections differ"
+    return None
 
 
-def run_lemma_reach(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
-    def trial(rng, t):
-        sys = _draw_quad(rng, nmax)
-        chain = geometry.sstar_sequence(sys, tol)
-        h = int(rng.integers(1, sys.n + 1))
-        vsh = geometry.vstar(sys, geometry.chain_term(chain, h), tol)
-        back = geometry.reachability_on(sys, vsh, tol)
-        if not equals(back, vsh, tol):
-            return f"h={h}: dims {back.dim} vs {vsh.dim}"
-        return None
-
-    return _drive("lemma-reach", trials, seed, trial)
-
-
-def run_lemma_intersection(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
-    def trial(rng, t):
-        sys = _draw_quad(rng, min(nmax, 6))
-        vchain = geometry.vstar_sequence(sys, None, tol)
-        schain = geometry.sstar_sequence(sys, tol)
-        pairs = [(i, j) for i in range(1, sys.n + 1) for j in range(1, sys.n + 1)]
-        for (i, j), formula in zip(pairs, geometry.intersection_formulas(sys, pairs, tol)):
-            direct = subspace_intersect(
-                geometry.chain_term(vchain, i), geometry.chain_term(schain, j), tol)
-            if direct.dim != formula.dim or not equals(direct, formula, tol):
-                return f"(i,j)=({i},{j}): {formula.dim} vs {direct.dim}"
-        return None
-
-    return _drive("lemma-intersection", trials, seed, trial)
+def _corollary_last(rng, t, nmax, tol):
+    # generic draws only: implanted exactly-uncontrollable structure puts
+    # near-invariant directions at the float64 tolerance cliff, where the
+    # recursion limit is not decidable at working precision
+    A, B = _draw_pair(rng, nmax)
+    sys = SystemQuad.from_matrices(A, B)
+    frame = geometry.morse_decomposition(sys, tol)
+    chain = geometry.sstar_sequence(sys, tol)
+    for h in range(1, sys.n + 1):
+        lams = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
+        rh = geometry.reachability_on(sys, _kh(frame, lams, tol), tol)
+        target = geometry.vstar(sys, geometry.chain_term(chain, h), tol)
+        if not equals(rh, target, tol):
+            return f"h={h}: dims {rh.dim} vs {target.dim}"
+    return None
 
 
-def run_rstar_identity(trials: int = 100, seed: int = 0, nmax: int = 8, tol: Tol = DEFAULT_TOL) -> VerifyReport:
-    def trial(rng, t):
-        sys = _draw_quad(rng, nmax)
-        vchain = geometry.vstar_sequence(sys, None, tol)
-        vdims = [S.dim for S in vchain]
-        if any(d2 > d1 for d1, d2 in zip(vdims, vdims[1:])) or len(vchain) > sys.n + 2:
-            return f"output-nulling chain dims {vdims} not non-increasing"
-        schain = geometry.sstar_sequence(sys, tol)
-        sdims = [S.dim for S in schain]
-        if any(d2 < d1 for d1, d2 in zip(sdims, sdims[1:])) or len(schain) > sys.n + 2:
-            return f"input-containing chain dims {sdims} not non-decreasing"
-        rst = geometry.rstar(sys, tol)
-        cross = subspace_intersect(vchain[-1], schain[-1], tol)
-        if not equals(rst, cross, tol):
-            return f"reachability part {rst.dim} != intersection of limits {cross.dim}"
-        return None
-
-    return _drive("rstar-identity", trials, seed, trial)
+def _draw_diag(rng, nmax: int):
+    """A diagonal of n values with repeats, and an input block H of 1-3 columns."""
+    n = int(rng.integers(1, max(nmax, 1) + 1))
+    k = int(rng.integers(1, n + 1))
+    vals = 2.0 * rng.standard_normal(k)
+    diag = np.concatenate([vals, vals[rng.integers(0, k, size=n - k)]])
+    rng.shuffle(diag)
+    return diag, rng.standard_normal((n, int(rng.integers(1, 4))))
 
 
-THEOREM_IDS = {
-    "th1": run_th1,
-    "th2": run_th2,
-    "lattice": run_lattice,
-    "thlast": run_thlast,
-    "corollary-last": run_corollary_last,
-    "lemma-diag": run_lemma_diag,
-    "lemma-reach": run_lemma_reach,
-    "lemma-intersection": run_lemma_intersection,
-    "rstar-identity": run_rstar_identity,
-}
+def _lemma_diag(rng, t, nmax, tol):
+    diag, H = _draw_diag(rng, nmax)
+    Delta = np.diag(diag)
+    distinct = len(pencils.deduplicate_eigenvalues(diag, 1e-9))
+    sat = assignment.diag_krylov_saturation(Delta, H, tol)
+    if sat > distinct:
+        return f"saturation {sat} > distinct values {distinct}"
+    # brute-force oracle: stack the raw powers (of the unit-normalized matrix;
+    # Krylov spans are scale invariant) and check that the full n-step chain
+    # adds nothing past the reported index.  It is an oracle for n <= 8 only.
+    unit = Delta / max(1.0, float(np.abs(diag).max()))
+    blocks = [H]
+    for _ in range(len(diag) - 1):
+        blocks.append(unit @ blocks[-1])
+    h_scale = norm2(H)
+    full = image_basis(np.hstack(blocks), tol, scale=h_scale)
+    early = image_basis(np.hstack(blocks[:max(sat, 1)]), tol, scale=h_scale)
+    if not equals(full, early, tol):
+        return f"chain kept growing past reported index {sat}"
+    return None
+
+
+def _lemma_reach(rng, t, nmax, tol):
+    sys = _draw_quad(rng, nmax)
+    chain = geometry.sstar_sequence(sys, tol)
+    h = int(rng.integers(1, sys.n + 1))
+    vsh = geometry.vstar(sys, geometry.chain_term(chain, h), tol)
+    back = geometry.reachability_on(sys, vsh, tol)
+    if not equals(back, vsh, tol):
+        return f"h={h}: dims {back.dim} vs {vsh.dim}"
+    return None
+
+
+def _lemma_intersection(rng, t, nmax, tol):
+    sys = _draw_quad(rng, min(nmax, 6))
+    vchain = geometry.vstar_sequence(sys, None, tol)
+    schain = geometry.sstar_sequence(sys, tol)
+    pairs = [(i, j) for i in range(1, sys.n + 1) for j in range(1, sys.n + 1)]
+    for (i, j), formula in zip(pairs, geometry.intersection_formulas(sys, pairs, tol)):
+        direct = subspace_intersect(
+            geometry.chain_term(vchain, i), geometry.chain_term(schain, j), tol)
+        if direct.dim != formula.dim or not equals(direct, formula, tol):
+            return f"(i,j)=({i},{j}): {formula.dim} vs {direct.dim}"
+    return None
+
+
+def _rstar_identity(rng, t, nmax, tol):
+    sys = _draw_quad(rng, nmax)
+    vchain = geometry.vstar_sequence(sys, None, tol)
+    vdims = [S.dim for S in vchain]
+    if any(d2 > d1 for d1, d2 in zip(vdims, vdims[1:])) or len(vchain) > sys.n + 2:
+        return f"output-nulling chain dims {vdims} not non-increasing"
+    schain = geometry.sstar_sequence(sys, tol)
+    sdims = [S.dim for S in schain]
+    if any(d2 < d1 for d1, d2 in zip(sdims, sdims[1:])) or len(schain) > sys.n + 2:
+        return f"input-containing chain dims {sdims} not non-decreasing"
+    rst = geometry.rstar(sys, tol)
+    cross = subspace_intersect(vchain[-1], schain[-1], tol)
+    if not equals(rst, cross, tol):
+        return f"reachability part {rst.dim} != intersection of limits {cross.dim}"
+    return None
+
+
+# each entry takes (trials, seed, nmax, tol) and returns a VerifyReport
+THEOREM_IDS = {theorem: functools.partial(_drive, theorem, trial) for theorem, trial in {
+    "th1": _th1,
+    "th2": _th2,
+    "lattice": _lattice,
+    "thlast": _thlast,
+    "corollary-last": _corollary_last,
+    "lemma-diag": _lemma_diag,
+    "lemma-reach": _lemma_reach,
+    "lemma-intersection": _lemma_intersection,
+    "rstar-identity": _rstar_identity,
+}.items()}
 
 
 def run(theorem: str, trials: int = 100, seed: int = 0, nmax: int = 8,

@@ -31,6 +31,14 @@ places λ = -1 - 0.5k, k < N, on the controllable draw
 between the request and the eigenvalues of A+BF from ``mpmath.eig`` at 60
 digits, under the pairing that minimizes it (``place_poles``'s refusal,
 if any, instead).  The placement regression tests use SEED = 100 N + 10 M + s.
+
+    PYTHONPATH=src python tests/mp_chain_oracle.py krylov SEED TRIAL NMAX
+
+replays lemma-diag's draw ``verify._draw_diag(verify._rng_for(SEED, TRIAL),
+NMAX)``, runs the S chain with no outputs (the Krylov chain of the pair
+(diag(Δ), H)), and prints its exact dimension and index next to the index of
+``diag_krylov_saturation``.
+
 It is not a test module, so pytest does not collect it.
 """
 
@@ -41,10 +49,10 @@ import sys
 import numpy as np
 from mpmath import mp, mpf
 
-from geokit.assignment import build_Kh, place_poles
+from geokit.assignment import build_Kh, diag_krylov_saturation, place_poles
 from geokit.errors import SynthesisError
 from geokit.sysmodel import GenSpec, random_system
-from geokit.verify import eig_multiset_match
+from geokit.verify import _draw_diag, _rng_for, eig_multiset_match
 
 mp.dps = 80
 REL = mpf("1e-50")
@@ -200,7 +208,19 @@ def place_distance(n: int, m: int, seed: int) -> str:
     return f"worst distance to the request: {worst:.2e}"
 
 
+def krylov_index(seed: int, trial: int, nmax: int) -> str:
+    diag, H = _draw_diag(_rng_for(seed, trial), nmax)
+    n, m = H.shape
+    dims, _ = s_chain(_rows(np.diag(diag)), _rows(H), [], [], n, m)
+    sat = diag_krylov_saturation(np.diag(diag), H)
+    return (f"exact: dimension {dims[-1]}, index {len(dims) - 2}; "
+            f"diag_krylov_saturation: index {sat}")
+
+
 def main(argv: list[str]) -> None:
+    if argv[0] == "krylov":
+        print(krylov_index(*(int(a) for a in argv[1:])))
+        return
     if argv[0] == "place":
         print(place_distance(*(int(a) for a in argv[1:])))
         return

@@ -35,19 +35,19 @@ def test_criterion_1_th1_rank_identity():
     # 100 systems (controllable and uncontrollable mixes), every h, two
     # independent admissible spectra: exact integer equality of the
     # tolerance-ranks; budget 10 s
-    _sweep(1, "th1 rank identity", verify.run_th1, 100, 10.0)
+    _sweep(1, "th1 rank identity", verify.THEOREM_IDS["th1"], 100, 10.0)
 
 
 def test_criterion_2_th2_three_way():
-    _sweep(2, "th2 three-way", verify.run_th2, 100, 30.0)
+    _sweep(2, "th2 three-way", verify.THEOREM_IDS["th2"], 100, 30.0)
 
 
 def test_criterion_3_thlast():
-    _sweep(3, "thlast reachability", verify.run_thlast, 100, 60.0)
+    _sweep(3, "thlast reachability", verify.THEOREM_IDS["thlast"], 100, 60.0)
 
 
 def test_criterion_4_corollary_last():
-    _sweep(4, "corollary-last (p=0)", verify.run_corollary_last, 100, 60.0)
+    _sweep(4, "corollary-last (p=0)", verify.THEOREM_IDS["corollary-last"], 100, 60.0)
 
 
 def test_criterion_5_pole_placement():
@@ -138,12 +138,12 @@ def test_criterion_7_morse_zero_consistency():
 
 
 def test_criterion_8_recursion_contracts():
-    _sweep(8, "recursion contracts", verify.run_rstar_identity, 100, 60.0)
+    _sweep(8, "recursion contracts", verify.THEOREM_IDS["rstar-identity"], 100, 60.0)
 
 
 def test_criterion_9_lemma_diag():
-    _sweep(9, "diagonal Krylov bound", verify.run_lemma_diag, 200, 60.0)
+    _sweep(9, "diagonal Krylov bound", verify.THEOREM_IDS["lemma-diag"], 200, 60.0)
 
 
 def test_criterion_10_lemma_reach():
-    _sweep(10, "self-reachability", verify.run_lemma_reach, 100, 60.0)
+    _sweep(10, "self-reachability", verify.THEOREM_IDS["lemma-reach"], 100, 60.0)

@@ -42,7 +42,7 @@ from geokit.pencils import (
     uncontrollable_eigenvalues,
 )
 from geokit.sysmodel import GenSpec, SystemQuad, dual_of, random_system
-from geokit.verify import _draw_pair, _rng_for, eig_multiset_match
+from geokit.verify import _draw_diag, _draw_pair, _rng_for, eig_multiset_match
 
 A2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 B2 = np.array([[0.0], [1.0]])
@@ -91,33 +91,28 @@ class TestReachable:
         R, h = reachable_subspace(A2, np.zeros((2, 1)))
         assert R.dim == 0 and h == 0
 
-    @staticmethod
-    def _lemma_diag_draw(seed, trial, nmax=8):
-        """The diagonal pair of ``verify.run_lemma_diag``'s trial, replayed."""
-        rng = _rng_for(seed, trial)
-        n = int(rng.integers(1, nmax + 1))
-        k = int(rng.integers(1, n + 1))
-        vals = 2.0 * rng.standard_normal(k)
-        diag = np.concatenate([vals, vals[rng.integers(0, k, size=n - k)]])
-        rng.shuffle(diag)
-        return diag, rng.standard_normal((n, int(rng.integers(1, 4))))
-
     def test_repeated_value_draw(self):
-        diag, H = self._lemma_diag_draw(33, 71)
+        diag, H = _draw_diag(_rng_for(33, 71), 8)
         assert H.shape == (8, 1)
         assert len(deduplicate_eigenvalues(diag, 1e-9)) == 7
         assert np.count_nonzero(diag == 3.1389592244765305) == 2
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 2: the seventh step keeps a direction with sigma 1.8e-3, "
-        "and the eighth a residual of sigma 1.57e-8 against a threshold of "
-        "3.32e-10, so the staircase counts a direction one input cannot reach"))
-    def test_one_input_misses_repeated_value(self):
-        """One input reaches one direction of the two-dimensional eigenspace of
-        the repeated value: dimension and index 7, as a 60-digit count finds."""
-        diag, H = self._lemma_diag_draw(33, 71)
+    @pytest.mark.parametrize("seed, trial, nmax, want", [
+        pytest.param(33, 71, 8, 7, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 2: the seventh step keeps a direction with sigma 1.8e-3, "
+            "and the eighth a residual of sigma 1.57e-8 against a threshold of "
+            "3.32e-10, so the staircase counts a direction one input cannot reach"))),
+        pytest.param(0, 43, 20, 13, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 3: twenty values, thirteen of them distinct, and the "
+            "staircase counts 17 directions where one input reaches 13"))),
+    ])
+    def test_one_input_misses_repeated_value(self, seed, trial, nmax, want):
+        """One input reaches one direction of each repeated value's eigenspace:
+        dimension and index ``want``, the count of distinct values, as an
+        80-digit count (``tests/mp_chain_oracle.py krylov``) finds."""
+        diag, H = _draw_diag(_rng_for(seed, trial), nmax)
         R, h = reachable_subspace(np.diag(diag), H)
-        assert (R.dim, h) == (7, 7)
+        assert (R.dim, h) == (want, want)
 
 
 class TestUnobservable:

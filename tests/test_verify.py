@@ -2,6 +2,7 @@ import pytest
 
 from geokit.errors import ValidationError
 from geokit import verify
+from geokit.linalg import DEFAULT_TOL
 
 
 @pytest.mark.parametrize("theorem", sorted(verify.THEOREM_IDS))
@@ -14,7 +15,13 @@ def test_small_sweeps_pass(theorem):
 
 def test_all_runs_everything():
     reports = verify.run("all", trials=3, seed=1, nmax=5)
-    assert {r.theorem for r in reports} == set(verify.THEOREM_IDS)
+    assert [r.theorem for r in reports] == list(verify.THEOREM_IDS)
+
+
+@pytest.mark.parametrize("theorem", list(verify.THEOREM_IDS))
+def test_table_entry_runs_its_own_sweep(theorem):
+    rep = verify.THEOREM_IDS[theorem](trials=2, seed=0, nmax=4, tol=DEFAULT_TOL)
+    assert rep.theorem == theorem and rep.trials == 2
 
 
 def test_unknown_id():
