@@ -329,11 +329,10 @@ def moore_check(A, B, candidates, tol: Tol = DEFAULT_TOL) -> MooreReport:
     The pairs are assignable by a real feedback iff (1) the eigenvectors are
     independent over the complex field, (2) conjugate eigenvalues carry
     conjugate eigenvectors, and (3) each eigenvector lies in the state part
-    of the kernel of [A - λI  B] at its eigenvalue.
+    of the kernel of [A - λI  B] at its eigenvalue.  A and B must be real.
     """
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    n = A.shape[0]
+    sys = SystemQuad.from_matrices(A, B)
+    n = sys.n
     cand = [(complex(lam), np.asarray(v, dtype=complex).ravel()) for lam, v in candidates]
     if len(cand) > n:
         raise ValidationError(f"more candidates ({len(cand)}) than states ({n})")
@@ -354,7 +353,7 @@ def moore_check(A, B, candidates, tol: Tol = DEFAULT_TOL) -> MooreReport:
                     conj_ok[i] = False
     member_ok = []
     for lam, v in cand:
-        K = pencils.reach_pencil_kernel(A, B, lam, tol)
+        K = pencils.rosenbrock_kernel(sys, lam, tol)
         span = image_basis(K.V, tol, scale=1.0)
         vn = v / np.linalg.norm(v)
         resid = float(np.linalg.norm(vn - span.basis @ (span.basis.conj().T @ vn)))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import assignment, geometry, pencils, verify
 from .errors import GeokitError, NumericalError, ValidationError
-from .linalg import Tol, containment_residual, max_imag, rank_of, subspace_intersect
+from .linalg import Tol, containment_residual, rank_of, subspace_intersect
 from .sysmodel import load_system
 
 _COMPUTE_OPS = (
@@ -33,11 +33,9 @@ def _complex_out(z: complex) -> dict:
     return {"re": float(np.real(z)), "im": float(np.imag(z))}
 
 
-def _matrix_out(M: np.ndarray) -> object:
-    M = np.asarray(M)
-    if M.size and np.iscomplexobj(M) and max_imag(M) > 0.0:
-        return {"re": M.real.tolist(), "im": M.imag.tolist()}
-    return np.asarray(M.real, dtype=float).tolist()
+def _matrix_out(M: np.ndarray) -> list:
+    """Rows of floats: every matrix reported for a real system is real."""
+    return np.asarray(M, dtype=np.float64).tolist()
 
 
 def parse_lambdas(text: str) -> list[complex]:

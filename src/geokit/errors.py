@@ -24,8 +24,8 @@ class SpectrumError(ValidationError):
 
 
 class NotInvariantError(ValidationError):
-    """A subspace fails the required invariance property (controlled
-    invariant / output nulling / conditioned invariant)."""
+    """A subspace is not output nulling (at p = 0: not controlled
+    invariant), so it has no friend."""
 
 
 class NumericalError(GeokitError):

@@ -7,7 +7,10 @@ recursion, the infimal input-containing subspace and its non-decreasing
 recursion, reachability subspaces on output-nulling subspaces, friends, a
 triangularizing decomposition that isolates the invariant-zero dynamics, and
 a closed-form Markov-parameter formula for the intersections of the two
-recursions.
+recursions.  One predicate, :func:`is_output_nulling`, checks every
+invariance property: controlled invariance is its p = 0 case, and
+input-containing and conditioned-invariant subspaces are the orthogonal
+complements of output-nulling subspaces of the dual system.
 
 Every chain is one run of ``_staircase`` (Van Dooren's staircase form), at
 O(n³) per chain: the input-containing terms are prefixes of its basis, the
@@ -45,8 +48,6 @@ from .linalg import (
     norm2,
     orthonormal_complement,
     require_real,
-    subspace_intersect,
-    subspace_sum,
     svd,
 )
 from .sysmodel import SystemQuad
@@ -60,10 +61,7 @@ __all__ = [
     "sstar_sequence",
     "sstar",
     "chain_term",
-    "is_controlled_invariant",
     "is_output_nulling",
-    "is_conditioned_invariant",
-    "is_input_containing",
     "friend_of",
     "reachability_on",
     "rstar",
@@ -267,38 +265,17 @@ def chain_term(chain: list[Subspace], k: int) -> Subspace:
     return chain[k] if k < len(chain) else chain[-1]
 
 
-def is_controlled_invariant(A, B, V: Subspace, tol: Tol = DEFAULT_TOL) -> bool:
-    """A V ⊆ V + im B."""
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    target = subspace_sum(V, image_basis(B, tol), tol)
-    return contains(target, image_basis(A @ V.basis, tol, scale=norm2(A)), tol)
-
-
 def is_output_nulling(sys: SystemQuad, V: Subspace, tol: Tol = DEFAULT_TOL) -> bool:
-    """[A; C] V ⊆ (V ⊕ 0) + im [B; D]; for p = 0 this is controlled invariance."""
+    """[A; C] V ⊆ (V ⊕ 0) + im [B; D].
+
+    At p = 0 this is controlled invariance, A V ⊆ V + im B.  By duality it
+    checks the other properties too: S is input containing iff S⊥ is output
+    nulling for ``dual_of(sys)``, and S is conditioned invariant,
+    A (S ∩ ker C) ⊆ S, iff S⊥ is output nulling for the pair (Aᵀ, Cᵀ)."""
     AC, BD = np.vstack([sys.A, sys.C]), np.vstack([sys.B, sys.D])
     lifted = np.vstack([V.basis, np.zeros((sys.p, V.dim))])
     target = image_basis(np.hstack([lifted, BD]), tol)
     return contains(target, image_basis(AC @ V.basis, tol, scale=sys._ac_scale), tol)
-
-
-def is_conditioned_invariant(C, A, S: Subspace, tol: Tol = DEFAULT_TOL) -> bool:
-    """A (S ∩ ker C) ⊆ S."""
-    A = as_matrix(A, "A")
-    C = as_matrix(C, "C")
-    core = subspace_intersect(S, kernel_basis(C, tol), tol)
-    return contains(S, image_basis(A @ core.basis, tol, scale=norm2(A)), tol)
-
-
-def is_input_containing(sys: SystemQuad, S: Subspace, tol: Tol = DEFAULT_TOL) -> bool:
-    """[A  B] ((S ⊕ U) ∩ ker [C  D]) ⊆ S."""
-    AB = np.hstack([sys.A, sys.B])
-    ker_cd = kernel_basis(np.hstack([sys.C, sys.D]), tol)
-    lifted = Subspace(np.block([[S.basis, np.zeros((sys.n, sys.m))],  # S ⊕ U
-                                [np.zeros((sys.m, S.dim)), np.eye(sys.m)]]))
-    feasible = subspace_intersect(lifted, ker_cd, tol)
-    return contains(S, image_basis(AB @ feasible.basis, tol, scale=norm2(AB)), tol)
 
 
 def friend_of(sys: SystemQuad, V: Subspace, spectrum=None, tol: Tol = DEFAULT_TOL):
@@ -308,13 +285,14 @@ def friend_of(sys: SystemQuad, V: Subspace, spectrum=None, tol: Tol = DEFAULT_TO
     friend of V (Basile & Marro, *Controlled and Conditioned Invariants in
     Linear System Theory*, 1992), built from one SVD of ``[P B; D]``, P the
     projector onto the orthogonal complement of V; its residuals certify
-    that V is output nulling.  When a ``spectrum`` is supplied (distinct,
-    self-conjugate, away from the fixed eigenvalues), it is placed first on
-    the reachability subspace of V, parametrically on the staircase of
-    (A+BF, B Omega1), Omega1 spanning B⁻¹V ∩ ker D: h requested values take
-    as many eigenvector columns as the h-th stair has directions, each a
-    state part of the Rosenbrock kernel at its value (at p = 0, of the
-    reachability pencil).  The least-squares friend closes the rest of V.
+    that V is output nulling.  When a ``spectrum`` is supplied (finite,
+    distinct and self-conjugate; it is not checked against the fixed
+    eigenvalues of V, so a value may repeat an invariant zero), it is placed
+    first on the reachability subspace of V, parametrically on the staircase
+    of (A+BF, B Omega1), Omega1 spanning B⁻¹V ∩ ker D: h requested values
+    take as many eigenvector columns as the h-th stair has directions, each
+    a state part of the Rosenbrock kernel at its value.  The least-squares
+    friend closes the rest of V.
 
     Returns a :class:`geokit.assignment.FeedbackResult`, whose ``assigned``
     lists the values placed.  Raises :class:`NotInvariantError` if V is not

@@ -129,6 +129,17 @@ def svd(M, full_matrices: bool = True, compute_uv: bool = True):
     return np.ascontiguousarray(u), s, np.ascontiguousarray(vh)
 
 
+def _frozen(M: np.ndarray) -> np.ndarray:
+    """M read-only and owning its storage.  A writable array is copied, so
+    the caller's stays writable; so is a view, so that a slice of a large
+    factor does not keep the whole factor alive.  A read-only array that
+    owns its data is shared."""
+    if M.flags.writeable or not M.flags.owndata:
+        M = M.copy()
+    M.setflags(write=False)
+    return M
+
+
 def norm2(M) -> float:
     """Spectral norm, ``numpy.linalg.norm(M, 2)`` bit for bit; 0.0 when empty."""
     M = np.asarray(M)
@@ -170,12 +181,7 @@ class Subspace:
     __slots__ = ("basis",)
 
     def __init__(self, basis):
-        # Own the storage: a caller's array stays writable, and a basis cut
-        # from an SVD factor does not keep the whole factor alive.  A
-        # read-only array that owns its data is shared, not copied.
-        B = as_matrix(basis, "basis")
-        if B.flags.writeable or not B.flags.owndata:
-            B = B.copy()
+        B = _frozen(as_matrix(basis, "basis"))
         n, k = B.shape
         if k > n:
             raise ValidationError(f"basis has more columns ({k}) than rows ({n})")
@@ -183,7 +189,6 @@ class Subspace:
             gram = B.conj().T @ B
             if np.abs(gram - np.eye(k)).max() > 1e-9:
                 raise ValidationError("basis columns are not orthonormal")
-        B.setflags(write=False)
         object.__setattr__(self, "basis", B)
 
     def __setattr__(self, name, value):

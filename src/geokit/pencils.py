@@ -1,7 +1,7 @@
-"""Kernels of the reachability pencil [A - λI  B] and of the Rosenbrock
-system matrix [[A - λI, B], [C, D]], plus the spectral bookkeeping built on
-them: uncontrollable eigenvalues (PBH test), invariant zeros, and validation
-of requested closed-loop spectra.
+"""Kernels of the Rosenbrock system matrix [[A - λI, B], [C, D]], whose
+p = 0 case is the reachability pencil [A - λI  B], plus the spectral
+bookkeeping built on them: uncontrollable eigenvalues (PBH test), invariant
+zeros, and validation of requested closed-loop spectra.
 
 A pencil of a real system is built, and its kernel computed, in real
 arithmetic at a real λ (zero imaginary part) and in complex arithmetic only
@@ -16,13 +16,12 @@ import numpy as np
 
 from . import geometry
 from .errors import SpectrumError
-from .linalg import DEFAULT_TOL, Tol, _svd_rank, as_matrix, norm2, rank_of, svd
+from .linalg import DEFAULT_TOL, Tol, _svd_rank, norm2, rank_of, svd
 from .sysmodel import SystemQuad
 
 __all__ = [
     "PencilKernel",
     "SpectrumSpec",
-    "reach_pencil",
     "rosenbrock_matrix",
     "reach_pencil_kernel",
     "rosenbrock_kernel",
@@ -53,54 +52,37 @@ class PencilKernel:
         return self.V.shape[1]
 
 
-def _shifted(A: np.ndarray, lam: complex) -> np.ndarray:
-    """A - λI, real when A and λ are real."""
-    lam = complex(lam)
-    return A - (lam if lam.imag else lam.real) * np.eye(A.shape[0])
-
-
-def reach_pencil(A, B, lam: complex) -> np.ndarray:
-    """The n x (n+m) matrix [A - λI  B]."""
-    return np.hstack([_shifted(as_matrix(A, "A"), lam), as_matrix(B, "B")])
-
-
 def rosenbrock_matrix(sys: SystemQuad, lam: complex) -> np.ndarray:
-    """The (n+p) x (n+m) system matrix [[A - λI, B], [C, D]]."""
-    top = np.hstack([_shifted(sys.A, lam), sys.B])
+    """The (n+p) x (n+m) system matrix [[A - λI, B], [C, D]]; at p = 0 the
+    reachability pencil [A - λI  B].  It is real when λ is."""
+    lam = complex(lam)
+    top = np.hstack([sys.A - (lam if lam.imag else lam.real) * np.eye(sys.n), sys.B])
     return np.vstack([top, np.hstack([sys.C, sys.D])])
 
 
-def _split_kernel(M: np.ndarray, n: int, lam: complex, tol: Tol) -> PencilKernel:
-    """``kernel_basis``'s decision, without building a Subspace, split at row n.
+def reach_pencil_kernel(A, B, lam: complex, tol: Tol = DEFAULT_TOL) -> PencilKernel:
+    """Kernel of [A - λI  B], split into state and input parts: the
+    Rosenbrock kernel of the real pair (A, B) without outputs."""
+    return rosenbrock_kernel(SystemQuad.from_matrices(A, B), lam, tol)
 
-    A square or tall pencil is factored only when it loses column rank:
-    its singular values alone decide full rank, and then the kernel is
-    empty, (n, 0) and (m, 0) in M's dtype.  Otherwise the full SVD's own
-    singular values decide, so every nonempty kernel comes from one SVD.
-    """
+
+def rosenbrock_kernel(sys: SystemQuad, lam: complex, tol: Tol = DEFAULT_TOL) -> PencilKernel:
+    """Kernel of the Rosenbrock matrix at λ, split into state and input parts:
+    ``kernel_basis``'s decision, without building a Subspace.
+
+    With m ≤ p the matrix is square or tall, and it is factored only when it
+    loses column rank: away from the invariant zeros (and any normal-rank
+    loss) its singular values alone give the empty kernel, (n, 0) and (m, 0)
+    in its dtype.  Otherwise the full SVD's own singular values decide, so
+    every nonempty kernel comes from one SVD."""
+    M = rosenbrock_matrix(sys, lam)
     rows, cols = M.shape
     if rows >= cols and _svd_rank(svd(M, compute_uv=False), M.shape, tol) == cols:
         K = np.zeros((cols, 0), M.dtype)
     else:
         _, s, vh = svd(M)
         K = vh[_svd_rank(s, M.shape, tol):].conj().T.copy()  # a copy frees the rest of vh
-    return PencilKernel(lam=complex(lam), V=K[:n], W=K[n:])
-
-
-def reach_pencil_kernel(A, B, lam: complex, tol: Tol = DEFAULT_TOL) -> PencilKernel:
-    """Kernel of [A - λI  B], split into state and input parts."""
-    A = as_matrix(A, "A")
-    return _split_kernel(reach_pencil(A, B, lam), A.shape[0], lam, tol)
-
-
-def rosenbrock_kernel(sys: SystemQuad, lam: complex, tol: Tol = DEFAULT_TOL) -> PencilKernel:
-    """Kernel of the Rosenbrock matrix at λ, split into state and input parts;
-    at p = 0 the matrix is [A - λI  B] and the kernel is that pencil's, bit for bit.
-
-    With m ≤ p the matrix is square or tall, and away from the invariant
-    zeros (and any normal-rank loss) it has full column rank: its singular
-    values alone then give the empty kernel, with no factors computed."""
-    return _split_kernel(rosenbrock_matrix(sys, lam), sys.n, lam, tol)
+    return PencilKernel(lam=complex(lam), V=K[:sys.n], W=K[sys.n:])
 
 
 def deduplicate_eigenvalues(values, scale: float) -> list[complex]:
@@ -119,16 +101,14 @@ def _eig_scale(A: np.ndarray, tol: Tol) -> float:
 
 
 def uncontrollable_eigenvalues(A, B, tol: Tol = DEFAULT_TOL) -> list[complex]:
-    """Eigenvalues of A at which [A - λI  B] drops below full row rank.
+    """Eigenvalues of the real A at which [A - λI  B] drops below full row rank.
 
     This is the PBH test evaluated at each (deduplicated) eigenvalue of A;
     the returned list is multiplicity-free.
     """
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    n = A.shape[0]
-    eigs = deduplicate_eigenvalues(np.linalg.eigvals(A), _eig_scale(A, tol))
-    return [lam for lam in eigs if rank_of(reach_pencil(A, B, lam), tol) < n]
+    sys = SystemQuad.from_matrices(A, B)
+    eigs = deduplicate_eigenvalues(np.linalg.eigvals(sys.A), _eig_scale(sys.A, tol))
+    return [lam for lam in eigs if rank_of(rosenbrock_matrix(sys, lam), tol) < sys.n]
 
 
 # Deterministic sample points for the normal-rank estimate.  Rank drop occurs

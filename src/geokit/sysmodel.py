@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GenerationError, SystemFormatError, ValidationError
-from .linalg import DEFAULT_TOL, Tol, as_matrix, norm2
+from .linalg import DEFAULT_TOL, Tol, _frozen, as_matrix, norm2
 
 __all__ = ["SystemQuad", "GenSpec", "load_system", "dump_system", "random_system", "dual_of"]
 
@@ -26,19 +26,14 @@ _RETRY_BUDGET = 100
 
 
 def _real_matrix(a, name: str) -> np.ndarray:
-    """A finite, read-only 2-D float64 array; complex input needs zero imaginary parts.
-
-    A caller's writable array is copied before it is frozen, so it stays
-    writable; a read-only array that owns its data is shared."""
+    """A finite, read-only 2-D float64 array (:func:`geokit.linalg._frozen`);
+    complex input needs zero imaginary parts."""
     M = as_matrix(a, name)
     if M.dtype.kind == "c":
         if M.imag.any():
             raise ValidationError(f"{name} has entries with a nonzero imaginary part")
         M = M.real
-    if M.flags.writeable or not M.flags.owndata:
-        M = M.copy()
-    M.setflags(write=False)
-    return M
+    return _frozen(M)
 
 
 @dataclass(frozen=True)
@@ -133,7 +128,6 @@ class GenSpec:
     p: int = 0
     seed: int = 0
     controllable: bool = False
-    target_dim_rstar: int | None = None
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1 or self.p < 0:
@@ -206,9 +200,8 @@ def random_system(spec: GenSpec, tol: Tol = DEFAULT_TOL) -> SystemQuad:
     """Draw a standard-normal quadruple, deterministically from ``spec.seed``.
 
     With ``controllable`` set, redraws until the reachable subspace is the
-    whole state space.  With ``target_dim_rstar`` set, redraws until the
-    largest output-nulling reachability subspace has the requested dimension.
-    Raises :class:`GenerationError` once the retry budget is exhausted.
+    whole state space, and raises :class:`GenerationError` once the retry
+    budget is exhausted.
     """
     from . import geometry  # deferred: geometry depends on this module
 
@@ -219,11 +212,8 @@ def random_system(spec: GenSpec, tol: Tol = DEFAULT_TOL) -> SystemQuad:
         C = rng.standard_normal((spec.p, spec.n))  # a draw of size 0 consumes nothing
         D = rng.standard_normal((spec.p, spec.m))
         sys = SystemQuad.from_matrices(A, B, C, D)
-        if spec.controllable and geometry.krylov_image(A, B, spec.n, tol).dim != spec.n:
-            continue
-        if spec.target_dim_rstar is not None and geometry.rstar(sys, tol).dim != spec.target_dim_rstar:
-            continue
-        return sys
+        if not spec.controllable or geometry.krylov_image(A, B, spec.n, tol).dim == spec.n:
+            return sys
     raise GenerationError(
         f"no system matching {spec} found within {_RETRY_BUDGET} draws"
     )

@@ -203,13 +203,13 @@ def _drive(theorem: str, trial, trials: int, seed: int, nmax: int, tol: Tol) -> 
 
 
 def _th1(rng, t, nmax, tol):
-    A, B = _draw_pair(rng, nmax, uncontrollable=(t % 2 == 1))
-    frame = geometry.morse_decomposition(SystemQuad.from_matrices(A, B), tol)
-    for h in range(1, A.shape[0] + 1):
+    sys = SystemQuad.from_matrices(*_draw_pair(rng, nmax, uncontrollable=(t % 2 == 1)))
+    frame = geometry.morse_decomposition(sys, tol)
+    for h in range(1, sys.n + 1):
         want = frame.stairs[min(h, len(frame.stairs) - 1)]
         for _ in range(2):
             lams = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=False)
-            kernels = [pencils.reach_pencil_kernel(A, B, lam, tol) for lam in lams]
+            kernels = [pencils.rosenbrock_kernel(sys, lam, tol) for lam in lams]
             got = _kernel_span_rank(kernels, tol)
             if got != want:
                 return f"h={h}: kernel span rank {got} != ctrb rank {want}"

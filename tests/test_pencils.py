@@ -8,7 +8,6 @@ from geokit.pencils import (
     deduplicate_eigenvalues,
     invariant_zeros,
     normal_rank_rosenbrock,
-    reach_pencil,
     reach_pencil_kernel,
     rosenbrock_kernel,
     rosenbrock_matrix,
@@ -19,6 +18,13 @@ from geokit.sysmodel import GenSpec, SystemQuad, random_system
 
 CHAIN3 = np.array([[0.0, 1, 0], [0, 0, 1], [0, 0, 0]])
 B3 = np.eye(3)[:, 2:]
+
+
+def reach_pencil(A, B, lam):
+    """[A - λI  B], written out: real at a real λ."""
+    lam = complex(lam)
+    return np.hstack([A - (lam if lam.imag else lam.real) * np.eye(A.shape[0]), B])
+
 
 DI = SystemQuad.from_matrices([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]],
                               [[0.0, 1.0]], [[0.0]])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from geokit.errors import GenerationError, SystemFormatError, ValidationError
-from geokit.linalg import rank_of
+from geokit.linalg import Tol, rank_of
 from geokit.sysmodel import GenSpec, SystemQuad, dual_of, dump_system, load_system, random_system
 
 
@@ -167,17 +167,10 @@ class TestRandomSystem:
         with pytest.raises(ValidationError):
             GenSpec(n=2, m=3)
 
-    def test_target_rstar_dimension(self):
-        from geokit.geometry import rstar
-
-        base = random_system(GenSpec(n=4, m=2, p=1, seed=3))
-        want = rstar(base).dim
-        sys = random_system(GenSpec(n=4, m=2, p=1, seed=3, target_dim_rstar=want))
-        assert rstar(sys).dim == want
-
     def test_generation_failure(self):
+        # the cutoff 0.9 · σ_max · 2 exceeds σ_max: no draw has a reachable direction
         with pytest.raises(GenerationError):
-            random_system(GenSpec(n=2, m=1, p=1, seed=0, target_dim_rstar=5))
+            random_system(GenSpec(n=2, m=1, seed=0, controllable=True), Tol(rel=0.9))
 
 
 class TestDual:
