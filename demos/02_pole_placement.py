@@ -3,8 +3,9 @@
 # The state parts of the kernel of [A - lambda*I  B] hold every closed-loop
 # eigenvector at lambda: on Kalman's controllability form they are
 # v = (lambda - A11)^-1 B11 g.  Each requested value gets such columns (the
-# free parameters g refined by KNV method 0); stacking them in V with their
-# input parts W and forming F = W V^+ assigns them.
+# free parameters g refined by KNV method 0); stacking their coordinates
+# X = Q^T V on the staircase Q with their inputs H through Omega1 and forming
+# F = F0 + Omega1 H X^+ Q^T assigns them (without outputs the friend F0 is 0).
 
 import numpy as np
 

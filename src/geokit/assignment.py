@@ -1,28 +1,29 @@
 """Eigenstructure assignment from pencil kernels.
 
-Feedback matrices are assembled the same way throughout: collect state
-directions v with their input directions w and set ``F = W V^+``.  Where a
-spectrum is requested, they are placed parametrically (Roppenecker, IJC
-1981) on the reachability staircase Q of (A+BF, B Omega1), F a friend of
-the target subspace and Omega1 its inputs that keep the state in it: the
-state parts of the Rosenbrock kernel at λ are v = Q (λ - A11)⁻¹ B11 g, with
-w = F v + Omega1 g.  The values take columns in turn until they span the
-stair their count reaches; seeded parameters g are refined by Kautsky,
-Nichols & Van Dooren's method 0 (IJC 1985), and a conjugate pair
-contributes the real and imaginary parts of one complex column, so the
-result is real by construction.  An explicit selection is taken as given,
-and the imaginary part of F certifies it.  Whatever no requested eigenvalue
-covers is closed by the least-squares friend of
-:func:`geokit.geometry.friend_of`, which chooses no eigenvalue.  On top of
-that engine this module provides Moore's
-solvability check, pole placement over the reachable subspace (on Kalman's
-controllability form, the Morse decomposition at p = 0), and, from the R*
-staircase of the Morse decomposition with no rank decided on pencil
-kernels, the maximal subspace on which a distinct spectrum is assignable
-with a diagonalizable closed loop and the minimal number of distinct
-eigenvalues that needs.  The Krylov saturation index of a diagonal pair,
-which that count rests on, comes from the same staircase as every other
-Krylov chain (:func:`geokit.geometry.reachable_subspace`).
+Every feedback is assembled on the friend structure of Basile & Marro as
+``F = F0 + Omega1 H X^+ Q^T``: F0 is a friend of the target subspace,
+Omega1 spans its inputs that keep the state in it, and the eigenvectors
+V = Q X (Q orthonormal) have inputs F0 V + Omega1 H.  Since B Omega1 lies
+in the target and D Omega1 = 0, only the placed eigenvalues depend on
+cond(X), and F acts as F0, which chooses no eigenvalue, on the directions
+that no requested eigenvalue covers.  A requested spectrum is placed
+parametrically (Roppenecker, IJC 1981) on the reachability staircase Q of
+(A+BF0, B Omega1): the state parts of the Rosenbrock kernel at λ are
+v = Q (λ - A11)⁻¹ B11 g, with inputs F0 v + Omega1 g.  The values take
+columns in turn until they span the stair their count reaches; seeded
+parameters g are refined by Kautsky, Nichols & Van Dooren's method 0 (IJC
+1985), and a conjugate pair contributes the real and imaginary parts of one
+complex column, so the result is real by construction.  An explicit
+selection is taken as given (F0 = 0, Omega1 = Q = I, so F = W V^+), and
+the imaginary part of F certifies it.  On top of that engine this module
+provides Moore's solvability check, pole placement over the reachable
+subspace (on Kalman's controllability form, the Morse decomposition at
+p = 0), and, from the R* staircase of the Morse decomposition with no rank
+decided on pencil kernels, the maximal subspace on which a distinct
+spectrum is assignable with a diagonalizable closed loop and the minimal
+number of distinct eigenvalues that needs.  The Krylov saturation index of
+a diagonal pair, which that count rests on, comes from the same staircase
+as every other Krylov chain (:func:`geokit.geometry.reachable_subspace`).
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ class FeedbackResult:
     ``residual_out`` the output-nulling residual ``(C+DF)V`` (zero by
     convention when no outputs are in scope), ``residual_inv`` the invariance
     residual of the target subspace under A+BF, and ``cond_V`` the condition
-    number of the selected eigenvector matrix (realified, except for an
-    explicit selection).
+    number of the eigenvectors' staircase coordinates X = Qᵀ V (realified,
+    except for an explicit selection, where Q = I and X = V).
     """
 
     F: np.ndarray
@@ -96,21 +97,28 @@ class FeedbackResult:
     cond_V: float
 
 
-def _assemble_feedback(sys: SystemQuad, Vsel, Wsel, assigned, target: Subspace, tol: Tol) -> FeedbackResult:
-    """F = Wsel Vsel⁺, certified real, leaving ``target`` invariant and output nulling."""
-    if not Vsel.shape[1]:
-        return FeedbackResult(np.zeros((sys.m, sys.n)), (), 0.0, 0.0, 0.0, 1.0)
-    u, svals, vh = svd(Vsel, full_matrices=False)  # one factorization: rank, cond_V and Vsel⁺
-    if _svd_rank(svals, Vsel.shape, tol) != Vsel.shape[1]:
+def _assemble_feedback(sys: SystemQuad, F0, Omega1, Q, X, H, assigned, target: Subspace,
+                       tol: Tol) -> FeedbackResult:
+    """F = F0 + Omega1 H X⁺ Qᵀ, certified real, leaving ``target`` invariant
+    and output nulling.
+
+    The columns of Q X are the eigenvectors and those of F0 Q X + Omega1 H
+    their inputs.  F0 is a friend of ``target``, B Omega1 ⊆ target and
+    D Omega1 = 0, so the second term moves no state out of it and no output
+    off zero: those residuals do not grow with cond(X).
+    """
+    u, svals, vh = svd(X, full_matrices=False)  # one factorization: rank, cond_V and X⁺
+    if _svd_rank(svals, X.shape, tol) != X.shape[1]:
         raise SynthesisError("dependent selection: chosen eigenvector columns are not independent")
-    cond_v = float(svals[0] / svals[-1])
+    cond_v = float(svals[0] / svals[-1]) if svals.size else 1.0
     if cond_v > COND_WARNING:
         warnings.warn(
             f"selected eigenvector matrix has condition number {cond_v:.2e}",
             RuntimeWarning,
             stacklevel=3,
         )
-    F = Wsel @ ((vh.conj().T / svals) @ u.conj().T)  # pinv's expression at full rank
+    pinv = (vh.conj().T / svals) @ u.conj().T  # X⁺: pinv's expression at full rank
+    F = F0 + Omega1 @ (H @ pinv) @ Q.T
     im = max_imag(F)
     if im > tol.abs:
         raise SynthesisError(f"non-self-conjugate selection: F has imaginary magnitude {im:.3e}")
@@ -162,8 +170,10 @@ def _columns(x: np.ndarray, is_pair: bool) -> np.ndarray:
 
 
 def _parametric(A, B, F, Omega1, Q, stairs, checked):
-    """``(V, W, assigned)`` with A V + B W = V Λ for the values of
-    ``checked``, placed on the staircase Q of (A+BF, B Omega1).
+    """``(F0, X, H, assigned)`` for the values of ``checked``, placed on the
+    staircase Q of (A+BF, B Omega1): the eigenvectors are V = Q X, with
+    inputs F0 V + Omega1 H, and F0 is F shifted through Omega1 (see
+    ``_NEAR``), so it is a friend whenever F is.
 
     The values take columns in turn, at most d = ``stairs[1]`` each, until
     they fill the stair their count reaches; a conjugate pair takes two.
@@ -182,7 +192,7 @@ def _parametric(A, B, F, Omega1, Q, stairs, checked):
                 counts[i] += 1
                 total += 1 + is_pair
     if not total:
-        return np.zeros((Q.shape[0], 0)), np.zeros((B.shape[1], 0)), []
+        return F, np.zeros((Q.shape[1], 0)), np.zeros((Omega1.shape[1], 0)), []
     A11, B11 = Q.T @ (A + B @ F) @ Q, Q.T @ (B @ Omega1)
     K = _near_shift(A11, B11, checked.lambdas)
     if K is not None:  # folded into F, so that A11 stays the block of A + BF
@@ -212,33 +222,12 @@ def _parametric(A, B, F, Omega1, Q, stairs, checked):
                 if np.linalg.norm(c):
                     coeffs[j] = c / np.linalg.norm(c)
                     X[:, lo:hi] = _columns(U @ coeffs[j], is_pair)
-    V = Q @ X
-    W = F @ V
-    assigned = []
-    for j, ((lam, is_pair, U, R, _), c) in enumerate(zip(units, coeffs)):
-        W[:, starts[j]:starts[j + 1]] += _columns(Omega1 @ (G @ np.linalg.solve(R, c)), is_pair)
+    H, assigned = [], []
+    for (lam, is_pair, U, R, _), c in zip(units, coeffs):
+        H.append(_columns(G @ np.linalg.solve(R, c), is_pair))
         v = Q @ (U @ c)
         assigned += [(lam, v), (lam.conjugate(), v.conjugate())] if is_pair else [(lam, v)]
-    return V, W, assigned
-
-
-def _friend_engine(sys: SystemQuad, V: Subspace, spectrum, tol: Tol) -> FeedbackResult:
-    """The spectrum path of :func:`geokit.geometry.friend_of`.
-
-    The requested eigenvalues are placed on the reachability staircase of V
-    (:func:`_parametric`), as many directions as the stair their count
-    reaches; the least-squares friend F of V closes every direction they
-    leave uncovered: E, an orthonormal basis of that part of V, is sent to
-    F E, since E ⊆ V.
-    """
-    F, Omega, m1, Q, dims = geometry._reach_along(sys, V, tol)
-    checked = validate_spectrum(spectrum, (), tol)
-    Vsel, Wsel, assigned = _parametric(sys.A, sys.B, F, Omega[:, :m1], Q, dims, checked)
-    if Vsel.shape[1] < V.dim:
-        P = np.linalg.qr(Vsel)[0]
-        E = image_basis(V.basis - P @ (P.T @ V.basis), tol, scale=1.0).basis
-        Vsel, Wsel = np.hstack([Vsel, E]), np.hstack([Wsel, F @ E])
-    return _assemble_feedback(sys, Vsel, Wsel, assigned, V, tol)
+    return F, X, np.hstack(H), assigned
 
 
 def synthesize_feedback(A, B, selection, tol: Tol = DEFAULT_TOL) -> FeedbackResult:
@@ -282,9 +271,9 @@ def synthesize_feedback(A, B, selection, tol: Tol = DEFAULT_TOL) -> FeedbackResu
         Vs.append(kernel.V @ Cf / norms)
         Ws.append(kernel.W @ Cf / norms)
         assigned += [(complex(kernel.lam), v) for v in Vs[-1].T]
-    Vsel = np.hstack(Vs)
-    return _assemble_feedback(SystemQuad.from_matrices(A, B), Vsel, np.hstack(Ws), assigned,
-                              image_basis(Vsel, tol), tol)
+    sys, Vsel = SystemQuad.from_matrices(A, B), np.hstack(Vs)
+    return _assemble_feedback(sys, np.zeros((sys.m, sys.n)), np.eye(sys.m), np.eye(sys.n), Vsel,
+                              np.hstack(Ws), assigned, image_basis(Vsel, tol), tol)
 
 
 def place_poles(A, B, lambdas, tol: Tol = DEFAULT_TOL) -> FeedbackResult:
@@ -303,14 +292,14 @@ def place_poles(A, B, lambdas, tol: Tol = DEFAULT_TOL) -> FeedbackResult:
     frame = geometry.morse_decomposition(sysab, tol)  # its zeros are the uncontrollable eigenvalues
     checked = validate_spectrum(lambdas, frame.invariant_zeros, tol)
     r = frame.dim_rstar
-    Q = frame.T[:, :r]
-    Vsel, Wsel, assigned = _parametric(A, B, frame.F, frame.Omega[:, :frame.m1], Q, frame.stairs, checked)
-    if Vsel.shape[1] < r:
+    Q, Omega1 = frame.T[:, :r], frame.Omega[:, :frame.m1]
+    F0, X, H, assigned = _parametric(A, B, frame.F, Omega1, Q, frame.stairs, checked)
+    if X.shape[1] < r:
         raise SynthesisError(
-            f"requested eigenvalues span only {Vsel.shape[1]} of {r} reachable directions; "
+            f"requested eigenvalues span only {X.shape[1]} of {r} reachable directions; "
             "supply more distinct values"
         )
-    return _assemble_feedback(sysab, Vsel, Wsel, assigned, Subspace(Q), tol)
+    return _assemble_feedback(sysab, F0, Omega1, Q, X, H, assigned, Subspace(Q), tol)
 
 
 @dataclass(frozen=True, eq=False)

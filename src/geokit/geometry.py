@@ -291,20 +291,27 @@ def friend_of(sys: SystemQuad, V: Subspace, spectrum=None, tol: Tol = DEFAULT_TO
     first on the reachability subspace of V, parametrically on the staircase
     of (A+BF, B Omega1), Omega1 spanning B⁻¹V ∩ ker D: h requested values
     take as many eigenvector columns as the h-th stair has directions, each
-    a state part of the Rosenbrock kernel at its value.  The least-squares
-    friend closes the rest of V.
+    a state part of the Rosenbrock kernel at its value.  F = F0 + Omega1 H
+    X⁺ Qᵀ, F0 the least-squares friend, X the eigenvectors' staircase
+    coordinates and H their inputs through Omega1, acts as F0 on the rest
+    of V; since B Omega1 ⊆ V and D Omega1 = 0, its invariance and output
+    residuals do not grow with the eigenvectors' condition number.
 
     Returns a :class:`geokit.assignment.FeedbackResult`, whose ``assigned``
     lists the values placed.  Raises :class:`NotInvariantError` if V is not
     output nulling and :class:`SynthesisError` if the eigenvector columns
     are numerically dependent or the residuals exceed tolerance.
     """
-    from .assignment import FeedbackResult, _friend_engine  # deferred: assignment imports this module
+    # deferred: assignment imports this module
+    from .assignment import FeedbackResult, _assemble_feedback, _parametric, validate_spectrum
 
     if np.iscomplexobj(V.basis):
         V = Subspace(require_real(V.basis, tol, "basis of V"))
     if spectrum is not None and V.dim:
-        return _friend_engine(sys, V, spectrum, tol)
+        F, Omega, m1, Q, dims = _reach_along(sys, V, tol)
+        checked, Omega1 = validate_spectrum(spectrum, (), tol), Omega[:, :m1]
+        F0, X, H, assigned = _parametric(sys.A, sys.B, F, Omega1, Q, dims, checked)
+        return _assemble_feedback(sys, F0, Omega1, Q, X, H, assigned, V, tol)
     F, _, _, res_inv, res_out = _friend(sys, V, tol)
     return FeedbackResult(F, (), 0.0, res_out, res_inv, 1.0)
 

@@ -216,6 +216,22 @@ class TestPlacePolesAgainstScipy:
             F = place_poles(A, B, lams).F
             assert np.abs(F + K).max() <= 1e-8 * np.abs(K).max()
 
+    @pytest.mark.filterwarnings("ignore:selected eigenvector matrix has condition number")
+    @pytest.mark.parametrize("n, refused", [(10, {3}), (12, {3, 4})])
+    def test_single_input_spectrum_is_placed_or_refused(self, n, refused):
+        # the unique gain is ill conditioned (cond_V 2e7 to 3e9): F = W V⁺ on
+        # the whole eigenvector matrix missed by up to 1.1e-3 here; the worst
+        # at 60 digits (tests/mp_chain_oracle.py place N 1 SEED) is 8.4e-5
+        for s in range(5):
+            A, B, lams = self._case(n, 1, s)
+            if s in refused:
+                with pytest.raises(SynthesisError, match="dependent selection"):
+                    place_poles(A, B, lams)
+                continue
+            F = place_poles(A, B, lams).F
+            ok, worst = eig_multiset_match(lams, np.linalg.eigvals(A + B @ F), 2e-4)
+            assert ok, f"seed {s}: spectrum off by {worst:.2e}"
+
     @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
     @pytest.mark.parametrize("m", [2, 3])
     def test_multi_input_spectrum_is_placed(self, m, n):
@@ -230,6 +246,16 @@ class TestPlacePolesAgainstScipy:
         for s in range(5):
             A, B, lams = self._case(12, 3, s)
             assert place_poles(A, B, lams).cond_V < 1e5
+
+
+def test_cond_warning_points_at_the_caller():
+    sys = random_system(GenSpec(12, 1, 0, seed=1210, controllable=True))
+    lams = -1.0 - 0.5 * np.arange(12)
+    for op in (lambda: place_poles(sys.A, sys.B, lams),
+               lambda: friend_of(sys, vstar(sys), lams)):
+        with pytest.warns(RuntimeWarning, match="condition number") as record:
+            op()
+        assert (record[0].filename, record[0].lineno) == (__file__, op.__code__.co_firstlineno)
 
 
 @pytest.mark.filterwarnings("ignore:selected eigenvector matrix has condition number")

@@ -96,7 +96,7 @@ class TestReachable:
 
     @pytest.mark.parametrize("seed, trial, nmax, want", [
         pytest.param(33, 71, 8, 7, marks=pytest.mark.xfail(strict=True, reason=(
-            "ROADMAP item 2: the seventh step keeps a direction with sigma 1.8e-3, "
+            "ROADMAP item 3: the seventh step keeps a direction with sigma 1.8e-3, "
             "and the eighth a residual of sigma 1.57e-8 against a threshold of "
             "3.32e-10, so the staircase counts a direction one input cannot reach"))),
         pytest.param(0, 43, 20, 13, marks=pytest.mark.xfail(strict=True, reason=(
@@ -212,7 +212,7 @@ class TestVstarChain:
             19, 2, 1, 1354216623, 15, list(range(15, -1, -1)) + [0],
             id="precision-cliff",
             marks=pytest.mark.xfail(strict=True, reason=(
-                "ROADMAP item 2: sigma_2 of the constraint block [D, CQ] grows "
+                "ROADMAP item 3: sigma_2 of the constraint block [D, CQ] grows "
                 "past the rank threshold at step 14, so the chain stops at "
                 "dimension 2 where the 80-digit oracle reaches 0"))),
     ])
