@@ -20,8 +20,8 @@ import numpy as np
 
 from . import assignment, geometry, pencils, verify
 from .errors import GeokitError, NumericalError, ValidationError
-from .linalg import Tol, containment_residual, rank_of, subspace_intersect
-from .sysmodel import load_system
+from .linalg import Tol, containment_residual, subspace_intersect
+from .sysmodel import _json_text, load_system
 
 _COMPUTE_OPS = (
     "reach", "unobs", "vstar", "sstar", "rstar", "zeros", "uncontrollable",
@@ -139,12 +139,9 @@ def _run_compute(args, tol: Tol) -> tuple[dict, dict]:
             "zeros_distinct": [_complex_out(z) for z in distinct],
             "normal_rank": nr,
         }
+        ranks = pencils._per_conjugate_pair(sys_quad, distinct, tol)
         diagnostics = {
-            "rank_at_zeros": [
-                {"zero": _complex_out(z),
-                 "rank": rank_of(pencils.rosenbrock_matrix(sys_quad, z), tol)}
-                for z in distinct
-            ],
+            "rank_at_zeros": [{"zero": _complex_out(z), "rank": r} for z, r in zip(distinct, ranks)],
         }
     elif op == "uncontrollable":
         vals = pencils.uncontrollable_eigenvalues(sys_quad.A, sys_quad.B, tol)
@@ -235,7 +232,7 @@ def main(argv=None) -> int:
         report["error"] = {"kind": "error", "message": str(e)}
         exit_code = 2
 
-    print(json.dumps(report, indent=indent))
+    print(_json_text(report, indent))
     return exit_code
 
 

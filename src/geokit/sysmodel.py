@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -193,7 +194,86 @@ def load_system(path) -> SystemQuad:
 
 def dump_system(sys: SystemQuad, path) -> None:
     """Write a quadruple to a JSON system file."""
-    Path(path).write_text(json.dumps(sys.to_dict(), indent=2), encoding="utf-8")
+    Path(path).write_text(_json_text(sys.to_dict(), 2), encoding="utf-8")
+
+
+class _Unwritten(Exception):
+    """A value that :func:`_json_text` leaves to ``json.dumps``."""
+
+
+def _json_float(x: float) -> str:
+    """A float as ``json.dumps`` writes it."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_text(obj, indent: int | None) -> str:
+    """``json.dumps(obj, indent=indent)``, byte for byte.
+
+    With an indent, json writes through its pure-Python encoder, one call per
+    value.  Here a list of plain floats, a matrix row, is one ``str.join``
+    over ``float.__repr__``; keys and strings go through json's own
+    ``encode_basestring_ascii``.  A value of any other type than dict, list,
+    tuple, str, int, float, bool and None, a key that is not a string, or a
+    container inside itself (found as a RecursionError) leaves the whole
+    object to ``json.dumps``, which raises where json raises.  Without an
+    indent json's C encoder writes.
+    """
+    if indent is None:
+        return json.dumps(obj)
+    out: list[str] = []
+    try:
+        _write_json(obj, out, " " * indent, "\n")
+    except (_Unwritten, RecursionError):
+        return json.dumps(obj, indent=indent)
+    return "".join(out)
+
+
+def _write_json(obj, out: list[str], step: str, nl: str) -> None:
+    """Append the pieces of ``obj`` at the depth whose line break is ``nl``."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_json_float(obj))
+    elif not isinstance(obj, (list, tuple, dict)):
+        raise _Unwritten
+    elif not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, dict):
+        inner = nl + step
+        out.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise _Unwritten
+            out.append(("," if i else "") + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(value, out, step, inner)
+        out.append(nl + "}")
+    elif set(map(type, obj)) == {float}:
+        sep = "," + nl + step
+        text = sep.join(map(float.__repr__, obj))
+        if "n" in text:  # a nan, inf or -inf among them
+            text = sep.join(map(_json_float, obj))
+        out.append("[" + nl + step + text + nl + "]")
+    else:
+        inner = nl + step
+        out.append("[")
+        for i, value in enumerate(obj):
+            out.append(("," if i else "") + inner)
+            _write_json(value, out, step, inner)
+        out.append(nl + "]")
 
 
 def random_system(spec: GenSpec, tol: Tol = DEFAULT_TOL) -> SystemQuad:

@@ -11,6 +11,9 @@ import geokit
 from geokit import cli
 from geokit.cli import main, parse_lambdas
 from geokit.errors import ValidationError
+from geokit.linalg import rank_of
+from geokit.pencils import rosenbrock_matrix
+from geokit.sysmodel import GenSpec, dump_system, random_system
 
 DI = {"A": [[0, 1], [0, 0]], "B": [[0], [1]], "C": [[0, 1]], "D": [[0]]}
 DI_P0 = {"A": [[0, 1], [0, 0]], "B": [[0], [1]]}
@@ -142,6 +145,22 @@ class TestComputeCommands:
         assert rep["result"]["dim"] == 0
         assert rep["diagnostics"]["kernel_dims"] == [0]
 
+    def test_zeros_of_a_pair_share_their_rank(self, capsys, tmp_path):
+        # GenSpec(6, 2, 2, seed=0) has the zeros -1.52, 1.02, -0.21 ± 1.84i
+        # and 1.91 ± 1.78i: each pair is decided once, and gets the rank
+        # each member gets alone
+        path = tmp_path / "sq.json"
+        sys_quad = random_system(GenSpec(6, 2, 2, seed=0))
+        dump_system(sys_quad, path)
+        code, rep = run_cli(capsys, "zeros", str(path))
+        assert code == 0
+        rows = rep["diagnostics"]["rank_at_zeros"]
+        by_zero = {complex(r["zero"]["re"], r["zero"]["im"]): r["rank"] for r in rows}
+        pairs = [z for z in by_zero if z.imag > 0]
+        assert len(pairs) == 2 and all(z.conjugate() in by_zero for z in pairs)
+        for z, r in by_zero.items():
+            assert r == by_zero[z.conjugate()] == rank_of(rosenbrock_matrix(sys_quad, z)) < 8
+
     def test_kh_rejects_zero_as_eigenvalue(self, capsys, di_file):
         # 0 is the invariant zero of the fixture: validation refuses it
         code, rep = run_cli(capsys, "kh", di_file, "--lambdas=0")
@@ -266,6 +285,15 @@ class TestReportContract:
         main(["rstar", di_file])
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("indent", [0, 2, 4, -1])
+    def test_every_report_is_json_dumps_text(self, capsys, di_file, indent):
+        # the writer renders float rows itself; a negative indent is compact
+        lambdas = {"kh": ["--lambdas=-1"], "place": ["--lambdas=-1,-2"]}
+        for op in cli._COMPUTE_OPS:
+            assert main([op, di_file, f"--json-indent={indent}", *lambdas.get(op, [])]) == 0
+            out = capsys.readouterr().out
+            assert out == json.dumps(json.loads(out), indent=indent if indent >= 0 else None) + "\n"
 
     def test_digest_tracks_flags(self, capsys, di_file):
         _, rep1 = run_cli(capsys, "reach", di_file)

@@ -219,6 +219,30 @@ class TestUncontrollable:
             full = reachable_subspace(A, B)[0].dim == n
             assert empty == full
 
+    def test_one_rank_per_conjugate_pair(self, monkeypatch):
+        # a controllable 4-state part beside a rotation block -0.5 ± 2i that
+        # no input reaches, mixed by an orthogonal change of basis
+        rng = np.random.default_rng(11)
+        n = 6
+        A = np.zeros((n, n))
+        A[:4, :4] = rng.standard_normal((4, 4))
+        A[4:, 4:] = [[-0.5, 2.0], [-2.0, -0.5]]
+        B = np.zeros((n, 2))
+        B[:4] = rng.standard_normal((4, 2))
+        T = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        A, B = T @ A @ T.T, T @ B
+        calls = []
+        monkeypatch.setattr(pencils, "rank_of", lambda M, tol: calls.append(M) or rank_of(M, tol))
+        vals = uncontrollable_eigenvalues(A, B)
+        assert len(vals) == 2 and vals[0] == vals[1].conjugate()
+        assert abs(vals[0] - complex(-0.5, 2.0 * np.sign(vals[0].imag))) < 1e-9
+        eigs = np.linalg.eigvals(A)
+        assert len(calls) == np.count_nonzero(eigs.imag >= 0) < n
+        # the shared decision is the one each member gets alone
+        for lam in eigs:
+            assert (rank_of(rosenbrock_matrix(SystemQuad.from_matrices(A, B), lam)) < n) == (
+                any(abs(lam - v) < 1e-9 for v in vals))
+
 
 class TestInvariantZeros:
     def test_double_integrator_zero_at_origin(self):

@@ -1,11 +1,22 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geokit.errors import GenerationError, SystemFormatError, ValidationError
 from geokit.linalg import Tol, rank_of
-from geokit.sysmodel import GenSpec, SystemQuad, dual_of, dump_system, load_system, random_system
+from geokit.sysmodel import (
+    GenSpec,
+    SystemQuad,
+    _json_text,
+    dual_of,
+    dump_system,
+    load_system,
+    random_system,
+)
 
 
 def write(tmp_path, payload):
@@ -199,3 +210,51 @@ class TestDual:
         d = dual_of(sys)
         assert np.array_equal(d.A, sys.A) and np.array_equal(d.B, sys.B)
         assert np.array_equal(d.C, sys.C) and np.array_equal(d.D, sys.D)
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 0.1]),
+)
+_TEXT = st.one_of(
+    st.text(st.characters()),
+    st.sampled_from(["", "\x00\x1f\n\t\"\\/", "é☃𝄞 ", "\ud800"]),
+)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(_TEXT, inner),
+        st.lists(st.lists(_FLOATS)),  # matrix rows: the writer's fast path
+    ),
+    max_leaves=25,
+)
+
+
+class TestJsonText:
+    @settings(database=None, derandomize=True, max_examples=150)
+    @given(obj=_VALUES, indent=st.sampled_from([None, 0, 1, 2, 4]))
+    def test_is_json_dumps(self, obj, indent):
+        assert _json_text(obj, indent) == json.dumps(obj, indent=indent)
+
+    def test_other_values_are_left_to_json(self):
+        converted = {1: [0.5], "a": (True, None)}  # json writes the key 1 as "1"
+        assert _json_text(converted, 2) == json.dumps(converted, indent=2)
+        for refused in ([0.5, np.float32(1.5)], {"a": [1.0, {"b": object()}]}):
+            with pytest.raises(TypeError):
+                _json_text(refused, 2)
+
+    def test_a_list_inside_itself_raises_as_json_does(self):
+        loop = [1.0]
+        loop.append(loop)
+        with pytest.raises(ValueError, match="Circular reference"):
+            _json_text({"x": loop}, 2)
+
+    def test_dump_system_writes_json_dumps_text(self, tmp_path):
+        sys = random_system(GenSpec(5, 2, 1, seed=4))
+        path = tmp_path / "s.json"
+        dump_system(sys, path)
+        assert path.read_text() == json.dumps(sys.to_dict(), indent=2)
