@@ -392,22 +392,17 @@ def build_Kh(sys: SystemQuad, spec, tol: Tol = DEFAULT_TOL) -> tuple[Subspace, l
     eigenvalues (output nulling; controlled invariant at p = 0), built
     without a rank decision as p(A+BF)⁻¹ (V* ∩ S_h) on R*: its dimension is
     dim(V* ∩ S_h), its basis real.  The spectrum must avoid the invariant
-    zeros (the uncontrollable eigenvalues at p = 0).  The kernels, one per
-    requested value, are returned as its certificate: if one of their
-    columns lies over ``tol.abs`` outside Kh, raises :class:`NumericalError`.
-    Each conjugate pair, as :func:`geokit.pencils.validate_spectrum` pairs
-    the values, is factored once: the later member's kernel is the conjugate
-    of the earlier one's, and since Kh is real its columns lie exactly as far
-    outside, so only the earlier one is checked.  With m ≤ p each kernel is
-    empty unless the Rosenbrock matrix loses rank at its value, and an empty
-    one costs singular values only.
+    zeros (the uncontrollable eigenvalues at p = 0).  The kernels are
+    returned as its certificate: if one of their columns lies over
+    ``tol.abs`` outside Kh, raises :class:`NumericalError`.  With m ≤ p
+    each kernel is empty unless the Rosenbrock matrix loses rank at its
+    value, and an empty one costs singular values only.
     """
     frame = geometry.morse_decomposition(sys, tol)
     checked = validate_spectrum(spec, frame.invariant_zeros, tol)
     kh = _kh(frame, checked)
-    kernels = pencils._per_conjugate_pair(sys, checked.lambdas, tol, kernel=True,
-                                          partner=checked.partner)
-    V = np.hstack([K.V for i, (K, j) in enumerate(zip(kernels, checked.partner)) if j >= i])
+    kernels = [pencils.rosenbrock_kernel(sys, lam, tol) for lam in checked.lambdas]
+    V = np.hstack([K.V for K in kernels])
     outside = float(np.linalg.norm(V - kh.basis @ (kh.basis.T @ V), axis=0).max(initial=0.0))
     if outside > tol.abs:
         raise NumericalError(f"a pencil kernel column lies {outside:.3e} outside Kh")

@@ -100,31 +100,22 @@ def _eig_scale(A: np.ndarray, tol: Tol) -> float:
     return max(tol.abs, 100.0 * tol.rel * max(1.0, norm2(A)))
 
 
-def _per_conjugate_pair(sys: SystemQuad, lams, tol: Tol, kernel: bool = False,
-                        partner=None) -> list:
-    """The rank of the real system's Rosenbrock matrix at each λ of ``lams``
-    (with ``kernel``, its :func:`rosenbrock_kernel`), decided once per
-    conjugate pair.
+def _per_conjugate_pair(sys: SystemQuad, lams, tol: Tol) -> list[int]:
+    """The rank of the real system's Rosenbrock matrix at each λ of ``lams``,
+    decided once per conjugate pair.
 
-    The matrix at λ̄ is the conjugate of the one at λ, so it has the same rank
-    and the conjugate kernel: a value whose partner came earlier gets the
-    partner's rank, or the conjugate of its kernel, without an SVD.
-    ``partner[i]`` is the index of λ_i's partner (its own index when it has
-    none), as :func:`validate_spectrum` pairs values; by default the partner
-    is an earlier value that is λ_i's exact conjugate.
+    The matrix at λ̄ is the conjugate of the one at λ, so it has the same
+    rank: a value whose exact conjugate came earlier in ``lams`` gets that
+    value's rank without an SVD.
     """
-    out: list = []
-    first: dict[complex, int] = {}
-    for i, lam in enumerate(lams):
-        j = partner[i] if partner else first.get(lam.conjugate(), i)
-        if j < i:
-            K = out[j]
-            out.append(PencilKernel(lam, K.V.conj(), K.W.conj()) if kernel else K)
-            continue
-        first.setdefault(lam, i)
-        out.append(rosenbrock_kernel(sys, lam, tol) if kernel
-                   else rank_of(rosenbrock_matrix(sys, lam), tol))
-    return out
+    seen: dict[complex, int] = {}
+    ranks = []
+    for lam in lams:
+        r = seen.get(lam.conjugate())
+        if r is None:
+            r = seen[lam] = rank_of(rosenbrock_matrix(sys, lam), tol)
+        ranks.append(r)
+    return ranks
 
 
 def uncontrollable_eigenvalues(A, B, tol: Tol = DEFAULT_TOL) -> list[complex]:

@@ -1,13 +1,13 @@
 """One sha256 per CLI report, to compare two versions of geokit byte for byte.
 
-For each seed, draws the cli-reports systems of perfbench (one group of the
-four shapes (m, p) = (3,2), (2,3), (2,2), (2,0) at n = 8 and one at n = 40,
-the (2,3) system the dual of the (3,2) one, the same draws from
+For each seed, draws the cli-reports systems with perfbench's own
+``workloads._groups`` (one group of the four shapes (m, p) = (3,2), (2,3),
+(2,2), (2,0) at n = 8 and one at n = 40, from
 ``numpy.random.default_rng([seed, 4])``), writes each with ``dump_system``
-and runs every compute op of ``geokit.cli.main`` on it: ``kh`` at n/2 real
-values and ``place`` at n, spread over the open-loop band as perfbench
-spreads them, plus ``kh-pairs``, ``kh`` at conjugate pairs built from those
-values.  Ops that fail are kept: their error report is digested too.
+and runs every compute op of ``geokit.cli.main`` on it: ``kh`` and
+``place`` at the case's values, plus ``kh-pairs``, ``kh`` at conjugate
+pairs built from those values.  Ops that fail are kept: their error report
+is digested too.
 Usage:
 
     PYTHONPATH=src python tests/cli_report_digests.py [SEED ...]
@@ -18,8 +18,10 @@ system file and ``seed case op exit-code sha256`` per report, so
     diff <(PYTHONPATH=old/src python tests/cli_report_digests.py) \\
          <(PYTHONPATH=src python tests/cli_report_digests.py)
 
-is empty when no report and no system file changed.  It imports geokit
-only, and runs with one BLAS thread (the last bits of complex factors at
+is empty when no report and no system file changed.  The cases are drawn
+with the geokit found on ``PYTHONPATH`` and the ``perfbench`` next to this
+file, so two checkouts draw the same systems as long as ``perfbench`` is
+the same.  It runs with one BLAS thread (the last bits of complex factors at
 about 80 states and up depend on the thread count).
 
 It is not a test module, so pytest does not collect it.
@@ -41,37 +43,17 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+import geokit.sysmodel  # noqa: E402
 from geokit import cli  # noqa: E402
-from geokit.sysmodel import GenSpec, dual_of, dump_system, random_system  # noqa: E402
+from geokit.sysmodel import dump_system  # noqa: E402
 
-SIZES = (8, 40)
-SHAPES = ((3, 2), (2, 3), (2, 2), (2, 0))
-
-
-def spread_spectrum(rng, A, count: int) -> list[complex]:
-    """``count`` distinct negative reals, one per equal-width bin of the
-    open-loop band (perfbench's ``workloads.spread_spectrum``)."""
-    s = max(1.0, float(np.abs(np.linalg.eigvals(A)).max()))
-    u = (np.arange(count) + 0.1 + 0.8 * rng.uniform(size=count)) / count
-    return [complex(-s * (0.15 + 0.95 * x)) for x in u]
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import CLI_SIZES, _groups  # noqa: E402
 
 
-def draw_cases(seed: int) -> list[tuple[str, object, list, list]]:
-    """``(key, system, kh values, place values)`` in perfbench's draw order."""
-    rng = np.random.default_rng([seed, 4])
-    cases = []
-    for g, n in enumerate(SIZES):
-        group = {}
-        for m, p in SHAPES:
-            if (m, p) == (2, 3):
-                sys_quad = dual_of(group[(3, 2)][1])
-            else:
-                sys_quad = random_system(GenSpec(n=n, m=m, p=p, seed=int(rng.integers(0, 2**31))))
-            place = spread_spectrum(rng, sys_quad.A, n)
-            kh = spread_spectrum(rng, sys_quad.A, max(1, n // 2))
-            group[(m, p)] = (f"g{g}-n{n}-m{m}p{p}", sys_quad, kh, place)
-        cases.extend(group.values())
-    return cases
+def draw_cases(seed: int):
+    """perfbench's cli-reports cases for ``seed``, in its draw order."""
+    return _groups(geokit, np.random.default_rng([seed, 4]), CLI_SIZES, CLI_SIZES)
 
 
 def _lams(values) -> str:
@@ -90,9 +72,10 @@ def _pairs(values) -> list[complex]:
 
 def report_digests(seed: int, workdir: Path):
     """Yield the output lines for one seed."""
-    for key, sys_quad, kh, place in draw_cases(seed):
+    for case in draw_cases(seed):
+        key, kh, place = case.key, case.kh_lams, case.place_lams
         path = workdir / f"{key}.json"
-        dump_system(sys_quad, path)
+        dump_system(case.sys, path)
         yield f"{seed} {key} file {hashlib.sha256(path.read_bytes()).hexdigest()}"
         for op in cli._COMPUTE_OPS + ("kh-pairs",):
             argv = [op.split("-")[0], str(path)]

@@ -371,37 +371,46 @@ class TestBuildKh:
             build_Kh(sys, [-1.0, -2.0, -3.0])
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_conjugate_pairs_share_one_kernel(self, monkeypatch, seed):
-        # m > p, so every kernel is a wide SVD's; the later member of a pair,
-        # as validate_spectrum pairs them, gets the conjugate of the earlier
-        # member's kernel instead of one of its own
-        from geokit import assignment, pencils
+    def test_each_value_gets_its_own_kernel(self, seed):
+        # m > p: every kernel is a wide SVD's, taken at the requested value
+        # itself, so a pair's kernels are conjugate subspaces, and all lie
+        # in the real Kh
+        from geokit import pencils
 
         sys = random_system(GenSpec(12, 3, 2, seed=seed))
         lams = [-1 - 0.5j, -2.0, -2.5 + 1j, -1 + 0.5j, -3.5, -2.5 - 1j]
-        direct = [pencils.rosenbrock_kernel(sys, lam) for lam in lams]
+        kh, kernels = build_Kh(sys, lams)
+        assert [K.lam for K in kernels] == lams
+        assert [K.q for K in kernels] == [1] * 6
+        for K, lam in zip(kernels, lams):
+            own = pencils.rosenbrock_kernel(sys, lam)
+            assert np.array_equal(K.V, own.V) and np.array_equal(K.W, own.W)
+        for i, j in ((0, 3), (2, 5)):
+            a = np.vstack([kernels[i].V, kernels[i].W]).conj()
+            b = np.vstack([kernels[j].V, kernels[j].W])
+            assert np.allclose(a @ a.conj().T, b @ b.conj().T, atol=1e-10)
+        V = np.hstack([K.V for K in kernels])
+        assert kh.dim == 6 and np.isrealobj(kh.basis)
+        assert np.abs(V - kh.basis @ (kh.basis.T @ V)).max() < 1e-10
+
+    def test_a_near_pair_is_factored_at_each_value(self, monkeypatch):
+        # validate_spectrum pairs -1 ± 0.5i within its scale, but the two
+        # values differ: each is factored at itself and checked against Kh
+        from geokit import assignment, pencils
+
+        sys = random_system(GenSpec(12, 3, 2, seed=0))
+        lams = [-1 + 0.5j, -1 - 0.500000001j, -2.0]
         factored = []
         kernel = pencils.rosenbrock_kernel
         monkeypatch.setattr(pencils, "rosenbrock_kernel",
                             lambda s, lam, tol: factored.append(lam) or kernel(s, lam, tol))
         kh, kernels = build_Kh(sys, lams)
-        assert factored == [lams[i] for i in (0, 1, 2, 4)]
-        for i, j in ((0, 3), (2, 5)):
-            assert kernels[j].lam == lams[j]
-            assert np.array_equal(kernels[j].V, kernels[i].V.conj())
-            assert np.array_equal(kernels[j].W, kernels[i].W.conj())
-        # what each value's own SVD gives: the same kernels, all inside Kh
-        assert [K.q for K in kernels] == [K.q for K in direct] == [1] * 6
-        for K, own in zip(kernels, direct):
-            a, b = np.vstack([K.V, K.W]), np.vstack([own.V, own.W])
-            assert np.allclose(a @ a.conj().T, b @ b.conj().T, atol=1e-10)
-        V = np.hstack([K.V for K in direct])
-        assert kh.dim == 6 and np.abs(V - kh.basis @ (kh.basis.T @ V)).max() < 1e-10
+        assert factored == lams and [K.lam for K in kernels] == lams
         structural = assignment._kh
         monkeypatch.setattr(assignment, "_kh",
                             lambda *args: Subspace(structural(*args).basis[:, :-1]))
         with pytest.raises(NumericalError):
-            build_Kh(sys, [lams[i] for i in (0, 3, 2, 5)])
+            build_Kh(sys, lams)
 
     def test_certificate_of_a_square_system_that_loses_normal_rank(self, monkeypatch):
         # two equal outputs: the Rosenbrock matrix loses rank at every λ, so

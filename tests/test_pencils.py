@@ -243,6 +243,19 @@ class TestUncontrollable:
             assert (rank_of(rosenbrock_matrix(SystemQuad.from_matrices(A, B), lam)) < n) == (
                 any(abs(lam - v) < 1e-9 for v in vals))
 
+    def test_only_exact_conjugates_share_a_rank(self, monkeypatch):
+        # -1 - 0.500000001i is within validate_spectrum's pairing scale of
+        # the conjugate of -1 + 0.5i, but not equal to it: it is decided at
+        # its own value
+        sys = random_system(GenSpec(6, 2, 2, seed=0))
+        lams = [-1 + 0.5j, -1 - 0.500000001j, -2.0, -3 + 1j, -3 - 1j]
+        decided = []
+        monkeypatch.setattr(pencils, "rosenbrock_matrix",
+                            lambda s, lam: decided.append(lam) or rosenbrock_matrix(s, lam))
+        ranks = pencils._per_conjugate_pair(sys, lams, DEFAULT_TOL)
+        assert decided == lams[:4]
+        assert ranks == [rank_of(rosenbrock_matrix(sys, lam)) for lam in lams]
+
 
 class TestInvariantZeros:
     def test_double_integrator_zero_at_origin(self):
