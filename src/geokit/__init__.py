@@ -11,7 +11,6 @@ from .linalg import DEFAULT_TOL, Subspace, Tol
 from .sysmodel import GenSpec, SystemQuad, dual_of, load_system, random_system
 from .pencils import (
     PencilKernel,
-    SpectrumSpec,
     invariant_zeros,
     reach_pencil_kernel,
     rosenbrock_kernel,

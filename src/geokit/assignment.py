@@ -46,10 +46,9 @@ from .linalg import (
     max_imag,
     norm2,
     rank_of,
-    require_real,
     svd,
 )
-from .pencils import PencilKernel, SpectrumSpec, spectrum_scale, validate_spectrum
+from .pencils import PencilKernel, spectrum_scale, validate_spectrum
 from .sysmodel import SystemQuad
 
 __all__ = [
@@ -139,27 +138,12 @@ def _assemble_feedback(sys: SystemQuad, F0, Omega1, Q, X, H, assigned, target: S
     return FeedbackResult(F, tuple(assigned), res_eig, res_out, res_inv, cond_v)
 
 
-def _spectrum_representatives(lambdas, partner) -> list[tuple[complex, bool]]:
-    reps = []
-    seen = set()
-    for idx, lam in enumerate(lambdas):
-        if idx in seen:
-            continue
-        pidx = partner[idx]
-        seen.update((idx, pidx))
-        if pidx == idx:
-            reps.append((complex(lam.real), False))
-        else:
-            reps.append((lam if lam.imag > 0 else lam.conjugate(), True))
-    return reps
-
-
-def _near_shift(A: np.ndarray, B: np.ndarray, lambdas) -> np.ndarray | None:
+def _near_shift(A: np.ndarray, B: np.ndarray, values) -> np.ndarray | None:
     """A seeded K for which A + BK has no eigenvalue within ``_NEAR``
-    (relative) of a requested value, or None when A has none already."""
+    (relative) of a value to place, or None when A has none already."""
     eigs = np.linalg.eigvals(A)
     radius = max(1.0, float(np.abs(eigs).max(initial=0.0)))
-    if np.abs(np.subtract.outer(eigs, lambdas)).min(initial=np.inf) > _NEAR * radius:
+    if np.abs(np.subtract.outer(eigs, [lam for lam, _ in values])).min(initial=np.inf) > _NEAR * radius:
         return None
     return radius / np.linalg.norm(B) * np.random.default_rng(0).standard_normal(B.T.shape)
 
@@ -169,8 +153,9 @@ def _columns(x: np.ndarray, is_pair: bool) -> np.ndarray:
     return np.column_stack([x.real, x.imag][:1 + is_pair])
 
 
-def _parametric(A, B, F, Omega1, Q, stairs, checked):
-    """``(F0, X, H, assigned)`` for the values of ``checked``, placed on the
+def _parametric(A, B, F, Omega1, Q, stairs, values):
+    """``(F0, X, H, assigned)`` for ``values``, the ``(value, is_pair)`` list
+    of :func:`geokit.pencils.validate_spectrum`, placed on the
     staircase Q of (A+BF, B Omega1): the eigenvectors are V = Q X, with
     inputs F0 V + Omega1 H, and F0 is F shifted through Omega1 (see
     ``_NEAR``), so it is a friend whenever F is.
@@ -183,24 +168,23 @@ def _parametric(A, B, F, Omega1, Q, stairs, checked):
     moves them in turn to the projection onto U of their part off the other
     columns, found from a QR of those columns.
     """
-    reps = _spectrum_representatives(checked.lambdas, checked.partner)
-    d, target = stairs[1], stairs[min(len(checked.lambdas), len(stairs) - 1)]
-    counts, total = [0] * len(reps), 0
+    d, target = stairs[1], geometry.chain_term(stairs, sum(1 + is_pair for _, is_pair in values))
+    counts, total = [0] * len(values), 0
     for _ in range(d):
-        for i, (_, is_pair) in enumerate(reps):
+        for i, (_, is_pair) in enumerate(values):
             if total + 1 + is_pair <= target:
                 counts[i] += 1
                 total += 1 + is_pair
     if not total:
         return F, np.zeros((Q.shape[1], 0)), np.zeros((Omega1.shape[1], 0)), []
     A11, B11 = Q.T @ (A + B @ F) @ Q, Q.T @ (B @ Omega1)
-    K = _near_shift(A11, B11, checked.lambdas)
+    K = _near_shift(A11, B11, values)
     if K is not None:  # folded into F, so that A11 stays the block of A + BF
         A11, F = A11 + B11 @ K, F + Omega1 @ K @ Q.T
     G = np.linalg.qr(B11[:d].T)[0]  # B11 vanishes below the first stair
     rng = np.random.default_rng(0)
     units, coeffs = [], []  # (λ, is_pair, U, R, free) per column or conjugate pair; its coefficients in U
-    for (lam, is_pair), c in zip(reps, counts):
+    for (lam, is_pair), c in zip(values, counts):
         if c:
             M = np.linalg.solve((lam if is_pair else lam.real) * np.eye(len(A11)) - A11, B11 @ G)
             U, R = np.linalg.qr(M)
@@ -252,9 +236,8 @@ def synthesize_feedback(A, B, selection, tol: Tol = DEFAULT_TOL) -> FeedbackResu
         With each selected (eigenvalue, eigenvector) pair assigned in closed
         loop: ``(A + BF) v = λ v`` up to ``residual_eig``.
     """
-    A = require_real(as_matrix(A, "A"), tol, "A")
-    B = require_real(as_matrix(B, "B"), tol, "B")
-    Vs, Ws, assigned = [np.zeros((A.shape[0], 0))], [np.zeros((B.shape[1], 0))], []
+    sys = SystemQuad.from_matrices(A, B)
+    Vs, Ws, assigned = [np.zeros((sys.n, 0))], [np.zeros((sys.m, 0))], []
     for kernel, coeffs in selection:
         if not isinstance(kernel, PencilKernel):
             raise ValidationError("selection entries must be (PencilKernel, coefficients)")
@@ -271,7 +254,7 @@ def synthesize_feedback(A, B, selection, tol: Tol = DEFAULT_TOL) -> FeedbackResu
         Vs.append(kernel.V @ Cf / norms)
         Ws.append(kernel.W @ Cf / norms)
         assigned += [(complex(kernel.lam), v) for v in Vs[-1].T]
-    sys, Vsel = SystemQuad.from_matrices(A, B), np.hstack(Vs)
+    Vsel = np.hstack(Vs)
     return _assemble_feedback(sys, np.zeros((sys.m, sys.n)), np.eye(sys.m), np.eye(sys.n), Vsel,
                               np.hstack(Ws), assigned, image_basis(Vsel, tol), tol)
 
@@ -286,14 +269,12 @@ def place_poles(A, B, lambdas, tol: Tol = DEFAULT_TOL) -> FeedbackResult:
     Raises :class:`SynthesisError` when the eigenvector matrix loses
     numerical rank; a condition number above ``COND_WARNING`` only warns.
     """
-    A = require_real(as_matrix(A, "A"), tol, "A")
-    B = require_real(as_matrix(B, "B"), tol, "B")
     sysab = SystemQuad.from_matrices(A, B)
     frame = geometry.morse_decomposition(sysab, tol)  # its zeros are the uncontrollable eigenvalues
-    checked = validate_spectrum(lambdas, frame.invariant_zeros, tol)
+    values = validate_spectrum(lambdas, frame.invariant_zeros, tol)
     r = frame.dim_rstar
     Q, Omega1 = frame.T[:, :r], frame.Omega[:, :frame.m1]
-    F0, X, H, assigned = _parametric(A, B, frame.F, Omega1, Q, frame.stairs, checked)
+    F0, X, H, assigned = _parametric(sysab.A, sysab.B, frame.F, Omega1, Q, frame.stairs, values)
     if X.shape[1] < r:
         raise SynthesisError(
             f"requested eigenvalues span only {X.shape[1]} of {r} reachable directions; "
@@ -351,9 +332,10 @@ def moore_check(A, B, candidates, tol: Tol = DEFAULT_TOL) -> MooreReport:
     return MooreReport(ok, independent, tuple(conj_ok), tuple(member_ok))
 
 
-def _kh(frame: geometry.MorseDecomposition, checked: SpectrumSpec) -> Subspace:
-    """Kh = p(A11)⁻¹ (V* ∩ S_h) on the R* block, p(s) = Π(s - λ_i), for a
-    spectrum validated against the frame's invariant zeros.
+def _kh(frame: geometry.MorseDecomposition, values) -> Subspace:
+    """Kh = p(A11)⁻¹ (V* ∩ S_h) on the R* block, p(s) = Π(s - λ_i), for the
+    ``(value, is_pair)`` list that :func:`geokit.pencils.validate_spectrum`
+    returns for a spectrum checked against the frame's invariant zeros.
 
     By partial fractions, span_i (λ_i - A)⁻¹ B = p(A)⁻¹ im[B, ..., A^(h-1)B],
     the pencil kernels' state parts for the R* block (A11, B11).  Rational
@@ -364,13 +346,13 @@ def _kh(frame: geometry.MorseDecomposition, checked: SpectrumSpec) -> Subspace:
     """
     n1, stairs = frame.dim_rstar, frame.stairs
     A, B = frame.Abar[:n1, :n1], frame.Bbar[:n1, :frame.m1]
-    K = _near_shift(A, B, checked.lambdas)
+    K = _near_shift(A, B, values)
     if K is not None:
         A = A + B @ K
     Q, h, eye = np.zeros((n1, 0)), 0, np.eye(n1)
-    for lam, is_pair in _spectrum_representatives(checked.lambdas, checked.partner):
+    for lam, is_pair in values:
         h += 2 if is_pair else 1
-        new = stairs[min(h, len(stairs) - 1)] - Q.shape[1]
+        new = geometry.chain_term(stairs, h) - Q.shape[1]
         if new == 0:  # saturated: no later value adds a direction
             break
         Y = np.linalg.solve(A - (lam if is_pair else lam.real) * eye, Q if Q.size else B)
@@ -399,9 +381,9 @@ def build_Kh(sys: SystemQuad, spec, tol: Tol = DEFAULT_TOL) -> tuple[Subspace, l
     value, and an empty one costs singular values only.
     """
     frame = geometry.morse_decomposition(sys, tol)
-    checked = validate_spectrum(spec, frame.invariant_zeros, tol)
-    kh = _kh(frame, checked)
-    kernels = [pencils.rosenbrock_kernel(sys, lam, tol) for lam in checked.lambdas]
+    lams = [complex(v) for v in spec]
+    kh = _kh(frame, validate_spectrum(lams, frame.invariant_zeros, tol))
+    kernels = [pencils.rosenbrock_kernel(sys, lam, tol) for lam in lams]
     V = np.hstack([K.V for K in kernels])
     outside = float(np.linalg.norm(V - kh.basis @ (kh.basis.T @ V), axis=0).max(initial=0.0))
     if outside > tol.abs:

@@ -285,9 +285,10 @@ def friend_of(sys: SystemQuad, V: Subspace, spectrum=None, tol: Tol = DEFAULT_TO
     friend of V (Basile & Marro, *Controlled and Conditioned Invariants in
     Linear System Theory*, 1992), built from one SVD of ``[P B; D]``, P the
     projector onto the orthogonal complement of V; its residuals certify
-    that V is output nulling.  When a ``spectrum`` is supplied (finite,
-    distinct and self-conjugate; it is not checked against the fixed
-    eigenvalues of V, so a value may repeat an invariant zero), it is placed
+    that V is output nulling.  A ``spectrum``, when supplied, is validated
+    by :func:`geokit.pencils.validate_spectrum` even on V = 0: finite,
+    distinct and self-conjugate, but not checked against the fixed
+    eigenvalues of V, so a value may repeat an invariant zero.  It is placed
     first on the reachability subspace of V, parametrically on the staircase
     of (A+BF, B Omega1), Omega1 spanning B⁻¹V ∩ ker D: h requested values
     take as many eigenvector columns as the h-th stair has directions, each
@@ -307,10 +308,11 @@ def friend_of(sys: SystemQuad, V: Subspace, spectrum=None, tol: Tol = DEFAULT_TO
 
     if np.iscomplexobj(V.basis):
         V = Subspace(require_real(V.basis, tol, "basis of V"))
-    if spectrum is not None and V.dim:
+    values = None if spectrum is None else validate_spectrum(spectrum, (), tol)
+    if values and V.dim:
         F, Omega, m1, Q, dims = _reach_along(sys, V, tol)
-        checked, Omega1 = validate_spectrum(spectrum, (), tol), Omega[:, :m1]
-        F0, X, H, assigned = _parametric(sys.A, sys.B, F, Omega1, Q, dims, checked)
+        Omega1 = Omega[:, :m1]
+        F0, X, H, assigned = _parametric(sys.A, sys.B, F, Omega1, Q, dims, values)
         return _assemble_feedback(sys, F0, Omega1, Q, X, H, assigned, V, tol)
     F, _, _, res_inv, res_out = _friend(sys, V, tol)
     return FeedbackResult(F, (), 0.0, res_out, res_inv, 1.0)

@@ -21,7 +21,6 @@ from .sysmodel import SystemQuad
 
 __all__ = [
     "PencilKernel",
-    "SpectrumSpec",
     "rosenbrock_matrix",
     "reach_pencil_kernel",
     "rosenbrock_kernel",
@@ -163,65 +162,50 @@ def invariant_zeros(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> list[complex]:
     return [complex(z) for z in dec.invariant_zeros]
 
 
-@dataclass(frozen=True, eq=False)
-class SpectrumSpec:
-    """A self-conjugate list of distinct requested eigenvalues.
-
-    ``partner[i]`` is the index of the conjugate partner of ``lambdas[i]``
-    (its own index for real entries); it is filled by
-    :func:`validate_spectrum`.
-    """
-
-    lambdas: tuple[complex, ...]
-    partner: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "lambdas", tuple(complex(v) for v in self.lambdas))
-        object.__setattr__(self, "partner", tuple(int(i) for i in self.partner))
-
-
 def spectrum_scale(lambdas, tol: Tol) -> float:
     """Comparison scale for eigenvalue coincidence tests."""
     mags = [abs(complex(v)) for v in lambdas] or [1.0]
     return max(tol.abs, tol.rel * max(1.0, max(mags)))
 
 
-def validate_spectrum(
-    spec: SpectrumSpec | list | tuple,
-    forbidden=(),
-    tol: Tol = DEFAULT_TOL,
-) -> SpectrumSpec:
+def validate_spectrum(lambdas, forbidden=(), tol: Tol = DEFAULT_TOL) -> list[tuple[complex, bool]]:
     """Check finiteness, distinctness, self-conjugacy, and distance from a
-    forbidden set.
+    forbidden set, and return the values to place.
 
-    Returns a new :class:`SpectrumSpec` with conjugate pairing computed.
-    The forbidden set (uncontrollable eigenvalues or invariant zeros) must be
-    cleared by a margin of ten comparison scales; closer choices produce
-    ill-conditioned kernels.
+    That is one ``(value, is_pair)`` per real value or conjugate pair, in
+    order of first appearance: a value whose imaginary part is within
+    :func:`spectrum_scale` counts as its real part, and the other values
+    pair one to one, each with a value within that scale of its conjugate;
+    a pair is represented by its member with positive imaginary part.  The
+    values count Σ(1 + is_pair), as many as were requested.  The forbidden set
+    (uncontrollable eigenvalues or invariant zeros) must be cleared by a
+    margin of ten comparison scales; closer choices produce ill-conditioned
+    kernels.
     """
-    lambdas = tuple(complex(v) for v in (spec.lambdas if isinstance(spec, SpectrumSpec) else spec))
+    lambdas = [complex(v) for v in lambdas]
     if not lambdas:
         raise SpectrumError("empty spectrum")
     for lam in lambdas:
         if not np.isfinite(lam):
             raise SpectrumError(f"eigenvalue {lam} is not finite")
     scale = spectrum_scale(lambdas, tol)
-    h = len(lambdas)
-    for i in range(h):
-        for j in range(i + 1, h):
-            if abs(lambdas[i] - lambdas[j]) <= scale:
-                raise SpectrumError(
-                    f"eigenvalues {lambdas[i]} and {lambdas[j]} are not distinct"
-                )
-    partner = [-1] * h
+    for i, lam in enumerate(lambdas):
+        for mu in lambdas[i + 1:]:
+            if abs(lam - mu) <= scale:
+                raise SpectrumError(f"eigenvalues {lam} and {mu} are not distinct")
+    values, taken = [], set()  # taken: the non-real values already paired
     for i, lam in enumerate(lambdas):
         if abs(lam.imag) <= scale:
-            partner[i] = i
+            values.append((complex(lam.real), False))
             continue
-        matches = [j for j, mu in enumerate(lambdas) if abs(mu - lam.conjugate()) <= scale]
+        if i in taken:
+            continue
+        matches = [j for j, mu in enumerate(lambdas) if j not in taken and abs(mu.imag) > scale
+                   and abs(mu - lam.conjugate()) <= scale]
         if not matches:
             raise SpectrumError(f"spectrum is not self-conjugate: no partner for {lam}")
-        partner[i] = matches[0]
+        taken.update((i, matches[0]))
+        values.append((lam if lam.imag > 0 else lam.conjugate(), True))
     margin = 10.0 * scale
     for lam in lambdas:
         for z in forbidden:
@@ -229,4 +213,4 @@ def validate_spectrum(
                 raise SpectrumError(
                     f"eigenvalue {lam} is within {margin:.2e} of forbidden value {complex(z)}"
                 )
-    return SpectrumSpec(lambdas=lambdas, partner=tuple(partner))
+    return values

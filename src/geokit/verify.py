@@ -206,7 +206,7 @@ def _th1(rng, t, nmax, tol):
     sys = SystemQuad.from_matrices(*_draw_pair(rng, nmax, uncontrollable=(t % 2 == 1)))
     frame = geometry.morse_decomposition(sys, tol)
     for h in range(1, sys.n + 1):
-        want = frame.stairs[min(h, len(frame.stairs) - 1)]
+        want = geometry.chain_term(frame.stairs, h)
         for _ in range(2):
             lams = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=False)
             kernels = [pencils.rosenbrock_kernel(sys, lam, tol) for lam in lams]

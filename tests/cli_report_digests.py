@@ -5,9 +5,10 @@ For each seed, draws the cli-reports systems with perfbench's own
 (2,2), (2,0) at n = 8 and one at n = 40, from
 ``numpy.random.default_rng([seed, 4])``), writes each with ``dump_system``
 and runs every compute op of ``geokit.cli.main`` on it: ``kh`` and
-``place`` at the case's values, plus ``kh-pairs``, ``kh`` at conjugate
-pairs built from those values.  Ops that fail are kept: their error report
-is digested too.
+``place`` at the case's values, plus ``kh-pairs`` and ``place-pairs``, the
+same ops at conjugate pairs built from those values, and ``friend-lambdas``
+and ``friend-pairs``, ``friend`` at ``kh``'s values and at their pairs.
+Ops that fail are kept: their error report is digested too.
 Usage:
 
     PYTHONPATH=src python tests/cli_report_digests.py [SEED ...]
@@ -77,14 +78,13 @@ def report_digests(seed: int, workdir: Path):
         path = workdir / f"{key}.json"
         dump_system(case.sys, path)
         yield f"{seed} {key} file {hashlib.sha256(path.read_bytes()).hexdigest()}"
-        for op in cli._COMPUTE_OPS + ("kh-pairs",):
+        extra = {"kh-pairs": _pairs(kh), "place-pairs": _pairs(place),
+                 "friend-lambdas": kh, "friend-pairs": _pairs(kh)}
+        flags = {"kh": kh, "place": place, **extra}
+        for op in cli._COMPUTE_OPS + tuple(extra):
             argv = [op.split("-")[0], str(path)]
-            if op == "kh":
-                argv.append(_lams(kh))
-            elif op == "kh-pairs":
-                argv.append(_lams(_pairs(kh)))
-            elif op == "place":
-                argv.append(_lams(place))
+            if op in flags:
+                argv.append(_lams(flags[op]))
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 code = cli.main(argv)

@@ -186,6 +186,17 @@ class TestPlacePoles:
         fb = place_poles(A2, B, [-1.0, -2.0])
         assert eig_multiset_match([-1.0, -2.0], np.linalg.eigvals(A2 + B @ fb.F))[0]
 
+    def test_complex_system_is_refused(self):
+        # one rule for real inputs, as in moore_check and the pencil kernels:
+        # any nonzero imaginary part is refused, not rounded off
+        K = reach_pencil_kernel(A2, B2, -1.0)
+        with pytest.raises(ValidationError, match="imaginary"):
+            place_poles(A2 + 1e-12j, B2, [-1.0, -2.0])
+        with pytest.raises(ValidationError, match="imaginary"):
+            synthesize_feedback(A2 + 1e-12j, B2, [(K, np.ones(1))])
+        with pytest.raises(ValidationError, match="imaginary"):
+            synthesize_feedback(A2, B2 + 1e-12j, [(K, np.ones(1))])
+
     def test_tiny_separation_keeps_rank(self):
         # dimension counts are eigenvalue-independent even at separation 1e-3;
         # conditioning may degrade but the placement stays consistent

@@ -161,6 +161,21 @@ class TestComputeCommands:
         for z, r in by_zero.items():
             assert r == by_zero[z.conjugate()] == rank_of(rosenbrock_matrix(sys_quad, z)) < 8
 
+    @pytest.mark.parametrize("lams", ["nan", "1+1i", "2,2"])
+    @pytest.mark.parametrize("outputs", [True, False])
+    def test_friend_validates_on_a_zero_vstar(self, capsys, tmp_path, lams, outputs):
+        # the 3-state chain seen at its first state has V* = 0, so nothing is
+        # placed, but the request is refused as on its p = 0 pair
+        chain = {"A": np.eye(3, k=1).tolist(), "B": np.eye(3)[:, 2:].tolist()}
+        if outputs:
+            chain.update(C=[[1.0, 0.0, 0.0]], D=[[0.0]])
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain))
+        code, rep = run_cli(capsys, "friend", str(path), f"--lambdas={lams}")
+        assert code == 1 and rep["error"]["kind"] == "validation"
+        code, rep = run_cli(capsys, "friend", str(path), "--lambdas=-1")
+        assert code == 0 and rep["result"]["subspace_dim"] == (0 if outputs else 3)
+
     def test_kh_rejects_zero_as_eigenvalue(self, capsys, di_file):
         # 0 is the invariant zero of the fixture: validation refuses it
         code, rep = run_cli(capsys, "kh", di_file, "--lambdas=0")

@@ -33,7 +33,6 @@ from geokit.linalg import (
     subspace_intersect,
 )
 from geokit.pencils import (
-    SpectrumSpec,
     deduplicate_eigenvalues,
     invariant_zeros,
     uncontrollable_eigenvalues,
@@ -352,6 +351,7 @@ class TestFriendOf:
     def test_zero_subspace_gets_zero_friend(self):
         fb = friend_of(DI_VEL, Subspace.zero(2))
         assert np.all(fb.F == 0.0) and fb.assigned == ()
+        assert friend_of(DI_VEL, Subspace.zero(2), [-1.0]).assigned == ()
 
     def test_double_integrator_full_space(self):
         sys = SystemQuad.from_matrices(A2, B2)
@@ -383,14 +383,14 @@ class TestFriendOf:
         assert friend_of(sys, V).F.dtype == np.float64
 
     def test_prepaired_spectrum_is_still_validated(self):
-        # a SpectrumSpec with its pairing already filled in gets the same
-        # checks as a plain list: no lonely complex value, no duplicates
+        # a spectrum is validated whatever its form (no lonely complex value,
+        # no duplicates, nothing non-finite), also on V = 0 where nothing
+        # is placed
         sys = SystemQuad.from_matrices(CHAIN3, np.eye(3)[:, :2])
-        for spec in (SpectrumSpec((-1 + 1j, -2.0), partner=(0, 1)),
-                     SpectrumSpec((-2.0, -2.0), partner=(0, 1)),
-                     [-1 + 1j, -2.0]):
-            with pytest.raises(SpectrumError):
-                friend_of(sys, Subspace.full(3), spec)
+        for V in (Subspace.full(3), Subspace.zero(3)):
+            for spec in ([1 + 1j], [-1 + 1j, -2.0], (-2.0, -2.0), np.array([np.nan, -1.0])):
+                with pytest.raises(SpectrumError):
+                    friend_of(sys, V, spec)
 
     def test_fixed_internal_spectrum_is_friend_independent(self):
         # the closed-loop spectrum on vstar/rstar carries the invariant zeros

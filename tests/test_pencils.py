@@ -288,8 +288,7 @@ class TestInvariantZeros:
 
 class TestValidateSpectrum:
     def test_accepts_plain_reals(self):
-        spec = validate_spectrum([-1.0, -2.0])
-        assert spec.partner == (0, 1)
+        assert validate_spectrum([-1.0, -2.0]) == [(-1.0, False), (-2.0, False)]
 
     def test_rejects_lonely_complex(self):
         with pytest.raises(SpectrumError):
@@ -304,8 +303,42 @@ class TestValidateSpectrum:
             validate_spectrum([2.0], forbidden=[2.0])
 
     def test_conjugate_pairing(self):
-        spec = validate_spectrum([complex(-1, 1), -3.0, complex(-1, -1)])
-        assert spec.partner == (2, 1, 0)
+        values = validate_spectrum([complex(-1, 1), -3.0, complex(-1, -1)])
+        assert values == [(complex(-1, 1), True), (-3.0, False)]
+
+    def test_pair_listed_by_its_lower_member(self):
+        # the pair is represented by its member with positive imaginary part
+        values = validate_spectrum([complex(-1, -2), -3.0, complex(-1, 2)])
+        assert values == [(complex(-1, 2), True), (-3.0, False)]
+        assert values[0][0].imag > 0
+
+    def test_imaginary_part_within_scale_is_snapped(self):
+        values = validate_spectrum([complex(2.0, 1e-12), -1.0])
+        assert values == [(2.0, False), (-1.0, False)]
+        assert values[0][0].imag == 0.0 and isinstance(values[0][0], complex)
+
+    def test_near_pair_is_one_pair(self):
+        # -1 - 0.500000001i is within the pairing scale of the conjugate of
+        # -1 + 0.5i: one pair, represented by the value as listed
+        assert validate_spectrum([-1 + 0.5j, -1 - 0.500000001j]) == [(-1 + 0.5j, True)]
+
+    @pytest.mark.parametrize("lams", [
+        # two values within the scale of one value's conjugate
+        [-1 + 1j, -1 - 1j + 0.9e-8, -1 - 1j - 0.9e-8],
+        # a value counted real cannot also be the partner of another
+        [1 + 1.5e-8j, 1 - 0.6e-8j],
+        [1 - 0.6e-8j, 1 + 1.5e-8j],
+    ])
+    def test_pairing_is_one_to_one(self, lams):
+        with pytest.raises(SpectrumError, match="no partner"):
+            validate_spectrum(lams)
+
+    def test_order_of_first_appearance(self):
+        lams = [-3.0, 1 - 2j, 5.0, -4.0, 1 + 2j, -0.5 + 1j, -0.5 - 1j]
+        values = validate_spectrum(lams)
+        assert values == [(-3.0, False), (1 + 2j, True), (5.0, False), (-4.0, False),
+                          (-0.5 + 1j, True)]
+        assert sum(1 + is_pair for _, is_pair in values) == len(lams)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(-1.0, np.nan), complex(np.inf, 1.0)])
     def test_rejects_non_finite(self, bad):
