@@ -14,6 +14,7 @@ from .pencils import (
     invariant_zeros,
     reach_pencil_kernel,
     rosenbrock_kernel,
+    rosenbrock_kernels,
     uncontrollable_eigenvalues,
     validate_spectrum,
 )

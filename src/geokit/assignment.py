@@ -138,10 +138,11 @@ def _assemble_feedback(sys: SystemQuad, F0, Omega1, Q, X, H, assigned, target: S
     return FeedbackResult(F, tuple(assigned), res_eig, res_out, res_inv, cond_v)
 
 
-def _near_shift(A: np.ndarray, B: np.ndarray, values) -> np.ndarray | None:
+def _near_shift(eigs: np.ndarray, B: np.ndarray, values) -> np.ndarray | None:
     """A seeded K for which A + BK has no eigenvalue within ``_NEAR``
-    (relative) of a value to place, or None when A has none already."""
-    eigs = np.linalg.eigvals(A)
+    (relative) of a value to place, or None when A's eigenvalues ``eigs``
+    have none already.  The caller passes ``eigs``, so that a frame's
+    spectrum is computed once for all the spectra placed on it."""
     radius = max(1.0, float(np.abs(eigs).max(initial=0.0)))
     if np.abs(np.subtract.outer(eigs, [lam for lam, _ in values])).min(initial=np.inf) > _NEAR * radius:
         return None
@@ -178,7 +179,7 @@ def _parametric(A, B, F, Omega1, Q, stairs, values):
     if not total:
         return F, np.zeros((Q.shape[1], 0)), np.zeros((Omega1.shape[1], 0)), []
     A11, B11 = Q.T @ (A + B @ F) @ Q, Q.T @ (B @ Omega1)
-    K = _near_shift(A11, B11, values)
+    K = _near_shift(np.linalg.eigvals(A11), B11, values)
     if K is not None:  # folded into F, so that A11 stays the block of A + BF
         A11, F = A11 + B11 @ K, F + Omega1 @ K @ Q.T
     G = np.linalg.qr(B11[:d].T)[0]  # B11 vanishes below the first stair
@@ -346,7 +347,7 @@ def _kh(frame: geometry.MorseDecomposition, values) -> Subspace:
     """
     n1, stairs = frame.dim_rstar, frame.stairs
     A, B = frame.Abar[:n1, :n1], frame.Bbar[:n1, :frame.m1]
-    K = _near_shift(A, B, values)
+    K = _near_shift(frame._rstar_spectrum, B, values)
     if K is not None:
         A = A + B @ K
     Q, h, eye = np.zeros((n1, 0)), 0, np.eye(n1)
@@ -383,7 +384,7 @@ def build_Kh(sys: SystemQuad, spec, tol: Tol = DEFAULT_TOL) -> tuple[Subspace, l
     frame = geometry.morse_decomposition(sys, tol)
     lams = [complex(v) for v in spec]
     kh = _kh(frame, validate_spectrum(lams, frame.invariant_zeros, tol))
-    kernels = [pencils.rosenbrock_kernel(sys, lam, tol) for lam in lams]
+    kernels = pencils.rosenbrock_kernels(sys, lams, tol)
     V = np.hstack([K.V for K in kernels])
     outside = float(np.linalg.norm(V - kh.basis @ (kh.basis.T @ V), axis=0).max(initial=0.0))
     if outside > tol.abs:

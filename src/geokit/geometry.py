@@ -29,6 +29,7 @@ input-decoupling zeros, i.e. the uncontrollable eigenvalues (Rosenbrock,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -403,6 +404,13 @@ class MorseDecomposition:
     invariant_zeros: np.ndarray
     residual: float
     stairs: list
+
+    @functools.cached_property
+    def _rstar_spectrum(self) -> np.ndarray:
+        """Eigenvalues of the R* block ``Abar[:n1, :n1]``, computed on first
+        use and kept: every Kh on this frame reads them."""
+        n1 = self.dim_rstar
+        return np.linalg.eigvals(self.Abar[:n1, :n1])
 
 
 def morse_decomposition(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> MorseDecomposition:

@@ -5,7 +5,9 @@ zeros, and validation of requested closed-loop spectra.
 
 A pencil of a real system is built, and its kernel computed, in real
 arithmetic at a real λ (zero imaginary part) and in complex arithmetic only
-at a complex λ.
+at a complex λ.  The kernels at a list of values come from one system-matrix
+buffer per dtype: B, C and D are written once, and only A − λI is rewritten
+for each value.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "rosenbrock_matrix",
     "reach_pencil_kernel",
     "rosenbrock_kernel",
+    "rosenbrock_kernels",
     "uncontrollable_eigenvalues",
     "normal_rank_rosenbrock",
     "invariant_zeros",
@@ -51,12 +54,31 @@ class PencilKernel:
         return self.V.shape[1]
 
 
+def _system_matrices(sys: SystemQuad, lams):
+    """Yield ``(λ, M)`` for each λ of ``lams``, M the system matrix
+    [[A - λI, B], [C, D]], real when λ is.
+
+    There is one M per dtype: B, C and D are written into it once, and only
+    its A - λI block is rewritten for each value, so M holds λ's matrix
+    until the next one is yielded.
+    """
+    n, eye, buffers = sys.n, np.eye(sys.n), {}
+    for lam in map(complex, lams):
+        shift = lam if lam.imag else lam.real
+        M = buffers.get(type(shift))
+        if M is None:
+            M = buffers[type(shift)] = np.empty((n + sys.p, n + sys.m), type(shift))
+            M[:n, n:], M[n:, :n], M[n:, n:] = sys.B, sys.C, sys.D
+        # A - λI in full, not a shifted diagonal: off it, a -0.0 of A
+        # becomes +0.0 for a negative shift, and the kernels keep their bits
+        np.subtract(sys.A, shift * eye, out=M[:n, :n])
+        yield lam, M
+
+
 def rosenbrock_matrix(sys: SystemQuad, lam: complex) -> np.ndarray:
     """The (n+p) x (n+m) system matrix [[A - λI, B], [C, D]]; at p = 0 the
     reachability pencil [A - λI  B].  It is real when λ is."""
-    lam = complex(lam)
-    top = np.hstack([sys.A - (lam if lam.imag else lam.real) * np.eye(sys.n), sys.B])
-    return np.vstack([top, np.hstack([sys.C, sys.D])])
+    return next(_system_matrices(sys, [lam]))[1]
 
 
 def reach_pencil_kernel(A, B, lam: complex, tol: Tol = DEFAULT_TOL) -> PencilKernel:
@@ -66,22 +88,33 @@ def reach_pencil_kernel(A, B, lam: complex, tol: Tol = DEFAULT_TOL) -> PencilKer
 
 
 def rosenbrock_kernel(sys: SystemQuad, lam: complex, tol: Tol = DEFAULT_TOL) -> PencilKernel:
-    """Kernel of the Rosenbrock matrix at λ, split into state and input parts:
-    ``kernel_basis``'s decision, without building a Subspace.
+    """Kernel of the Rosenbrock matrix at λ: the one-value case of
+    :func:`rosenbrock_kernels`."""
+    return rosenbrock_kernels(sys, [lam], tol)[0]
 
-    With m ≤ p the matrix is square or tall, and it is factored only when it
-    loses column rank: away from the invariant zeros (and any normal-rank
-    loss) its singular values alone give the empty kernel, (n, 0) and (m, 0)
-    in its dtype.  Otherwise the full SVD's own singular values decide, so
-    every nonempty kernel comes from one SVD."""
-    M = rosenbrock_matrix(sys, lam)
-    rows, cols = M.shape
-    if rows >= cols and _svd_rank(svd(M, compute_uv=False), M.shape, tol) == cols:
-        K = np.zeros((cols, 0), M.dtype)
-    else:
-        _, s, vh = svd(M)
-        K = vh[_svd_rank(s, M.shape, tol):].conj().T.copy()  # a copy frees the rest of vh
-    return PencilKernel(lam=complex(lam), V=K[:sys.n], W=K[sys.n:])
+
+def rosenbrock_kernels(sys: SystemQuad, lams, tol: Tol = DEFAULT_TOL) -> list[PencilKernel]:
+    """Kernels of the Rosenbrock matrix at each λ of ``lams``, in order, split
+    into state and input parts: ``kernel_basis``'s decision, without
+    building a Subspace.
+
+    The matrices share one buffer per dtype (B, C and D are written once);
+    no stack of them is held.  With m ≤ p each matrix is square or tall,
+    and it is factored only when it loses column rank: away from the
+    invariant zeros (and any normal-rank loss) its singular values alone
+    give the empty kernel, (n, 0) and (m, 0) in its dtype.  Otherwise the
+    full SVD's own singular values decide, so every nonempty kernel comes
+    from one SVD."""
+    kernels = []
+    for lam, M in _system_matrices(sys, lams):
+        rows, cols = M.shape
+        if rows >= cols and _svd_rank(svd(M, compute_uv=False), M.shape, tol) == cols:
+            K = np.zeros((cols, 0), M.dtype)
+        else:
+            _, s, vh = svd(M)
+            K = vh[_svd_rank(s, M.shape, tol):].conj().T.copy()  # a copy frees the rest of vh
+        kernels.append(PencilKernel(lam=lam, V=K[:sys.n], W=K[sys.n:]))
+    return kernels
 
 
 def deduplicate_eigenvalues(values, scale: float) -> list[complex]:

@@ -41,7 +41,12 @@ draws.  So each trial computes its chains once and reads every h off them:
 one Krylov (input-containing) chain for all h, where the term of h steps is
 the h-th prefix of the full run, and one Markov-kernel pass
 (:func:`geokit.geometry.intersection_formulas`) for all (i, j), and one
-Morse decomposition that leaves each Kh only small solves on R*.
+Morse decomposition that leaves each Kh only small solves on R*, with the
+R* block's spectrum computed once per frame.  An oracle built on a chain
+term (V*(S_h), V* ∩ S_h, V_i ∩ S_j) is computed once per distinct term:
+past the point where a chain is stationary every h reads its last term.
+The kernels of one drawn spectrum share one pencil buffer
+(:func:`geokit.pencils.rosenbrock_kernels`).
 """
 
 from __future__ import annotations
@@ -184,6 +189,12 @@ def eig_multiset_match(requested, achieved, tol_match: float = _EIG_TOL):
     return worst <= tol_match, worst
 
 
+def _term(chain: list[Subspace], h: int) -> int:
+    """Index of the chain term that :func:`geokit.geometry.chain_term` reads
+    at h (h >= 0): the key of an oracle built on it."""
+    return min(h, len(chain) - 1)
+
+
 def _kernel_span_rank(kernels, tol: Tol) -> int:
     return rank_of(np.hstack([K.V for K in kernels]), tol, scale=1.0)
 
@@ -209,8 +220,7 @@ def _th1(rng, t, nmax, tol):
         want = geometry.chain_term(frame.stairs, h)
         for _ in range(2):
             lams = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=False)
-            kernels = [pencils.rosenbrock_kernel(sys, lam, tol) for lam in lams]
-            got = _kernel_span_rank(kernels, tol)
+            got = _kernel_span_rank(pencils.rosenbrock_kernels(sys, lams, tol), tol)
             if got != want:
                 return f"h={h}: kernel span rank {got} != ctrb rank {want}"
     return None
@@ -223,11 +233,11 @@ def _th2(rng, t, nmax, tol):
     chain = geometry.sstar_sequence(sys, tol)
     formulas = geometry.intersection_formulas(
         sys, [(sys.n, h) for h in range(1, sys.n + 1)], tol)
+    direct = functools.cache(lambda k: subspace_intersect(vst, chain[k], tol).dim)
     for h in range(1, sys.n + 1):
         lams = _draw_distinct(rng, h, zeros, self_conjugate=False)
-        kernels = [pencils.rosenbrock_kernel(sys, lam, tol) for lam in lams]
-        r1 = _kernel_span_rank(kernels, tol)
-        r2 = subspace_intersect(vst, geometry.chain_term(chain, h), tol).dim
+        r1 = _kernel_span_rank(pencils.rosenbrock_kernels(sys, lams, tol), tol)
+        r2 = direct(_term(chain, h))
         r3 = formulas[h - 1].dim
         if not (r1 == r2 == r3):
             return f"h={h}: ranks {r1}/{r2}/{r3} disagree"
@@ -250,7 +260,7 @@ def _lattice(rng, t, nmax, tol):
     if bad_lam:
         return f"assigned eigenvalue {bad_lam[0]} not requested"
     # the structural Kh must contain a member drawn from the kernels
-    kernels = [pencils.rosenbrock_kernel(sys, lam, tol) for lam in lams]
+    kernels = pencils.rosenbrock_kernels(sys, lams, tol)
     cols = [K.V[:, [int(rng.integers(0, K.q))]] for K in kernels if K.q]
     if cols:
         member = image_basis(np.hstack(cols), tol, scale=1.0)
@@ -267,6 +277,8 @@ def _thlast(rng, t, nmax, tol):
     frame = geometry.morse_decomposition(sys, tol)
     chain = geometry.sstar_sequence(sys, tol)
     seed_space = Subspace(frame.T[:, :frame.stairs[1]])  # V* ∩ B ker D
+    target = functools.cache(lambda k: geometry.vstar(sys, chain[k], tol))
+    seeded = functools.cache(lambda k: subspace_intersect(target(k), seed_space, tol))
     for h in range(1, sys.n + 1):
         lams1 = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
         lams2 = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
@@ -274,12 +286,11 @@ def _thlast(rng, t, nmax, tol):
         kh2 = _kh(frame, lams2, tol)
         r1 = geometry.reachability_on(sys, kh1, tol)
         r2 = geometry.reachability_on(sys, kh2, tol)
-        target = geometry.vstar(sys, geometry.chain_term(chain, h), tol)
-        if not (equals(r1, target, tol) and equals(r1, r2, tol)):
-            return f"h={h}: reachability dims {r1.dim}/{r2.dim}, target {target.dim}"
+        k = _term(chain, h)
+        if not (equals(r1, target(k), tol) and equals(r1, r2, tol)):
+            return f"h={h}: reachability dims {r1.dim}/{r2.dim}, target {target(k).dim}"
         lhs = subspace_intersect(kh1, seed_space, tol)
-        rhs = subspace_intersect(target, seed_space, tol)
-        if not equals(lhs, rhs, tol):
+        if not equals(lhs, seeded(k), tol):
             return f"h={h}: seed intersections differ"
     return None
 
@@ -292,12 +303,13 @@ def _corollary_last(rng, t, nmax, tol):
     sys = SystemQuad.from_matrices(A, B)
     frame = geometry.morse_decomposition(sys, tol)
     chain = geometry.sstar_sequence(sys, tol)
+    target = functools.cache(lambda k: geometry.vstar(sys, chain[k], tol))
     for h in range(1, sys.n + 1):
         lams = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
         rh = geometry.reachability_on(sys, _kh(frame, lams, tol), tol)
-        target = geometry.vstar(sys, geometry.chain_term(chain, h), tol)
-        if not equals(rh, target, tol):
-            return f"h={h}: dims {rh.dim} vs {target.dim}"
+        vsh = target(_term(chain, h))
+        if not equals(rh, vsh, tol):
+            return f"h={h}: dims {rh.dim} vs {vsh.dim}"
     return None
 
 
@@ -349,9 +361,9 @@ def _lemma_intersection(rng, t, nmax, tol):
     vchain = geometry.vstar_sequence(sys, None, tol)
     schain = geometry.sstar_sequence(sys, tol)
     pairs = [(i, j) for i in range(1, sys.n + 1) for j in range(1, sys.n + 1)]
+    intersect = functools.cache(lambda a, b: subspace_intersect(vchain[a], schain[b], tol))
     for (i, j), formula in zip(pairs, geometry.intersection_formulas(sys, pairs, tol)):
-        direct = subspace_intersect(
-            geometry.chain_term(vchain, i), geometry.chain_term(schain, j), tol)
+        direct = intersect(_term(vchain, i), _term(schain, j))
         if direct.dim != formula.dim or not equals(direct, formula, tol):
             return f"(i,j)=({i},{j}): {formula.dim} vs {direct.dim}"
     return None

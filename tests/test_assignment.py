@@ -412,9 +412,9 @@ class TestBuildKh:
         sys = random_system(GenSpec(12, 3, 2, seed=0))
         lams = [-1 + 0.5j, -1 - 0.500000001j, -2.0]
         factored = []
-        kernel = pencils.rosenbrock_kernel
-        monkeypatch.setattr(pencils, "rosenbrock_kernel",
-                            lambda s, lam, tol: factored.append(lam) or kernel(s, lam, tol))
+        kernels_at = pencils.rosenbrock_kernels
+        monkeypatch.setattr(pencils, "rosenbrock_kernels",
+                            lambda s, lams, tol: factored.extend(lams) or kernels_at(s, lams, tol))
         kh, kernels = build_Kh(sys, lams)
         assert factored == lams and [K.lam for K in kernels] == lams
         structural = assignment._kh
@@ -437,6 +437,25 @@ class TestBuildKh:
                             lambda *args: Subspace(structural(*args).basis[:, :-1]))
         with pytest.raises(NumericalError):
             build_Kh(sys, [-1.0, -2.0, -3.0])
+
+
+    def test_frame_spectrum_is_computed_once(self, monkeypatch):
+        # the R* block's eigenvalues depend on the frame alone: three spectra
+        # placed on one frame share one eigvals, and the frame itself still
+        # computes only its zeros
+        from geokit import assignment
+        from geokit.pencils import validate_spectrum
+
+        sys = random_system(GenSpec(8, 3, 2, seed=0))
+        eigvals, calls = np.linalg.eigvals, []
+        monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(M.shape) or eigvals(M))
+        frame = morse_decomposition(sys)
+        n1, n2 = frame.dim_rstar, frame.dim_vstar - frame.dim_rstar
+        assert n1 and calls == [(n2, n2)]
+        for lams in ([-1.0, -2.0], [-1 + 1j, -1 - 1j, -3.0], [-0.5]):
+            assignment._kh(frame, validate_spectrum(lams, frame.invariant_zeros))
+        assert calls == [(n2, n2), (n1, n1)]
+        assert np.array_equal(frame._rstar_spectrum, eigvals(frame.Abar[:n1, :n1]))
 
 
 class TestMinDistinctSpectrum:

@@ -3,13 +3,14 @@ import pytest
 
 from geokit import pencils
 from geokit.errors import SpectrumError, ValidationError
-from geokit.linalg import DEFAULT_TOL, _svd_rank, equals, image_basis, rank_of, svd
+from geokit.linalg import DEFAULT_TOL, _svd_rank, equals, image_basis, kernel_basis, rank_of, svd
 from geokit.pencils import (
     deduplicate_eigenvalues,
     invariant_zeros,
     normal_rank_rosenbrock,
     reach_pencil_kernel,
     rosenbrock_kernel,
+    rosenbrock_kernels,
     rosenbrock_matrix,
     uncontrollable_eigenvalues,
     validate_spectrum,
@@ -188,6 +189,37 @@ class TestKernelIsOneSvdDecision:
         _, kernels = build_Kh(sys, -np.linspace(1.0, 4.0, 20))
         assert [K.q for K in kernels] == [0] * 20
         assert len(calls) == 20 and calls.count(True) == 0
+
+
+class TestRosenbrockKernels:
+    # one buffer per dtype serves every value: each kernel must still be the
+    # one its own matrix gives, bit for bit, in its dtype and request order
+    LAMS = [-1.3, 0.4 + 1.1j, 0.4 - 1.1j, 2.0, -0.5 - 0.7j, -0.5 + 0.7j, 0.25]
+
+    @pytest.mark.parametrize("shape, at_zero", [((6, 3, 2), False), ((6, 2, 2), True),
+                                                ((6, 2, 0), False)],
+                             ids=["wide", "square-at-a-zero", "no-outputs"])
+    def test_each_kernel_is_its_own_matrix_kernel(self, shape, at_zero):
+        sys = random_system(GenSpec(*shape, seed=0))
+        lams = list(self.LAMS)
+        if at_zero:  # a real invariant zero of the square system
+            lams.insert(3, next(z for z in invariant_zeros(sys) if z.imag == 0.0).real)
+        kernels = rosenbrock_kernels(sys, lams)
+        assert [K.lam for K in kernels] == [complex(lam) for lam in lams]
+        for K, lam in zip(kernels, lams):
+            shift = lam if complex(lam).imag else complex(lam).real
+            M = np.vstack([np.hstack([sys.A - shift * np.eye(sys.n), sys.B]),
+                           np.hstack([sys.C, sys.D])])
+            assert np.array_equal(rosenbrock_matrix(sys, lam), M)
+            basis = kernel_basis(M).basis
+            dtype = np.complex128 if complex(lam).imag else np.float64
+            assert rosenbrock_matrix(sys, lam).dtype == K.V.dtype == K.W.dtype == dtype
+            assert np.array_equal(K.V, basis[:sys.n]) and np.array_equal(K.W, basis[sys.n:])
+            one = rosenbrock_kernel(sys, lam)
+            assert np.array_equal(one.V, K.V) and np.array_equal(one.W, K.W)
+            assert one.lam == K.lam and one.V.dtype == K.V.dtype
+        if shape[1] <= shape[2]:
+            assert [K.q for K in kernels] == [int(at_zero and i == 3) for i in range(len(lams))]
 
 
 class TestUncontrollable:

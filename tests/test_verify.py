@@ -1,8 +1,9 @@
 import pytest
 
 from geokit.errors import ValidationError
-from geokit import verify
-from geokit.linalg import DEFAULT_TOL
+from geokit import geometry, verify
+from geokit.linalg import DEFAULT_TOL, subspace_intersect
+from geokit.sysmodel import SystemQuad
 
 
 @pytest.mark.parametrize("theorem", sorted(verify.THEOREM_IDS))
@@ -76,3 +77,51 @@ def test_lattice_at_twenty_states():
     with pytest.warns(RuntimeWarning, match="condition number"):
         rep = verify.run("lattice", trials=13, seed=0, nmax=20)[0]
     assert rep.ok, rep.failures[:3]
+
+
+def _terms(chain, n):
+    """The distinct chain terms that h = 1..n read."""
+    return {min(h, len(chain) - 1) for h in range(1, n + 1)}
+
+
+@pytest.mark.parametrize("trial, seed, t, draw", [
+    (verify._thlast, 1, 27, verify._draw_quad),
+    (verify._corollary_last, 0, 0,
+     lambda rng, nmax: SystemQuad.from_matrices(*verify._draw_pair(rng, nmax))),
+], ids=["thlast", "corollary-last"])
+def test_vstar_of_each_chain_term_is_built_once(monkeypatch, trial, seed, t, draw):
+    # V*(S_h) depends on h only through the chain term: past the point where
+    # the S* chain is stationary, every h reads the same target
+    sys = draw(verify._rng_for(seed, t), 8)
+    terms = _terms(geometry.sstar_sequence(sys), sys.n)
+    assert 1 < len(terms) < sys.n
+    vstar, calls = geometry.vstar, []
+    monkeypatch.setattr(geometry, "vstar", lambda *args: calls.append(args[1]) or vstar(*args))
+    assert trial(verify._rng_for(seed, t), t, 8, DEFAULT_TOL) is None
+    assert calls[0] is None  # the Morse frame's own V*
+    assert len(calls) == 1 + len(terms)
+
+
+def test_direct_intersection_of_each_saturated_pair_is_built_once(monkeypatch):
+    rng = verify._rng_for(0, 3)
+    sys = verify._draw_quad(rng, 6)
+    vchain = geometry.vstar_sequence(sys, None, DEFAULT_TOL)
+    schain = geometry.sstar_sequence(sys, DEFAULT_TOL)
+    pairs = {(i, j) for i in _terms(vchain, sys.n) for j in _terms(schain, sys.n)}
+    assert len(pairs) < sys.n ** 2
+    calls = []
+    monkeypatch.setattr(verify, "subspace_intersect",
+                        lambda *args: calls.append(args) or subspace_intersect(*args))
+    assert verify._lemma_intersection(verify._rng_for(0, 3), 3, 6, DEFAULT_TOL) is None
+    assert len(calls) == len(pairs)
+
+
+def test_th2_intersects_each_chain_term_once(monkeypatch):
+    sys = verify._draw_quad(verify._rng_for(1, 27), 8)
+    terms = _terms(geometry.sstar_sequence(sys), sys.n)
+    assert 1 < len(terms) < sys.n
+    calls = []
+    monkeypatch.setattr(verify, "subspace_intersect",
+                        lambda *args: calls.append(args) or subspace_intersect(*args))
+    assert verify._th2(verify._rng_for(1, 27), 27, 8, DEFAULT_TOL) is None
+    assert len(calls) == len(terms)
