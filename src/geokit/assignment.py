@@ -379,7 +379,9 @@ def build_Kh(sys: SystemQuad, spec, tol: Tol = DEFAULT_TOL) -> tuple[Subspace, l
     returned as its certificate: if one of their columns lies over
     ``tol.abs`` outside Kh, raises :class:`NumericalError`.  With m ≤ p
     each kernel is empty unless the Rosenbrock matrix loses rank at its
-    value, and an empty one costs singular values only.
+    value, and an empty one costs one QR and one triangular inverse, which
+    prove the full column rank; singular values are computed only where that
+    proof fails.
     """
     frame = geometry.morse_decomposition(sys, tol)
     lams = [complex(v) for v in spec]

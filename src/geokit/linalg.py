@@ -16,7 +16,11 @@ equality across operations.
 Every SVD in geokit goes through :func:`svd`, and every spectral norm through
 :func:`norm2`: LAPACK ``gesdd`` called directly, with the results of
 ``numpy.linalg.svd`` and ``numpy.linalg.norm(M, 2)`` bit for bit but without
-numpy's per-call overhead, which dominates at the sizes of the sweeps.
+numpy's per-call overhead, which dominates at the sizes of the sweeps.  A
+full column rank may be proven first, from one QR factorization, where the
+SVD's answer is not needed otherwise (:func:`_proves_full_column_rank`): the
+proof accepts only what the same singular-value threshold would, and
+anything it cannot prove goes to the SVD.
 """
 
 from __future__ import annotations
@@ -154,6 +158,43 @@ def _svd_rank(s: np.ndarray, shape, tol: Tol, scale: float | None = None) -> int
     # the noise to full rank.
     thresh = tol.rel * max(s[0], scale or 0.0) * max(shape)
     return int(np.count_nonzero(s > thresh))
+
+
+# geqrf, trtri and the Frobenius norms lange and lantr, by dtype kind: the QR
+# proof of full column rank
+_QR_PROOF = {kind: get_lapack_funcs(("geqrf", "trtri", "lange", "lantr"), dtype=dtype)
+             for kind, dtype in (("f", np.float64), ("c", np.complex128))}
+
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _proves_full_column_rank(M: np.ndarray, tol: Tol) -> bool:
+    """True only when ``_svd_rank(svd(M, compute_uv=False), M.shape, tol)``
+    would count every column of the tall or square, nonempty ``M``; False
+    means "not proven", not "rank deficient".
+
+    One Householder QR, M = QR, and the triangular inverse of R give
+    σ_min(R) ≥ 1/‖R⁻¹‖_F, while ‖M‖_F ≥ σ_max(M).  The proof accepts when
+    1/‖R⁻¹‖_F > 2 max(tol.rel · max(rows, cols), 64 (rows + cols) ε) ‖M‖_F:
+    the factor 2 and the ε floor, which decides for a tiny ``tol.rel``, cover
+    the backward errors of the QR (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, ch. 19), of the inverse, κ(R) n ε
+    (§14.2), and of gesdd itself.  An exactly singular R (trtri's info > 0)
+    is not proven; neither is a non-finite norm, since no comparison with
+    NaN holds.
+    """
+    rows, cols = M.shape
+    geqrf, trtri, lange, lantr = _QR_PROOF["c" if M.dtype.kind == "c" else "f"]
+    qr, _, _, info = geqrf(M)  # into a copy: M itself is left as it is
+    if info:
+        return False
+    Rinv, info = trtri(qr[:cols], overwrite_c=True)
+    if info:
+        return False
+    floor = max(tol.rel * max(rows, cols), 64.0 * (rows + cols) * _EPS)
+    # lantr reads the upper triangle only; Mᵀ of a C-ordered M has LAPACK's
+    # column order, so lange reads it without a copy
+    return 1.0 / lantr("F", Rinv) > 2.0 * floor * lange("F", M.T)
 
 
 def rank_of(M, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import geometry
 from .errors import SpectrumError
-from .linalg import DEFAULT_TOL, Tol, _svd_rank, norm2, rank_of, svd
+from .linalg import DEFAULT_TOL, Tol, _proves_full_column_rank, _svd_rank, norm2, rank_of, svd
 from .sysmodel import SystemQuad
 
 __all__ = [
@@ -100,15 +100,18 @@ def rosenbrock_kernels(sys: SystemQuad, lams, tol: Tol = DEFAULT_TOL) -> list[Pe
 
     The matrices share one buffer per dtype (B, C and D are written once);
     no stack of them is held.  With m ≤ p each matrix is square or tall,
-    and it is factored only when it loses column rank: away from the
-    invariant zeros (and any normal-rank loss) its singular values alone
-    give the empty kernel, (n, 0) and (m, 0) in its dtype.  Otherwise the
-    full SVD's own singular values decide, so every nonempty kernel comes
-    from one SVD."""
+    and away from the invariant zeros (and any normal-rank loss) its kernel
+    is empty, (n, 0) and (m, 0) in its dtype: one QR proves the full column
+    rank that the SVD threshold would find
+    (:func:`geokit.linalg._proves_full_column_rank`), and no SVD runs.  What
+    the QR cannot prove, the singular values decide, and the matrix is
+    factored only when they show a rank loss; the full SVD's own singular
+    values then decide, so every nonempty kernel comes from one SVD."""
     kernels = []
     for lam, M in _system_matrices(sys, lams):
         rows, cols = M.shape
-        if rows >= cols and _svd_rank(svd(M, compute_uv=False), M.shape, tol) == cols:
+        if rows >= cols and (_proves_full_column_rank(M, tol)
+                             or _svd_rank(svd(M, compute_uv=False), M.shape, tol) == cols):
             K = np.zeros((cols, 0), M.dtype)
         else:
             _, s, vh = svd(M)

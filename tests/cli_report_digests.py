@@ -8,6 +8,10 @@ and runs every compute op of ``geokit.cli.main`` on it: ``kh`` and
 ``place`` at the case's values, plus ``kh-pairs`` and ``place-pairs``, the
 same ops at conjugate pairs built from those values, and ``friend-lambdas``
 and ``friend-pairs``, ``friend`` at ``kh``'s values and at their pairs.
+Then it draws perfbench's ops-large systems the same way (the shapes at
+n = 40, 40 and 80, from ``numpy.random.default_rng([seed, 2])``) and runs
+``kh`` on each at the case's values, so that the 80-state Kh certificate is
+covered too; their lines carry the case key with a ``large-`` prefix.
 Ops that fail are kept: their error report is digested too.
 Usage:
 
@@ -49,12 +53,17 @@ from geokit import cli  # noqa: E402
 from geokit.sysmodel import dump_system  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from perfbench.workloads import CLI_SIZES, _groups  # noqa: E402
+from perfbench.workloads import CLI_SIZES, LARGE_SIZES, _groups  # noqa: E402
 
 
 def draw_cases(seed: int):
     """perfbench's cli-reports cases for ``seed``, in its draw order."""
     return _groups(geokit, np.random.default_rng([seed, 4]), CLI_SIZES, CLI_SIZES)
+
+
+def draw_large_cases(seed: int):
+    """perfbench's ops-large cases for ``seed``, in its draw order."""
+    return _groups(geokit, np.random.default_rng([seed, 2]), LARGE_SIZES, (40,))
 
 
 def _lams(values) -> str:
@@ -71,25 +80,34 @@ def _pairs(values) -> list[complex]:
     return out
 
 
+def _case_digests(seed: int, key: str, sys_, ops, flags, workdir: Path):
+    """Yield the system file's line and one line per op of ``ops``; an op
+    named in ``flags`` gets those values as ``--lambdas``."""
+    path = workdir / f"{key}.json"
+    dump_system(sys_, path)
+    yield f"{seed} {key} file {hashlib.sha256(path.read_bytes()).hexdigest()}"
+    for op in ops:
+        argv = [op.split("-")[0], str(path)]
+        if op in flags:
+            argv.append(_lams(flags[op]))
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv)
+        sha = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        yield f"{seed} {key} {op} {code} {sha}"
+
+
 def report_digests(seed: int, workdir: Path):
     """Yield the output lines for one seed."""
     for case in draw_cases(seed):
-        key, kh, place = case.key, case.kh_lams, case.place_lams
-        path = workdir / f"{key}.json"
-        dump_system(case.sys, path)
-        yield f"{seed} {key} file {hashlib.sha256(path.read_bytes()).hexdigest()}"
+        kh, place = case.kh_lams, case.place_lams
         extra = {"kh-pairs": _pairs(kh), "place-pairs": _pairs(place),
                  "friend-lambdas": kh, "friend-pairs": _pairs(kh)}
-        flags = {"kh": kh, "place": place, **extra}
-        for op in cli._COMPUTE_OPS + tuple(extra):
-            argv = [op.split("-")[0], str(path)]
-            if op in flags:
-                argv.append(_lams(flags[op]))
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = cli.main(argv)
-            sha = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-            yield f"{seed} {key} {op} {code} {sha}"
+        yield from _case_digests(seed, case.key, case.sys, cli._COMPUTE_OPS + tuple(extra),
+                                 {"kh": kh, "place": place, **extra}, workdir)
+    for case in draw_large_cases(seed):
+        yield from _case_digests(seed, f"large-{case.key}", case.sys, ("kh",),
+                                 {"kh": case.kh_lams}, workdir)
 
 
 def main(argv: list[str]) -> None:

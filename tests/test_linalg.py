@@ -9,6 +9,8 @@ from geokit.linalg import (
     DEFAULT_TOL,
     Subspace,
     Tol,
+    _proves_full_column_rank,
+    _svd_rank,
     as_matrix,
     contains,
     equals,
@@ -304,6 +306,46 @@ class TestOneSvdPrimitive:
             "Q, R = np.linalg.qr(M)",
         ])
         assert _svd_bypasses(source) == [2, 3, 4, 5, 6, 7, 9, 10, 11, 12]
+
+
+def _planted(rng, shape, complex_: bool, sigma_min: float) -> np.ndarray:
+    """A seeded ``shape`` matrix with singular values spread geometrically
+    from 1 down to ``sigma_min``, between random orthonormal factors."""
+    def q(k):
+        G = rng.standard_normal((k, k))
+        return np.linalg.qr(G + 1j * rng.standard_normal((k, k)) if complex_ else G)[0]
+
+    rows, cols = shape
+    return (q(rows)[:, :cols] * np.geomspace(1.0, sigma_min, cols)) @ q(cols).conj().T
+
+
+class TestFullColumnRankProof:
+    """One QR proves full column rank only where the SVD threshold counts
+    every column: "proven" never disagrees with ``_svd_rank``."""
+
+    @pytest.mark.parametrize("rel", [1e-15, 1e-11, 1e-6])
+    @pytest.mark.parametrize("shape", [(12, 8), (43, 42), (10, 10), (82, 82)],
+                             ids=["tall", "tall-by-one", "square", "square-82"])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_proven_only_where_the_svd_counts_every_column(self, complex_, shape, rel):
+        tol = Tol(rel=rel)
+        rng = np.random.default_rng([*shape, complex_, round(-np.log10(rel))])
+        for factor in (0.5, 1.0, 2.0, 10.0, 1e3):  # σ_min over the SVD threshold
+            for _ in range(3):
+                M = _planted(rng, shape, complex_, factor * rel * max(shape))
+                before = M.copy()
+                proven = _proves_full_column_rank(M, tol)
+                assert np.array_equal(M, before)
+                if proven:
+                    assert _svd_rank(svd(M, compute_uv=False), shape, tol) == shape[1]
+                if factor == 1e3:  # far from the threshold the proof must hold
+                    assert proven
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_an_exactly_singular_R_is_not_proven(self, dtype):
+        M = np.random.default_rng(7).standard_normal((12, 8)).astype(dtype)
+        M[:, 3] = 0.0
+        assert not _proves_full_column_rank(M, DEFAULT_TOL)
 
 
 class TestSubspaceType:

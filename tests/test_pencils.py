@@ -173,11 +173,9 @@ class TestKernelIsOneSvdDecision:
             assert K.q == 1
             assert K.V.dtype == V.dtype and np.array_equal(K.V, V) and np.array_equal(K.W, W)
 
-    def test_full_rank_pencils_compute_no_factors(self, monkeypatch):
-        # the Kh certificate of a square system: every kernel is empty, so
-        # none of them may pay for singular vectors
-        from geokit.assignment import build_Kh
-
+    @staticmethod
+    def _count_svds(monkeypatch) -> list[bool]:
+        """The ``compute_uv`` flag of each SVD the pencil kernels run."""
         calls = []
 
         def counted(M, full_matrices=True, compute_uv=True):
@@ -185,10 +183,35 @@ class TestKernelIsOneSvdDecision:
             return svd(M, full_matrices, compute_uv)
 
         monkeypatch.setattr(pencils, "svd", counted)
+        return calls
+
+    def test_full_rank_pencils_compute_no_factors(self, monkeypatch):
+        # the Kh certificate of a square system: every kernel is empty, and
+        # one QR per value proves it, so no SVD runs at all
+        from geokit.assignment import build_Kh
+
+        calls = self._count_svds(monkeypatch)
         sys = random_system(GenSpec(40, 2, 2, seed=5))
         _, kernels = build_Kh(sys, -np.linspace(1.0, 4.0, 20))
         assert [K.q for K in kernels] == [0] * 20
-        assert len(calls) == 20 and calls.count(True) == 0
+        assert calls == []
+
+    def test_normal_rank_loss_reaches_the_svd(self, monkeypatch):
+        # two equal outputs: the square Rosenbrock matrix loses rank at every
+        # λ, so the QR proves nothing, the singular values show the loss, and
+        # each kernel is the full SVD's, bit for bit
+        from geokit.assignment import build_Kh
+
+        base = random_system(GenSpec(n=8, m=2, p=2, seed=3))
+        sys = SystemQuad.from_matrices(base.A, base.B, base.C[[0, 0]], base.D[[0, 0]])
+        lams = [-1.0, -2.0, -3.0]
+        calls = self._count_svds(monkeypatch)
+        _, kernels = build_Kh(sys, lams)
+        assert calls == [False, True] * 3
+        for K, lam in zip(kernels, lams):
+            basis = kernel_basis(rosenbrock_matrix(sys, lam)).basis
+            assert K.q == 1
+            assert np.array_equal(K.V, basis[:sys.n]) and np.array_equal(K.W, basis[sys.n:])
 
 
 class TestRosenbrockKernels:
