@@ -1,6 +1,8 @@
 # System pencils: PBH controllability test, kernel dimensions, and invariant
 # zeros located three ways (triangular decomposition, rank drop of the system
-# matrix, and the feedthrough Schur complement for square systems).
+# matrix, and the feedthrough Schur complement for square systems).  The
+# system matrix's normal rank, n + m - m1, is read off the same triangular
+# decomposition that gives the zeros: no eigenvalue is sampled.
 
 import numpy as np
 
@@ -13,7 +15,7 @@ from geokit import (
 )
 from geokit.geometry import morse_decomposition
 from geokit.linalg import rank_of
-from geokit.pencils import normal_rank_rosenbrock, rosenbrock_matrix
+from geokit.pencils import rosenbrock_matrix
 from geokit.sysmodel import GenSpec, random_system
 
 print("PBH test on a block-diagonal pair (second mode unreachable)")
@@ -25,12 +27,11 @@ print("  kernel at 2.0 has dim", reach_pencil_kernel(A, B, 2.0).q, "(inflated at
 print("\ndouble integrator with velocity output")
 sys = SystemQuad.from_matrices([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]],
                                [[0.0, 1.0]], [[0.0]])
+dec = morse_decomposition(sys)
 print("  invariant zeros   :", invariant_zeros(sys))
-print("  normal rank       :", normal_rank_rosenbrock(sys))
+print("  normal rank       :", dec.normal_rank, "(n + m - m1, m1 = %d)" % dec.m1)
 print("  rank at the zero  :", rank_of(rosenbrock_matrix(sys, 0.0)))
 print("  kernel dim at -1  :", rosenbrock_kernel(sys, -1.0).q, "(system matrix invertible off the zero)")
-
-dec = morse_decomposition(sys)
 print("  triangular blocks : reachability part %d, output-nulling part %d" % (
     dec.dim_rstar, dec.dim_vstar))
 print("  zero block eig    :", np.round(dec.invariant_zeros, 9))

@@ -130,14 +130,13 @@ def _run_compute(args, tol: Tol) -> tuple[dict, dict]:
                                      containment_residual(cross, rst)),
         }
     elif op == "zeros":
-        zs = pencils.invariant_zeros(sys_quad, tol)
-        scale = pencils.spectrum_scale(zs, tol) if zs else tol.abs
-        distinct = pencils.deduplicate_eigenvalues(zs, 10.0 * scale)
-        nr = pencils.normal_rank_rosenbrock(sys_quad, tol)
+        dec = geometry.morse_decomposition(sys_quad, tol)
+        zs = dec.invariant_zeros
+        distinct = pencils.deduplicate_eigenvalues(zs, 10.0 * pencils.spectrum_scale(zs, tol))
         result = {
             "zeros": [_complex_out(z) for z in zs],
             "zeros_distinct": [_complex_out(z) for z in distinct],
-            "normal_rank": nr,
+            "normal_rank": dec.normal_rank,
         }
         ranks = pencils._per_conjugate_pair(sys_quad, distinct, tol)
         diagnostics = {

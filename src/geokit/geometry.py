@@ -412,6 +412,12 @@ class MorseDecomposition:
         n1 = self.dim_rstar
         return np.linalg.eigvals(self.Abar[:n1, :n1])
 
+    @property
+    def normal_rank(self) -> int:
+        """Normal rank of the Rosenbrock matrix, n + m − m1: m1 = dim(B⁻¹V* ∩
+        ker D) counts its right minimal indices (Morse, 1973)."""
+        return self.T.shape[0] + self.Omega.shape[0] - self.m1
+
 
 def morse_decomposition(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> MorseDecomposition:
     """Adapted-basis decomposition exposing the invariant-zero block.

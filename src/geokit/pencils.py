@@ -1,7 +1,8 @@
 """Kernels of the Rosenbrock system matrix [[A - λI, B], [C, D]], whose
 p = 0 case is the reachability pencil [A - λI  B], plus the spectral
 bookkeeping built on them: uncontrollable eigenvalues (PBH test), invariant
-zeros, and validation of requested closed-loop spectra.
+zeros and the normal rank (both read off the Morse frame of
+:mod:`geokit.geometry`), and validation of requested closed-loop spectra.
 
 A pencil of a real system is built, and its kernel computed, in real
 arithmetic at a real λ (zero imaginary part) and in complex arithmetic only
@@ -166,20 +167,10 @@ def uncontrollable_eigenvalues(A, B, tol: Tol = DEFAULT_TOL) -> list[complex]:
     return [lam for lam, r in zip(eigs, _per_conjugate_pair(sys, eigs, tol)) if r < sys.n]
 
 
-# Deterministic sample points for the normal-rank estimate.  Rank drop occurs
-# on a measure-zero set, so a handful of fixed generic points suffices.
-_NORMAL_RANK_SAMPLES = 5
-
-
 def normal_rank_rosenbrock(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> int:
-    """Normal rank of the Rosenbrock matrix, as the max over seeded random λ."""
-    rng = np.random.default_rng(20240917)
-    scale = 1.0 + float(np.abs(np.linalg.eigvals(sys.A)).max())
-    best = 0
-    for _ in range(_NORMAL_RANK_SAMPLES):
-        lam = complex(*rng.uniform(-scale, scale, 2))
-        best = max(best, rank_of(rosenbrock_matrix(sys, lam), tol))
-    return best
+    """Normal rank of the Rosenbrock matrix: the Morse frame's n + m − m1
+    (:attr:`geokit.geometry.MorseDecomposition.normal_rank`)."""
+    return geometry.morse_decomposition(sys, tol).normal_rank
 
 
 def invariant_zeros(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> list[complex]:
@@ -190,9 +181,9 @@ def invariant_zeros(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> list[complex]:
     induced between the supremal output-nulling subspace and its reachability
     part).  At p = 0 they are the input-decoupling zeros, i.e. the
     uncontrollable eigenvalues of the PBH test (:func:`uncontrollable_eigenvalues`).
-    Use :func:`deduplicate_eigenvalues` for the zero set without multiplicities,
-    and :func:`normal_rank_rosenbrock` to cross-check each zero as a rank-drop
-    point of the Rosenbrock matrix.
+    Use :func:`deduplicate_eigenvalues` for the zero set without multiplicities.
+    The Rosenbrock matrix drops below its normal rank at each zero
+    (:func:`normal_rank_rosenbrock`, read off the same frame).
     """
     dec = geometry.morse_decomposition(sys, tol)
     return [complex(z) for z in dec.invariant_zeros]

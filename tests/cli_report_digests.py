@@ -12,7 +12,12 @@ Then it draws perfbench's ops-large systems the same way (the shapes at
 n = 40, 40 and 80, from ``numpy.random.default_rng([seed, 2])``) and runs
 ``kh`` on each at the case's values, so that the 80-state Kh certificate is
 covered too; their lines carry the case key with a ``large-`` prefix.
-Ops that fail are kept: their error report is digested too.
+Last come the ``planted-`` cases, on which ``zeros`` and ``morse`` run: the
+planted joins of ``tests/planted.py`` with the seed as their ``s`` (among
+them the joins whose V* or S* geokit gets wrong), and one draw whose second
+input column (of B and D) equals its first, so that its Rosenbrock matrix
+loses normal rank.  Ops that fail are kept: their error report is digested
+too.
 Usage:
 
     PYTHONPATH=src python tests/cli_report_digests.py [SEED ...]
@@ -50,10 +55,14 @@ import numpy as np  # noqa: E402
 
 import geokit.sysmodel  # noqa: E402
 from geokit import cli  # noqa: E402
-from geokit.sysmodel import dump_system  # noqa: E402
+from geokit.sysmodel import GenSpec, SystemQuad, dump_system, random_system  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.workloads import CLI_SIZES, LARGE_SIZES, _groups  # noqa: E402
+from planted import planted_join  # noqa: E402
+
+# (n1, n2, m2, p2) of the planted joins: one per shape of the generic block
+PLANTED = ((4, 8, 2, 2), (4, 8, 1, 2), (4, 8, 3, 2), (8, 16, 3, 1))
 
 
 def draw_cases(seed: int):
@@ -64,6 +73,16 @@ def draw_cases(seed: int):
 def draw_large_cases(seed: int):
     """perfbench's ops-large cases for ``seed``, in its draw order."""
     return _groups(geokit, np.random.default_rng([seed, 2]), LARGE_SIZES, (40,))
+
+
+def draw_planted_cases(seed: int):
+    """``(key, system)`` for the planted joins and the duplicated-input draw."""
+    for n1, n2, m2, p2 in PLANTED:
+        yield f"planted-{n1}-{n2}-{m2}{p2}", planted_join(n1, n2, m2, p2, seed)
+    base = random_system(GenSpec(12, 3, 3, seed=seed))
+    B, D = base.B.copy(), base.D.copy()
+    B[:, 1], D[:, 1] = B[:, 0], D[:, 0]
+    yield "planted-dup-input", SystemQuad.from_matrices(base.A, B, base.C, D)
 
 
 def _lams(values) -> str:
@@ -108,6 +127,8 @@ def report_digests(seed: int, workdir: Path):
     for case in draw_large_cases(seed):
         yield from _case_digests(seed, f"large-{case.key}", case.sys, ("kh",),
                                  {"kh": case.kh_lams}, workdir)
+    for key, sys_ in draw_planted_cases(seed):
+        yield from _case_digests(seed, key, sys_, ("zeros", "morse"), {}, workdir)
 
 
 def main(argv: list[str]) -> None:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import geokit
-from geokit import cli
+from geokit import cli, geometry, pencils
 from geokit.cli import main, parse_lambdas
 from geokit.errors import ValidationError
 from geokit.linalg import rank_of
@@ -66,6 +66,23 @@ class TestComputeCommands:
         assert rep["op"] == "zeros"
         assert rep["result"]["zeros"] == [{"re": 0.0, "im": 0.0}]
         assert rep["result"]["normal_rank"] == 3
+
+    def test_zeros_reads_one_morse_frame(self, capsys, monkeypatch, tmp_path):
+        # the zeros and the normal rank come from one frame, and the only
+        # rank decisions are the rank_at_zeros checks: no λ is sampled
+        built, decided = [], []
+        frame, matrix = geometry.morse_decomposition, pencils.rosenbrock_matrix
+        monkeypatch.setattr(geometry, "morse_decomposition",
+                            lambda *args: built.append(args) or frame(*args))
+        monkeypatch.setattr(pencils, "rosenbrock_matrix",
+                            lambda s, lam: decided.append(lam) or matrix(s, lam))
+        path = tmp_path / "sq.json"
+        dump_system(random_system(GenSpec(8, 2, 2, seed=3)), path)
+        code, rep = run_cli(capsys, "zeros", str(path))
+        assert code == 0 and len(built) == 1
+        assert len(rep["result"]["zeros"]) == 8 and rep["result"]["normal_rank"] == 10
+        distinct = {complex(z["re"], z["im"]) for z in rep["result"]["zeros_distinct"]}
+        assert decided and set(decided) <= distinct
 
     def test_reach_fixture(self, capsys, tmp_path):
         path = tmp_path / "diag.json"

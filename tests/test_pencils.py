@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,9 @@ from geokit.pencils import (
     validate_spectrum,
 )
 from geokit.sysmodel import GenSpec, SystemQuad, random_system
+
+from planted import planted_join
+from sampled_rank import sampled_normal_rank
 
 CHAIN3 = np.array([[0.0, 1, 0], [0, 0, 1], [0, 0, 0]])
 B3 = np.eye(3)[:, 2:]
@@ -336,9 +341,50 @@ class TestInvariantZeros:
         for seed in range(8):
             n = int(rng.integers(2, 6))
             sys = random_system(GenSpec(n=n, m=2, p=2, seed=100 + seed))
-            nr = normal_rank_rosenbrock(sys)
+            nr = sampled_normal_rank(sys)
             for z in deduplicate_eigenvalues(invariant_zeros(sys), 1e-6):
                 assert rank_of(rosenbrock_matrix(sys, z)) < nr
+
+
+def _duplicated_input(sys: SystemQuad) -> SystemQuad:
+    """``sys`` with the second column of B and of D set equal to the first."""
+    B, D = sys.B.copy(), sys.D.copy()
+    B[:, 1], D[:, 1] = B[:, 0], D[:, 0]
+    return SystemQuad.from_matrices(sys.A, B, sys.C, D)
+
+
+class TestNormalRank:
+    # the Morse frame's n + m - m1 against the seeded sampler, which builds
+    # no subspace: one rank decision at each of five generic points
+
+    @pytest.mark.parametrize("n1, n2, m2, p2, s", [
+        (n1, n2, m2, p2, s) for n1, n2, (m2, p2), s in itertools.product(
+            (4, 8), (8, 16), ((3, 2), (1, 2), (2, 2), (3, 1)), range(3))])
+    def test_planted_join(self, n1, n2, m2, p2, s):
+        # the SISO block has a nonzero D, and the generic block's transfer
+        # matrix has rank min(m2, p2)
+        sys = planted_join(n1, n2, m2, p2, s)
+        assert normal_rank_rosenbrock(sys) == sampled_normal_rank(sys) == n1 + n2 + 1 + min(m2, p2)
+
+    @pytest.mark.parametrize("n, m, p", [(3, 2, 1), (5, 2, 2), (8, 3, 2), (8, 2, 3), (12, 3, 3),
+                                         (20, 2, 4), (40, 3, 2), (80, 2, 2)])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_duplicated_input(self, n, m, p, seed):
+        sys = _duplicated_input(random_system(GenSpec(n, m, p, seed=seed)))
+        nr = normal_rank_rosenbrock(sys)
+        assert nr == sampled_normal_rank(sys) == sys.n + min(m - 1, p)
+
+    @pytest.mark.parametrize("n, m", [(3, 1), (5, 2), (8, 3), (20, 2)])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_no_outputs(self, n, m, seed):
+        sys = random_system(GenSpec(n, m, 0, seed=seed))
+        assert normal_rank_rosenbrock(sys) == sampled_normal_rank(sys) == n
+
+    def test_two_equal_outputs(self):
+        # the system of TestKernelIsOneSvdDecision.test_normal_rank_loss_reaches_the_svd
+        base = random_system(GenSpec(n=8, m=2, p=2, seed=3))
+        sys = SystemQuad.from_matrices(base.A, base.B, base.C[[0, 0]], base.D[[0, 0]])
+        assert normal_rank_rosenbrock(sys) == sampled_normal_rank(sys) == 9
 
 
 class TestValidateSpectrum:
