@@ -40,6 +40,7 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tol,
+    _completion,
     _svd_rank,
     as_matrix,
     image_basis,
@@ -167,7 +168,7 @@ def _parametric(A, B, F, Omega1, Q, stairs, values):
     d inputs that move a state.  A value that takes d columns gets U itself;
     the other columns start from seeded coefficients and each KNV-0 sweep
     moves them in turn to the projection onto U of their part off the other
-    columns, found from a QR of those columns.
+    columns, found from a complete QR of those columns (:func:`geokit.linalg._completion`).
     """
     d, target = stairs[1], geometry.chain_term(stairs, sum(1 + is_pair for _, is_pair in values))
     counts, total = [0] * len(values), 0
@@ -201,7 +202,7 @@ def _parametric(A, B, F, Omega1, Q, stairs, values):
             if free:
                 lo, hi = starts[j], starts[j + 1]
                 others = np.delete(X, np.s_[lo:hi], axis=1)
-                Y = np.linalg.qr(others, mode="complete")[0][:, others.shape[1]:]
+                Y = _completion(others)
                 x = X[:, lo] + 1j * X[:, lo + 1] if is_pair else X[:, lo]
                 c = U.conj().T @ (Y @ (Y.T @ x))
                 if np.linalg.norm(c):

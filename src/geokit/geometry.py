@@ -33,13 +33,14 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import DecompositionError, NotInvariantError, NumericalError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tol,
+    _QR,
+    _completion,
     _svd_rank,
     as_matrix,
     containment_residual,
@@ -100,7 +101,7 @@ def _staircase(A, B, C, D, start, steps: int, tol: Tol,
     p, d = C.shape[0], start.shape[1]
     dtype = np.result_type(A, B, C, D, start)
     # QR through LAPACK: numpy's wrapper costs more than a small factorization
-    geqrf, orgqr = get_lapack_funcs(("geqrf", ("orgqr", "ungqr")[dtype.kind == "c"]), dtype=dtype)
+    geqrf, orgqr = _QR[dtype.kind]
     ab_scale, cd_scale = scales
     # Q and the prefixes [B, AQ] and [D, CQ] grow in place.
     Qbuf = np.empty((n, n), dtype=dtype)
@@ -118,7 +119,7 @@ def _staircase(A, B, C, D, start, steps: int, tol: Tol,
         if p:
             W = np.zeros((m + d, infeasible.shape[1] + new), dtype=dtype)
             W[:m + d - new, :infeasible.shape[1]] = infeasible
-            W[m + d - new:, infeasible.shape[1]:] = np.eye(new)
+            np.fill_diagonal(W[m + d - new:, infeasible.shape[1]:], 1.0)
             _, s, vh = svd(DCQ[:, :m + d], full_matrices=False)
             r = _svd_rank(s, (p, n + m), tol, scale=cd_scale)
             infeasible = vh[:r].conj().T
@@ -227,7 +228,7 @@ def _dual_stairs(sys: SystemQuad, E: Subspace | None, tol: Tol) -> tuple[np.ndar
     start = np.zeros((n, 0)) if E is None else orthonormal_complement(E, tol).basis
     Q, dims = _staircase(sys.A.T, sys.C.T, sys.B.T, sys.D.T, start, n + 1, tol,
                          (sys._ac_scale, sys._bd_scale))
-    return np.hstack([Q, np.linalg.qr(Q, mode="complete")[0][:, Q.shape[1]:]]), dims
+    return np.hstack([Q, _completion(Q)]), dims
 
 
 def sstar_sequence(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> list[Subspace]:
@@ -315,18 +316,25 @@ def friend_of(sys: SystemQuad, V: Subspace, spectrum=None, tol: Tol = DEFAULT_TO
         Omega1 = Omega[:, :m1]
         F0, X, H, assigned = _parametric(sys.A, sys.B, F, Omega1, Q, dims, values)
         return _assemble_feedback(sys, F0, Omega1, Q, X, H, assigned, V, tol)
-    F, _, _, res_inv, res_out = _friend(sys, V, tol)
-    return FeedbackResult(F, (), 0.0, res_out, res_inv, 1.0)
+    F, _, _, R = _friend(sys, V, tol)
+    return FeedbackResult(F, (), 0.0, norm2(R[sys.n:]), norm2(R[:sys.n]), 1.0)
 
 
 def _friend(sys: SystemQuad, V: Subspace, tol: Tol):
-    """``(F, Omega, m1, res_inv, res_out)`` from one SVD of M = [P B; D], P
-    the projector onto V⊥, and its rank r: Omega is orthogonal, its first
-    ``m1 = m - r`` columns span ker M = ker D ∩ B⁻¹V; F = W Vᵀ with W =
-    -M⁺ [P A V; C V], M⁺ truncated at rank r, is the least-squares friend.
-    The residual [P A V; C V] + M W = [P (A+BF) V; (C+DF) V] has block norms
-    ``res_inv`` and ``res_out``; either above ``tol.abs · max(1, ‖[A; C]‖₂)``
-    raises :class:`NotInvariantError`: V is not output nulling.
+    """``(F, Omega, m1, R)`` from one SVD of M = [P B; D], P the projector
+    onto V⊥, and its rank r: Omega is orthogonal, its first ``m1 = m - r``
+    columns span ker M = ker D ∩ B⁻¹V; F = W Vᵀ with W = -M⁺ [P A V; C V],
+    M⁺ truncated at rank r, is the least-squares friend, and R = [P A V;
+    C V] + M W = [P (A+BF) V; (C+DF) V] its residual.
+
+    If the spectral norm of either block, ``res_inv = ‖R[:n]‖₂`` or
+    ``res_out = ‖R[n:]‖₂``, exceeds ``tol.abs · max(1, ‖[A; C]‖₂)``,
+    :class:`NotInvariantError` is raised: V is not output nulling.  Both
+    are at most ‖R‖_F, so a Frobenius norm within half that bound settles
+    the check without them; the half covers the roundoff of either norm
+    (a relative n ε) many times over, so no decision differs from the
+    spectral norms'.  They are computed only when the Frobenius norm
+    cannot decide, and by :func:`friend_of`, which reports them.
     """
     P, vb = V.perp_projector(), V.basis
     M = np.vstack([P @ sys.B, sys.D])
@@ -335,11 +343,14 @@ def _friend(sys: SystemQuad, V: Subspace, tol: Tol):
     rhs = np.vstack([P @ (sys.A @ vb), sys.C @ vb])
     W = -(vh[:r].conj().T / s[:r]) @ (u[:, :r].conj().T @ rhs)
     R = rhs + M @ W
-    res_inv, res_out = norm2(R[:sys.n]), norm2(R[sys.n:])
-    if max(res_inv, res_out) > tol.abs * max(1.0, sys._ac_scale):
-        raise NotInvariantError(f"subspace is not output nulling: residuals {res_inv:.3e}/{res_out:.3e}")
+    bound = tol.abs * max(1.0, sys._ac_scale)
+    if not np.linalg.norm(R) <= 0.5 * bound:  # a NaN goes on to the spectral norms
+        res_inv, res_out = norm2(R[:sys.n]), norm2(R[sys.n:])
+        if max(res_inv, res_out) > bound:
+            raise NotInvariantError(
+                f"subspace is not output nulling: residuals {res_inv:.3e}/{res_out:.3e}")
     Omega = np.vstack([vh[r:], vh[:r]]).conj().T
-    return W @ vb.conj().T, Omega, sys.m - r, res_inv, res_out
+    return W @ vb.conj().T, Omega, sys.m - r, R
 
 
 def reachability_on(sys: SystemQuad, V: Subspace, tol: Tol = DEFAULT_TOL) -> Subspace:
@@ -357,7 +368,7 @@ def _reach_along(sys: SystemQuad, V: Subspace, tol: Tol):
     """``(F, Omega, m1, Q, dims)``: the least-squares friend F and Omega of
     :func:`_friend`, and the staircase of (A+BF, B Omega1).  For V = V* it
     is Morse's R* recursion: Q[:, :dims[h]] spans V* ∩ S_h."""
-    F, Omega, m1, _, _ = _friend(sys, V, tol)
+    F, Omega, m1, _ = _friend(sys, V, tol)
     if m1 == 0:
         return F, Omega, m1, np.zeros((sys.n, 0)), [0, 0]
     Q, dims = _krylov(sys.A + sys.B @ F, sys.B @ Omega[:, :m1], sys.n + 1, tol)
@@ -422,8 +433,11 @@ class MorseDecomposition:
 def morse_decomposition(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> MorseDecomposition:
     """Adapted-basis decomposition exposing the invariant-zero block.
 
-    Raises :class:`DecompositionError` when a block that must vanish exceeds
-    tolerance, which indicates an upstream failure.  The leading pair is
+    Raises :class:`DecompositionError` when the largest spectral norm of
+    the blocks that must vanish, ``residual``, exceeds ``tol.abs · max(1,
+    ‖A+BF‖₂, ‖C+DF‖₂)``, which indicates an upstream failure.  That scale is
+    at least 1, so its two norms are computed only when ``residual`` exceeds
+    ``tol.abs``; below it no scale could raise.  The leading pair is
     reachable by construction: T1 is its staircase.  At p = 0 the
     decomposition is Kalman's controllability form, and its zeros are the
     uncontrollable eigenvalues (the input-decoupling zeros).
@@ -450,8 +464,8 @@ def morse_decomposition(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> MorseDecompo
         Dbar[:, :m1],
     ]
     residual = max((norm2(M) for M in must_vanish if M.size), default=0.0)
-    scale = max(1.0, norm2(Acl), norm2(Ccl))
-    if residual > tol.abs * scale:
+    # the scale is at least 1, so it is needed only above tol.abs
+    if residual > tol.abs and residual > tol.abs * max(1.0, norm2(Acl), norm2(Ccl)):
         raise DecompositionError(
             f"off-pattern block norm {residual:.3e} exceeds tolerance"
         )

@@ -16,11 +16,16 @@ equality across operations.
 Every SVD in geokit goes through :func:`svd`, and every spectral norm through
 :func:`norm2`: LAPACK ``gesdd`` called directly, with the results of
 ``numpy.linalg.svd`` and ``numpy.linalg.norm(M, 2)`` bit for bit but without
-numpy's per-call overhead, which dominates at the sizes of the sweeps.  A
-full column rank may be proven first, from one QR factorization, where the
-SVD's answer is not needed otherwise (:func:`_proves_full_column_rank`): the
-proof accepts only what the same singular-value threshold would, and
-anything it cannot prove goes to the SVD.
+numpy's per-call overhead, which dominates at the sizes of the sweeps.  The
+completion of a basis to the whole space, ``numpy.linalg.qr(M,
+mode="complete")``'s columns past M's, joins it as the other direct LAPACK
+call (:func:`_completion`: ``geqrf`` and ``orgqr``/``ungqr`` with numpy's
+optimal workspaces, cached per shape).  A full column rank may be proven
+first, from one QR factorization, where the SVD's answer is not needed
+otherwise (:func:`_proves_full_column_rank`): the proof accepts only what
+the same singular-value threshold would, and anything it cannot prove goes
+to the SVD.  A spectral norm that is only compared with a bound is not
+computed where the Frobenius norm, which bounds it, already decides.
 """
 
 from __future__ import annotations
@@ -133,6 +138,56 @@ def svd(M, full_matrices: bool = True, compute_uv: bool = True):
     return np.ascontiguousarray(u), s, np.ascontiguousarray(vh)
 
 
+# geqrf and orgqr/ungqr, by dtype kind: the Householder QR of the staircase,
+# of :func:`_completion` and of :func:`_proves_full_column_rank`
+_QR = {kind: get_lapack_funcs(("geqrf", ("orgqr", "ungqr")[kind == "c"]), dtype=dtype)
+       for kind, dtype in (("f", np.float64), ("c", np.complex128))}
+
+
+@functools.lru_cache(maxsize=1024)
+def _qr_lwork(kind: str, m: int, n: int) -> tuple[int, int]:
+    """LAPACK's optimal workspaces, as numpy queries them, for ``geqrf`` of
+    an m × n matrix and for ``orgqr``/``ungqr`` forming the complete m × m Q
+    from its min(m, n) reflectors.  The blocked QR's path, and so its bits,
+    depend on the workspace."""
+    geqrf, orgqr = _QR[kind]
+    dtype = np.complex128 if kind == "c" else np.float64
+    work_qr = geqrf(np.zeros((m, n), dtype, order="F"), lwork=-1)[2]
+    work_q = orgqr(np.zeros((m, m), dtype, order="F"), np.zeros(min(m, n), dtype), lwork=-1)[1]
+    return int(np.real(work_qr[0])), int(np.real(work_q[0]))
+
+
+def _completion(M: np.ndarray) -> np.ndarray:
+    """The columns that complete the Householder QR of the m × k ``M``,
+    k ≤ m, to an orthonormal basis of the whole space:
+    ``numpy.linalg.qr(M, mode="complete")[0][:, k:]`` bit for bit, strides
+    included, from LAPACK ``geqrf`` and ``orgqr``/``ungqr``.  An empty ``M``
+    gets the identity and a square one the empty (m, 0) basis, without a
+    factorization.  ``M`` itself is left as it is.  As with :func:`svd`, the
+    bits of large complex factors (about 200 rows and up) vary with the
+    number of BLAS threads."""
+    M = np.asarray(M)
+    m, k = M.shape
+    kind = "c" if M.dtype.kind == "c" else "f"
+    dtype = np.complex128 if kind == "c" else np.float64
+    if k == 0:
+        return np.eye(m, dtype=dtype)
+    if k == m:
+        return np.zeros((m, 0), dtype)
+    geqrf, orgqr = _QR[kind]
+    lwork_qr, lwork_q = _qr_lwork(kind, m, k)
+    qr, tau, _, info = geqrf(M, lwork=lwork_qr)  # into a copy
+    if info:
+        raise np.linalg.LinAlgError("QR factorization failed")
+    Q = np.zeros((m, m), dtype, order="F")
+    Q[:, :k] = qr
+    Q, _, info = orgqr(Q, tau, lwork=lwork_q, overwrite_a=True)
+    if info:
+        raise np.linalg.LinAlgError("QR factorization failed")
+    # numpy's Q is C-ordered; matmul rounds differently on other layouts
+    return np.ascontiguousarray(Q)[:, k:]
+
+
 def _frozen(M: np.ndarray) -> np.ndarray:
     """M read-only and owning its storage.  A writable array is copied, so
     the caller's stays writable; so is a view, so that a slice of a large
@@ -156,13 +211,13 @@ def _svd_rank(s: np.ndarray, shape, tol: Tol, scale: float | None = None) -> int
     # ``scale`` guards products that are mathematically zero: their largest
     # singular value is roundoff, and a purely relative cutoff would promote
     # the noise to full rank.
-    thresh = tol.rel * max(s[0], scale or 0.0) * max(shape)
+    thresh = tol.rel * max(float(s[0]), scale or 0.0) * max(shape)
     return int(np.count_nonzero(s > thresh))
 
 
-# geqrf, trtri and the Frobenius norms lange and lantr, by dtype kind: the QR
-# proof of full column rank
-_QR_PROOF = {kind: get_lapack_funcs(("geqrf", "trtri", "lange", "lantr"), dtype=dtype)
+# trtri and the Frobenius norms lange and lantr, by dtype kind: with geqrf,
+# the QR proof of full column rank
+_QR_PROOF = {kind: get_lapack_funcs(("trtri", "lange", "lantr"), dtype=dtype)
              for kind, dtype in (("f", np.float64), ("c", np.complex128))}
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -184,8 +239,11 @@ def _proves_full_column_rank(M: np.ndarray, tol: Tol) -> bool:
     NaN holds.
     """
     rows, cols = M.shape
-    geqrf, trtri, lange, lantr = _QR_PROOF["c" if M.dtype.kind == "c" else "f"]
-    qr, _, _, info = geqrf(M)  # into a copy: M itself is left as it is
+    kind = "c" if M.dtype.kind == "c" else "f"
+    trtri, lange, lantr = _QR_PROOF[kind]
+    # into a copy, M itself is left as it is; LAPACK's optimal workspace
+    # keeps the QR blocked at a few hundred columns
+    qr, _, _, info = _QR[kind][0](M, lwork=_qr_lwork(kind, rows, cols)[0])
     if info:
         return False
     Rinv, info = trtri(qr[:cols], overwrite_c=True)
@@ -228,7 +286,8 @@ class Subspace:
             raise ValidationError(f"basis has more columns ({k}) than rows ({n})")
         if k:
             gram = B.conj().T @ B
-            if np.abs(gram - np.eye(k)).max() > 1e-9:
+            gram.flat[::k + 1] -= 1.0  # the identity off, in place
+            if np.abs(gram).max() > 1e-9:
                 raise ValidationError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", B)
 
@@ -357,8 +416,18 @@ def equals(U: Subspace, V: Subspace, tol: Tol = DEFAULT_TOL) -> bool:
 
 
 def orthonormal_complement(S: Subspace, tol: Tol = DEFAULT_TOL) -> Subspace:
-    """Orthogonal complement of S in its ambient space."""
-    return kernel_basis(S.basis.conj().T, tol) if S.dim else Subspace.full(S.ambient_dim)
+    """Orthogonal complement of S in its ambient space.
+
+    The complement of the whole space is the zero subspace in the basis's
+    dtype, as ``kernel_basis`` would find it: the singular values of an
+    orthonormal basis all lie within about 1e-9 of 1, above the cutoff
+    whenever ``tol.rel · n < 1/2``."""
+    n = S.ambient_dim
+    if S.dim == 0:
+        return Subspace.full(n)
+    if S.dim == n and tol.rel * n < 0.5:
+        return Subspace(np.zeros((n, 0), S.basis.dtype))
+    return kernel_basis(S.basis.conj().T, tol)
 
 
 def max_imag(M) -> float:

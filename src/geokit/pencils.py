@@ -136,22 +136,29 @@ def _eig_scale(A: np.ndarray, tol: Tol) -> float:
     return max(tol.abs, 100.0 * tol.rel * max(1.0, norm2(A)))
 
 
-def _per_conjugate_pair(sys: SystemQuad, lams, tol: Tol) -> list[int]:
-    """The rank of the real system's Rosenbrock matrix at each λ of ``lams``,
-    decided once per conjugate pair.
+def _per_conjugate_pair(sys: SystemQuad, lams, tol: Tol, rank=rank_of) -> list[int]:
+    """``rank(M, tol)`` of the real system's Rosenbrock matrix M at each λ of
+    ``lams``, decided once per conjugate pair; ``rank_of`` by default.
 
     The matrix at λ̄ is the conjugate of the one at λ, so it has the same
     rank: a value whose exact conjugate came earlier in ``lams`` gets that
-    value's rank without an SVD.
+    value's rank without a factorization.  The matrices share one buffer
+    per dtype (:func:`_system_matrices`).
     """
-    seen: dict[complex, int] = {}
-    ranks = []
-    for lam in lams:
-        r = seen.get(lam.conjugate())
-        if r is None:
-            r = seen[lam] = rank_of(rosenbrock_matrix(sys, lam), tol)
-        ranks.append(r)
-    return ranks
+    todo, seen = [], set()  # the values factored: none has its conjugate earlier
+    for lam in map(complex, lams):
+        if lam.conjugate() not in seen:
+            seen.add(lam)
+            todo.append(lam)
+    ranks = {lam: rank(M, tol) for lam, M in _system_matrices(sys, todo)}
+    return [ranks[lam] if lam in ranks else ranks[lam.conjugate()] for lam in map(complex, lams)]
+
+
+def _row_rank(M: np.ndarray, tol: Tol) -> int:
+    """``rank_of(M, tol)`` of the wide or square M, read as its row count
+    when one QR of Mᵀ proves it full (:func:`geokit.linalg._proves_full_column_rank`;
+    its factor 2 covers gesdd's backward error in either orientation)."""
+    return M.shape[0] if _proves_full_column_rank(M.T, tol) else rank_of(M, tol)
 
 
 def uncontrollable_eigenvalues(A, B, tol: Tol = DEFAULT_TOL) -> list[complex]:
@@ -160,11 +167,13 @@ def uncontrollable_eigenvalues(A, B, tol: Tol = DEFAULT_TOL) -> list[complex]:
     This is the PBH test evaluated at each (deduplicated) eigenvalue of A;
     the returned list is multiplicity-free.  The eigenvalues of the real A
     come in exact conjugate pairs, and the rank is decided once per pair: a
-    pair is listed whole or not at all.
+    pair is listed whole or not at all.  A controllable value's full row
+    rank is usually proven by one QR, without an SVD.
     """
     sys = SystemQuad.from_matrices(A, B)
     eigs = deduplicate_eigenvalues(np.linalg.eigvals(sys.A), _eig_scale(sys.A, tol))
-    return [lam for lam, r in zip(eigs, _per_conjugate_pair(sys, eigs, tol)) if r < sys.n]
+    ranks = _per_conjugate_pair(sys, eigs, tol, rank=_row_rank)
+    return [lam for lam, r in zip(eigs, ranks) if r < sys.n]
 
 
 def normal_rank_rosenbrock(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> int:

@@ -379,7 +379,7 @@ def _rstar_identity(rng, t, nmax, tol):
     sdims = [S.dim for S in schain]
     if any(d2 < d1 for d1, d2 in zip(sdims, sdims[1:])) or len(schain) > sys.n + 2:
         return f"input-containing chain dims {sdims} not non-decreasing"
-    rst = geometry.rstar(sys, tol)
+    rst = geometry.reachability_on(sys, vchain[-1], tol)  # R*, on the chain's V*
     cross = subspace_intersect(vchain[-1], schain[-1], tol)
     if not equals(rst, cross, tol):
         return f"reachability part {rst.dim} != intersection of limits {cross.dim}"

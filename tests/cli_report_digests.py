@@ -11,7 +11,10 @@ and ``friend-pairs``, ``friend`` at ``kh``'s values and at their pairs.
 Then it draws perfbench's ops-large systems the same way (the shapes at
 n = 40, 40 and 80, from ``numpy.random.default_rng([seed, 2])``) and runs
 ``kh`` on each at the case's values, so that the 80-state Kh certificate is
-covered too; their lines carry the case key with a ``large-`` prefix.
+covered too, and ``vstar``, ``rstar``, ``zeros`` and ``morse``, whose dual
+staircase there ends at both edges of its basis completion (V* = 0 at
+(m, p) = (2, 3), V* the whole space at p = 0); their lines carry the case
+key with a ``large-`` prefix.
 Last come the ``planted-`` cases, on which ``zeros`` and ``morse`` run: the
 planted joins of ``tests/planted.py`` with the seed as their ``s`` (among
 them the joins whose V* or S* geokit gets wrong), and one draw whose second
@@ -63,6 +66,9 @@ from planted import planted_join  # noqa: E402
 
 # (n1, n2, m2, p2) of the planted joins: one per shape of the generic block
 PLANTED = ((4, 8, 2, 2), (4, 8, 1, 2), (4, 8, 3, 2), (8, 16, 3, 1))
+
+# the ops run on perfbench's ops-large systems
+LARGE_OPS = ("kh", "vstar", "rstar", "zeros", "morse")
 
 
 def draw_cases(seed: int):
@@ -125,7 +131,7 @@ def report_digests(seed: int, workdir: Path):
         yield from _case_digests(seed, case.key, case.sys, cli._COMPUTE_OPS + tuple(extra),
                                  {"kh": kh, "place": place, **extra}, workdir)
     for case in draw_large_cases(seed):
-        yield from _case_digests(seed, f"large-{case.key}", case.sys, ("kh",),
+        yield from _case_digests(seed, f"large-{case.key}", case.sys, LARGE_OPS,
                                  {"kh": case.kh_lams}, workdir)
     for key, sys_ in draw_planted_cases(seed):
         yield from _case_digests(seed, key, sys_, ("zeros", "morse"), {}, workdir)

@@ -71,11 +71,11 @@ class TestComputeCommands:
         # the zeros and the normal rank come from one frame, and the only
         # rank decisions are the rank_at_zeros checks: no λ is sampled
         built, decided = [], []
-        frame, matrix = geometry.morse_decomposition, pencils.rosenbrock_matrix
+        frame, matrices = geometry.morse_decomposition, pencils._system_matrices
         monkeypatch.setattr(geometry, "morse_decomposition",
                             lambda *args: built.append(args) or frame(*args))
-        monkeypatch.setattr(pencils, "rosenbrock_matrix",
-                            lambda s, lam: decided.append(lam) or matrix(s, lam))
+        monkeypatch.setattr(pencils, "_system_matrices", lambda s, lams: (
+            decided.append(lam) or (lam, M) for lam, M in matrices(s, lams)))
         path = tmp_path / "sq.json"
         dump_system(random_system(GenSpec(8, 2, 2, seed=3)), path)
         code, rep = run_cli(capsys, "zeros", str(path))

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from geokit.errors import NotInvariantError, NumericalError, SpectrumError, ValidationError
+from geokit import geometry, linalg
+from geokit.errors import (
+    DecompositionError,
+    NotInvariantError,
+    NumericalError,
+    SpectrumError,
+    ValidationError,
+)
 from geokit.geometry import (
     _krylov,
     chain_term,
@@ -24,13 +31,17 @@ from geokit.geometry import (
 from geokit.linalg import (
     DEFAULT_TOL,
     Subspace,
+    Tol,
+    _svd_rank,
     contains,
     containment_residual,
     equals,
     image_basis,
     kernel_basis,
+    norm2,
     orthonormal_complement,
     subspace_intersect,
+    svd,
 )
 from geokit.pencils import (
     deduplicate_eigenvalues,
@@ -67,6 +78,30 @@ def rosenbrock_zeros(sys):
     N[:n, :n] = np.eye(n)
     ev = scipy.linalg.eigvals(M, N)
     return ev[np.abs(ev) < 1e8]
+
+
+def friend_residual(sys, V, tol=DEFAULT_TOL):
+    """The least-squares friend's residual [P (A+BF) V; (C+DF) V], P the
+    projector onto V⊥, recomputed step by step as ``geometry._friend`` does."""
+    P, vb = V.perp_projector(), V.basis
+    M = np.vstack([P @ sys.B, sys.D])
+    u, s, vh = svd(M)
+    r = _svd_rank(s, M.shape, tol, scale=sys._bd_scale)
+    rhs = np.vstack([P @ (sys.A @ vb), sys.C @ vb])
+    return rhs + M @ (-(vh[:r].conj().T / s[:r]) @ (u[:, :r].conj().T @ rhs))
+
+
+def without_feedthrough(spec):
+    """``random_system(spec)`` with D = 0: V* is then a proper subspace."""
+    base = random_system(spec)
+    return SystemQuad.from_matrices(base.A, base.B, base.C, np.zeros((base.p, base.m)))
+
+
+def record_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so that each call's first argument is recorded."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda M, *a, **k: calls.append(M) or fn(M, *a, **k))
+    return calls
 
 
 class TestReachable:
@@ -370,6 +405,43 @@ class TestFriendOf:
         with pytest.raises(NotInvariantError):
             friend_of(DI_VEL, line(0.0, 1.0))
 
+    def test_not_output_nulling_message_carries_the_spectral_norms(self):
+        sys = random_system(GenSpec(4, 2, 2, seed=3))
+        V = image_basis(np.random.default_rng(1).standard_normal((4, 2)))
+        R = friend_residual(sys, V)
+        want = (f"subspace is not output nulling: residuals "
+                f"{norm2(R[:sys.n]):.3e}/{norm2(R[sys.n:]):.3e}")
+        with pytest.raises(NotInvariantError) as err:
+            geometry._friend(sys, V, DEFAULT_TOL)
+        assert str(err.value) == want
+
+    def test_frobenius_bound_settles_the_check_without_spectral_norms(self, monkeypatch):
+        sys = without_feedthrough(GenSpec(8, 2, 2, seed=1))
+        V = vstar(sys)
+        R = friend_residual(sys, V)
+        spectral = max(norm2(R[:sys.n]), norm2(R[sys.n:]))
+        assert 0.0 < spectral < np.linalg.norm(R)
+        norms = record_calls(monkeypatch, geometry, "norm2")
+        geometry._friend(sys, V, DEFAULT_TOL)
+        assert norms == []
+        # a bound of 1.5 times the larger spectral norm: half of it is below
+        # ‖R‖_F, so the exact norms decide, and they pass
+        tol = Tol(abs=1.5 * spectral / max(1.0, sys._ac_scale))
+        _, _, _, got = geometry._friend(sys, V, tol)
+        assert [M.shape for M in norms] == [(sys.n, V.dim), (sys.p, V.dim)]
+        assert np.array_equal(got, R)
+        # just below the larger spectral norm, they refuse
+        with pytest.raises(NotInvariantError):
+            geometry._friend(sys, V, Tol(abs=0.99 * spectral / max(1.0, sys._ac_scale)))
+
+    def test_reported_residuals_are_the_spectral_norms(self):
+        for sys in (without_feedthrough(GenSpec(8, 3, 2, seed=1)),
+                    random_system(GenSpec(6, 2, 1, seed=4))):
+            V = vstar(sys)
+            R = friend_residual(sys, V)
+            fb = friend_of(sys, V)
+            assert fb.residual_inv == norm2(R[:sys.n]) and fb.residual_out == norm2(R[sys.n:])
+
     def test_complex_basis_is_refused(self):
         # a real system's subspaces come back real; no realification is tried
         V = Subspace(np.array([[1.0], [1.0j]]) / np.sqrt(2.0))
@@ -447,6 +519,17 @@ class TestReachabilityOn:
             reachability_on(sys, V)
 
 
+    def test_no_residual_svd_on_a_well_conditioned_system(self, monkeypatch):
+        # the friend's residual blocks have V.dim columns; the Frobenius
+        # bound settles them, so linalg.svd never sees one
+        sys = without_feedthrough(GenSpec(8, 3, 2, seed=1))
+        V = vstar(sys)
+        assert 0 < V.dim < sys.n
+        factored = record_calls(monkeypatch, linalg, "svd")
+        assert reachability_on(sys, V).dim == V.dim
+        assert factored and all(M.shape[1] != V.dim for M in factored)
+
+
 class TestRstar:
     def test_full_column_rank_D_identity_C(self):
         sys = SystemQuad.from_matrices(A2, B2, np.eye(2), [[1.0], [0.0]])
@@ -484,6 +567,25 @@ class TestRstar:
 
 
 class TestMorse:
+    def test_off_pattern_block_above_tolerance_raises(self, monkeypatch):
+        sys = without_feedthrough(GenSpec(8, 3, 2, seed=1))
+        reach = geometry._reach_along
+
+        def skewed(*args):
+            F, *rest = reach(*args)
+            return (F + 1e-3, *rest)
+        monkeypatch.setattr(geometry, "_reach_along", skewed)
+        with pytest.raises(DecompositionError, match="off-pattern block norm"):
+            morse_decomposition(sys)
+
+    def test_scale_norms_only_above_tol_abs(self, monkeypatch):
+        sys = without_feedthrough(GenSpec(8, 3, 2, seed=1))
+        norms = record_calls(monkeypatch, geometry, "norm2")
+        dec = morse_decomposition(sys)
+        assert 0.0 < dec.residual <= DEFAULT_TOL.abs
+        Acl, Ccl = sys.A + sys.B @ dec.F, sys.C + sys.D @ dec.F
+        assert norms and not any(np.array_equal(M, Acl) or np.array_equal(M, Ccl) for M in norms)
+
     @pytest.mark.parametrize("n", [4, 6, 8, 12, 20, 40])
     def test_no_outputs_zeros_are_uncontrollable_eigenvalues(self, n):
         # at p = 0 the Rosenbrock zeros are the input-decoupling zeros: the

@@ -1,14 +1,19 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from geokit import linalg
 from geokit.errors import ValidationError
 from geokit.linalg import (
     DEFAULT_TOL,
     Subspace,
     Tol,
+    _completion,
     _proves_full_column_rank,
     _svd_rank,
     as_matrix,
@@ -341,11 +346,68 @@ class TestFullColumnRankProof:
                 if factor == 1e3:  # far from the threshold the proof must hold
                     assert proven
 
+    @pytest.mark.parametrize("shape", [(8, 12), (42, 45), (40, 42)])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_transposed_wide_matrix_proves_full_row_rank(self, complex_, shape):
+        # the PBH test proves full row rank of the wide [A - λI, B] by the
+        # proof of its transpose; the SVD it replaces factors M itself
+        rng = np.random.default_rng([*shape, complex_])
+        for factor in (0.5, 1.0, 2.0, 10.0, 1e3):
+            M = _planted(rng, shape[::-1], complex_, factor * 1e-11 * max(shape)).T
+            if _proves_full_column_rank(M.T, DEFAULT_TOL):
+                assert _svd_rank(svd(M, compute_uv=False), shape, DEFAULT_TOL) == shape[0]
+            if factor == 1e3:
+                assert _proves_full_column_rank(M.T, DEFAULT_TOL)
+
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_an_exactly_singular_R_is_not_proven(self, dtype):
         M = np.random.default_rng(7).standard_normal((12, 8)).astype(dtype)
         M[:, 3] = 0.0
         assert not _proves_full_column_rank(M, DEFAULT_TOL)
+
+
+COMPLETION_SHAPES = [(8, 0), (8, 3), (8, 8), (40, 17), (150, 60), (200, 150)]
+
+
+def _completion_matches_numpy(shape, complex_: bool) -> bool:
+    """``_completion`` of a seeded orthonormal ``shape`` basis is numpy's,
+    bits and strides, and leaves the basis as it was."""
+    rng = np.random.default_rng([*shape, complex_])
+    G = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_ else 0.0)
+    Q = np.linalg.qr(G)[0] if shape[1] else G
+    before = Q.copy()
+    got = _completion(Q)
+    want = np.linalg.qr(Q, mode="complete")[0][:, shape[1]:]
+    return (_same_bits(got, want) and (got.strides == want.strides or not got.size)
+            and np.array_equal(Q, before))
+
+
+class TestCompletion:
+    """``linalg._completion`` is numpy's complete QR, past the given columns."""
+
+    @pytest.mark.parametrize("shape", COMPLETION_SHAPES)
+    def test_matches_numpy(self, shape):
+        assert _completion_matches_numpy(shape, complex_=False)
+
+    def test_matches_numpy_at_one_blas_thread(self):
+        # numpy and scipy link separate OpenBLAS builds: with several
+        # threads their large complex QRs may differ in the last bits, as
+        # their SVDs do; at one thread, as the benchmark runs, they agree
+        code = ("import test_linalg as t; print([t._completion_matches_numpy(s, c) "
+                "for s in t.COMPLETION_SHAPES for c in (False, True)])")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(SRC.parent), str(Path(__file__).parent)]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str([True] * 2 * len(COMPLETION_SHAPES))
+
+    def test_no_factorization_at_the_edges(self, monkeypatch):
+        # no stairs complete to the identity, full stairs to nothing
+        monkeypatch.setattr(linalg, "_QR", {})
+        for dtype in (np.float64, np.complex128):
+            assert _same_bits(_completion(np.zeros((5, 0), dtype)), np.eye(5, dtype=dtype))
+            assert _same_bits(_completion(np.eye(5, dtype=dtype)), np.zeros((5, 0), dtype))
 
 
 class TestSubspaceType:
@@ -392,6 +454,16 @@ class TestSubspaceType:
         assert V.dim == 12 and np.shares_memory(full.basis, V.basis)
         assert not full.basis.flags.writeable and not V.basis.flags.writeable
         assert Subspace.full(12) is full and np.array_equal(full.basis, np.eye(12))
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_complement_of_the_whole_space(self, complex_, monkeypatch):
+        # kernel_basis's answer, without the n x n SVD
+        G = np.random.default_rng(3).standard_normal((6, 6))
+        S = Subspace.full(6) if not complex_ else Subspace(np.linalg.qr(G + 1j * G.T)[0])
+        want = kernel_basis(S.basis.conj().T).basis
+        monkeypatch.setattr(linalg, "svd", None)
+        got = orthonormal_complement(S).basis
+        assert got.shape == want.shape == (6, 0) and got.dtype == want.dtype
 
     def test_read_only_owner_is_shared_and_view_copied(self):
         a = np.eye(3)[:, :2].copy()

@@ -291,13 +291,19 @@ class TestUncontrollable:
         B[:4] = rng.standard_normal((4, 2))
         T = np.linalg.qr(rng.standard_normal((n, n)))[0]
         A, B = T @ A @ T.T, T @ B
-        calls = []
-        monkeypatch.setattr(pencils, "rank_of", lambda M, tol: calls.append(M) or rank_of(M, tol))
+        calls, svds = [], []
+        row_rank = pencils._row_rank
+        monkeypatch.setattr(pencils, "_row_rank",
+                            lambda M, tol: calls.append(M) or row_rank(M, tol))
+        monkeypatch.setattr(pencils, "rank_of", lambda M, tol: svds.append(M) or rank_of(M, tol))
         vals = uncontrollable_eigenvalues(A, B)
         assert len(vals) == 2 and vals[0] == vals[1].conjugate()
         assert abs(vals[0] - complex(-0.5, 2.0 * np.sign(vals[0].imag))) < 1e-9
         eigs = np.linalg.eigvals(A)
         assert len(calls) == np.count_nonzero(eigs.imag >= 0) < n
+        # one QR proves each controllable value's full row rank: only the
+        # uncontrollable pair reaches the SVD
+        assert len(svds) == 1
         # the shared decision is the one each member gets alone
         for lam in eigs:
             assert (rank_of(rosenbrock_matrix(SystemQuad.from_matrices(A, B), lam)) < n) == (
@@ -310,11 +316,21 @@ class TestUncontrollable:
         sys = random_system(GenSpec(6, 2, 2, seed=0))
         lams = [-1 + 0.5j, -1 - 0.500000001j, -2.0, -3 + 1j, -3 - 1j]
         decided = []
-        monkeypatch.setattr(pencils, "rosenbrock_matrix",
-                            lambda s, lam: decided.append(lam) or rosenbrock_matrix(s, lam))
+        monkeypatch.setattr(pencils, "_system_matrices", _spy_on_matrices(decided))
         ranks = pencils._per_conjugate_pair(sys, lams, DEFAULT_TOL)
         assert decided == lams[:4]
         assert ranks == [rank_of(rosenbrock_matrix(sys, lam)) for lam in lams]
+
+
+def _spy_on_matrices(decided):
+    """``pencils._system_matrices`` that records each λ it builds a matrix at."""
+    matrices = pencils._system_matrices
+
+    def spy(sys, lams):
+        for lam, M in matrices(sys, lams):
+            decided.append(lam)
+            yield lam, M
+    return spy
 
 
 class TestInvariantZeros:
