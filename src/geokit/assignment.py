@@ -32,7 +32,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqp3, dgeqrf, dorgqr
 
 from . import geometry, pencils
 from .errors import NumericalError, SynthesisError, ValidationError
@@ -41,6 +40,8 @@ from .linalg import (
     Subspace,
     Tol,
     _completion,
+    _orthonormalize,
+    _pivoted_leading,
     _svd_rank,
     as_matrix,
     image_basis,
@@ -334,10 +335,10 @@ def moore_check(A, B, candidates, tol: Tol = DEFAULT_TOL) -> MooreReport:
     return MooreReport(ok, independent, tuple(conj_ok), tuple(member_ok))
 
 
-def _kh(frame: geometry.MorseDecomposition, values) -> Subspace:
+def _kh(frame: geometry.MorseDecomposition, lams, tol: Tol) -> Subspace:
     """Kh = p(A11)⁻¹ (V* ∩ S_h) on the R* block, p(s) = Π(s - λ_i), for the
-    ``(value, is_pair)`` list that :func:`geokit.pencils.validate_spectrum`
-    returns for a spectrum checked against the frame's invariant zeros.
+    spectrum ``lams``, which :func:`geokit.pencils.validate_spectrum` checks
+    against the frame's invariant zeros.
 
     By partial fractions, span_i (λ_i - A)⁻¹ B = p(A)⁻¹ im[B, ..., A^(h-1)B],
     the pencil kernels' state parts for the R* block (A11, B11).  Rational
@@ -346,6 +347,7 @@ def _kh(frame: geometry.MorseDecomposition, values) -> Subspace:
     real and imaginary parts of (A - λ)⁻¹ Q_j, so Kh is real).  Applying
     p(A)⁻¹ to a basis of V* ∩ S_h instead loses it past about 40 states.
     """
+    values = validate_spectrum(lams, frame.invariant_zeros, tol)
     n1, stairs = frame.dim_rstar, frame.stairs
     A, B = frame.Abar[:n1, :n1], frame.Bbar[:n1, :frame.m1]
     K = _near_shift(frame._rstar_spectrum, B, values)
@@ -361,10 +363,8 @@ def _kh(frame: geometry.MorseDecomposition, values) -> Subspace:
         Y = np.hstack([Y.real, Y.imag]) if is_pair else Y
         Y -= Q @ (Q.T @ Y)
         # the new directions lead a pivoted QR; tiny until normalized, they are re-projected
-        qr, _, tau = dgeqp3(Y)[:3]
-        X = dorgqr(qr[:, :new], tau[:new])[0]
-        X -= Q @ (Q.T @ X)
-        Q = np.hstack([Q, dorgqr(*dgeqrf(X)[:2])[0]])
+        X = _pivoted_leading(Y, new)
+        Q = np.hstack([Q, _orthonormalize(X - Q @ (Q.T @ X))])
     return Subspace(frame.T[:, :n1] @ Q)
 
 
@@ -380,13 +380,11 @@ def build_Kh(sys: SystemQuad, spec, tol: Tol = DEFAULT_TOL) -> tuple[Subspace, l
     returned as its certificate: if one of their columns lies over
     ``tol.abs`` outside Kh, raises :class:`NumericalError`.  With m ≤ p
     each kernel is empty unless the Rosenbrock matrix loses rank at its
-    value, and an empty one costs one QR and one triangular inverse, which
-    prove the full column rank; singular values are computed only where that
-    proof fails.
+    value, and one QR usually proves an empty one (:func:`geokit.linalg.rank_of`).
     """
     frame = geometry.morse_decomposition(sys, tol)
     lams = [complex(v) for v in spec]
-    kh = _kh(frame, validate_spectrum(lams, frame.invariant_zeros, tol))
+    kh = _kh(frame, lams, tol)
     kernels = pencils.rosenbrock_kernels(sys, lams, tol)
     V = np.hstack([K.V for K in kernels])
     outside = float(np.linalg.norm(V - kh.basis @ (kh.basis.T @ V), axis=0).max(initial=0.0))

@@ -39,8 +39,8 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tol,
-    _QR,
     _completion,
+    _orthonormalize,
     _svd_rank,
     as_matrix,
     containment_residual,
@@ -100,8 +100,6 @@ def _staircase(A, B, C, D, start, steps: int, tol: Tol,
     n, m = B.shape
     p, d = C.shape[0], start.shape[1]
     dtype = np.result_type(A, B, C, D, start)
-    # QR through LAPACK: numpy's wrapper costs more than a small factorization
-    geqrf, orgqr = _QR[dtype.kind]
     ab_scale, cd_scale = scales
     # Q and the prefixes [B, AQ] and [D, CQ] grow in place.
     Qbuf = np.empty((n, n), dtype=dtype)
@@ -134,8 +132,7 @@ def _staircase(A, B, C, D, start, steps: int, tol: Tol,
         if new == 0:
             dims.append(d)
             break
-        X = u[:, :new]
-        X = orgqr(*geqrf(X - Q @ (Q.conj().T @ X))[:2])[0]
+        X = _orthonormalize(u[:, :new] - Q @ (Q.conj().T @ u[:, :new]))
         Qbuf[:, d:d + new] = X
         BAQ[:, m + d:m + d + new], DCQ[:, m + d:m + d + new] = A @ X, C @ X
         d += new

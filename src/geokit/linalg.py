@@ -16,16 +16,16 @@ equality across operations.
 Every SVD in geokit goes through :func:`svd`, and every spectral norm through
 :func:`norm2`: LAPACK ``gesdd`` called directly, with the results of
 ``numpy.linalg.svd`` and ``numpy.linalg.norm(M, 2)`` bit for bit but without
-numpy's per-call overhead, which dominates at the sizes of the sweeps.  The
-completion of a basis to the whole space, ``numpy.linalg.qr(M,
-mode="complete")``'s columns past M's, joins it as the other direct LAPACK
-call (:func:`_completion`: ``geqrf`` and ``orgqr``/``ungqr`` with numpy's
-optimal workspaces, cached per shape).  A full column rank may be proven
-first, from one QR factorization, where the SVD's answer is not needed
-otherwise (:func:`_proves_full_column_rank`): the proof accepts only what
-the same singular-value threshold would, and anything it cannot prove goes
-to the SVD.  A spectral norm that is only compared with a bound is not
-computed where the Frobenius norm, which bounds it, already decides.
+numpy's per-call overhead, which dominates at the sizes of the sweeps.  Every
+LAPACK routine geokit calls is bound in one table, ``_LAPACK``, and called
+from this module only: ``geqrf`` and ``orgqr``/``ungqr`` complete a basis as
+``numpy.linalg.qr(M, mode="complete")`` does (:func:`_completion`) and
+re-orthonormalise new columns (:func:`_orthonormalize`, after ``geqp3`` in
+:func:`_pivoted_leading`).  :func:`rank_of` reads a full rank off one QR where
+``trtri``, ``lange`` and ``lantr`` prove it (:func:`_proves_full_rank`), which
+accepts only what the singular-value threshold would; the SVD decides the
+rest.  A spectral norm that is only compared with a bound is not computed
+where the Frobenius norm, which bounds it, already decides.
 """
 
 from __future__ import annotations
@@ -65,6 +65,8 @@ class Tol:
 
     ``rel`` scales the singular-value cutoff used for every rank decision;
     ``abs`` bounds residuals in containment tests and synthesis checks.
+    ``rel`` lies in (0, 1), where a cutoff reads some rank above 0, and
+    ``abs`` is finite, where a residual check can fail.
     """
 
     rel: float = 1e-11
@@ -73,8 +75,12 @@ class Tol:
     def __post_init__(self):
         if not (self.rel > 0.0):
             raise ValidationError("Tol.rel must be positive")
+        if not (self.rel < 1.0):
+            raise ValidationError("Tol.rel must be below 1")
         if not (self.abs >= 0.0):
             raise ValidationError("Tol.abs must be nonnegative")
+        if not (self.abs < float("inf")):
+            raise ValidationError("Tol.abs must be finite")
 
 
 DEFAULT_TOL = Tol()
@@ -92,16 +98,19 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return M
 
 
-# gesdd and its workspace query, by dtype kind
-_GESDD = {kind: get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=dtype)
-          for kind, dtype in (("f", np.float64), ("c", np.complex128))}
+# Every LAPACK routine geokit calls, by dtype kind ("orgqr" is ungqr in complex)
+_LAPACK = {kind: dict(zip(
+    ("gesdd", "gesdd_lwork", "geqrf", "orgqr", "geqp3", "trtri", "lange", "lantr"),
+    get_lapack_funcs(("gesdd", "gesdd_lwork", "geqrf", ("orgqr", "ungqr")[kind == "c"],
+                      "geqp3", "trtri", "lange", "lantr"), dtype=dtype)))
+    for kind, dtype in (("f", np.float64), ("c", np.complex128))}
 
 
 @functools.lru_cache(maxsize=1024)
 def _gesdd_lwork(kind: str, m: int, n: int, compute_uv: bool, full_matrices: bool) -> int:
     # numpy passes LAPACK's optimal workspace; the complex routine's path,
     # and so its bits, depend on it
-    _, query = _GESDD[kind]
+    query = _LAPACK[kind]["gesdd_lwork"]
     work, _ = query(m, n, compute_uv=compute_uv, full_matrices=full_matrices)
     return int(np.real(work))
 
@@ -127,7 +136,7 @@ def svd(M, full_matrices: bool = True, compute_uv: bool = True):
         if full_matrices:
             return np.eye(m, dtype=dtype), s, np.eye(n, dtype=dtype)
         return np.zeros((m, 0), dtype), s, np.zeros((0, n), dtype)
-    gesdd, _ = _GESDD[kind]
+    gesdd = _LAPACK[kind]["gesdd"]
     u, s, vh, info = gesdd(M, compute_uv=compute_uv, full_matrices=full_matrices,
                            lwork=_gesdd_lwork(kind, m, n, compute_uv, full_matrices))
     if info:
@@ -138,19 +147,12 @@ def svd(M, full_matrices: bool = True, compute_uv: bool = True):
     return np.ascontiguousarray(u), s, np.ascontiguousarray(vh)
 
 
-# geqrf and orgqr/ungqr, by dtype kind: the Householder QR of the staircase,
-# of :func:`_completion` and of :func:`_proves_full_column_rank`
-_QR = {kind: get_lapack_funcs(("geqrf", ("orgqr", "ungqr")[kind == "c"]), dtype=dtype)
-       for kind, dtype in (("f", np.float64), ("c", np.complex128))}
-
-
 @functools.lru_cache(maxsize=1024)
 def _qr_lwork(kind: str, m: int, n: int) -> tuple[int, int]:
-    """LAPACK's optimal workspaces, as numpy queries them, for ``geqrf`` of
-    an m × n matrix and for ``orgqr``/``ungqr`` forming the complete m × m Q
-    from its min(m, n) reflectors.  The blocked QR's path, and so its bits,
-    depend on the workspace."""
-    geqrf, orgqr = _QR[kind]
+    """LAPACK's optimal workspaces, as numpy queries them, for ``geqrf`` of an
+    m × n matrix and for ``orgqr``/``ungqr`` forming its complete m × m Q: the
+    blocked QR's path, and so its bits, depend on them."""
+    geqrf, orgqr = _LAPACK[kind]["geqrf"], _LAPACK[kind]["orgqr"]
     dtype = np.complex128 if kind == "c" else np.float64
     work_qr = geqrf(np.zeros((m, n), dtype, order="F"), lwork=-1)[2]
     work_q = orgqr(np.zeros((m, m), dtype, order="F"), np.zeros(min(m, n), dtype), lwork=-1)[1]
@@ -174,7 +176,7 @@ def _completion(M: np.ndarray) -> np.ndarray:
         return np.eye(m, dtype=dtype)
     if k == m:
         return np.zeros((m, 0), dtype)
-    geqrf, orgqr = _QR[kind]
+    geqrf, orgqr = _LAPACK[kind]["geqrf"], _LAPACK[kind]["orgqr"]
     lwork_qr, lwork_q = _qr_lwork(kind, m, k)
     qr, tau, _, info = geqrf(M, lwork=lwork_qr)  # into a copy
     if info:
@@ -186,6 +188,21 @@ def _completion(M: np.ndarray) -> np.ndarray:
         raise np.linalg.LinAlgError("QR factorization failed")
     # numpy's Q is C-ordered; matmul rounds differently on other layouts
     return np.ascontiguousarray(Q)[:, k:]
+
+
+def _orthonormalize(X: np.ndarray) -> np.ndarray:
+    """The Q of the thin QR of the tall float64 or complex128 ``X``, without
+    numpy's wrapper, which costs more than a small factorization."""
+    lapack = _LAPACK[X.dtype.kind]
+    return lapack["orgqr"](*lapack["geqrf"](X)[:2])[0]
+
+
+def _pivoted_leading(Y: np.ndarray, k: int) -> np.ndarray:
+    """Orthonormal columns along the ``k`` leading directions of ``Y``: the
+    first k columns of the Q of its column-pivoted QR."""
+    lapack = _LAPACK[Y.dtype.kind]
+    qr, _, tau = lapack["geqp3"](Y)[:3]
+    return lapack["orgqr"](qr[:, :k], tau[:k])[0]
 
 
 def _frozen(M: np.ndarray) -> np.ndarray:
@@ -215,44 +232,42 @@ def _svd_rank(s: np.ndarray, shape, tol: Tol, scale: float | None = None) -> int
     return int(np.count_nonzero(s > thresh))
 
 
-# trtri and the Frobenius norms lange and lantr, by dtype kind: with geqrf,
-# the QR proof of full column rank
-_QR_PROOF = {kind: get_lapack_funcs(("trtri", "lange", "lantr"), dtype=dtype)
-             for kind, dtype in (("f", np.float64), ("c", np.complex128))}
-
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _proves_full_column_rank(M: np.ndarray, tol: Tol) -> bool:
-    """True only when ``_svd_rank(svd(M, compute_uv=False), M.shape, tol)``
-    would count every column of the tall or square, nonempty ``M``; False
-    means "not proven", not "rank deficient".
+def _proves_full_rank(M: np.ndarray, tol: Tol, scale: float | None = None) -> bool:
+    """True only when ``_svd_rank(svd(M, compute_uv=False), M.shape, tol,
+    scale)`` would be min(rows, cols) for the nonempty ``M``; False means
+    "not proven", not "rank deficient".
 
-    One Householder QR, M = QR, and the triangular inverse of R give
+    A wide M is proven through Mᵀ, which has its singular values.  One
+    Householder QR of the tall one, QR, and the triangular inverse of R give
     σ_min(R) ≥ 1/‖R⁻¹‖_F, while ‖M‖_F ≥ σ_max(M).  The proof accepts when
-    1/‖R⁻¹‖_F > 2 max(tol.rel · max(rows, cols), 64 (rows + cols) ε) ‖M‖_F:
-    the factor 2 and the ε floor, which decides for a tiny ``tol.rel``, cover
-    the backward errors of the QR (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2002, ch. 19), of the inverse, κ(R) n ε
-    (§14.2), and of gesdd itself.  An exactly singular R (trtri's info > 0)
-    is not proven; neither is a non-finite norm, since no comparison with
-    NaN holds.
+    1/‖R⁻¹‖_F > 2 max(tol.rel · max(rows, cols), 64 (rows + cols) ε)
+    max(‖M‖_F, scale): the factor 2 and the ε floor, which decides for a tiny
+    ``tol.rel``, cover the backward errors of the QR (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, ch. 19), of the inverse,
+    κ(R) n ε (§14.2), and of gesdd in either orientation.  An exactly
+    singular R (trtri's info > 0) is not proven; neither is a non-finite
+    norm, since no comparison with NaN holds.
     """
     rows, cols = M.shape
     kind = "c" if M.dtype.kind == "c" else "f"
-    trtri, lange, lantr = _QR_PROOF[kind]
+    lapack = _LAPACK[kind]
+    T = M if rows >= cols else M.T
     # into a copy, M itself is left as it is; LAPACK's optimal workspace
     # keeps the QR blocked at a few hundred columns
-    qr, _, _, info = _QR[kind][0](M, lwork=_qr_lwork(kind, rows, cols)[0])
+    qr, _, _, info = lapack["geqrf"](T, lwork=_qr_lwork(kind, *T.shape)[0])
     if info:
         return False
-    Rinv, info = trtri(qr[:cols], overwrite_c=True)
+    Rinv, info = lapack["trtri"](qr[:T.shape[1]], overwrite_c=True)
     if info:
         return False
     floor = max(tol.rel * max(rows, cols), 64.0 * (rows + cols) * _EPS)
     # lantr reads the upper triangle only; Mᵀ of a C-ordered M has LAPACK's
     # column order, so lange reads it without a copy
-    return 1.0 / lantr("F", Rinv) > 2.0 * floor * lange("F", M.T)
+    bound = max(lapack["lange"]("F", M.T), scale or 0.0)
+    return 1.0 / lapack["lantr"]("F", Rinv) > 2.0 * floor * bound
 
 
 def rank_of(M, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> int:
@@ -260,11 +275,13 @@ def rank_of(M, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> int:
 
     ``scale``, when given, enters the cutoff as a floor for the largest
     singular value; pass the norm of the factors when ``M`` is a product
-    that may be zero up to roundoff.
+    that may be zero up to roundoff.  A full rank proven by one QR
+    (:func:`_proves_full_rank`) needs no singular values.
     """
     M = as_matrix(M)
-    s = svd(M, compute_uv=False)
-    return _svd_rank(s, M.shape, tol, scale)
+    if M.size == 0 or _proves_full_rank(M, tol, scale):
+        return min(M.shape)
+    return _svd_rank(svd(M, compute_uv=False), M.shape, tol, scale)
 
 
 class Subspace:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import geometry
 from .errors import SpectrumError
-from .linalg import DEFAULT_TOL, Tol, _proves_full_column_rank, _svd_rank, norm2, rank_of, svd
+from .linalg import DEFAULT_TOL, Tol, _svd_rank, norm2, rank_of, svd
 from .sysmodel import SystemQuad
 
 __all__ = [
@@ -102,17 +102,14 @@ def rosenbrock_kernels(sys: SystemQuad, lams, tol: Tol = DEFAULT_TOL) -> list[Pe
     The matrices share one buffer per dtype (B, C and D are written once);
     no stack of them is held.  With m ≤ p each matrix is square or tall,
     and away from the invariant zeros (and any normal-rank loss) its kernel
-    is empty, (n, 0) and (m, 0) in its dtype: one QR proves the full column
-    rank that the SVD threshold would find
-    (:func:`geokit.linalg._proves_full_column_rank`), and no SVD runs.  What
-    the QR cannot prove, the singular values decide, and the matrix is
-    factored only when they show a rank loss; the full SVD's own singular
+    is empty, (n, 0) and (m, 0) in its dtype: :func:`geokit.linalg.rank_of`
+    proves the full column rank by one QR, and no SVD runs.  The matrix is
+    factored only when its rank shows a loss; the full SVD's own singular
     values then decide, so every nonempty kernel comes from one SVD."""
     kernels = []
     for lam, M in _system_matrices(sys, lams):
         rows, cols = M.shape
-        if rows >= cols and (_proves_full_column_rank(M, tol)
-                             or _svd_rank(svd(M, compute_uv=False), M.shape, tol) == cols):
+        if rows >= cols and rank_of(M, tol) == cols:
             K = np.zeros((cols, 0), M.dtype)
         else:
             _, s, vh = svd(M)
@@ -136,9 +133,9 @@ def _eig_scale(A: np.ndarray, tol: Tol) -> float:
     return max(tol.abs, 100.0 * tol.rel * max(1.0, norm2(A)))
 
 
-def _per_conjugate_pair(sys: SystemQuad, lams, tol: Tol, rank=rank_of) -> list[int]:
-    """``rank(M, tol)`` of the real system's Rosenbrock matrix M at each λ of
-    ``lams``, decided once per conjugate pair; ``rank_of`` by default.
+def _per_conjugate_pair(sys: SystemQuad, lams, tol: Tol) -> list[int]:
+    """``rank_of(M, tol)`` of the real system's Rosenbrock matrix M at each λ
+    of ``lams``, decided once per conjugate pair.
 
     The matrix at λ̄ is the conjugate of the one at λ, so it has the same
     rank: a value whose exact conjugate came earlier in ``lams`` gets that
@@ -150,15 +147,8 @@ def _per_conjugate_pair(sys: SystemQuad, lams, tol: Tol, rank=rank_of) -> list[i
         if lam.conjugate() not in seen:
             seen.add(lam)
             todo.append(lam)
-    ranks = {lam: rank(M, tol) for lam, M in _system_matrices(sys, todo)}
+    ranks = {lam: rank_of(M, tol) for lam, M in _system_matrices(sys, todo)}
     return [ranks[lam] if lam in ranks else ranks[lam.conjugate()] for lam in map(complex, lams)]
-
-
-def _row_rank(M: np.ndarray, tol: Tol) -> int:
-    """``rank_of(M, tol)`` of the wide or square M, read as its row count
-    when one QR of Mᵀ proves it full (:func:`geokit.linalg._proves_full_column_rank`;
-    its factor 2 covers gesdd's backward error in either orientation)."""
-    return M.shape[0] if _proves_full_column_rank(M.T, tol) else rank_of(M, tol)
 
 
 def uncontrollable_eigenvalues(A, B, tol: Tol = DEFAULT_TOL) -> list[complex]:
@@ -167,12 +157,12 @@ def uncontrollable_eigenvalues(A, B, tol: Tol = DEFAULT_TOL) -> list[complex]:
     This is the PBH test evaluated at each (deduplicated) eigenvalue of A;
     the returned list is multiplicity-free.  The eigenvalues of the real A
     come in exact conjugate pairs, and the rank is decided once per pair: a
-    pair is listed whole or not at all.  A controllable value's full row
-    rank is usually proven by one QR, without an SVD.
+    pair is listed whole or not at all.  One QR usually proves a
+    controllable value's full row rank (:func:`geokit.linalg.rank_of`).
     """
     sys = SystemQuad.from_matrices(A, B)
     eigs = deduplicate_eigenvalues(np.linalg.eigvals(sys.A), _eig_scale(sys.A, tol))
-    ranks = _per_conjugate_pair(sys, eigs, tol, rank=_row_rank)
+    ranks = _per_conjugate_pair(sys, eigs, tol)
     return [lam for lam, r in zip(eigs, ranks) if r < sys.n]
 
 

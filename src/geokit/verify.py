@@ -163,11 +163,6 @@ def _draw_distinct(rng, h: int, forbidden, self_conjugate: bool):
     raise RuntimeError("could not draw an admissible spectrum")
 
 
-def _kh(frame, lams, tol: Tol) -> Subspace:
-    """:func:`assignment._kh` on drawn values, validated as ``build_Kh`` does."""
-    return assignment._kh(frame, pencils.validate_spectrum(lams, frame.invariant_zeros, tol))
-
-
 def eig_multiset_match(requested, achieved, tol_match: float = _EIG_TOL):
     """Optimal pairing of two eigenvalue multisets.
 
@@ -249,7 +244,7 @@ def _lattice(rng, t, nmax, tol):
     frame = geometry.morse_decomposition(sys, tol)
     h = int(rng.integers(1, sys.n + 1))
     lams = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
-    kh = _kh(frame, lams, tol)
+    kh = assignment._kh(frame, lams, tol)
     fb = geometry.friend_of(sys, kh, lams, tol)
     if fb.residual_out > _SUBSPACE_TOL or fb.residual_inv > _SUBSPACE_TOL:
         return f"friend residuals {fb.residual_out:.2e}/{fb.residual_inv:.2e}"
@@ -282,8 +277,8 @@ def _thlast(rng, t, nmax, tol):
     for h in range(1, sys.n + 1):
         lams1 = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
         lams2 = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
-        kh1 = _kh(frame, lams1, tol)
-        kh2 = _kh(frame, lams2, tol)
+        kh1 = assignment._kh(frame, lams1, tol)
+        kh2 = assignment._kh(frame, lams2, tol)
         r1 = geometry.reachability_on(sys, kh1, tol)
         r2 = geometry.reachability_on(sys, kh2, tol)
         k = _term(chain, h)
@@ -306,7 +301,7 @@ def _corollary_last(rng, t, nmax, tol):
     target = functools.cache(lambda k: geometry.vstar(sys, chain[k], tol))
     for h in range(1, sys.n + 1):
         lams = _draw_distinct(rng, h, frame.invariant_zeros, self_conjugate=True)
-        rh = geometry.reachability_on(sys, _kh(frame, lams, tol), tol)
+        rh = geometry.reachability_on(sys, assignment._kh(frame, lams, tol), tol)
         vsh = target(_term(chain, h))
         if not equals(rh, vsh, tol):
             return f"h={h}: dims {rh.dim} vs {vsh.dim}"
@@ -405,6 +400,8 @@ def run(theorem: str, trials: int = 100, seed: int = 0, nmax: int = 8,
     """Run one named sweep, or every sweep for ``"all"``."""
     if trials < 0:
         raise ValidationError(f"trials must be nonnegative, got {trials}")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     if theorem == "all":
         return [fn(trials, seed, nmax, tol) for fn in THEOREM_IDS.values()]
     if theorem not in THEOREM_IDS:

@@ -250,9 +250,13 @@ class TestErrorPaths:
         (["reach", None, "--tol-rel", "-1"], "reach", "Tol.rel must be positive"),
         (["verify", "th1", "--trials", "1", "--tol-abs", "-1"], "verify",
          "Tol.abs must be nonnegative"),
+        (["vstar", None, "--tol-rel", "inf"], "vstar", "Tol.rel must be below 1"),
+        (["vstar", None, "--tol-abs", "inf"], "vstar", "Tol.abs must be finite"),
+        (["verify", "th1", "--trials", "2", "--seed", "-1"], "verify",
+         "seed must be nonnegative, got -1"),
     ])
     def test_bad_tolerance_report(self, capsys, di_file, argv, op, message):
-        # a refused tolerance is reported before any input is read: no digest
+        # a refused tolerance or seed is reported before any input is read: no digest
         code = main([di_file if a is None else a for a in argv])
         out = capsys.readouterr().out
         assert code == 1

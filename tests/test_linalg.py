@@ -14,7 +14,7 @@ from geokit.linalg import (
     Subspace,
     Tol,
     _completion,
-    _proves_full_column_rank,
+    _proves_full_rank,
     _svd_rank,
     as_matrix,
     contains,
@@ -50,6 +50,18 @@ class TestTol:
             Tol(rel=0.0)
         with pytest.raises(ValidationError):
             Tol(abs=-1.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"rel": float("inf")}, "Tol.rel must be below 1"),
+        ({"rel": 1.0}, "Tol.rel must be below 1"),
+        ({"rel": float("nan")}, "Tol.rel must be positive"),
+        ({"abs": float("inf")}, "Tol.abs must be finite"),
+        ({"abs": float("nan")}, "Tol.abs must be nonnegative"),
+    ])
+    def test_non_finite_or_total_cutoffs(self, kwargs, message):
+        # rel ≥ 1 counts no singular value, abs = inf passes every residual
+        with pytest.raises(ValidationError, match=message):
+            Tol(**kwargs)
 
 
 class TestRank:
@@ -247,6 +259,7 @@ class TestSvdPrimitive:
                 svd(M, full_matrices=False)
                 svd(M, compute_uv=False)
                 norm2(M)
+                assert rank_of(M) == 0
         assert capfd.readouterr() == ("", "")
 
 
@@ -314,23 +327,28 @@ class TestOneSvdPrimitive:
 
 
 def _planted(rng, shape, complex_: bool, sigma_min: float) -> np.ndarray:
-    """A seeded ``shape`` matrix with singular values spread geometrically
-    from 1 down to ``sigma_min``, between random orthonormal factors."""
+    """A seeded C-ordered ``shape`` matrix with singular values spread
+    geometrically from 1 down to ``sigma_min``, between random orthonormal
+    factors."""
     def q(k):
         G = rng.standard_normal((k, k))
         return np.linalg.qr(G + 1j * rng.standard_normal((k, k)) if complex_ else G)[0]
 
     rows, cols = shape
+    if rows < cols:
+        return np.ascontiguousarray(_planted(rng, shape[::-1], complex_, sigma_min).T)
     return (q(rows)[:, :cols] * np.geomspace(1.0, sigma_min, cols)) @ q(cols).conj().T
 
 
 class TestFullColumnRankProof:
-    """One QR proves full column rank only where the SVD threshold counts
-    every column: "proven" never disagrees with ``_svd_rank``."""
+    """One QR proves full rank only where the SVD threshold counts every
+    column (of a wide M, every row): "proven" never disagrees with
+    ``_svd_rank``, and ``rank_of`` reads its answer either way."""
 
     @pytest.mark.parametrize("rel", [1e-15, 1e-11, 1e-6])
-    @pytest.mark.parametrize("shape", [(12, 8), (43, 42), (10, 10), (82, 82)],
-                             ids=["tall", "tall-by-one", "square", "square-82"])
+    @pytest.mark.parametrize("shape", [(12, 8), (43, 42), (10, 10), (82, 82), (8, 12), (40, 42)],
+                             ids=["tall", "tall-by-one", "square", "square-82", "wide",
+                                  "wide-by-two"])
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     def test_proven_only_where_the_svd_counts_every_column(self, complex_, shape, rel):
         tol = Tol(rel=rel)
@@ -339,31 +357,52 @@ class TestFullColumnRankProof:
             for _ in range(3):
                 M = _planted(rng, shape, complex_, factor * rel * max(shape))
                 before = M.copy()
-                proven = _proves_full_column_rank(M, tol)
+                proven = _proves_full_rank(M, tol)
                 assert np.array_equal(M, before)
+                counted = _svd_rank(svd(M, compute_uv=False), shape, tol)
                 if proven:
-                    assert _svd_rank(svd(M, compute_uv=False), shape, tol) == shape[1]
+                    assert counted == min(shape)
                 if factor == 1e3:  # far from the threshold the proof must hold
                     assert proven
+                assert rank_of(M, tol) == counted
 
     @pytest.mark.parametrize("shape", [(8, 12), (42, 45), (40, 42)])
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     def test_transposed_wide_matrix_proves_full_row_rank(self, complex_, shape):
-        # the PBH test proves full row rank of the wide [A - λI, B] by the
-        # proof of its transpose; the SVD it replaces factors M itself
+        # the PBH test's wide [A - λI, B] in LAPACK's column order: the
+        # proof reads it through its transpose, the SVD factors M itself
         rng = np.random.default_rng([*shape, complex_])
         for factor in (0.5, 1.0, 2.0, 10.0, 1e3):
             M = _planted(rng, shape[::-1], complex_, factor * 1e-11 * max(shape)).T
-            if _proves_full_column_rank(M.T, DEFAULT_TOL):
+            if _proves_full_rank(M, DEFAULT_TOL):
                 assert _svd_rank(svd(M, compute_uv=False), shape, DEFAULT_TOL) == shape[0]
             if factor == 1e3:
-                assert _proves_full_column_rank(M.T, DEFAULT_TOL)
+                assert _proves_full_rank(M, DEFAULT_TOL)
+
+    @pytest.mark.parametrize("shape", [(12, 8), (8, 12), (10, 10)],
+                             ids=["tall", "wide", "square"])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_scale_floor_above_the_norm(self, complex_, shape):
+        # a scale above ‖M‖_F raises the cutoff: the proof holds against it
+        rng = np.random.default_rng([*shape, complex_, 2])
+        for scale in (10.0, 1e3):
+            for factor in (0.5, 1.0, 2.0, 10.0, 1e3):
+                M = _planted(rng, shape, complex_, factor * 1e-11 * scale * max(shape))
+                assert np.linalg.norm(M) < scale
+                proven = _proves_full_rank(M, DEFAULT_TOL, scale)
+                counted = _svd_rank(svd(M, compute_uv=False), shape, DEFAULT_TOL, scale)
+                if proven:
+                    assert counted == min(shape)
+                if factor == 1e3:
+                    assert proven
+                assert rank_of(M, DEFAULT_TOL, scale) == counted
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_an_exactly_singular_R_is_not_proven(self, dtype):
         M = np.random.default_rng(7).standard_normal((12, 8)).astype(dtype)
         M[:, 3] = 0.0
-        assert not _proves_full_column_rank(M, DEFAULT_TOL)
+        assert not _proves_full_rank(M, DEFAULT_TOL)
+        assert not _proves_full_rank(M.T.copy(), DEFAULT_TOL)
 
 
 COMPLETION_SHAPES = [(8, 0), (8, 3), (8, 8), (40, 17), (150, 60), (200, 150)]
@@ -404,7 +443,7 @@ class TestCompletion:
 
     def test_no_factorization_at_the_edges(self, monkeypatch):
         # no stairs complete to the identity, full stairs to nothing
-        monkeypatch.setattr(linalg, "_QR", {})
+        monkeypatch.setattr(linalg, "_LAPACK", {})
         for dtype in (np.float64, np.complex128):
             assert _same_bits(_completion(np.zeros((5, 0), dtype)), np.eye(5, dtype=dtype))
             assert _same_bits(_completion(np.eye(5, dtype=dtype)), np.zeros((5, 0), dtype))

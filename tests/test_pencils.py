@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from geokit import pencils
+from geokit import linalg, pencils
 from geokit.errors import SpectrumError, ValidationError
 from geokit.linalg import DEFAULT_TOL, _svd_rank, equals, image_basis, kernel_basis, rank_of, svd
 from geokit.pencils import (
@@ -24,6 +24,18 @@ from sampled_rank import sampled_normal_rank
 
 CHAIN3 = np.array([[0.0, 1, 0], [0, 0, 1], [0, 0, 0]])
 B3 = np.eye(3)[:, 2:]
+
+
+def _record_gesdd(monkeypatch) -> list[tuple[tuple[int, int], bool]]:
+    """Patch each ``gesdd`` of ``linalg._LAPACK`` to record the shape and the
+    ``compute_uv`` flag of every call."""
+    calls = []
+    for routines in linalg._LAPACK.values():
+        def recorded(M, gesdd=routines["gesdd"], **kwargs):
+            calls.append((M.shape, kwargs["compute_uv"]))
+            return gesdd(M, **kwargs)
+        monkeypatch.setitem(routines, "gesdd", recorded)
+    return calls
 
 
 def reach_pencil(A, B, lam):
@@ -180,14 +192,17 @@ class TestKernelIsOneSvdDecision:
 
     @staticmethod
     def _count_svds(monkeypatch) -> list[bool]:
-        """The ``compute_uv`` flag of each SVD the pencil kernels run."""
-        calls = []
+        """The ``compute_uv`` flag of each ``gesdd`` call that the pencil
+        kernels make, the frame's own SVDs left out."""
+        calls, kernels, gesdd = [], pencils.rosenbrock_kernels, _record_gesdd(monkeypatch)
 
-        def counted(M, full_matrices=True, compute_uv=True):
-            calls.append(compute_uv)
-            return svd(M, full_matrices, compute_uv)
+        def counted(*args):
+            start = len(gesdd)
+            out = kernels(*args)
+            calls.extend(uv for _, uv in gesdd[start:])
+            return out
 
-        monkeypatch.setattr(pencils, "svd", counted)
+        monkeypatch.setattr(pencils, "rosenbrock_kernels", counted)
         return calls
 
     def test_full_rank_pencils_compute_no_factors(self, monkeypatch):
@@ -291,19 +306,17 @@ class TestUncontrollable:
         B[:4] = rng.standard_normal((4, 2))
         T = np.linalg.qr(rng.standard_normal((n, n)))[0]
         A, B = T @ A @ T.T, T @ B
-        calls, svds = [], []
-        row_rank = pencils._row_rank
-        monkeypatch.setattr(pencils, "_row_rank",
-                            lambda M, tol: calls.append(M) or row_rank(M, tol))
-        monkeypatch.setattr(pencils, "rank_of", lambda M, tol: svds.append(M) or rank_of(M, tol))
+        calls = []
+        monkeypatch.setattr(pencils, "rank_of", lambda M, tol: calls.append(M) or rank_of(M, tol))
+        gesdd = _record_gesdd(monkeypatch)
         vals = uncontrollable_eigenvalues(A, B)
         assert len(vals) == 2 and vals[0] == vals[1].conjugate()
         assert abs(vals[0] - complex(-0.5, 2.0 * np.sign(vals[0].imag))) < 1e-9
         eigs = np.linalg.eigvals(A)
         assert len(calls) == np.count_nonzero(eigs.imag >= 0) < n
-        # one QR proves each controllable value's full row rank: only the
-        # uncontrollable pair reaches the SVD
-        assert len(svds) == 1
+        # one QR proves each controllable value's full row rank: beside the
+        # spectral norm of A, only the uncontrollable pair reaches the SVD
+        assert [shape for shape, _ in gesdd] == [(n, n), (n, n + 2)]
         # the shared decision is the one each member gets alone
         for lam in eigs:
             assert (rank_of(rosenbrock_matrix(SystemQuad.from_matrices(A, B), lam)) < n) == (

@@ -1,4 +1,5 @@
-"""The names other code looks up on geokit's modules exist.
+"""The names other code looks up on geokit's modules exist, and LAPACK is
+reached through ``geokit.linalg`` alone.
 
 perfbench's tracer wraps its table of functions with ``getattr`` and no
 default, so a library function deleted from under that table makes
@@ -6,6 +7,7 @@ default, so a library function deleted from under that table makes
 nothing) and fails first.
 """
 
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "geokit"
 MODULES = ("linalg", "sysmodel", "pencils", "geometry", "assignment", "verify")
 
 
@@ -39,3 +42,49 @@ def test_all_entries_resolve(name):
     module = importlib.import_module(f"geokit.{name}")
     missing = [entry for entry in module.__all__ if not hasattr(module, entry)]
     assert not missing, f"geokit.{name}.__all__ names {missing}"
+
+
+def _lapack_uses(source: str) -> list[int]:
+    """Lines that import ``scipy.linalg.lapack`` (or from it), read a
+    ``lapack`` attribute or name ``get_lapack_funcs``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = ["scipy.linalg.lapack" if node.attr == "lapack" else node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        if any(name == "get_lapack_funcs" or name.endswith(".get_lapack_funcs")
+               or "scipy.linalg.lapack" in name for name in names):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+class TestOneLapackTable:
+    """Every LAPACK routine is bound in ``linalg._LAPACK`` and called there."""
+
+    def test_only_linalg_reaches_lapack(self):
+        files = sorted(SRC.glob("*.py"))
+        assert files
+        users = {f.name for f in files if _lapack_uses(f.read_text(encoding="utf-8"))}
+        assert users == {"linalg.py"}
+
+    def test_scan_finds_lapack_uses(self):
+        source = "\n".join([
+            "import numpy as np",
+            "from scipy.linalg.lapack import dgeqp3, dgeqrf",
+            "import scipy.linalg.lapack",
+            "from scipy.linalg import get_lapack_funcs",
+            "f = scipy.linalg.get_lapack_funcs(('geqrf',), dtype=float)",
+            "from scipy.linalg import qr, lapack",
+            "from scipy import linalg",
+            "q = linalg.qr(M)",
+            "r = linalg.lapack.dgeqrf(M)",
+            "lapack = {}",
+        ])
+        assert _lapack_uses(source) == [2, 3, 4, 5, 6, 9]
