@@ -257,9 +257,9 @@ def synthesize_feedback(A, B, selection, tol: Tol = DEFAULT_TOL) -> FeedbackResu
         Vs.append(kernel.V @ Cf / norms)
         Ws.append(kernel.W @ Cf / norms)
         assigned += [(complex(kernel.lam), v) for v in Vs[-1].T]
-    Vsel = np.hstack(Vs)
+    Vsel = np.hstack(Vs)  # past n columns it is dependent, and refused before the target is read
     return _assemble_feedback(sys, np.zeros((sys.m, sys.n)), np.eye(sys.m), np.eye(sys.n), Vsel,
-                              np.hstack(Ws), assigned, image_basis(Vsel, tol), tol)
+                              np.hstack(Ws), assigned, Subspace(_orthonormalize(Vsel[:, :sys.n])), tol)
 
 
 def place_poles(A, B, lambdas, tol: Tol = DEFAULT_TOL) -> FeedbackResult:

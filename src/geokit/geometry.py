@@ -183,10 +183,11 @@ def reachable_subspace(A, B, tol: Tol = DEFAULT_TOL) -> tuple[Subspace, int]:
 def unobservable_subspace(C, A, tol: Tol = DEFAULT_TOL) -> Subspace:
     """Largest A-invariant subspace contained in ker C: the orthogonal
     complement of the reachable subspace of the dual pair (A*, C*), which is
-    the whole state space when C has no rows (p = 0)."""
+    the whole state space when C has no rows (p = 0): the completion of the
+    basis of the dual Krylov staircase, which decides its dimension."""
     A = as_matrix(A, "A")
     C = as_matrix(C, "C")
-    return orthonormal_complement(krylov_image(A.conj().T, C.conj().T, A.shape[0], tol), tol)
+    return _span(_completion(_krylov(A.conj().T, C.conj().T, A.shape[0], tol)[0]))
 
 
 def vstar_sequence(sys: SystemQuad, E: Subspace | None = None, tol: Tol = DEFAULT_TOL) -> list[Subspace]:
@@ -389,6 +390,8 @@ class MorseDecomposition:
     ``T = [T1 T2 T3]`` is orthogonal with T1, the staircase of (A+BF,
     B Omega1), spanning the reachability part (its first ``stairs[h]``
     columns span V* ∩ S_h) and [T1 T2] the supremal output-nulling subspace;
+    T3 is the dual staircase's basis of V*⊥, whose columns between the dual
+    stairs k-1 and k span V_{k-1} ⊖ V_k, V_k the output-nulling chain;
     ``Omega = [Omega1 Omega2]`` is orthogonal with Omega1 spanning B^{-1}V ∩
     ker D; F is the least-squares friend of V*, from the same SVD as Omega.
     In these coordinates A+BF is block upper triangular, the first block
@@ -430,6 +433,11 @@ class MorseDecomposition:
 def morse_decomposition(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> MorseDecomposition:
     """Adapted-basis decomposition exposing the invariant-zero block.
 
+    One staircase decides each block's width: the dual one gives V* and T3,
+    its basis up to the last stair (between stairs k-1 and k, V_{k-1} ⊖ V_k);
+    the R* one gives T1; T2 = V* N, N completing the QR of V*ᵀ T1.  So T is
+    square, and orthogonal to within T1's distance from V*, at most ``tol.abs``.
+
     Raises :class:`DecompositionError` when the largest spectral norm of
     the blocks that must vanish, ``residual``, exceeds ``tol.abs · max(1,
     ‖A+BF‖₂, ‖C+DF‖₂)``, which indicates an upstream failure.  That scale is
@@ -439,11 +447,12 @@ def morse_decomposition(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> MorseDecompo
     decomposition is Kalman's controllability form, and its zeros are the
     uncontrollable eigenvalues (the input-decoupling zeros).
     """
-    vst = vstar(sys, None, tol)
+    Q, dims = _dual_stairs(sys, None, tol)
+    vst = _span(Q[:, dims[-1]:])
     F, Omega, m1, T1, stairs = _reach_along(sys, vst, tol)
 
-    T2 = image_basis(vst.basis - T1 @ (T1.T @ vst.basis), tol, scale=1.0).basis
-    T = np.hstack([T1, T2, orthonormal_complement(vst, tol).basis])
+    T2 = vst.basis @ _completion(vst.basis.T @ T1)
+    T = np.hstack([T1, T2, Q[:, :dims[-1]]])
 
     Acl = sys.A + sys.B @ F
     Ccl = sys.C + sys.D @ F

@@ -20,12 +20,14 @@ numpy's per-call overhead, which dominates at the sizes of the sweeps.  Every
 LAPACK routine geokit calls is bound in one table, ``_LAPACK``, and called
 from this module only: ``geqrf`` and ``orgqr``/``ungqr`` complete a basis as
 ``numpy.linalg.qr(M, mode="complete")`` does (:func:`_completion`) and
-re-orthonormalise new columns (:func:`_orthonormalize`, after ``geqp3`` in
-:func:`_pivoted_leading`).  :func:`rank_of` reads a full rank off one QR where
-``trtri``, ``lange`` and ``lantr`` prove it (:func:`_proves_full_rank`), which
-accepts only what the singular-value threshold would; the SVD decides the
-rest.  A spectral norm that is only compared with a bound is not computed
-where the Frobenius norm, which bounds it, already decides.
+orthonormalise columns whose count a staircase or a kernel has decided, so
+that no second threshold decides it again (:func:`_orthonormalize`, after
+``geqp3`` in :func:`_pivoted_leading`).  :func:`rank_of` reads a full rank
+off one QR where ``trtri``, ``lange`` and ``lantr`` prove it
+(:func:`_proves_full_rank`), which accepts only what the singular-value
+threshold would; the SVD decides the rest.  A spectral norm that is only
+compared with a bound is not computed where the Frobenius norm, which bounds
+it, already decides.
 """
 
 from __future__ import annotations
@@ -391,16 +393,16 @@ def subspace_intersect(U: Subspace, V: Subspace, tol: Tol = DEFAULT_TOL) -> Subs
     A vector lies in both spans iff ``U a = V b`` for some coefficients, i.e.
     ``[U  -V] [a; b] = 0``; the intersection is the image of the ``a`` parts.
     The singular values of ``[U  -V]`` and ``[U  V]`` coincide, which makes
-    ``dim(U+V) + dim(U∩V) = dim U + dim V`` an exact integer identity.
+    ``dim(U+V) + dim(U∩V) = dim U + dim V`` an exact integer identity.  The
+    dimension is dim N, N the kernel: ``U a = V b`` makes the columns of
+    ``U N_a`` orthogonal, of norm 1/√2, so one QR orthonormalizes them.
     """
     _check_same_ambient(U, V)
     ku = U.dim
     if ku == 0 or V.dim == 0:
         return Subspace.zero(U.ambient_dim)
     N = kernel_basis(np.hstack([U.basis, -V.basis]), tol)
-    if N.dim == 0:
-        return Subspace.zero(U.ambient_dim)
-    return image_basis(U.basis @ N.basis[:ku], tol)
+    return Subspace(_orthonormalize(U.basis @ N.basis[:ku]))
 
 
 def preimage(M, S: Subspace, tol: Tol = DEFAULT_TOL) -> Subspace:

@@ -122,7 +122,7 @@ def _rng_for(seed: int, trial: int) -> np.random.Generator:
 
 def _draw_pair(rng, nmax: int, uncontrollable: bool = False):
     """Random (A, B); optionally with an implanted uncontrollable part."""
-    n = int(rng.integers(2, max(nmax, 2) + 1))
+    n = int(rng.integers(2, nmax + 1))
     m = int(rng.integers(1, min(n, 3) + 1))
     A = rng.standard_normal((n, n))
     B = rng.standard_normal((n, m))
@@ -136,7 +136,7 @@ def _draw_pair(rng, nmax: int, uncontrollable: bool = False):
 
 
 def _draw_quad(rng, nmax: int) -> SystemQuad:
-    n = int(rng.integers(2, max(nmax, 2) + 1))
+    n = int(rng.integers(2, nmax + 1))
     m = int(rng.integers(1, min(n, 3) + 1))
     p = int(rng.integers(1, min(n, 3) + 1))
     seed = int(rng.integers(0, 2**31))
@@ -310,7 +310,7 @@ def _corollary_last(rng, t, nmax, tol):
 
 def _draw_diag(rng, nmax: int):
     """A diagonal of n values with repeats, and an input block H of 1-3 columns."""
-    n = int(rng.integers(1, max(nmax, 1) + 1))
+    n = int(rng.integers(1, nmax + 1))
     k = int(rng.integers(1, n + 1))
     vals = 2.0 * rng.standard_normal(k)
     diag = np.concatenate([vals, vals[rng.integers(0, k, size=n - k)]])
@@ -402,6 +402,8 @@ def run(theorem: str, trials: int = 100, seed: int = 0, nmax: int = 8,
         raise ValidationError(f"trials must be nonnegative, got {trials}")
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
+    if nmax < 2:
+        raise ValidationError(f"nmax must be at least 2, got {nmax}")
     if theorem == "all":
         return [fn(trials, seed, nmax, tol) for fn in THEOREM_IDS.values()]
     if theorem not in THEOREM_IDS:

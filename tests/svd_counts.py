@@ -1,0 +1,120 @@
+"""LAPACK factorizations per calling site: how many ``gesdd`` (SVD) and
+``geqrf`` (Householder QR) calls each geokit function asks for.
+
+Wraps the ``gesdd`` and ``geqrf`` of each dtype in ``geokit.linalg._LAPACK``,
+the table every factorization in geokit goes through, and charges each call
+to the function that asked for it: the first frame outward that is neither
+one of ``linalg``'s factorization wrappers (``svd``, ``norm2``,
+``_completion``, ``_orthonormalize``, ``_pivoted_leading``,
+``_proves_full_rank``) nor a generator expression.  So ``norm2`` of a
+residual block is charged to the function that checks the block, and the
+SVD of ``kernel_basis`` to ``kernel_basis``.  Workspace queries
+(``lwork=-1``) are not counted.
+
+Two workloads:
+
+``verify``
+    ``verify.run("all", trials=100)``, the acceptance sweeps;
+``cli``
+    one pass of the cases of ``tests/cli_report_digests.py`` (seed 1).
+
+Usage:
+
+    PYTHONPATH=src python tests/svd_counts.py [verify] [cli]
+
+(both by default) prints one line ``workload module.function gesdd geqrf``
+per calling site, most SVDs first, and a ``workload total gesdd geqrf``
+line, so
+
+    diff <(PYTHONPATH=old/src python tests/svd_counts.py) \\
+         <(PYTHONPATH=src python tests/svd_counts.py)
+
+shows which sites gained or lost factorizations.  It runs with one BLAS
+thread, like the benchmark, and takes a few seconds.
+
+It is not a test module, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import collections  # noqa: E402
+import inspect  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import warnings  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from geokit import linalg, verify  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import cli_report_digests  # noqa: E402
+
+_WRAPPERS = {"svd", "norm2", "_completion", "_orthonormalize", "_pivoted_leading",
+             "_proves_full_rank"}
+_COUNTED = ("gesdd", "geqrf")
+
+
+def _site(frame) -> str:
+    """``module.function`` of the first frame outward that asked for a factorization."""
+    while frame.f_code.co_name == "<genexpr>" or (
+            frame.f_globals["__name__"] == "geokit.linalg" and frame.f_code.co_name in _WRAPPERS):
+        frame = frame.f_back
+    module = frame.f_globals["__name__"].removeprefix("geokit.")
+    return f"{module}.{frame.f_code.co_name}"
+
+
+def _install(counts: dict) -> None:
+    """Wrap the counted routines of ``linalg._LAPACK`` to tally into ``counts``."""
+    for routines in linalg._LAPACK.values():
+        for name in _COUNTED:
+            def counted(*args, _routine=routines[name], _name=name, **kwargs):
+                if kwargs.get("lwork") != -1:
+                    counts[_site(inspect.currentframe().f_back)][_name] += 1
+                return _routine(*args, **kwargs)
+            routines[name] = counted
+
+
+def _run_verify() -> None:
+    verify.run("all", trials=100)
+
+
+def _run_cli() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in cli_report_digests.report_digests(1, Path(tmp)):
+            pass
+
+
+WORKLOADS = {"verify": _run_verify, "cli": _run_cli}
+
+
+def site_counts(workload: str) -> dict[str, collections.Counter]:
+    """``{site: Counter(gesdd=..., geqrf=...)}`` over one run of ``workload``."""
+    counts = collections.defaultdict(collections.Counter)
+    saved = {kind: dict(routines) for kind, routines in linalg._LAPACK.items()}
+    _install(counts)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the sweeps' condition-number warnings
+            WORKLOADS[workload]()
+    finally:
+        for kind, routines in saved.items():
+            linalg._LAPACK[kind].update(routines)
+    return counts
+
+
+def main(argv: list[str]) -> None:
+    for workload in argv or list(WORKLOADS):
+        counts = site_counts(workload)
+        for site, c in sorted(counts.items(), key=lambda kv: (-kv[1]["gesdd"], -kv[1]["geqrf"], kv[0])):
+            print(workload, site, c["gesdd"], c["geqrf"], flush=True)
+        print(workload, "total", *(sum(c[name] for c in counts.values()) for name in _COUNTED),
+              flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

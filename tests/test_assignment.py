@@ -148,6 +148,14 @@ class TestSynthesize:
         with pytest.raises(SynthesisError):
             synthesize_feedback(A2, B2, [(K, np.ones(1)), (K, 2.0 * np.ones(1))])
 
+    def test_more_columns_than_states_rejected(self, capfd):
+        # three eigenvectors in two states are dependent, refused as such
+        # before the target, which spans the columns, is read
+        kernels = [reach_pencil_kernel(A2, B2, lam) for lam in (-1.0, -2.0, -3.0)]
+        with pytest.raises(SynthesisError, match="dependent selection"):
+            synthesize_feedback(A2, B2, [(K, np.ones(1)) for K in kernels])
+        assert capfd.readouterr().err == ""  # LAPACK is handed no wide QR
+
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_spectrum_refused_by_every_op(bad):

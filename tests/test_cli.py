@@ -254,6 +254,8 @@ class TestErrorPaths:
         (["vstar", None, "--tol-abs", "inf"], "vstar", "Tol.abs must be finite"),
         (["verify", "th1", "--trials", "2", "--seed", "-1"], "verify",
          "seed must be nonnegative, got -1"),
+        (["verify", "th1", "--trials", "2", "--nmax", "-3"], "verify",
+         "nmax must be at least 2, got -3"),
     ])
     def test_bad_tolerance_report(self, capsys, di_file, argv, op, message):
         # a refused tolerance or seed is reported before any input is read: no digest

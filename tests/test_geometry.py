@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -104,6 +106,22 @@ def record_calls(monkeypatch, module, name):
     return calls
 
 
+def gesdd_callers(monkeypatch) -> list[str]:
+    """Patch each ``gesdd`` of ``linalg._LAPACK`` to record, per call, the
+    function that asked for the SVD: the caller of ``linalg.svd``, or of
+    ``linalg.norm2`` for a spectral norm, past any generator expression."""
+    calls = []
+    for routines in linalg._LAPACK.values():
+        def recorded(*args, gesdd=routines["gesdd"], **kwargs):
+            frame = inspect.currentframe().f_back.f_back  # past linalg.svd
+            while frame.f_code.co_name in ("norm2", "<genexpr>"):
+                frame = frame.f_back
+            calls.append(frame.f_code.co_name)
+            return gesdd(*args, **kwargs)
+        monkeypatch.setitem(routines, "gesdd", recorded)
+    return calls
+
+
 class TestReachable:
     def test_double_integrator(self):
         R, h = reachable_subspace(A2, B2)
@@ -170,6 +188,19 @@ class TestUnobservable:
         A = np.random.default_rng(n).standard_normal((n, n))
         Q = unobservable_subspace(np.zeros((0, n)), A)
         assert Q.dim == n and equals(Q, Subspace.full(n))
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_complement_is_read_off_the_dual_staircase(self, monkeypatch, p):
+        # the dual Krylov staircase decides the dimension; its basis
+        # completion is the unobservable subspace, with no second SVD
+        rng = np.random.default_rng(p)
+        A, C = rng.standard_normal((8, 8)), rng.standard_normal((p, 8))
+        A[:5, 5:], C[:, 5:] = 0.0, 0.0  # the last three states are unobservable
+        U = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+        callers = gesdd_callers(monkeypatch)
+        Q = unobservable_subspace(C @ U.T, U @ A @ U.T)
+        assert set(callers) <= {"_staircase", "_krylov"}
+        assert equals(Q, Subspace.full(8) if p == 0 else Subspace(U[:, 5:]))
 
     def test_duality_with_reachability(self):
         rng = np.random.default_rng(0)
@@ -577,6 +608,46 @@ class TestMorse:
         monkeypatch.setattr(geometry, "_reach_along", skewed)
         with pytest.raises(DecompositionError, match="off-pattern block norm"):
             morse_decomposition(sys)
+
+    @pytest.mark.parametrize("leak", [1e-10, 1e-9])
+    def test_frame_is_square_when_rstar_leaves_vstar(self, monkeypatch, leak):
+        # an R* basis that leaves V* by less than tol.abs passes the leak
+        # check; T2 and T3 take their widths from the dimensions already
+        # decided, so no second rank decision can count the leak as a
+        # direction (16 x 17 T at 1e-9) or misplace one (DecompositionError)
+        parts = [random_system(GenSpec(n, m, p, seed=s))
+                 for (n, m, p), s in (((4, 1, 1), 10), ((6, 2, 1), 11), ((6, 1, 2), 12))]
+        sys = SystemQuad.from_matrices(
+            *(scipy.linalg.block_diag(*(getattr(P, x) for P in parts)) for x in "ABCD"))
+        reach = geometry._reach_along
+
+        def leaky(sys_, V, tol):
+            F, Omega, m1, Q, dims = reach(sys_, V, tol)
+            w = orthonormal_complement(V).basis[:, 0]
+            Q = np.linalg.qr(Q + leak * np.outer(w, np.ones(Q.shape[1])))[0]
+            assert 0.5 * leak < containment_residual(V, Subspace(Q)) < 2.0 * leak
+            return F, Omega, m1, Q, dims
+        monkeypatch.setattr(geometry, "_reach_along", leaky)
+        dec = morse_decomposition(sys)
+        assert dec.T.shape == (16, 16)
+        assert np.abs(dec.T.T @ dec.T - np.eye(16)).max() < 1e-8
+        assert (dec.dim_vstar, dec.dim_rstar, dec.invariant_zeros.size) == (10, 6, 4)
+
+    @pytest.mark.parametrize("m, p", [(3, 2), (2, 2), (2, 3), (2, 0)])
+    def test_svds_only_in_staircases_and_residual_norms(self, monkeypatch, m, p):
+        # the dual staircase decides dim V*, the friend's SVD and the R*
+        # staircase dim R*; T2 and T3 are built from those decisions, so the
+        # frame's own SVDs are the norms of the nonempty must-vanish blocks
+        sys = without_feedthrough(GenSpec(8, m, p, seed=m + p))
+        callers = gesdd_callers(monkeypatch)
+        dec = morse_decomposition(sys)
+        assert dec.residual <= DEFAULT_TOL.abs
+        assert set(callers) <= {"_staircase", "_krylov", "_friend", "_ac_scale", "_bd_scale",
+                                "morse_decomposition"}
+        n1, nv, m1 = dec.dim_rstar, dec.dim_vstar, dec.m1
+        blocks = [dec.Abar[n1:, :n1], dec.Abar[nv:, n1:nv], dec.Bbar[n1:, :m1],
+                  dec.Cbar[:, :nv], dec.Dbar[:, :m1]]
+        assert callers.count("morse_decomposition") == sum(M.size > 0 for M in blocks)
 
     def test_scale_norms_only_above_tol_abs(self, monkeypatch):
         sys = without_feedthrough(GenSpec(8, 3, 2, seed=1))

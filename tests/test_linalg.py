@@ -539,6 +539,29 @@ class TestSumIntersect:
         assert S.dim == 1
         assert contains(span(E2), S)
 
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("shared", [0, 3])
+    def test_intersect_is_one_kernel_svd(self, monkeypatch, complex_, shared):
+        # the kernel N of [U  -V] decides the dimension: U a = V b makes the
+        # columns of U N_u orthogonal, each of norm 1/sqrt(2), so one QR
+        # orthonormalizes them and no second rank is decided
+        rng = np.random.default_rng(4)
+        G = rng.standard_normal((10, shared)) + 1j * complex_ * rng.standard_normal((10, shared))
+        U = Subspace(np.linalg.qr(np.hstack([G, rng.standard_normal((10, 5 - shared))]))[0])
+        V = Subspace(np.linalg.qr(np.hstack([G, rng.standard_normal((10, 4 - shared))]))[0])
+        shapes = []
+        for routines in linalg._LAPACK.values():
+            def recorded(M, gesdd=routines["gesdd"], **kwargs):
+                shapes.append(M.shape)
+                return gesdd(M, **kwargs)
+            monkeypatch.setitem(routines, "gesdd", recorded)
+        S = subspace_intersect(U, V)
+        assert shapes == [(10, 9)]
+        assert S.dim == shared and S.basis.shape == (10, shared)
+        assert contains(U, S) and contains(V, S)
+        if shared:
+            assert equals(S, Subspace(np.linalg.qr(G)[0]))
+
     def test_dimension_formula(self):
         rng = np.random.default_rng(2)
         for _ in range(30):

@@ -95,8 +95,9 @@ def test_vstar_of_each_chain_term_is_built_once(monkeypatch, trial, seed, t, dra
     sys = draw(verify._rng_for(seed, t), 8)
     terms = _terms(geometry.sstar_sequence(sys), sys.n)
     assert 1 < len(terms) < sys.n
-    vstar, calls = geometry.vstar, []
-    monkeypatch.setattr(geometry, "vstar", lambda *args: calls.append(args[1]) or vstar(*args))
+    stairs, calls = geometry._dual_stairs, []
+    monkeypatch.setattr(geometry, "_dual_stairs",
+                        lambda *args: calls.append(args[1]) or stairs(*args))
     assert trial(verify._rng_for(seed, t), t, 8, DEFAULT_TOL) is None
     assert calls[0] is None  # the Morse frame's own V*
     assert len(calls) == 1 + len(terms)
