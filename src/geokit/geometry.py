@@ -18,6 +18,14 @@ Krylov and reachable subspaces are its runs without outputs, and the
 output-nulling terms are complements of the dual system's run (Basile &
 Marro, 1992).
 
+None of those chains depends on an eigenvalue, and a :class:`SystemQuad` is
+immutable, so the system's staircase, the dual staircase from the whole
+space, the R* staircase on V* and the Morse frame are built once per system
+and tolerance, kept on the system (``_memoized``) and shared by every op
+that reads them: :func:`vstar`, :func:`sstar`, :func:`rstar`, their
+sequences, :func:`morse_decomposition` and, through it, the invariant zeros,
+the normal rank and the Kh frame.  Their arrays are read-only.
+
 Conventions: every function here accepts a quadruple with ``p = 0`` (no
 outputs).  The output-nulling recursion then becomes the largest-controlled-
 invariant recursion, the input-containing terms the step-wise reachable
@@ -72,6 +80,30 @@ __all__ = [
     "intersection_formula",
     "intersection_formulas",
 ]
+
+
+def _memoized(build):
+    """``build(sys, tol)``, built once per system and tolerance.
+
+    The result is kept in the system's ``_memo`` under ``(name, tol)`` and
+    every later call returns it: the system is immutable and ``build``
+    chooses no eigenvalue.  A build that raises stores nothing, so the next
+    call raises again.  Threads that race on one key may each build, but
+    ``setdefault`` hands every caller the first result stored.
+    """
+    @functools.wraps(build)
+    def memoized(sys: SystemQuad, tol: Tol = DEFAULT_TOL):
+        key, memo = (build.__name__, tol), sys._memo
+        try:
+            return memo[key]
+        except KeyError:
+            return memo.setdefault(key, build(sys, tol))
+    return memoized
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for M in arrays:
+        M.setflags(write=False)
 
 
 def _staircase(A, B, C, D, start, steps: int, tol: Tol,
@@ -206,15 +238,24 @@ def vstar_sequence(sys: SystemQuad, E: Subspace | None = None, tol: Tol = DEFAUL
     an orthonormal basis of the state space, the k-th term is spanned by the
     columns past the k-th stair.
     """
-    Q, dims = _dual_stairs(sys, E, tol)
+    Q, dims = _vstar_stairs(sys, tol) if E is None else _dual_stairs(sys, E, tol)
     return [Subspace.full(sys.n) if E is None else E] + [_span(Q[:, d:]) for d in dims[1:]]
 
 
 def vstar(sys: SystemQuad, E: Subspace | None = None, tol: Tol = DEFAULT_TOL) -> Subspace:
     """The supremal output-nulling subspace contained in E (default: whole space):
     the last term of :func:`vstar_sequence`, built alone."""
-    Q, dims = _dual_stairs(sys, E, tol)
+    Q, dims = _vstar_stairs(sys, tol) if E is None else _dual_stairs(sys, E, tol)
     return _span(Q[:, dims[-1]:])
+
+
+@_memoized
+def _vstar_stairs(sys: SystemQuad, tol: Tol) -> tuple[np.ndarray, tuple[int, ...]]:
+    """:func:`_dual_stairs` from the whole space: V* is spanned by its basis
+    past the last stair."""
+    Q, dims = _dual_stairs(sys, None, tol)
+    _read_only(Q)
+    return Q, tuple(dims)
 
 
 def _dual_stairs(sys: SystemQuad, E: Subspace | None, tol: Tol) -> tuple[np.ndarray, list[int]]:
@@ -252,10 +293,13 @@ def sstar(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> Subspace:
     return _span(_stairs(sys, tol)[0])
 
 
-def _stairs(sys: SystemQuad, tol: Tol) -> tuple[np.ndarray, list[int]]:
+@_memoized
+def _stairs(sys: SystemQuad, tol: Tol) -> tuple[np.ndarray, tuple[int, ...]]:
     """The system's staircase from the zero subspace."""
-    return _staircase(sys.A, sys.B, sys.C, sys.D, np.zeros((sys.n, 0)), sys.n + 1, tol,
-                      sys._stair_scales)
+    Q, dims = _staircase(sys.A, sys.B, sys.C, sys.D, np.zeros((sys.n, 0)), sys.n + 1, tol,
+                         sys._stair_scales)
+    _read_only(Q)
+    return Q, tuple(dims)
 
 
 def chain_term(chain: list[Subspace], k: int) -> Subspace:
@@ -376,10 +420,18 @@ def _reach_along(sys: SystemQuad, V: Subspace, tol: Tol):
     return F, Omega, m1, Q, dims
 
 
+@_memoized
+def _rstar_stairs(sys: SystemQuad, tol: Tol):
+    """Morse's R* recursion: :func:`_reach_along` on V*."""
+    F, Omega, m1, Q, dims = _reach_along(sys, vstar(sys, None, tol), tol)
+    _read_only(F, Omega, Q)
+    return F, Omega, m1, Q, tuple(dims)
+
+
 def rstar(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> Subspace:
     """The supremal output-nulling reachability subspace (reachability on
     the supremal output-nulling subspace)."""
-    return reachability_on(sys, vstar(sys, None, tol), tol)
+    return _span(_rstar_stairs(sys, tol)[3])
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,6 +452,9 @@ class MorseDecomposition:
     The middle diagonal block carries the invariant-zero dynamics.  At p = 0
     it is Kalman's controllability form: F = 0, Omega = I, T1 the Krylov
     basis of (A, B), and the zeros are the uncontrollable eigenvalues.
+
+    The arrays are read-only and ``stairs`` is a tuple: one frame serves
+    every op on its system (:func:`morse_decomposition`).
     """
 
     T: np.ndarray
@@ -414,7 +469,12 @@ class MorseDecomposition:
     m1: int
     invariant_zeros: np.ndarray
     residual: float
-    stairs: list
+    stairs: tuple
+
+    def __post_init__(self):
+        _read_only(self.T, self.Omega, self.F, self.Abar, self.Bbar, self.Cbar, self.Dbar,
+                   self.invariant_zeros)
+        object.__setattr__(self, "stairs", tuple(self.stairs))
 
     @functools.cached_property
     def _rstar_spectrum(self) -> np.ndarray:
@@ -430,8 +490,10 @@ class MorseDecomposition:
         return self.T.shape[0] + self.Omega.shape[0] - self.m1
 
 
+@_memoized
 def morse_decomposition(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> MorseDecomposition:
-    """Adapted-basis decomposition exposing the invariant-zero block.
+    """Adapted-basis decomposition exposing the invariant-zero block, built
+    once per system and tolerance.
 
     One staircase decides each block's width: the dual one gives V* and T3,
     its basis up to the last stair (between stairs k-1 and k, V_{k-1} ⊖ V_k);
@@ -447,9 +509,9 @@ def morse_decomposition(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> MorseDecompo
     decomposition is Kalman's controllability form, and its zeros are the
     uncontrollable eigenvalues (the input-decoupling zeros).
     """
-    Q, dims = _dual_stairs(sys, None, tol)
-    vst = _span(Q[:, dims[-1]:])
-    F, Omega, m1, T1, stairs = _reach_along(sys, vst, tol)
+    Q, dims = _vstar_stairs(sys, tol)
+    vst = vstar(sys, None, tol)
+    F, Omega, m1, T1, stairs = _rstar_stairs(sys, tol)
 
     T2 = vst.basis @ _completion(vst.basis.T @ T1)
     T = np.hstack([T1, T2, Q[:, :dims[-1]]])

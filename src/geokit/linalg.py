@@ -194,17 +194,30 @@ def _completion(M: np.ndarray) -> np.ndarray:
 
 def _orthonormalize(X: np.ndarray) -> np.ndarray:
     """The Q of the thin QR of the tall float64 or complex128 ``X``, without
-    numpy's wrapper, which costs more than a small factorization."""
+    numpy's wrapper, which costs more than a small factorization.  Raises
+    ``numpy.linalg.LinAlgError`` where LAPACK refuses, as for a wide X."""
     lapack = _LAPACK[X.dtype.kind]
-    return lapack["orgqr"](*lapack["geqrf"](X)[:2])[0]
+    qr, tau, _, info = lapack["geqrf"](X)
+    if info:
+        raise np.linalg.LinAlgError("QR factorization failed")
+    Q, _, info = lapack["orgqr"](qr, tau)
+    if info:
+        raise np.linalg.LinAlgError(f"no thin Q for a {X.shape[0]} x {X.shape[1]} matrix")
+    return Q
 
 
 def _pivoted_leading(Y: np.ndarray, k: int) -> np.ndarray:
     """Orthonormal columns along the ``k`` leading directions of ``Y``: the
-    first k columns of the Q of its column-pivoted QR."""
+    first k columns of the Q of its column-pivoted QR.  Raises
+    ``numpy.linalg.LinAlgError`` where LAPACK refuses, as for k > rows."""
     lapack = _LAPACK[Y.dtype.kind]
-    qr, _, tau = lapack["geqp3"](Y)[:3]
-    return lapack["orgqr"](qr[:, :k], tau[:k])[0]
+    qr, _, tau, _, info = lapack["geqp3"](Y)
+    if info:
+        raise np.linalg.LinAlgError("pivoted QR factorization failed")
+    Q, _, info = lapack["orgqr"](qr[:, :k], tau[:k])
+    if info:
+        raise np.linalg.LinAlgError(f"no {k} leading columns for a {Y.shape[0]} x {Y.shape[1]} matrix")
+    return Q
 
 
 def _frozen(M: np.ndarray) -> np.ndarray:

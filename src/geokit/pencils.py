@@ -133,9 +133,9 @@ def _eig_scale(A: np.ndarray, tol: Tol) -> float:
     return max(tol.abs, 100.0 * tol.rel * max(1.0, norm2(A)))
 
 
-def _per_conjugate_pair(sys: SystemQuad, lams, tol: Tol) -> list[int]:
-    """``rank_of(M, tol)`` of the real system's Rosenbrock matrix M at each λ
-    of ``lams``, decided once per conjugate pair.
+def _conjugate_shared(sys: SystemQuad, lams, rank) -> list[int]:
+    """``rank(M)`` of the real system's Rosenbrock matrix M at each λ of
+    ``lams``, decided once per conjugate pair.
 
     The matrix at λ̄ is the conjugate of the one at λ, so it has the same
     rank: a value whose exact conjugate came earlier in ``lams`` gets that
@@ -147,8 +147,24 @@ def _per_conjugate_pair(sys: SystemQuad, lams, tol: Tol) -> list[int]:
         if lam.conjugate() not in seen:
             seen.add(lam)
             todo.append(lam)
-    ranks = {lam: rank_of(M, tol) for lam, M in _system_matrices(sys, todo)}
+    ranks = {lam: rank(M) for lam, M in _system_matrices(sys, todo)}
     return [ranks[lam] if lam in ranks else ranks[lam.conjugate()] for lam in map(complex, lams)]
+
+
+def _per_conjugate_pair(sys: SystemQuad, lams, tol: Tol) -> list[int]:
+    """``rank_of(M, tol)`` at each λ of ``lams``, once per conjugate pair
+    (:func:`_conjugate_shared`): one QR usually proves a full rank."""
+    return _conjugate_shared(sys, lams, lambda M: rank_of(M, tol))
+
+
+def _ranks_at_zeros(sys: SystemQuad, zeros, tol: Tol) -> list[int]:
+    """The rank of the Rosenbrock matrix at each of the invariant ``zeros``,
+    once per conjugate pair, decided by the SVD alone: the matrix loses rank
+    there by construction, so :func:`geokit.linalg.rank_of`'s QR proof would
+    only fail first.  The ranks are rank_of's."""
+    def svd_rank(M):
+        return _svd_rank(svd(M, compute_uv=False), M.shape, tol)
+    return _conjugate_shared(sys, zeros, svd_rank)
 
 
 def uncontrollable_eigenvalues(A, B, tol: Tol = DEFAULT_TOL) -> list[complex]:

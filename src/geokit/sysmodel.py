@@ -1,6 +1,11 @@
 """State-space quadruples (A, B, C, D): data model, JSON file I/O, and
 seeded random generation for the verification sweeps.
 
+A :class:`SystemQuad` is immutable: its arrays are read-only.  So what does
+not depend on a requested eigenvalue is computed once and kept on it: the
+spectral norms the rank decisions scale by and, once per tolerance, the
+staircases and the Morse frame of :mod:`geokit.geometry`.
+
 The file format is a UTF-8 JSON object with keys ``"A"``, ``"B"`` and,
 optionally, ``"C"`` and ``"D"`` (present together or absent together).  Each
 value is a non-empty array of equal-length arrays of finite numbers.  A
@@ -101,6 +106,13 @@ class SystemQuad:
     def _ac_scale(self) -> float:
         """‖[A; C]‖₂."""
         return norm2(np.vstack([self.A, self.C]))
+
+    @cached_property
+    def _memo(self) -> dict:
+        """The eigenvalue-independent structure :mod:`geokit.geometry` builds
+        on this system, keyed by (build, Tol): filled on first use, read-only,
+        and dropped with the system."""
+        return {}
 
     @classmethod
     def from_matrices(cls, A, B, C=None, D=None) -> "SystemQuad":

@@ -11,18 +11,27 @@ residual block is charged to the function that checks the block, and the
 SVD of ``kernel_basis`` to ``kernel_basis``.  Workspace queries
 (``lwork=-1``) are not counted.
 
-Two workloads:
+Three workloads:
 
 ``verify``
     ``verify.run("all", trials=100)``, the acceptance sweeps;
 ``cli``
-    one pass of the cases of ``tests/cli_report_digests.py`` (seed 1).
+    one pass of the cases of ``tests/cli_report_digests.py`` (seed 1);
+``picture``
+    several ops on one system: for one 40-state ``GenSpec`` system of each
+    shape (m, p) = (3,2), (2,3), (2,2), (2,0), ``vstar``, ``sstar``,
+    ``rstar``, ``invariant_zeros``, ``build_Kh`` at 20 real values and
+    ``friend_of(sys, vstar(sys))``, in two rounds on the same systems,
+    counted apart as ``picture-1`` and ``picture-2``.  The second round
+    reads the structure the first built (:mod:`geokit.geometry`); what it
+    still factors depends on the requested values or on the subspace
+    passed in.
 
 Usage:
 
-    PYTHONPATH=src python tests/svd_counts.py [verify] [cli]
+    PYTHONPATH=src python tests/svd_counts.py [verify] [cli] [picture]
 
-(both by default) prints one line ``workload module.function gesdd geqrf``
+(all by default) prints one line ``workload module.function gesdd geqrf``
 per calling site, most SVDs first, and a ``workload total gesdd geqrf``
 line, so
 
@@ -49,7 +58,8 @@ import tempfile  # noqa: E402
 import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-from geokit import linalg, verify  # noqa: E402
+from geokit import assignment, geometry, linalg, pencils, verify  # noqa: E402
+from geokit.sysmodel import GenSpec, random_system  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import cli_report_digests  # noqa: E402
@@ -89,18 +99,40 @@ def _run_cli() -> None:
             pass
 
 
-WORKLOADS = {"verify": _run_verify, "cli": _run_cli}
+def _picture_round(systems) -> None:
+    lams = [-1.0 - 0.25 * k for k in range(20)]
+    for sys in systems:
+        V = geometry.vstar(sys)
+        geometry.sstar(sys)
+        geometry.rstar(sys)
+        pencils.invariant_zeros(sys)
+        assignment.build_Kh(sys, lams)
+        geometry.friend_of(sys, V)
 
 
-def site_counts(workload: str) -> dict[str, collections.Counter]:
-    """``{site: Counter(gesdd=..., geqrf=...)}`` over one run of ``workload``."""
+def _picture() -> list:
+    systems = [random_system(GenSpec(40, m, p, seed=40 + 10 * m + p))
+               for m, p in ((3, 2), (2, 3), (2, 2), (2, 0))]
+    return [(f"picture-{k}", lambda: _picture_round(systems)) for k in (1, 2)]
+
+
+# each workload's rounds, (label, run) in order, counted apart
+WORKLOADS = {
+    "verify": lambda: [("verify", _run_verify)],
+    "cli": lambda: [("cli", _run_cli)],
+    "picture": _picture,
+}
+
+
+def site_counts(run) -> dict[str, collections.Counter]:
+    """``{site: Counter(gesdd=..., geqrf=...)}`` over one call of ``run``."""
     counts = collections.defaultdict(collections.Counter)
     saved = {kind: dict(routines) for kind, routines in linalg._LAPACK.items()}
     _install(counts)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the sweeps' condition-number warnings
-            WORKLOADS[workload]()
+            run()
     finally:
         for kind, routines in saved.items():
             linalg._LAPACK[kind].update(routines)
@@ -109,11 +141,13 @@ def site_counts(workload: str) -> dict[str, collections.Counter]:
 
 def main(argv: list[str]) -> None:
     for workload in argv or list(WORKLOADS):
-        counts = site_counts(workload)
-        for site, c in sorted(counts.items(), key=lambda kv: (-kv[1]["gesdd"], -kv[1]["geqrf"], kv[0])):
-            print(workload, site, c["gesdd"], c["geqrf"], flush=True)
-        print(workload, "total", *(sum(c[name] for c in counts.values()) for name in _COUNTED),
-              flush=True)
+        for label, run in WORKLOADS[workload]():
+            counts = site_counts(run)
+            for site, c in sorted(counts.items(),
+                                  key=lambda kv: (-kv[1]["gesdd"], -kv[1]["geqrf"], kv[0])):
+                print(label, site, c["gesdd"], c["geqrf"], flush=True)
+            print(label, "total", *(sum(c[name] for c in counts.values()) for name in _COUNTED),
+                  flush=True)
 
 
 if __name__ == "__main__":

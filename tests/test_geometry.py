@@ -1,10 +1,14 @@
+import dataclasses
+import gc
 import inspect
+import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from geokit import geometry, linalg
+from geokit.assignment import build_Kh, min_distinct_spectrum
 from geokit.errors import (
     DecompositionError,
     NotInvariantError,
@@ -48,6 +52,7 @@ from geokit.linalg import (
 from geokit.pencils import (
     deduplicate_eigenvalues,
     invariant_zeros,
+    normal_rank_rosenbrock,
     uncontrollable_eigenvalues,
 )
 from geokit.sysmodel import GenSpec, SystemQuad, dual_of, random_system
@@ -729,6 +734,144 @@ class TestMorse:
             # T and Omega are orthogonal by construction
             assert np.abs(dec.T.T @ dec.T - np.eye(sys.n)).max() < 1e-10
             assert np.abs(dec.Omega.T @ dec.Omega - np.eye(sys.m)).max() < 1e-10
+
+
+MEMO_SHAPES = [(3, 2), (2, 3), (2, 2), (2, 0)]
+
+
+def _cold(sys: SystemQuad) -> SystemQuad:
+    """The same matrices in a new system, whose memo is empty."""
+    return SystemQuad.from_matrices(sys.A, sys.B, sys.C, sys.D)
+
+
+def _same_subspace(U: Subspace, V: Subspace) -> bool:
+    return U.basis.dtype == V.basis.dtype and np.array_equal(U.basis, V.basis)
+
+
+def _same_frame(a, b) -> bool:
+    return all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name))
+        and getattr(a, f.name).dtype == getattr(b, f.name).dtype
+        if isinstance(getattr(a, f.name), np.ndarray) else getattr(a, f.name) == getattr(b, f.name)
+        for f in dataclasses.fields(a))
+
+
+# every op that reads the memo, by name, with a bit-for-bit comparison of its answers
+MEMO_OPS = {
+    "vstar": (lambda s, tol: vstar(s, None, tol), _same_subspace),
+    "vstar_sequence": (lambda s, tol: vstar_sequence(s, None, tol),
+                       lambda a, b: len(a) == len(b) and all(map(_same_subspace, a, b))),
+    "sstar": (sstar, _same_subspace),
+    "sstar_sequence": (sstar_sequence,
+                       lambda a, b: len(a) == len(b) and all(map(_same_subspace, a, b))),
+    "rstar": (rstar, _same_subspace),
+    "morse_decomposition": (morse_decomposition, _same_frame),
+    "invariant_zeros": (invariant_zeros, lambda a, b: a == b),
+    "normal_rank_rosenbrock": (normal_rank_rosenbrock, lambda a, b: a == b),
+    "min_distinct_spectrum": (lambda s, tol: min_distinct_spectrum(s, "rosenbrock", tol),
+                              lambda a, b: a == b),
+    "build_Kh": (lambda s, tol: build_Kh(s, [-1.0, -2.0 + 1.0j, -2.0 - 1.0j, -3.0], tol)[0],
+                 _same_subspace),
+}
+
+
+class TestStructureMemo:
+    """The eigenvalue-independent builds are made once per system and Tol
+    and shared; every op answers as on a new system."""
+
+    @pytest.mark.parametrize("m, p", MEMO_SHAPES)
+    def test_each_op_answers_as_on_a_new_system(self, m, p):
+        # one system serves every op twice, in an order where the frame
+        # reads V* and R* that vstar and rstar built; each answer equals,
+        # bit for bit, the op's answer alone on a new system
+        sys = random_system(GenSpec(12, m, p, seed=40 + 10 * m + p))
+        for _ in range(2):
+            for name, (op, same) in MEMO_OPS.items():
+                assert same(op(sys, DEFAULT_TOL), op(_cold(sys), DEFAULT_TOL)), name
+
+    @pytest.mark.parametrize("m, p", MEMO_SHAPES)
+    def test_second_call_factors_nothing(self, monkeypatch, m, p):
+        sys = random_system(GenSpec(12, m, p, seed=50 + 10 * m + p))
+        ops = (vstar, sstar, rstar, morse_decomposition, invariant_zeros)
+        first = [op(sys) for op in ops]
+        callers = gesdd_callers(monkeypatch)
+        second = [op(sys) for op in ops]
+        assert callers == []
+        assert second[3] is first[3]  # one frame
+        assert all(map(_same_subspace, first[:3], second[:3])) and first[4] == second[4]
+
+    @pytest.mark.parametrize("m, p", MEMO_SHAPES)
+    def test_each_tol_gets_its_own_entry(self, m, p):
+        sys = random_system(GenSpec(12, m, p, seed=60 + 10 * m + p))
+        loose = Tol(rel=1e-6, abs=1e-6)
+        warm = {name: op(sys, DEFAULT_TOL) for name, (op, _) in MEMO_OPS.items()}
+        entries = len(sys._memo)
+        for name, (op, same) in MEMO_OPS.items():
+            assert same(op(sys, loose), op(_cold(sys), loose)), name
+        assert len(sys._memo) == 2 * entries
+        assert {tol for _, tol in sys._memo} == {DEFAULT_TOL, loose}
+        assert morse_decomposition(sys, loose) is not morse_decomposition(sys, DEFAULT_TOL)
+        # an equal Tol is the same key
+        assert morse_decomposition(sys, Tol(rel=1e-6, abs=1e-6)) is morse_decomposition(sys, loose)
+        for name, (op, same) in MEMO_OPS.items():
+            assert same(op(sys, DEFAULT_TOL), warm[name]), name
+
+    @pytest.mark.parametrize("m, p", MEMO_SHAPES)
+    def test_cached_arrays_are_read_only(self, m, p):
+        sys = random_system(GenSpec(12, m, p, seed=70 + 10 * m + p))
+        for op, _ in MEMO_OPS.values():
+            op(sys, DEFAULT_TOL)
+        arrays = [x for entry in sys._memo.values() if isinstance(entry, tuple)
+                  for x in entry if isinstance(x, np.ndarray)]
+        dec = morse_decomposition(sys)
+        frame = [getattr(dec, f.name) for f in dataclasses.fields(dec)
+                 if isinstance(getattr(dec, f.name), np.ndarray)]
+        assert len(arrays) == 5 and len(frame) == 8
+        for M in arrays + frame + [S.basis for S in (vstar(sys), sstar(sys), rstar(sys))]:
+            assert not M.flags.writeable
+            with pytest.raises(ValueError):
+                M[...] = 0.0
+        assert isinstance(dec.stairs, tuple)
+        assert all(isinstance(entry[-1], tuple) for entry in sys._memo.values()
+                   if isinstance(entry, tuple))
+
+    def test_a_frame_that_raises_raises_again(self, monkeypatch):
+        sys = without_feedthrough(GenSpec(8, 3, 2, seed=1))
+        reach = geometry._reach_along
+
+        def skewed(*args):
+            F, *rest = reach(*args)
+            return (F + 1e-3, *rest)
+        monkeypatch.setattr(geometry, "_reach_along", skewed)
+        for _ in range(2):
+            with pytest.raises(DecompositionError, match="off-pattern block norm"):
+                morse_decomposition(sys)
+        assert ("morse_decomposition", DEFAULT_TOL) not in sys._memo
+
+    def test_a_build_that_raises_stores_nothing(self, monkeypatch):
+        # the R* staircase refuses a leak off V* above tol.abs on every call
+        sys = without_feedthrough(GenSpec(8, 3, 2, seed=2))
+        assert 0 < vstar(_cold(sys)).dim < sys.n
+        krylov, built = geometry._krylov, []
+
+        def leaky(A, M, steps, tol):
+            built.append(A)
+            Q, dims = krylov(A, M, steps, tol)
+            return np.linalg.qr(Q + 1e-3)[0], dims
+        monkeypatch.setattr(geometry, "_krylov", leaky)
+        for _ in range(2):
+            with pytest.raises(NumericalError, match="leaves V"):
+                rstar(sys)
+        assert len(built) == 2 and ("_rstar_stairs", DEFAULT_TOL) not in sys._memo
+        assert ("_vstar_stairs", DEFAULT_TOL) in sys._memo
+
+    def test_the_memo_dies_with_the_system(self):
+        sys = random_system(GenSpec(12, 3, 2, seed=3))
+        morse_decomposition(sys)
+        ref = weakref.ref(sys)
+        del sys
+        gc.collect()
+        assert ref() is None
 
 
 class TestIntersectionFormula:

@@ -449,6 +449,29 @@ class TestCompletion:
             assert _same_bits(_completion(np.eye(5, dtype=dtype)), np.zeros((5, 0), dtype))
 
 
+class TestThinQR:
+    """``_orthonormalize`` and ``_pivoted_leading`` raise where LAPACK
+    refuses, instead of returning the unfinished factor."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_wide_input_is_refused(self, dtype):
+        # orgqr/ungqr refuses a thin Q wider than tall (info = -2); the 3 x 5
+        # "Q" it hands back used to reach Subspace as a misleading ValidationError
+        X = np.random.default_rng(0).standard_normal((3, 5)).astype(dtype)
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg._orthonormalize(X)
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg._pivoted_leading(X, 4)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_tall_input_is_orthonormalized(self, dtype):
+        X = np.random.default_rng(1).standard_normal((5, 3)).astype(dtype)
+        for Q in (linalg._orthonormalize(X), linalg._pivoted_leading(X, 2),
+                  linalg._pivoted_leading(X.T.copy(), 2)):
+            assert np.allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), atol=1e-14)
+        assert np.allclose(linalg._orthonormalize(X), np.linalg.qr(X)[0], atol=1e-14)
+
+
 class TestSubspaceType:
     def test_zero_subspace_is_first_class(self):
         Z = Subspace.zero(4)

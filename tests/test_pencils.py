@@ -374,6 +374,20 @@ class TestInvariantZeros:
             for z in deduplicate_eigenvalues(invariant_zeros(sys), 1e-6):
                 assert rank_of(rosenbrock_matrix(sys, z)) < nr
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_ranks_at_zeros_are_decided_by_the_svd_alone(self, monkeypatch, m):
+        # the Rosenbrock matrix loses rank at each zero, so a QR proof of
+        # full rank would only fail first: one singular-value SVD per
+        # conjugate pair decides, and the ranks are rank_of's
+        sys = random_system(GenSpec(8, m, m, seed=3))
+        zeros = deduplicate_eigenvalues(invariant_zeros(sys), 1e-6)
+        assert zeros and any(z.imag for z in zeros)
+        want = [rank_of(rosenbrock_matrix(sys, z)) for z in zeros]
+        monkeypatch.setattr(linalg, "_proves_full_rank", None)
+        gesdd = _record_gesdd(monkeypatch)
+        assert pencils._ranks_at_zeros(sys, zeros, DEFAULT_TOL) == want
+        assert gesdd == [((sys.n + m, sys.n + m), False)] * sum(z.imag >= 0 for z in zeros)
+
 
 def _duplicated_input(sys: SystemQuad) -> SystemQuad:
     """``sys`` with the second column of B and of D set equal to the first."""
