@@ -380,7 +380,9 @@ def build_Kh(sys: SystemQuad, spec, tol: Tol = DEFAULT_TOL) -> tuple[Subspace, l
     returned as its certificate: if one of their columns lies over
     ``tol.abs`` outside Kh, raises :class:`NumericalError`.  With m ≤ p
     each kernel is empty unless the Rosenbrock matrix loses rank at its
-    value, and one QR usually proves an empty one (:func:`geokit.linalg.rank_of`).
+    value, and one Cholesky of the matrix's Gram matrix usually proves an
+    empty one, a QR proof the ill-conditioned rest
+    (:func:`geokit.linalg.rank_of`).
     """
     frame = geometry.morse_decomposition(sys, tol)
     lams = [complex(v) for v in spec]

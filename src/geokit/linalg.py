@@ -22,12 +22,15 @@ from this module only: ``geqrf`` and ``orgqr``/``ungqr`` complete a basis as
 ``numpy.linalg.qr(M, mode="complete")`` does (:func:`_completion`) and
 orthonormalise columns whose count a staircase or a kernel has decided, so
 that no second threshold decides it again (:func:`_orthonormalize`, after
-``geqp3`` in :func:`_pivoted_leading`).  :func:`rank_of` reads a full rank
-off one QR where ``trtri``, ``lange`` and ``lantr`` prove it
-(:func:`_proves_full_rank`), which accepts only what the singular-value
-threshold would; the SVD decides the rest.  A spectral norm that is only
-compared with a bound is not computed where the Frobenius norm, which bounds
-it, already decides.
+``geqp3`` in :func:`_pivoted_leading`).  The BLAS ``syrk``/``herk`` bound
+there too forms Gram matrices.  :func:`rank_of` reads a full rank off a
+proof where one exists (:func:`_proves_full_rank`): one Cholesky (``potrf``)
+of the shifted Gram matrix proves a well-conditioned matrix, and one QR, with
+``trtri``, ``lange`` and ``lantr``, proves what the Cholesky cannot, down to
+the threshold.  Both accept only what the singular-value threshold would;
+the SVD decides the rest.  A spectral norm that is only compared with a
+bound is not computed where the Frobenius norm, which bounds it, already
+decides.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import get_blas_funcs
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import NumericalError, ValidationError
@@ -100,11 +104,14 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return M
 
 
-# Every LAPACK routine geokit calls, by dtype kind ("orgqr" is ungqr in complex)
+# Every LAPACK (and BLAS) routine geokit calls, by dtype kind: "orgqr" is
+# ungqr and "syrk" herk in complex
 _LAPACK = {kind: dict(zip(
-    ("gesdd", "gesdd_lwork", "geqrf", "orgqr", "geqp3", "trtri", "lange", "lantr"),
+    ("gesdd", "gesdd_lwork", "geqrf", "orgqr", "geqp3", "trtri", "lange", "lantr", "potrf",
+     "syrk"),
     get_lapack_funcs(("gesdd", "gesdd_lwork", "geqrf", ("orgqr", "ungqr")[kind == "c"],
-                      "geqp3", "trtri", "lange", "lantr"), dtype=dtype)))
+                      "geqp3", "trtri", "lange", "lantr", "potrf"), dtype=dtype)
+    + get_blas_funcs((("syrk", "herk")[kind == "c"],), dtype=dtype)))
     for kind, dtype in (("f", np.float64), ("c", np.complex128))}
 
 
@@ -248,23 +255,84 @@ def _svd_rank(s: np.ndarray, shape, tol: Tol, scale: float | None = None) -> int
 
 
 _EPS = float(np.finfo(np.float64).eps)
+# the least Gram trace the Cholesky proof reads: above it, the products that
+# underflow are lost in the proof's slack
+_GRAM_TINY = float(np.finfo(np.float64).tiny) / _EPS
 
 
-def _proves_full_rank(M: np.ndarray, tol: Tol, scale: float | None = None) -> bool:
-    """True only when ``_svd_rank(svd(M, compute_uv=False), M.shape, tol,
-    scale)`` would be min(rows, cols) for the nonempty ``M``; False means
-    "not proven", not "rank deficient".
+def _proof_floor(shape, tol: Tol) -> float:
+    """Both proofs accept σ_min(M) ≥ 2 · floor · max(‖M‖_F, scale)."""
+    return max(tol.rel * max(shape), 64.0 * sum(shape) * _EPS)
+
+
+def _gram_shift(shape, t: float, tol: Tol, scale: float | None = None) -> float:
+    """The shift s that :func:`_gram_proves_full_rank` takes off the Gram
+    matrix of a ``shape`` matrix whose computed Gram trace is ``t``; √s is
+    the least σ_min that stage can prove."""
+    gamma = (sum(shape) + 10) * _EPS
+    norm_sq = t * (1.0 + gamma)  # ≥ ‖M‖_F²
+    floor, scale = _proof_floor(shape, tol), scale or 0.0
+    target_sq = 4.0 * floor * floor * max(norm_sq, scale * scale)
+    return (target_sq + gamma * norm_sq) * (1.0 + gamma)
+
+
+def _gram_proves_full_rank(M: np.ndarray, tol: Tol, scale: float | None = None) -> bool:
+    """The Cholesky stage of :func:`_proves_full_rank`: True only when
+    σ_min(M) ≥ 2 · floor · max(‖M‖_F, scale), floor :func:`_proof_floor`.
+
+    Let T be M, or Mᵀ when M is wide: k × c with k ≥ c and M's singular
+    values.  Let u = ε/2 and γ = (rows + cols + 10) ε.  One BLAS ``syrk``
+    (``herk``) forms the Gram matrix Ĝ = fl(TᴴT), or its conjugate, which has
+    the same eigenvalues.  Its entries are k-term inner products, so
+    |Ĝ − TᴴT| ≤ γ_{k+2} |T|ᴴ|T| and ‖Ĝ − TᴴT‖₂ ≤ γ_{k+2} ‖T‖_F² (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, §3.5; the +2
+    covers complex products, §3.6).  Its diagonal sums nonnegative terms, so
+    the computed trace t gives ‖M‖_F² ≤ t (1 + γ) = N².  Then
+    H = fl(Ĝ − s I) is off Ĝ − s I by at most u (N² + s) in norm.  A
+    completed ``potrf`` gives R̂ᴴR̂ = H + ΔH ⪰ 0 with ‖ΔH‖₂ ≤
+    γ_{c+3} trace(H) / (1 − γ_{c+3}) (Thm 10.3, again +2 for complex), and
+    trace(H) ≤ (1 + u) N².  Together,
+
+        σ_min(M)² = λ_min(TᴴT) ≥ s (1 − u) − (γ_{k+2} + γ_{c+3} + 2u) N²
+                               ≥ s (1 − u) − γ N² / 2,
+
+    since γ_j ≈ j u.  With target = 2 · floor · max(N, scale) and
+    s = (target² + γ N²)(1 + γ), that is σ_min(M) ≥ target, the conclusion
+    of the QR stage, with γ N² / 2 to spare for the rounding of s itself and
+    for products that underflow while t ≥ tiny / ε.  So the stage proves
+    down to σ_min ≈ √γ ‖M‖_F, about 2e-7 ‖M‖_F at 83 × 82.
+
+    A Cholesky that stops (info > 0: a column that is zero or too small, a
+    NaN or an inf) is not proven, nor is a trace that is not finite or is
+    below tiny / ε.
+    """
+    rows, cols = M.shape
+    kind = "c" if M.dtype.kind == "c" else "f"
+    lapack = _LAPACK[kind]
+    # Mᵀ of a C-ordered M is in BLAS's column order: no copy.  It gives the
+    # conjugate of MᴴM for a tall M and, transposed once more, of MMᴴ for a
+    # wide one; syrk and herk fill the upper triangle
+    H = lapack["syrk"](1.0, M.T, trans=0 if rows >= cols else (1, 2)[kind == "c"])
+    diagonal = np.einsum("ii->i", H)  # a writable view
+    t = float(diagonal.real.sum())
+    if not _GRAM_TINY <= t < np.inf:
+        return False
+    diagonal -= _gram_shift(M.shape, t, tol, scale)
+    return lapack["potrf"](H, clean=False, overwrite_a=True)[1] == 0
+
+
+def _qr_proves_full_rank(M: np.ndarray, tol: Tol, scale: float | None = None) -> bool:
+    """The QR stage of :func:`_proves_full_rank`: True only when
+    σ_min(M) ≥ 2 · floor · max(‖M‖_F, scale), floor :func:`_proof_floor`.
 
     A wide M is proven through Mᵀ, which has its singular values.  One
     Householder QR of the tall one, QR, and the triangular inverse of R give
-    σ_min(R) ≥ 1/‖R⁻¹‖_F, while ‖M‖_F ≥ σ_max(M).  The proof accepts when
-    1/‖R⁻¹‖_F > 2 max(tol.rel · max(rows, cols), 64 (rows + cols) ε)
-    max(‖M‖_F, scale): the factor 2 and the ε floor, which decides for a tiny
-    ``tol.rel``, cover the backward errors of the QR (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2002, ch. 19), of the inverse,
-    κ(R) n ε (§14.2), and of gesdd in either orientation.  An exactly
-    singular R (trtri's info > 0) is not proven; neither is a non-finite
-    norm, since no comparison with NaN holds.
+    σ_min(R) ≥ 1/‖R⁻¹‖_F, while ‖M‖_F ≥ σ_max(M), and the stage accepts when
+    1/‖R⁻¹‖_F > 2 · floor · max(‖M‖_F, scale).  The factor 2 and floor's ε
+    term cover the backward errors of the QR (Higham, ch. 19) and of the
+    inverse, κ(R) n ε (§14.2).  An exactly singular R (trtri's info > 0) is
+    not proven; neither is a non-finite norm, since no comparison with NaN
+    holds.
     """
     rows, cols = M.shape
     kind = "c" if M.dtype.kind == "c" else "f"
@@ -278,11 +346,33 @@ def _proves_full_rank(M: np.ndarray, tol: Tol, scale: float | None = None) -> bo
     Rinv, info = lapack["trtri"](qr[:T.shape[1]], overwrite_c=True)
     if info:
         return False
-    floor = max(tol.rel * max(rows, cols), 64.0 * (rows + cols) * _EPS)
     # lantr reads the upper triangle only; Mᵀ of a C-ordered M has LAPACK's
     # column order, so lange reads it without a copy
     bound = max(lapack["lange"]("F", M.T), scale or 0.0)
-    return 1.0 / lapack["lantr"]("F", Rinv) > 2.0 * floor * bound
+    return 1.0 / lapack["lantr"]("F", Rinv) > 2.0 * _proof_floor(M.shape, tol) * bound
+
+
+def _proves_full_rank(M: np.ndarray, tol: Tol, scale: float | None = None) -> bool:
+    """True only when ``_svd_rank(svd(M, compute_uv=False), M.shape, tol,
+    scale)`` would be min(rows, cols) for the nonempty ``M``; False means
+    "not proven", not "rank deficient".  ``M`` is left as it is.
+
+    Both stages accept only σ_min(M) ≥ 2 · floor · max(‖M‖_F, scale), with
+    floor = max(tol.rel · max(rows, cols), 64 (rows + cols) ε)
+    (:func:`_proof_floor`).  Since ‖M‖_F ≥ σ_max(M), that clears the SVD
+    threshold tol.rel · max(rows, cols) · max(σ_max, scale) twice over; the
+    factor 2 and the ε term, which decides for a tiny ``tol.rel``, cover
+    the backward error of gesdd in either orientation.
+
+    The Cholesky of the shifted Gram matrix (:func:`_gram_proves_full_rank`)
+    runs first: no QR and no triangular inverse, so from about 40 rows it
+    costs half the QR proof or less, and about the same at 10.  Its
+    rounding bounds it to σ_min ≳ √((rows + cols) ε) ‖M‖_F.  Below that the
+    QR proof (:func:`_qr_proves_full_rank`) runs, as it always did, and
+    reaches down to the floor itself.  Which stage decides is read off the
+    input, through the first stage's failure.
+    """
+    return _gram_proves_full_rank(M, tol, scale) or _qr_proves_full_rank(M, tol, scale)
 
 
 def rank_of(M, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> int:
@@ -290,8 +380,9 @@ def rank_of(M, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> int:
 
     ``scale``, when given, enters the cutoff as a floor for the largest
     singular value; pass the norm of the factors when ``M`` is a product
-    that may be zero up to roundoff.  A full rank proven by one QR
-    (:func:`_proves_full_rank`) needs no singular values.
+    that may be zero up to roundoff.  A full rank proven by one Cholesky
+    of the Gram matrix or, failing that, one QR (:func:`_proves_full_rank`)
+    needs no singular values.
     """
     M = as_matrix(M)
     if M.size == 0 or _proves_full_rank(M, tol, scale):

@@ -13,6 +13,7 @@ for each value.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,9 +104,11 @@ def rosenbrock_kernels(sys: SystemQuad, lams, tol: Tol = DEFAULT_TOL) -> list[Pe
     no stack of them is held.  With m ≤ p each matrix is square or tall,
     and away from the invariant zeros (and any normal-rank loss) its kernel
     is empty, (n, 0) and (m, 0) in its dtype: :func:`geokit.linalg.rank_of`
-    proves the full column rank by one QR, and no SVD runs.  The matrix is
-    factored only when its rank shows a loss; the full SVD's own singular
-    values then decide, so every nonempty kernel comes from one SVD."""
+    proves the full column rank by one Cholesky of its Gram matrix (one QR
+    where the pencil is too ill-conditioned for that), and no SVD runs.  The
+    matrix is factored only when its rank shows a loss; the full SVD's own
+    singular values then decide, so every nonempty kernel comes from one
+    SVD."""
     kernels = []
     for lam, M in _system_matrices(sys, lams):
         rows, cols = M.shape
@@ -153,14 +156,16 @@ def _conjugate_shared(sys: SystemQuad, lams, rank) -> list[int]:
 
 def _per_conjugate_pair(sys: SystemQuad, lams, tol: Tol) -> list[int]:
     """``rank_of(M, tol)`` at each λ of ``lams``, once per conjugate pair
-    (:func:`_conjugate_shared`): one QR usually proves a full rank."""
+    (:func:`_conjugate_shared`): one Cholesky of the Gram matrix usually
+    proves a full rank, and a QR proof takes over where M is too
+    ill-conditioned for it."""
     return _conjugate_shared(sys, lams, lambda M: rank_of(M, tol))
 
 
 def _ranks_at_zeros(sys: SystemQuad, zeros, tol: Tol) -> list[int]:
     """The rank of the Rosenbrock matrix at each of the invariant ``zeros``,
     once per conjugate pair, decided by the SVD alone: the matrix loses rank
-    there by construction, so :func:`geokit.linalg.rank_of`'s QR proof would
+    there by construction, so :func:`geokit.linalg.rank_of`'s proofs would
     only fail first.  The ranks are rank_of's."""
     def svd_rank(M):
         return _svd_rank(svd(M, compute_uv=False), M.shape, tol)
@@ -173,8 +178,10 @@ def uncontrollable_eigenvalues(A, B, tol: Tol = DEFAULT_TOL) -> list[complex]:
     This is the PBH test evaluated at each (deduplicated) eigenvalue of A;
     the returned list is multiplicity-free.  The eigenvalues of the real A
     come in exact conjugate pairs, and the rank is decided once per pair: a
-    pair is listed whole or not at all.  One QR usually proves a
-    controllable value's full row rank (:func:`geokit.linalg.rank_of`).
+    pair is listed whole or not at all.  One Cholesky of the Gram matrix
+    usually proves a controllable value's full row rank, and a QR proof
+    takes over where the pencil is too ill-conditioned for it
+    (:func:`geokit.linalg.rank_of`).
     """
     sys = SystemQuad.from_matrices(A, B)
     eigs = deduplicate_eigenvalues(np.linalg.eigvals(sys.A), _eig_scale(sys.A, tol))
@@ -210,6 +217,14 @@ def spectrum_scale(lambdas, tol: Tol) -> float:
     return max(tol.abs, tol.rel * max(1.0, max(mags)))
 
 
+def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x_i − y_j| for every pair, as Python's ``abs`` of a complex rounds
+    it: ``np.hypot`` of the parts does, ``np.abs`` of a complex128 does not
+    always."""
+    d = x[:, None] - y
+    return np.hypot(d.real, d.imag)
+
+
 def validate_spectrum(lambdas, forbidden=(), tol: Tol = DEFAULT_TOL) -> list[tuple[complex, bool]]:
     """Check finiteness, distinctness, self-conjugacy, and distance from a
     forbidden set, and return the values to place.
@@ -228,13 +243,17 @@ def validate_spectrum(lambdas, forbidden=(), tol: Tol = DEFAULT_TOL) -> list[tup
     if not lambdas:
         raise SpectrumError("empty spectrum")
     for lam in lambdas:
-        if not np.isfinite(lam):
+        if not cmath.isfinite(lam):
             raise SpectrumError(f"eigenvalue {lam} is not finite")
     scale = spectrum_scale(lambdas, tol)
-    for i, lam in enumerate(lambdas):
-        for mu in lambdas[i + 1:]:
-            if abs(lam - mu) <= scale:
-                raise SpectrumError(f"eigenvalues {lam} and {mu} are not distinct")
+    # each check raises on the first offending pair (i, j) in row-major
+    # order; off its diagonal, the symmetric mask's first has j > i
+    lams = np.array(lambdas)
+    close = _distances(lams, lams) <= scale
+    np.fill_diagonal(close, False)
+    if close.any():
+        i, j = divmod(int(close.argmax()), len(lambdas))
+        raise SpectrumError(f"eigenvalues {lambdas[i]} and {lambdas[j]} are not distinct")
     values, taken = [], set()  # taken: the non-real values already paired
     for i, lam in enumerate(lambdas):
         if abs(lam.imag) <= scale:
@@ -248,11 +267,13 @@ def validate_spectrum(lambdas, forbidden=(), tol: Tol = DEFAULT_TOL) -> list[tup
             raise SpectrumError(f"spectrum is not self-conjugate: no partner for {lam}")
         taken.update((i, matches[0]))
         values.append((lam if lam.imag > 0 else lam.conjugate(), True))
+    if not len(forbidden):
+        return values
     margin = 10.0 * scale
-    for lam in lambdas:
-        for z in forbidden:
-            if abs(lam - complex(z)) <= margin:
-                raise SpectrumError(
-                    f"eigenvalue {lam} is within {margin:.2e} of forbidden value {complex(z)}"
-                )
+    forbidden = np.asarray(forbidden, dtype=np.complex128)
+    near = _distances(lams, forbidden) <= margin
+    if near.any():
+        i, j = divmod(int(near.argmax()), len(forbidden))
+        raise SpectrumError(f"eigenvalue {lambdas[i]} is within {margin:.2e} of forbidden "
+                            f"value {complex(forbidden[j])}")
     return values

@@ -1,15 +1,17 @@
-"""LAPACK factorizations per calling site: how many ``gesdd`` (SVD) and
-``geqrf`` (Householder QR) calls each geokit function asks for.
+"""LAPACK factorizations per calling site: how many ``gesdd`` (SVD),
+``geqrf`` (Householder QR) and ``potrf`` (Cholesky) calls each geokit
+function asks for.
 
-Wraps the ``gesdd`` and ``geqrf`` of each dtype in ``geokit.linalg._LAPACK``,
-the table every factorization in geokit goes through, and charges each call
-to the function that asked for it: the first frame outward that is neither
-one of ``linalg``'s factorization wrappers (``svd``, ``norm2``,
-``_completion``, ``_orthonormalize``, ``_pivoted_leading``,
-``_proves_full_rank``) nor a generator expression.  So ``norm2`` of a
-residual block is charged to the function that checks the block, and the
-SVD of ``kernel_basis`` to ``kernel_basis``.  Workspace queries
-(``lwork=-1``) are not counted.
+Wraps the ``gesdd``, ``geqrf`` and ``potrf`` of each dtype in
+``geokit.linalg._LAPACK``, the table every factorization in geokit goes
+through, and charges each call to the function that asked for it: the
+first frame outward that is neither one of ``linalg``'s factorization
+wrappers (``svd``, ``norm2``, ``_completion``, ``_orthonormalize``,
+``_pivoted_leading``, ``rank_of``, ``_proves_full_rank`` and its two
+stages) nor a generator expression.  So ``norm2`` of a residual block is
+charged to the function that checks the block, a rank's proofs and SVD to
+the function that asks for the rank, and the SVD of ``kernel_basis`` to
+``kernel_basis``.  Workspace queries (``lwork=-1``) are not counted.
 
 Three workloads:
 
@@ -31,14 +33,17 @@ Usage:
 
     PYTHONPATH=src python tests/svd_counts.py [verify] [cli] [picture]
 
-(all by default) prints one line ``workload module.function gesdd geqrf``
-per calling site, most SVDs first, and a ``workload total gesdd geqrf``
-line, so
+(all by default) prints one line ``workload module.function gesdd geqrf
+potrf`` per calling site, most SVDs first, and a ``workload total gesdd
+geqrf potrf`` line, so
 
     diff <(PYTHONPATH=old/src python tests/svd_counts.py) \\
          <(PYTHONPATH=src python tests/svd_counts.py)
 
-shows which sites gained or lost factorizations.  It runs with one BLAS
+shows which sites gained or lost factorizations.  A ``potrf`` is the
+Cholesky proof of a full rank (``linalg._gram_proves_full_rank``); a
+``geqrf`` charged to the same site is the QR proof that runs where the
+Cholesky cannot decide, or a QR of the site's own.  It runs with one BLAS
 thread, like the benchmark, and takes a few seconds.
 
 It is not a test module, so pytest does not collect it.
@@ -65,8 +70,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import cli_report_digests  # noqa: E402
 
 _WRAPPERS = {"svd", "norm2", "_completion", "_orthonormalize", "_pivoted_leading",
-             "_proves_full_rank"}
-_COUNTED = ("gesdd", "geqrf")
+             "_proves_full_rank", "_gram_proves_full_rank", "_qr_proves_full_rank", "rank_of"}
+_COUNTED = ("gesdd", "geqrf", "potrf")
 
 
 def _site(frame) -> str:
@@ -125,7 +130,8 @@ WORKLOADS = {
 
 
 def site_counts(run) -> dict[str, collections.Counter]:
-    """``{site: Counter(gesdd=..., geqrf=...)}`` over one call of ``run``."""
+    """``{site: Counter(gesdd=..., geqrf=..., potrf=...)}`` over one call of
+    ``run``."""
     counts = collections.defaultdict(collections.Counter)
     saved = {kind: dict(routines) for kind, routines in linalg._LAPACK.items()}
     _install(counts)
@@ -145,7 +151,7 @@ def main(argv: list[str]) -> None:
             counts = site_counts(run)
             for site, c in sorted(counts.items(),
                                   key=lambda kv: (-kv[1]["gesdd"], -kv[1]["geqrf"], kv[0])):
-                print(label, site, c["gesdd"], c["geqrf"], flush=True)
+                print(label, site, *(c[name] for name in _COUNTED), flush=True)
             print(label, "total", *(sum(c[name] for c in counts.values()) for name in _COUNTED),
                   flush=True)
 

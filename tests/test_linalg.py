@@ -14,6 +14,8 @@ from geokit.linalg import (
     Subspace,
     Tol,
     _completion,
+    _gram_proves_full_rank,
+    _gram_shift,
     _proves_full_rank,
     _svd_rank,
     as_matrix,
@@ -330,14 +332,20 @@ def _planted(rng, shape, complex_: bool, sigma_min: float) -> np.ndarray:
     """A seeded C-ordered ``shape`` matrix with singular values spread
     geometrically from 1 down to ``sigma_min``, between random orthonormal
     factors."""
+    return _with_singular_values(rng, shape, complex_, np.geomspace(1.0, sigma_min, min(shape)))
+
+
+def _with_singular_values(rng, shape, complex_: bool, sv: np.ndarray) -> np.ndarray:
+    """A seeded C-ordered ``shape`` matrix with the singular values ``sv``,
+    between random orthonormal factors."""
     def q(k):
         G = rng.standard_normal((k, k))
         return np.linalg.qr(G + 1j * rng.standard_normal((k, k)) if complex_ else G)[0]
 
     rows, cols = shape
     if rows < cols:
-        return np.ascontiguousarray(_planted(rng, shape[::-1], complex_, sigma_min).T)
-    return (q(rows)[:, :cols] * np.geomspace(1.0, sigma_min, cols)) @ q(cols).conj().T
+        return np.ascontiguousarray(_with_singular_values(rng, shape[::-1], complex_, sv).T)
+    return (q(rows)[:, :cols] * sv) @ q(cols).conj().T
 
 
 class TestFullColumnRankProof:
@@ -403,6 +411,100 @@ class TestFullColumnRankProof:
         M[:, 3] = 0.0
         assert not _proves_full_rank(M, DEFAULT_TOL)
         assert not _proves_full_rank(M.T.copy(), DEFAULT_TOL)
+
+
+def _one_small(rng, shape, complex_: bool, sigma_min: float) -> np.ndarray:
+    """A seeded ``shape`` matrix with singular values 1 but the last,
+    ``sigma_min``: ‖M‖_F is as large as σ_max allows, where the Cholesky
+    stage reaches least far."""
+    sv = np.ones(min(shape))
+    sv[-1] = sigma_min
+    return _with_singular_values(rng, shape, complex_, sv)
+
+
+def _gram_limit(shape, tol, scale=None) -> float:
+    """The least σ_min the Cholesky stage proves for a ``_one_small``
+    matrix: √s at ‖M‖_F² = min(shape) − 1."""
+    return float(np.sqrt(_gram_shift(shape, min(shape) - 1.0, tol, scale)))
+
+
+class TestGramStageProof:
+    """The Cholesky stage alone never claims a rank that ``_svd_rank``
+    denies, proves every draw at 10 times its own limit, and leaves M as it
+    is."""
+
+    @staticmethod
+    def _check(M, tol, scale, expect_proven: bool):
+        shape = M.shape
+        before = M.copy()
+        proven = _gram_proves_full_rank(M, tol, scale)
+        assert np.array_equal(M, before) and M.flags.c_contiguous
+        if proven:
+            assert _svd_rank(svd(M, compute_uv=False), shape, tol, scale) == min(shape)
+        if expect_proven:
+            assert proven
+        assert rank_of(M, tol, scale) == _svd_rank(svd(M, compute_uv=False), shape, tol, scale)
+
+    @pytest.mark.parametrize("rel", [1e-15, 1e-11, 1e-6])
+    @pytest.mark.parametrize("shape", [(12, 8), (43, 42), (10, 10), (82, 82), (8, 12), (40, 42)],
+                             ids=["tall", "tall-by-one", "square", "square-82", "wide",
+                                  "wide-by-two"])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_never_claims_what_the_svd_denies(self, complex_, shape, rel):
+        tol = Tol(rel=rel)
+        rng = np.random.default_rng([*shape, complex_, round(-np.log10(rel)), 5])
+        threshold, limit = rel * max(shape), _gram_limit(shape, tol)
+        assert limit > threshold
+        sigmas = [(f * threshold, False) for f in (0.5, 1.0, 2.0)]
+        sigmas += [(f * limit, f == 10.0) for f in (0.5, 1.0, 2.0, 10.0)]
+        for sigma_min, expect_proven in sigmas:
+            for _ in range(3):
+                self._check(_one_small(rng, shape, complex_, sigma_min), tol, None,
+                            expect_proven)
+
+    @pytest.mark.parametrize("shape", [(12, 8), (8, 12), (10, 10)],
+                             ids=["tall", "wide", "square"])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_scale_floor_above_the_norm(self, complex_, shape):
+        rng = np.random.default_rng([*shape, complex_, 6])
+        for scale in (10.0, 1e3):
+            threshold = DEFAULT_TOL.rel * max(shape) * scale
+            limit = _gram_limit(shape, DEFAULT_TOL, scale)
+            sigmas = [(f * threshold, False) for f in (0.5, 1.0, 2.0)]
+            sigmas += [(f * limit, f == 10.0) for f in (0.5, 1.0, 2.0, 10.0)]
+            for sigma_min, expect_proven in sigmas:
+                M = _one_small(rng, shape, complex_, sigma_min)
+                assert np.linalg.norm(M) < scale
+                self._check(M, DEFAULT_TOL, scale, expect_proven)
+
+    @pytest.mark.parametrize("shape", [(12, 8), (8, 12)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_what_the_cholesky_cannot_factor_is_not_proven(self, dtype, shape):
+        rng = np.random.default_rng(8)
+        good = np.ascontiguousarray(rng.standard_normal(shape).astype(dtype))
+        assert _gram_proves_full_rank(good, DEFAULT_TOL)
+        short = 0 if shape[0] < shape[1] else 1  # the axis whose vectors must be independent
+        for value in (np.nan, np.inf, -np.inf):
+            M = good.copy()
+            M[2, 3] = value
+            assert not _gram_proves_full_rank(M, DEFAULT_TOL)
+        M = good.copy()
+        np.moveaxis(M, short, 0)[3] = 0.0  # a zero column (of a wide M, a zero row)
+        assert not _gram_proves_full_rank(M, DEFAULT_TOL)
+        assert not _gram_proves_full_rank(np.zeros(shape, dtype), DEFAULT_TOL, 1.0)
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_underflowing_gram_is_not_proven(self, complex_):
+        # from about 1e-155 the squares underflow: without the trace floor,
+        # the shift would underflow too, and the Cholesky would often
+        # complete on a matrix whose SVD counts one column fewer
+        rng = np.random.default_rng(9)
+        for size in (1e-155, 1e-157, 1e-160):
+            for _ in range(4):
+                M = _one_small(rng, (10, 8), complex_, 1e-20) * size
+                assert _svd_rank(svd(M, compute_uv=False), M.shape, DEFAULT_TOL) == 7
+                assert not _gram_proves_full_rank(M, DEFAULT_TOL)
+                assert rank_of(M) == 7
 
 
 COMPLETION_SHAPES = [(8, 0), (8, 3), (8, 8), (40, 17), (150, 60), (200, 150)]

@@ -14,6 +14,7 @@ from geokit.pencils import (
     rosenbrock_kernel,
     rosenbrock_kernels,
     rosenbrock_matrix,
+    spectrum_scale,
     uncontrollable_eigenvalues,
     validate_spectrum,
 )
@@ -35,6 +36,19 @@ def _record_gesdd(monkeypatch) -> list[tuple[tuple[int, int], bool]]:
             calls.append((M.shape, kwargs["compute_uv"]))
             return gesdd(M, **kwargs)
         monkeypatch.setitem(routines, "gesdd", recorded)
+    return calls
+
+
+def _record_geqrf(monkeypatch) -> list[tuple[int, int]]:
+    """Patch each ``geqrf`` of ``linalg._LAPACK`` to record the shape of
+    every factorization, workspace queries (``lwork=-1``) left out."""
+    calls = []
+    for routines in linalg._LAPACK.values():
+        def recorded(M, geqrf=routines["geqrf"], **kwargs):
+            if kwargs.get("lwork") != -1:
+                calls.append(M.shape)
+            return geqrf(M, **kwargs)
+        monkeypatch.setitem(routines, "geqrf", recorded)
     return calls
 
 
@@ -191,30 +205,35 @@ class TestKernelIsOneSvdDecision:
             assert K.V.dtype == V.dtype and np.array_equal(K.V, V) and np.array_equal(K.W, W)
 
     @staticmethod
-    def _count_svds(monkeypatch) -> list[bool]:
-        """The ``compute_uv`` flag of each ``gesdd`` call that the pencil
-        kernels make, the frame's own SVDs left out."""
-        calls, kernels, gesdd = [], pencils.rosenbrock_kernels, _record_gesdd(monkeypatch)
+    def _count_factors(monkeypatch) -> tuple[list[bool], list[tuple[int, int]]]:
+        """The ``compute_uv`` flag of each ``gesdd`` call and the shape of
+        each ``geqrf`` call that the pencil kernels make, the frame's own
+        factorizations left out."""
+        svds, qrs, kernels = [], [], pencils.rosenbrock_kernels
+        gesdd, geqrf = _record_gesdd(monkeypatch), _record_geqrf(monkeypatch)
 
         def counted(*args):
-            start = len(gesdd)
+            start_svd, start_qr = len(gesdd), len(geqrf)
             out = kernels(*args)
-            calls.extend(uv for _, uv in gesdd[start:])
+            svds.extend(uv for _, uv in gesdd[start_svd:])
+            qrs.extend(geqrf[start_qr:])
             return out
 
         monkeypatch.setattr(pencils, "rosenbrock_kernels", counted)
-        return calls
+        return svds, qrs
 
     def test_full_rank_pencils_compute_no_factors(self, monkeypatch):
         # the Kh certificate of a square system: every kernel is empty, and
-        # one QR per value proves it, so no SVD runs at all
+        # one Cholesky of the Gram matrix per value proves it, so neither an
+        # SVD nor a QR (the fallback proof) runs at all
         from geokit.assignment import build_Kh
 
-        calls = self._count_svds(monkeypatch)
+        calls, qrs = self._count_factors(monkeypatch)
         sys = random_system(GenSpec(40, 2, 2, seed=5))
         _, kernels = build_Kh(sys, -np.linspace(1.0, 4.0, 20))
         assert [K.q for K in kernels] == [0] * 20
         assert calls == []
+        assert qrs == []
 
     def test_normal_rank_loss_reaches_the_svd(self, monkeypatch):
         # two equal outputs: the square Rosenbrock matrix loses rank at every
@@ -225,7 +244,7 @@ class TestKernelIsOneSvdDecision:
         base = random_system(GenSpec(n=8, m=2, p=2, seed=3))
         sys = SystemQuad.from_matrices(base.A, base.B, base.C[[0, 0]], base.D[[0, 0]])
         lams = [-1.0, -2.0, -3.0]
-        calls = self._count_svds(monkeypatch)
+        calls, _ = self._count_factors(monkeypatch)
         _, kernels = build_Kh(sys, lams)
         assert calls == [False, True] * 3
         for K, lam in zip(kernels, lams):
@@ -430,6 +449,51 @@ class TestNormalRank:
         assert normal_rank_rosenbrock(sys) == sampled_normal_rank(sys) == 9
 
 
+def _validate_spectrum_loops(lambdas, forbidden=(), tol=DEFAULT_TOL):
+    """``validate_spectrum`` with its distinctness and forbidden-set checks
+    as pairwise loops: the reference for the order in which it raises."""
+    lambdas = [complex(v) for v in lambdas]
+    if not lambdas:
+        raise SpectrumError("empty spectrum")
+    for lam in lambdas:
+        if not np.isfinite(lam):
+            raise SpectrumError(f"eigenvalue {lam} is not finite")
+    scale = spectrum_scale(lambdas, tol)
+    for i, lam in enumerate(lambdas):
+        for mu in lambdas[i + 1:]:
+            if abs(lam - mu) <= scale:
+                raise SpectrumError(f"eigenvalues {lam} and {mu} are not distinct")
+    values, taken = [], set()
+    for i, lam in enumerate(lambdas):
+        if abs(lam.imag) <= scale:
+            values.append((complex(lam.real), False))
+            continue
+        if i in taken:
+            continue
+        matches = [j for j, mu in enumerate(lambdas) if j not in taken and abs(mu.imag) > scale
+                   and abs(mu - lam.conjugate()) <= scale]
+        if not matches:
+            raise SpectrumError(f"spectrum is not self-conjugate: no partner for {lam}")
+        taken.update((i, matches[0]))
+        values.append((lam if lam.imag > 0 else lam.conjugate(), True))
+    margin = 10.0 * scale
+    for lam in lambdas:
+        for z in forbidden:
+            if abs(lam - complex(z)) <= margin:
+                raise SpectrumError(
+                    f"eigenvalue {lam} is within {margin:.2e} of forbidden value {complex(z)}"
+                )
+    return values
+
+
+def _outcome(check, *args):
+    """The values ``check`` returns, or the text of the SpectrumError it raises."""
+    try:
+        return check(*args)
+    except SpectrumError as err:
+        return str(err)
+
+
 class TestValidateSpectrum:
     def test_accepts_plain_reals(self):
         assert validate_spectrum([-1.0, -2.0]) == [(-1.0, False), (-2.0, False)]
@@ -494,6 +558,32 @@ class TestValidateSpectrum:
         # within ten comparison scales of a forbidden value: rejected
         with pytest.raises(SpectrumError):
             validate_spectrum([2.0 + 1e-12], forbidden=[2.0])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_raises_as_the_loops_do(self, seed):
+        # several close pairs, then several forbidden hits, at seeded
+        # places: the array checks raise on the loops' first offending pair,
+        # with the same text, and pass what the loops pass
+        rng = np.random.default_rng(seed)
+        pairs = rng.uniform(-5.0, -0.5, 8) + 1j * rng.uniform(0.1, 3.0, 8)
+        lams = [*rng.uniform(-5.0, -0.5, 16), *pairs, *pairs.conj()]
+        lams = [lams[k] for k in rng.permutation(len(lams))]
+        scale = spectrum_scale(lams, DEFAULT_TOL)
+        close = list(lams)
+        for k in rng.choice(len(lams), 4, replace=False):
+            close.insert(rng.integers(len(close) + 1), lams[k] + rng.uniform(-0.9, 0.9) * scale)
+        far = rng.uniform(1.0, 5.0, 12) + 1j * rng.uniform(-3.0, 3.0, 12)
+        hits = [lams[k] + 9.0 * scale * np.exp(2j * np.pi * rng.uniform())
+                for k in rng.choice(len(lams), 4, replace=False)]
+        forbidden = np.insert(far, rng.integers(13, size=4), hits)
+        cases = [(close, ()), (close, forbidden), (lams, forbidden), (lams, list(forbidden)),
+                 (lams, far)]
+        for args in cases:
+            want = _outcome(_validate_spectrum_loops, *args)
+            assert _outcome(validate_spectrum, *args) == want
+        assert "not distinct" in _outcome(validate_spectrum, close, forbidden)
+        assert "forbidden" in _outcome(validate_spectrum, lams, forbidden)
+        assert isinstance(_outcome(validate_spectrum, lams, far), list)
 
 
 def test_deduplicate():

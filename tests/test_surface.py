@@ -45,8 +45,9 @@ def test_all_entries_resolve(name):
 
 
 def _lapack_uses(source: str) -> list[int]:
-    """Lines that import ``scipy.linalg.lapack`` (or from it), read a
-    ``lapack`` attribute or name ``get_lapack_funcs``."""
+    """Lines that import ``scipy.linalg.lapack`` or ``scipy.linalg.blas``
+    (or from them), read a ``lapack`` or ``blas`` attribute or name
+    ``get_lapack_funcs`` or ``get_blas_funcs``."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -54,19 +55,22 @@ def _lapack_uses(source: str) -> list[int]:
         elif isinstance(node, ast.ImportFrom):
             names = [f"{node.module}.{alias.name}" for alias in node.names]
         elif isinstance(node, ast.Attribute):
-            names = ["scipy.linalg.lapack" if node.attr == "lapack" else node.attr]
+            names = [f"scipy.linalg.{node.attr}" if node.attr in ("lapack", "blas")
+                     else node.attr]
         elif isinstance(node, ast.Name):
             names = [node.id]
         else:
             continue
-        if any(name == "get_lapack_funcs" or name.endswith(".get_lapack_funcs")
-               or "scipy.linalg.lapack" in name for name in names):
+        if any(name.split(".")[-1] in ("get_lapack_funcs", "get_blas_funcs")
+               or "scipy.linalg.lapack" in name or "scipy.linalg.blas" in name
+               for name in names):
             lines.append(node.lineno)
     return sorted(set(lines))
 
 
 class TestOneLapackTable:
-    """Every LAPACK routine is bound in ``linalg._LAPACK`` and called there."""
+    """Every LAPACK and BLAS routine is bound in ``linalg._LAPACK`` and called
+    there."""
 
     def test_only_linalg_reaches_lapack(self):
         files = sorted(SRC.glob("*.py"))
@@ -86,5 +90,12 @@ class TestOneLapackTable:
             "q = linalg.qr(M)",
             "r = linalg.lapack.dgeqrf(M)",
             "lapack = {}",
+            "from scipy.linalg.blas import dsyrk",
+            "import scipy.linalg.blas",
+            "from scipy.linalg import get_blas_funcs",
+            "g = scipy.linalg.get_blas_funcs(('syrk',), dtype=float)",
+            "from scipy.linalg import blas",
+            "c = linalg.blas.dsyrk(1.0, M)",
+            "blas = {}",
         ])
-        assert _lapack_uses(source) == [2, 3, 4, 5, 6, 9]
+        assert _lapack_uses(source) == [2, 3, 4, 5, 6, 9, 11, 12, 13, 14, 15, 16]
