@@ -381,8 +381,8 @@ def build_Kh(sys: SystemQuad, spec, tol: Tol = DEFAULT_TOL) -> tuple[Subspace, l
     ``tol.abs`` outside Kh, raises :class:`NumericalError`.  With m ≤ p
     each kernel is empty unless the Rosenbrock matrix loses rank at its
     value, and one Cholesky of the matrix's Gram matrix usually proves an
-    empty one, a QR proof the ill-conditioned rest
-    (:func:`geokit.linalg.rank_of`).
+    empty one; the singular values decide the ill-conditioned rest
+    (:func:`geokit.pencils.rosenbrock_kernels`).
     """
     frame = geometry.morse_decomposition(sys, tol)
     lams = [complex(v) for v in spec]

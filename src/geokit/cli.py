@@ -52,8 +52,6 @@ def parse_lambdas(text: str) -> list[complex]:
             values.append(complex(token[:-1] + "j" if token.endswith("i") else token))
         except ValueError as e:
             raise ValidationError(f"cannot parse eigenvalue {raw.strip()!r}") from e
-    if not values:
-        raise ValidationError("--lambdas is empty")
     return values
 
 
@@ -175,7 +173,7 @@ def _run_compute(args, tol: Tol) -> tuple[dict, dict]:
         diagnostics = {"residual_eig": fb.residual_eig, "cond_V": fb.cond_V,
                        "assigned": len(fb.assigned)}
     elif op == "friend":
-        spectrum = parse_lambdas(args.lambdas) if args.lambdas else None
+        spectrum = parse_lambdas(args.lambdas) if args.lambdas is not None else None
         vst = geometry.vstar(sys_quad, None, tol)
         fb = geometry.friend_of(sys_quad, vst, spectrum, tol)
         result = {"F": _matrix_out(fb.F), "subspace_dim": vst.dim}

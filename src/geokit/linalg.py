@@ -25,12 +25,10 @@ that no second threshold decides it again (:func:`_orthonormalize`, after
 ``geqp3`` in :func:`_pivoted_leading`).  The BLAS ``syrk``/``herk`` bound
 there too forms Gram matrices.  :func:`rank_of` reads a full rank off a
 proof where one exists (:func:`_proves_full_rank`): one Cholesky (``potrf``)
-of the shifted Gram matrix proves a well-conditioned matrix, and one QR, with
-``trtri``, ``lange`` and ``lantr``, proves what the Cholesky cannot, down to
-the threshold.  Both accept only what the singular-value threshold would;
-the SVD decides the rest.  A spectral norm that is only compared with a
-bound is not computed where the Frobenius norm, which bounds it, already
-decides.
+of the shifted Gram matrix proves a well-conditioned matrix, accepting only
+what the singular-value threshold would; the SVD decides the rest.  A
+spectral norm that is only compared with a bound is not computed where the
+Frobenius norm, which bounds it, already decides.
 """
 
 from __future__ import annotations
@@ -107,10 +105,9 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 # Every LAPACK (and BLAS) routine geokit calls, by dtype kind: "orgqr" is
 # ungqr and "syrk" herk in complex
 _LAPACK = {kind: dict(zip(
-    ("gesdd", "gesdd_lwork", "geqrf", "orgqr", "geqp3", "trtri", "lange", "lantr", "potrf",
-     "syrk"),
+    ("gesdd", "gesdd_lwork", "geqrf", "orgqr", "geqp3", "potrf", "syrk"),
     get_lapack_funcs(("gesdd", "gesdd_lwork", "geqrf", ("orgqr", "ungqr")[kind == "c"],
-                      "geqp3", "trtri", "lange", "lantr", "potrf"), dtype=dtype)
+                      "geqp3", "potrf"), dtype=dtype)
     + get_blas_funcs((("syrk", "herk")[kind == "c"],), dtype=dtype)))
     for kind, dtype in (("f", np.float64), ("c", np.complex128))}
 
@@ -260,25 +257,29 @@ _EPS = float(np.finfo(np.float64).eps)
 _GRAM_TINY = float(np.finfo(np.float64).tiny) / _EPS
 
 
-def _proof_floor(shape, tol: Tol) -> float:
-    """Both proofs accept σ_min(M) ≥ 2 · floor · max(‖M‖_F, scale)."""
-    return max(tol.rel * max(shape), 64.0 * sum(shape) * _EPS)
-
-
 def _gram_shift(shape, t: float, tol: Tol, scale: float | None = None) -> float:
-    """The shift s that :func:`_gram_proves_full_rank` takes off the Gram
-    matrix of a ``shape`` matrix whose computed Gram trace is ``t``; √s is
-    the least σ_min that stage can prove."""
+    """The shift s that :func:`_proves_full_rank` takes off the Gram matrix
+    of a ``shape`` matrix whose computed Gram trace is ``t``; √s is the
+    least σ_min the proof reaches."""
     gamma = (sum(shape) + 10) * _EPS
     norm_sq = t * (1.0 + gamma)  # ≥ ‖M‖_F²
-    floor, scale = _proof_floor(shape, tol), scale or 0.0
+    floor = max(tol.rel * max(shape), 64.0 * sum(shape) * _EPS)
+    scale = scale or 0.0
     target_sq = 4.0 * floor * floor * max(norm_sq, scale * scale)
     return (target_sq + gamma * norm_sq) * (1.0 + gamma)
 
 
-def _gram_proves_full_rank(M: np.ndarray, tol: Tol, scale: float | None = None) -> bool:
-    """The Cholesky stage of :func:`_proves_full_rank`: True only when
-    σ_min(M) ≥ 2 · floor · max(‖M‖_F, scale), floor :func:`_proof_floor`.
+def _proves_full_rank(M: np.ndarray, tol: Tol, scale: float | None = None) -> bool:
+    """True only when ``_svd_rank(svd(M, compute_uv=False), M.shape, tol,
+    scale)`` would be min(rows, cols) for the nonempty ``M``; False means
+    "not proven", not "rank deficient".  ``M`` is left as it is.
+
+    The proof accepts only σ_min(M) ≥ target = 2 · floor · max(N, scale),
+    with N ≥ ‖M‖_F and floor = max(tol.rel · max(rows, cols),
+    64 (rows + cols) ε) (:func:`_gram_shift`).  Since ‖M‖_F ≥ σ_max(M), that
+    clears the SVD threshold tol.rel · max(rows, cols) · max(σ_max, scale)
+    twice over; the factor 2 and the ε term, which decides for a tiny
+    ``tol.rel``, cover the backward error of gesdd in either orientation.
 
     Let T be M, or Mᵀ when M is wide: k × c with k ≥ c and M's singular
     values.  Let u = ε/2 and γ = (rows + cols + 10) ε.  One BLAS ``syrk``
@@ -296,11 +297,12 @@ def _gram_proves_full_rank(M: np.ndarray, tol: Tol, scale: float | None = None) 
         σ_min(M)² = λ_min(TᴴT) ≥ s (1 − u) − (γ_{k+2} + γ_{c+3} + 2u) N²
                                ≥ s (1 − u) − γ N² / 2,
 
-    since γ_j ≈ j u.  With target = 2 · floor · max(N, scale) and
-    s = (target² + γ N²)(1 + γ), that is σ_min(M) ≥ target, the conclusion
-    of the QR stage, with γ N² / 2 to spare for the rounding of s itself and
-    for products that underflow while t ≥ tiny / ε.  So the stage proves
-    down to σ_min ≈ √γ ‖M‖_F, about 2e-7 ‖M‖_F at 83 × 82.
+    since γ_j ≈ j u.  With s = (target² + γ N²)(1 + γ), that is
+    σ_min(M) ≥ target, with γ N² / 2 to spare for the rounding of s itself
+    and for products that underflow while t ≥ tiny / ε.  The Gram matrix
+    squares the condition number, so the proof reaches down to
+    σ_min ≈ √γ ‖M‖_F, about 2e-7 ‖M‖_F at 83 × 82; below that the singular
+    values decide.
 
     A Cholesky that stops (info > 0: a column that is zero or too small, a
     NaN or an inf) is not proven, nor is a trace that is not finite or is
@@ -321,68 +323,14 @@ def _gram_proves_full_rank(M: np.ndarray, tol: Tol, scale: float | None = None) 
     return lapack["potrf"](H, clean=False, overwrite_a=True)[1] == 0
 
 
-def _qr_proves_full_rank(M: np.ndarray, tol: Tol, scale: float | None = None) -> bool:
-    """The QR stage of :func:`_proves_full_rank`: True only when
-    σ_min(M) ≥ 2 · floor · max(‖M‖_F, scale), floor :func:`_proof_floor`.
-
-    A wide M is proven through Mᵀ, which has its singular values.  One
-    Householder QR of the tall one, QR, and the triangular inverse of R give
-    σ_min(R) ≥ 1/‖R⁻¹‖_F, while ‖M‖_F ≥ σ_max(M), and the stage accepts when
-    1/‖R⁻¹‖_F > 2 · floor · max(‖M‖_F, scale).  The factor 2 and floor's ε
-    term cover the backward errors of the QR (Higham, ch. 19) and of the
-    inverse, κ(R) n ε (§14.2).  An exactly singular R (trtri's info > 0) is
-    not proven; neither is a non-finite norm, since no comparison with NaN
-    holds.
-    """
-    rows, cols = M.shape
-    kind = "c" if M.dtype.kind == "c" else "f"
-    lapack = _LAPACK[kind]
-    T = M if rows >= cols else M.T
-    # into a copy, M itself is left as it is; LAPACK's optimal workspace
-    # keeps the QR blocked at a few hundred columns
-    qr, _, _, info = lapack["geqrf"](T, lwork=_qr_lwork(kind, *T.shape)[0])
-    if info:
-        return False
-    Rinv, info = lapack["trtri"](qr[:T.shape[1]], overwrite_c=True)
-    if info:
-        return False
-    # lantr reads the upper triangle only; Mᵀ of a C-ordered M has LAPACK's
-    # column order, so lange reads it without a copy
-    bound = max(lapack["lange"]("F", M.T), scale or 0.0)
-    return 1.0 / lapack["lantr"]("F", Rinv) > 2.0 * _proof_floor(M.shape, tol) * bound
-
-
-def _proves_full_rank(M: np.ndarray, tol: Tol, scale: float | None = None) -> bool:
-    """True only when ``_svd_rank(svd(M, compute_uv=False), M.shape, tol,
-    scale)`` would be min(rows, cols) for the nonempty ``M``; False means
-    "not proven", not "rank deficient".  ``M`` is left as it is.
-
-    Both stages accept only σ_min(M) ≥ 2 · floor · max(‖M‖_F, scale), with
-    floor = max(tol.rel · max(rows, cols), 64 (rows + cols) ε)
-    (:func:`_proof_floor`).  Since ‖M‖_F ≥ σ_max(M), that clears the SVD
-    threshold tol.rel · max(rows, cols) · max(σ_max, scale) twice over; the
-    factor 2 and the ε term, which decides for a tiny ``tol.rel``, cover
-    the backward error of gesdd in either orientation.
-
-    The Cholesky of the shifted Gram matrix (:func:`_gram_proves_full_rank`)
-    runs first: no QR and no triangular inverse, so from about 40 rows it
-    costs half the QR proof or less, and about the same at 10.  Its
-    rounding bounds it to σ_min ≳ √((rows + cols) ε) ‖M‖_F.  Below that the
-    QR proof (:func:`_qr_proves_full_rank`) runs, as it always did, and
-    reaches down to the floor itself.  Which stage decides is read off the
-    input, through the first stage's failure.
-    """
-    return _gram_proves_full_rank(M, tol, scale) or _qr_proves_full_rank(M, tol, scale)
-
-
 def rank_of(M, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> int:
     """Numerical rank: number of singular values above the relative cutoff.
 
     ``scale``, when given, enters the cutoff as a floor for the largest
     singular value; pass the norm of the factors when ``M`` is a product
     that may be zero up to roundoff.  A full rank proven by one Cholesky
-    of the Gram matrix or, failing that, one QR (:func:`_proves_full_rank`)
-    needs no singular values.
+    of the shifted Gram matrix (:func:`_proves_full_rank`) needs no singular
+    values.
     """
     M = as_matrix(M)
     if M.size == 0 or _proves_full_rank(M, tol, scale):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import geometry
 from .errors import SpectrumError
-from .linalg import DEFAULT_TOL, Tol, _svd_rank, norm2, rank_of, svd
+from .linalg import DEFAULT_TOL, Tol, _proves_full_rank, _svd_rank, norm2, rank_of, svd
 from .sysmodel import SystemQuad
 
 __all__ = [
@@ -62,10 +62,13 @@ def _system_matrices(sys: SystemQuad, lams):
 
     There is one M per dtype: B, C and D are written into it once, and only
     its A - λI block is rewritten for each value, so M holds λ's matrix
-    until the next one is yielded.
+    until the next one is yielded.  A value that is not finite raises
+    :class:`SpectrumError`, whatever the shape.
     """
     n, eye, buffers = sys.n, np.eye(sys.n), {}
     for lam in map(complex, lams):
+        if not cmath.isfinite(lam):
+            raise SpectrumError(f"eigenvalue {lam} is not finite")
         shift = lam if lam.imag else lam.real
         M = buffers.get(type(shift))
         if M is None:
@@ -103,16 +106,15 @@ def rosenbrock_kernels(sys: SystemQuad, lams, tol: Tol = DEFAULT_TOL) -> list[Pe
     The matrices share one buffer per dtype (B, C and D are written once);
     no stack of them is held.  With m ≤ p each matrix is square or tall,
     and away from the invariant zeros (and any normal-rank loss) its kernel
-    is empty, (n, 0) and (m, 0) in its dtype: :func:`geokit.linalg.rank_of`
-    proves the full column rank by one Cholesky of its Gram matrix (one QR
-    where the pencil is too ill-conditioned for that), and no SVD runs.  The
-    matrix is factored only when its rank shows a loss; the full SVD's own
-    singular values then decide, so every nonempty kernel comes from one
-    SVD."""
+    is empty, (n, 0) and (m, 0) in its dtype: one Cholesky of its Gram
+    matrix proves the full column rank
+    (:func:`geokit.linalg._proves_full_rank`), and no SVD runs.  Where that
+    proof fails, the pencil is factored once: the full SVD's own singular
+    values decide, so every nonempty kernel comes from one SVD."""
     kernels = []
     for lam, M in _system_matrices(sys, lams):
         rows, cols = M.shape
-        if rows >= cols and rank_of(M, tol) == cols:
+        if rows >= cols and _proves_full_rank(M, tol):
             K = np.zeros((cols, 0), M.dtype)
         else:
             _, s, vh = svd(M)
@@ -157,7 +159,7 @@ def _conjugate_shared(sys: SystemQuad, lams, rank) -> list[int]:
 def _per_conjugate_pair(sys: SystemQuad, lams, tol: Tol) -> list[int]:
     """``rank_of(M, tol)`` at each λ of ``lams``, once per conjugate pair
     (:func:`_conjugate_shared`): one Cholesky of the Gram matrix usually
-    proves a full rank, and a QR proof takes over where M is too
+    proves a full rank, and the singular values decide where M is too
     ill-conditioned for it."""
     return _conjugate_shared(sys, lams, lambda M: rank_of(M, tol))
 
@@ -165,7 +167,7 @@ def _per_conjugate_pair(sys: SystemQuad, lams, tol: Tol) -> list[int]:
 def _ranks_at_zeros(sys: SystemQuad, zeros, tol: Tol) -> list[int]:
     """The rank of the Rosenbrock matrix at each of the invariant ``zeros``,
     once per conjugate pair, decided by the SVD alone: the matrix loses rank
-    there by construction, so :func:`geokit.linalg.rank_of`'s proofs would
+    there by construction, so :func:`geokit.linalg.rank_of`'s proof would
     only fail first.  The ranks are rank_of's."""
     def svd_rank(M):
         return _svd_rank(svd(M, compute_uv=False), M.shape, tol)
@@ -179,8 +181,8 @@ def uncontrollable_eigenvalues(A, B, tol: Tol = DEFAULT_TOL) -> list[complex]:
     the returned list is multiplicity-free.  The eigenvalues of the real A
     come in exact conjugate pairs, and the rank is decided once per pair: a
     pair is listed whole or not at all.  One Cholesky of the Gram matrix
-    usually proves a controllable value's full row rank, and a QR proof
-    takes over where the pencil is too ill-conditioned for it
+    usually proves a controllable value's full row rank, and the singular
+    values decide where the pencil is too ill-conditioned for it
     (:func:`geokit.linalg.rank_of`).
     """
     sys = SystemQuad.from_matrices(A, B)

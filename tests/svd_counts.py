@@ -7,10 +7,10 @@ Wraps the ``gesdd``, ``geqrf`` and ``potrf`` of each dtype in
 through, and charges each call to the function that asked for it: the
 first frame outward that is neither one of ``linalg``'s factorization
 wrappers (``svd``, ``norm2``, ``_completion``, ``_orthonormalize``,
-``_pivoted_leading``, ``rank_of``, ``_proves_full_rank`` and its two
-stages) nor a generator expression.  So ``norm2`` of a residual block is
-charged to the function that checks the block, a rank's proofs and SVD to
-the function that asks for the rank, and the SVD of ``kernel_basis`` to
+``_pivoted_leading``, ``rank_of`` and ``_proves_full_rank``) nor a
+generator expression.  So ``norm2`` of a residual block is charged to the
+function that checks the block, a rank's proof and SVD to the function
+that asks for the rank, and the SVD of ``kernel_basis`` to
 ``kernel_basis``.  Workspace queries (``lwork=-1``) are not counted.
 
 Three workloads:
@@ -41,10 +41,9 @@ geqrf potrf`` line, so
          <(PYTHONPATH=src python tests/svd_counts.py)
 
 shows which sites gained or lost factorizations.  A ``potrf`` is the
-Cholesky proof of a full rank (``linalg._gram_proves_full_rank``); a
-``geqrf`` charged to the same site is the QR proof that runs where the
-Cholesky cannot decide, or a QR of the site's own.  It runs with one BLAS
-thread, like the benchmark, and takes a few seconds.
+Cholesky proof of a full rank (``linalg._proves_full_rank``); a ``geqrf``
+is always a QR of the site's own, since no rank is proven by a QR.  It
+runs with one BLAS thread, like the benchmark, and takes a few seconds.
 
 It is not a test module, so pytest does not collect it.
 """
@@ -70,7 +69,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import cli_report_digests  # noqa: E402
 
 _WRAPPERS = {"svd", "norm2", "_completion", "_orthonormalize", "_pivoted_leading",
-             "_proves_full_rank", "_gram_proves_full_rank", "_qr_proves_full_rank", "rank_of"}
+             "_proves_full_rank", "rank_of"}
 _COUNTED = ("gesdd", "geqrf", "potrf")
 
 

@@ -240,6 +240,13 @@ class TestErrorPaths:
         assert code == 1
 
     @pytest.mark.parametrize("op", ["place", "kh", "friend"])
+    def test_empty_lambdas(self, capsys, di_file, op):
+        # an empty list is refused, not read as "no spectrum"
+        code, rep = run_cli(capsys, op, di_file, "--lambdas=")
+        assert code == 1 and rep["error"]["kind"] == "validation"
+        assert rep["error"]["message"] == "empty eigenvalue entry in --lambdas"
+
+    @pytest.mark.parametrize("op", ["place", "kh", "friend"])
     @pytest.mark.parametrize("bad", ["nan", "1e999", "-1e999", "1+nani", "-inf", "1-infi"])
     def test_non_finite_lambda(self, capsys, di_file, op, bad):
         code, rep = run_cli(capsys, op, di_file, f"--lambdas={bad},-1")

@@ -194,6 +194,14 @@ class TestKernelIsOneSvdDecision:
         assert np.array_equal(K.V, V) and np.array_equal(K.W, W)
         assert K.q == sys.m
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, complex(1.0, -np.inf)])
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+    def test_non_finite_value_is_refused(self, shape, lam):
+        # refused before any matrix is built, tall or wide
+        sys = random_system(GenSpec(*shape, seed=1))
+        with pytest.raises(SpectrumError, match="not finite"):
+            rosenbrock_kernel(sys, lam)
+
     def test_at_the_invariant_zeros_of_a_square_system(self):
         sys = random_system(GenSpec(6, 2, 2, seed=1))
         zeros = invariant_zeros(sys)
@@ -225,7 +233,7 @@ class TestKernelIsOneSvdDecision:
     def test_full_rank_pencils_compute_no_factors(self, monkeypatch):
         # the Kh certificate of a square system: every kernel is empty, and
         # one Cholesky of the Gram matrix per value proves it, so neither an
-        # SVD nor a QR (the fallback proof) runs at all
+        # SVD nor a QR runs at all
         from geokit.assignment import build_Kh
 
         calls, qrs = self._count_factors(monkeypatch)
@@ -237,8 +245,9 @@ class TestKernelIsOneSvdDecision:
 
     def test_normal_rank_loss_reaches_the_svd(self, monkeypatch):
         # two equal outputs: the square Rosenbrock matrix loses rank at every
-        # λ, so the QR proves nothing, the singular values show the loss, and
-        # each kernel is the full SVD's, bit for bit
+        # λ, so the Cholesky proves nothing, and one full SVD per value shows
+        # the loss: each kernel is its own, bit for bit, with no values-only
+        # SVD before it
         from geokit.assignment import build_Kh
 
         base = random_system(GenSpec(n=8, m=2, p=2, seed=3))
@@ -246,7 +255,7 @@ class TestKernelIsOneSvdDecision:
         lams = [-1.0, -2.0, -3.0]
         calls, _ = self._count_factors(monkeypatch)
         _, kernels = build_Kh(sys, lams)
-        assert calls == [False, True] * 3
+        assert calls == [True] * 3
         for K, lam in zip(kernels, lams):
             basis = kernel_basis(rosenbrock_matrix(sys, lam)).basis
             assert K.q == 1
@@ -333,8 +342,8 @@ class TestUncontrollable:
         assert abs(vals[0] - complex(-0.5, 2.0 * np.sign(vals[0].imag))) < 1e-9
         eigs = np.linalg.eigvals(A)
         assert len(calls) == np.count_nonzero(eigs.imag >= 0) < n
-        # one QR proves each controllable value's full row rank: beside the
-        # spectral norm of A, only the uncontrollable pair reaches the SVD
+        # one Cholesky proves each controllable value's full row rank: beside
+        # the spectral norm of A, only the uncontrollable pair reaches the SVD
         assert [shape for shape, _ in gesdd] == [(n, n), (n, n + 2)]
         # the shared decision is the one each member gets alone
         for lam in eigs:
@@ -395,8 +404,8 @@ class TestInvariantZeros:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_ranks_at_zeros_are_decided_by_the_svd_alone(self, monkeypatch, m):
-        # the Rosenbrock matrix loses rank at each zero, so a QR proof of
-        # full rank would only fail first: one singular-value SVD per
+        # the Rosenbrock matrix loses rank at each zero, so a Cholesky proof
+        # of full rank would only fail first: one singular-value SVD per
         # conjugate pair decides, and the ranks are rank_of's
         sys = random_system(GenSpec(8, m, m, seed=3))
         zeros = deduplicate_eigenvalues(invariant_zeros(sys), 1e-6)

@@ -68,9 +68,34 @@ def _lapack_uses(source: str) -> list[int]:
     return sorted(set(lines))
 
 
+def _key_lookups(source: str) -> set[str]:
+    """The string keys that ``source`` subscripts with, as in
+    ``lapack["potrf"]``."""
+    return {node.slice.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+            and isinstance(node.slice.value, str)}
+
+
 class TestOneLapackTable:
     """Every LAPACK and BLAS routine is bound in ``linalg._LAPACK`` and called
-    there."""
+    there, and every routine bound there has a caller."""
+
+    def test_every_bound_routine_is_called(self):
+        # a binding that outlives its caller is dead code in the table
+        from geokit import linalg
+        looked_up = _key_lookups((SRC / "linalg.py").read_text(encoding="utf-8"))
+        dead = {kind: sorted(set(routines) - looked_up)
+                for kind, routines in linalg._LAPACK.items()}
+        assert dead == {kind: [] for kind in linalg._LAPACK}
+
+    def test_scan_finds_key_lookups(self):
+        source = "\n".join([
+            'names = ("getrf", "potrf")',
+            'R = lapack["potrf"](H)[0]',
+            'geqrf = _LAPACK[kind]["geqrf"]',
+            'x = M[0], table[key]',
+        ])
+        assert _key_lookups(source) == {"potrf", "geqrf"}
 
     def test_only_linalg_reaches_lapack(self):
         files = sorted(SRC.glob("*.py"))
