@@ -380,8 +380,9 @@ def build_Kh(sys: SystemQuad, spec, tol: Tol = DEFAULT_TOL) -> tuple[Subspace, l
     returned as its certificate: if one of their columns lies over
     ``tol.abs`` outside Kh, raises :class:`NumericalError`.  With m ≤ p
     each kernel is empty unless the Rosenbrock matrix loses rank at its
-    value, and one Cholesky of the matrix's Gram matrix usually proves an
-    empty one; the singular values decide the ill-conditioned rest
+    value, and one Cholesky of the matrix's Gram matrix, updated from the
+    system's Gram coefficients, usually proves an empty one; the singular
+    values decide the ill-conditioned rest
     (:func:`geokit.pencils.rosenbrock_kernels`).
     """
     frame = geometry.morse_decomposition(sys, tol)

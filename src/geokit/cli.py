@@ -14,6 +14,7 @@ import argparse
 import functools
 import hashlib
 import json
+import re
 import sys
 
 import numpy as np
@@ -190,8 +191,22 @@ def _run_compute(args, tol: Tol) -> tuple[dict, dict]:
     return result, diagnostics
 
 
+def _joined_lambdas(argv: list[str]) -> list[str]:
+    """``argv`` with each ``--lambdas`` joined to a following value that
+    starts with a minus sign and then a digit, ``.``, ``i`` or ``j``, as in
+    ``--lambdas -1,-2``: argparse reads a token that starts with ``-`` and
+    is not a bare number as an option, and would refuse the list."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--lambdas" and re.match(r"-[0-9.ij]", token):
+            out[-1] = "--lambdas=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_joined_lambdas(sys.argv[1:] if argv is None else argv))
     indent = args.json_indent if args.json_indent >= 0 else None
     flags = {k: v for k, v in sorted(vars(args).items())
              if k not in ("command", "system") and v is not None}

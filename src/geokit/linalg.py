@@ -23,18 +23,24 @@ from this module only: ``geqrf`` and ``orgqr``/``ungqr`` complete a basis as
 orthonormalise columns whose count a staircase or a kernel has decided, so
 that no second threshold decides it again (:func:`_orthonormalize`, after
 ``geqp3`` in :func:`_pivoted_leading`).  The BLAS ``syrk``/``herk`` bound
-there too forms Gram matrices.  :func:`rank_of` reads a full rank off a
-proof where one exists (:func:`_proves_full_rank`): one Cholesky (``potrf``)
-of the shifted Gram matrix proves a well-conditioned matrix, accepting only
-what the singular-value threshold would; the SVD decides the rest.  A
-spectral norm that is only compared with a bound is not computed where the
-Frobenius norm, which bounds it, already decides.
+there too forms Gram matrices.  A full rank is read off a proof where one
+exists, with one decision rule (:func:`_cholesky_proves`): one Cholesky
+(``potrf``) of a Gram matrix less a shift proves a well-conditioned matrix,
+accepting only what the singular-value threshold would; the SVD decides the
+rest.  The Gram matrix comes from one of two sources: :func:`rank_of`
+forms it by ``syrk`` (:func:`_proves_full_rank`), and a pencil M₀ − λJ
+updates it at each λ from coefficients formed once, by one ``syrk``
+(:func:`_pencil_gram`, :func:`_proves_pencil_full_rank`).  A spectral norm
+that is only compared with a bound is not computed where the Frobenius
+norm, which bounds it, already decides.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.blas import get_blas_funcs
@@ -257,16 +263,35 @@ _EPS = float(np.finfo(np.float64).eps)
 _GRAM_TINY = float(np.finfo(np.float64).tiny) / _EPS
 
 
-def _gram_shift(shape, t: float, tol: Tol, scale: float | None = None) -> float:
-    """The shift s that :func:`_proves_full_rank` takes off the Gram matrix
-    of a ``shape`` matrix whose computed Gram trace is ``t``; √s is the
-    least σ_min the proof reaches."""
-    gamma = (sum(shape) + 10) * _EPS
-    norm_sq = t * (1.0 + gamma)  # ≥ ‖M‖_F²
+def _gram_gamma(shape) -> float:
+    """γ = (rows + cols + 10) ε: the relative slack of the Cholesky proof of
+    a ``shape`` matrix (:func:`_proves_full_rank`)."""
+    return (sum(shape) + 10) * _EPS
+
+
+def _gram_shift(shape, norm_sq: float, tol: Tol, scale: float | None = None) -> float:
+    """The shift s that the Cholesky proof takes off the Gram matrix of a
+    ``shape`` matrix M with ‖M‖_F² ≤ ``norm_sq`` = N²; √s is the least
+    σ_min the proof reaches."""
+    gamma = _gram_gamma(shape)
     floor = max(tol.rel * max(shape), 64.0 * sum(shape) * _EPS)
     scale = scale or 0.0
     target_sq = 4.0 * floor * floor * max(norm_sq, scale * scale)
     return (target_sq + gamma * norm_sq) * (1.0 + gamma)
+
+
+def _cholesky_proves(H: np.ndarray, shape, norm_sq: float, tol: Tol,
+                     scale: float | None = None) -> bool:
+    """The one decision rule of the full-rank proofs: True when ``potrf``
+    completes on H − s I, s = ``_gram_shift(shape, norm_sq, tol, scale)``.
+    H is the F-ordered Gram matrix of a ``shape`` matrix M, or its
+    conjugate, with its lower triangle computed to within the proof's
+    slack (:func:`_proves_full_rank`), and ``norm_sq`` ≥ ‖M‖_F²; H is
+    overwritten."""
+    diagonal = np.einsum("ii->i", H)  # a writable view
+    diagonal -= _gram_shift(shape, norm_sq, tol, scale)
+    potrf = _LAPACK["c" if H.dtype.kind == "c" else "f"]["potrf"]
+    return potrf(H, lower=1, clean=False, overwrite_a=True)[1] == 0
 
 
 def _proves_full_rank(M: np.ndarray, tol: Tol, scale: float | None = None) -> bool:
@@ -302,25 +327,117 @@ def _proves_full_rank(M: np.ndarray, tol: Tol, scale: float | None = None) -> bo
     and for products that underflow while t ≥ tiny / ε.  The Gram matrix
     squares the condition number, so the proof reaches down to
     σ_min ≈ √γ ‖M‖_F, about 2e-7 ‖M‖_F at 83 × 82; below that the singular
-    values decide.
+    values decide (:func:`_cholesky_proves`).
 
-    A Cholesky that stops (info > 0: a column that is zero or too small, a
-    NaN or an inf) is not proven, nor is a trace that is not finite or is
-    below tiny / ε.
+    A Cholesky that stops (info > 0: a pivot that is not positive) is not
+    proven, nor is a trace that is not finite or is below tiny / ε.  The
+    trace guard is what keeps a NaN or an inf out of H: OpenBLAS's
+    ``potrf`` completes on either.
     """
     rows, cols = M.shape
     kind = "c" if M.dtype.kind == "c" else "f"
-    lapack = _LAPACK[kind]
     # Mᵀ of a C-ordered M is in BLAS's column order: no copy.  It gives the
     # conjugate of MᴴM for a tall M and, transposed once more, of MMᴴ for a
-    # wide one; syrk and herk fill the upper triangle
-    H = lapack["syrk"](1.0, M.T, trans=0 if rows >= cols else (1, 2)[kind == "c"])
-    diagonal = np.einsum("ii->i", H)  # a writable view
-    t = float(diagonal.real.sum())
+    # wide one
+    H = _LAPACK[kind]["syrk"](1.0, M.T, trans=0 if rows >= cols else (1, 2)[kind == "c"],
+                              lower=1)
+    t = float(np.einsum("ii->i", H).real.sum())
     if not _GRAM_TINY <= t < np.inf:
         return False
-    diagonal -= _gram_shift(M.shape, t, tol, scale)
-    return lapack["potrf"](H, clean=False, overwrite_a=True)[1] == 0
+    return _cholesky_proves(H, M.shape, t * (1.0 + _gram_gamma(M.shape)), tol, scale)
+
+
+class _PencilGram(NamedTuple):
+    """The Gram matrix of the pencil M(λ) = M₀ − λJ, J = [[Iₙ, 0], [0, 0]],
+    as a quadratic in λ (:func:`_pencil_gram`).
+
+    T₀ is M₀ when M₀ is square or tall and M₀ᵀ when it is wide, k × c with
+    k ≥ c; T(λ) = T₀ − λJ, J of T₀'s shape, is M(λ) or M(λ)ᵀ.  With
+    P = T₀ᵀJ, whose first n columns are the first n rows of T₀ transposed
+    and the rest zero,
+
+        T(λ)ᴴT(λ) = G₀ − λP − λ̄Pᵀ + |λ|²E = G₀ − Re λ · S − i Im λ · K + |λ|²E,
+
+    G₀ = T₀ᵀT₀, S = P + Pᵀ, K = P − Pᵀ and E = diag(Iₙ, 0).  ``shape`` is
+    M₀'s; ``G0`` holds fl(G₀) in its lower triangle and ``t0`` is its
+    computed trace.  The arrays are F-ordered and read-only.
+    """
+
+    shape: tuple[int, int]
+    n: int
+    G0: np.ndarray
+    S: np.ndarray
+    K: np.ndarray
+    t0: float
+
+
+def _pencil_gram(M0: np.ndarray, n: int) -> _PencilGram:
+    """The Gram coefficients of the pencil M₀ − λJ of the real C-ordered
+    ``M0`` whose λ-dependent block is its leading n × n: one ``syrk``,
+    however many values are proven from them later
+    (:func:`_proves_pencil_full_rank`)."""
+    rows, cols = M0.shape
+    T0 = M0 if rows >= cols else M0.T
+    G0 = _LAPACK["f"]["syrk"](1.0, M0.T, trans=0 if rows >= cols else 1, lower=1)
+    P = np.zeros(G0.shape, order="F")
+    P[:, :n] = T0[:n].T
+    S, K = np.add(P, P.T, order="F"), np.subtract(P, P.T, order="F")
+    for X in (G0, S, K):
+        X.setflags(write=False)
+    return _PencilGram(M0.shape, n, G0, S, K, float(np.einsum("ii->i", G0).sum()))
+
+
+def _proves_pencil_full_rank(gram: _PencilGram, lam: complex, tol: Tol) -> bool:
+    """:func:`_proves_full_rank` of M(λ) = M₀ − λJ from the Gram
+    coefficients ``gram`` of the pencil: the same decision rule, with the
+    Gram matrix formed by an O(c²) update instead of a product, and M(λ)
+    never formed.
+
+    The update H = Ĝ₀ − Re λ · S − i Im λ · K + |λ|²E is T(λ)ᴴT(λ), or its
+    conjugate, up to rounding (:class:`_PencilGram`).  The bound on
+    ‖M(λ)‖_F is N₀ = √(t₀ (1 + γ)) + |λ| √n: ‖M₀‖_F² ≤ t₀ (1 + γ), as for
+    the computed trace t of :func:`_proves_full_rank`, and ‖λJ‖_F = |λ| √n.
+    N₀ ≥ ‖M₀‖_F and N₀ ≥ ‖M(λ)‖_F, by the triangle inequality.  The
+    accounting of :func:`_proves_full_rank` then holds with N₀ for N:
+
+    - Ĝ₀ is off G₀ by at most γ_{k+2} ‖M₀‖_F² ≤ γ_{k+2} N₀² in norm
+      (Higham 2002, §3.5);
+    - S and K copy entries of M₀, exactly but in the n × n block of A,
+      where each entry is one rounded sum or difference of two;
+    - each entry of H is rounded at most five times more: the product by
+      Re λ or Im λ, the addition of Ĝ₀ and, on the diagonal, the three
+      operations of |λ|² and its addition.  So H is off by at most γ_5
+      times |Ĝ₀| + |Re λ||S| + |Im λ||K| + |λ|²E, whose norm is at most
+      ‖M₀‖_F² (1 + γ) + 2√2 |λ| ‖M₀‖_F + |λ|² ≤ 2 N₀²: 10u N₀²;
+    - the shift and the Cholesky add what they add there (Thm 10.3).
+
+    That is at most (γ_{k+2} + γ_{c+3} + 12u) N₀², less than γ N₀² by
+    (rows + cols + 3)u N₀², and s = (target² + γ N₀²)(1 + γ) covers it:
+    σ_min(M(λ)) ≥ target again.  The spare covers the few relative
+    roundings of N₀ itself and the products that underflow while
+    t₀ ≥ tiny / ε.  At a large |λ|, N₀ is looser than the bound the
+    computed trace of the product gives, so the proof reaches less far
+    there and leaves more values to the singular values.
+
+    Not proven: a t₀ below tiny / ε or not finite, and an N₀² from half the
+    largest float up, where an entry of H could overflow; there H is
+    never formed.  The caller checks that λ is finite.
+    """
+    a, b = lam.real, lam.imag
+    norm = math.sqrt(gram.t0 * (1.0 + _gram_gamma(gram.shape))) + abs(lam) * math.sqrt(gram.n)
+    norm_sq = norm * norm
+    if not (gram.t0 >= _GRAM_TINY and 2.0 * norm_sq < np.inf):
+        return False
+    if b:
+        H = np.empty(gram.G0.shape, np.complex128, order="F")
+        np.multiply(gram.S, -a, out=H.real)
+        H.real += gram.G0
+        np.multiply(gram.K, -b, out=H.imag)
+    else:
+        H = gram.S * -a
+        H += gram.G0
+    np.einsum("ii->i", H)[:gram.n] += a * a + b * b
+    return _cholesky_proves(H, gram.shape, norm_sq, tol)
 
 
 def rank_of(M, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> int:

@@ -6,9 +6,13 @@ zeros and the normal rank (both read off the Morse frame of
 
 A pencil of a real system is built, and its kernel computed, in real
 arithmetic at a real λ (zero imaginary part) and in complex arithmetic only
-at a complex λ.  The kernels at a list of values come from one system-matrix
-buffer per dtype: B, C and D are written once, and only A − λI is rewritten
-for each value.
+at a complex λ.  A full rank at λ is proven without forming the matrix: the
+system matrix M₀ − λJ is affine in λ, so its Gram matrix is quadratic in λ,
+and its coefficients are built once per system
+(:attr:`geokit.sysmodel.SystemQuad._pencil_gram`); each value then costs an
+O((n + m)²) update and one Cholesky.  The matrices that still need an SVD
+come from one system-matrix buffer per dtype: B, C and D are written once,
+and only A − λI is rewritten for each value.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from . import geometry
 from .errors import SpectrumError
-from .linalg import DEFAULT_TOL, Tol, _proves_full_rank, _svd_rank, norm2, rank_of, svd
+from .linalg import DEFAULT_TOL, Tol, _proves_pencil_full_rank, _svd_rank, norm2, svd
 from .sysmodel import SystemQuad
 
 __all__ = [
@@ -56,19 +60,26 @@ class PencilKernel:
         return self.V.shape[1]
 
 
-def _system_matrices(sys: SystemQuad, lams):
-    """Yield ``(λ, M)`` for each λ of ``lams``, M the system matrix
-    [[A - λI, B], [C, D]], real when λ is.
-
-    There is one M per dtype: B, C and D are written into it once, and only
-    its A - λI block is rewritten for each value, so M holds λ's matrix
-    until the next one is yielded.  A value that is not finite raises
-    :class:`SpectrumError`, whatever the shape.
-    """
-    n, eye, buffers = sys.n, np.eye(sys.n), {}
+def _finite(lams):
+    """Each λ of ``lams`` as a complex, in order; a value that is not finite
+    raises :class:`SpectrumError` when it is reached, whatever the shape."""
     for lam in map(complex, lams):
         if not cmath.isfinite(lam):
             raise SpectrumError(f"eigenvalue {lam} is not finite")
+        yield lam
+
+
+def _matrix_writer(sys: SystemQuad):
+    """A function of a finite λ that returns the system matrix
+    [[A - λI, B], [C, D]], real when λ is.
+
+    There is one matrix per dtype: B, C and D are written into it once, and
+    only its A - λI block is rewritten for each value, so it holds λ's
+    matrix until the next call.
+    """
+    n, eye, buffers = sys.n, np.eye(sys.n), {}
+
+    def write(lam: complex) -> np.ndarray:
         shift = lam if lam.imag else lam.real
         M = buffers.get(type(shift))
         if M is None:
@@ -77,7 +88,25 @@ def _system_matrices(sys: SystemQuad, lams):
         # A - λI in full, not a shifted diagonal: off it, a -0.0 of A
         # becomes +0.0 for a negative shift, and the kernels keep their bits
         np.subtract(sys.A, shift * eye, out=M[:n, :n])
-        yield lam, M
+        return M
+    return write
+
+
+def _system_matrices(sys: SystemQuad, lams):
+    """Yield ``(λ, M)`` for each λ of ``lams``, M the system matrix at λ in
+    its dtype's buffer (:func:`_matrix_writer`); a value that is not finite
+    raises :class:`SpectrumError`."""
+    write = _matrix_writer(sys)
+    for lam in _finite(lams):
+        yield lam, write(lam)
+
+
+def _proven_full_rank(sys: SystemQuad, lam: complex, tol: Tol) -> bool:
+    """True only when the system matrix at the finite λ has full rank by the
+    SVD threshold: one Cholesky of its Gram matrix, formed from the system's
+    Gram coefficients (:func:`geokit.linalg._proves_pencil_full_rank`), so
+    that neither the matrix nor its Gram product is formed for λ."""
+    return _proves_pencil_full_rank(sys._pencil_gram, lam, tol)
 
 
 def rosenbrock_matrix(sys: SystemQuad, lam: complex) -> np.ndarray:
@@ -103,20 +132,21 @@ def rosenbrock_kernels(sys: SystemQuad, lams, tol: Tol = DEFAULT_TOL) -> list[Pe
     into state and input parts: ``kernel_basis``'s decision, without
     building a Subspace.
 
-    The matrices share one buffer per dtype (B, C and D are written once);
-    no stack of them is held.  With m ≤ p each matrix is square or tall,
-    and away from the invariant zeros (and any normal-rank loss) its kernel
-    is empty, (n, 0) and (m, 0) in its dtype: one Cholesky of its Gram
-    matrix proves the full column rank
-    (:func:`geokit.linalg._proves_full_rank`), and no SVD runs.  Where that
-    proof fails, the pencil is factored once: the full SVD's own singular
-    values decide, so every nonempty kernel comes from one SVD."""
-    kernels = []
-    for lam, M in _system_matrices(sys, lams):
-        rows, cols = M.shape
-        if rows >= cols and _proves_full_rank(M, tol):
-            K = np.zeros((cols, 0), M.dtype)
+    With m ≤ p each matrix is square or tall, and away from the invariant
+    zeros (and any normal-rank loss) its kernel is empty, (n, 0) and (m, 0)
+    in its dtype: one Cholesky proves the full column rank
+    (:func:`_proven_full_rank`), from a Gram matrix updated from the
+    system's Gram coefficients in O((n + m)²), and no matrix is formed and
+    no SVD runs.  Where that proof fails, and whenever m > p, the matrix is
+    written into one buffer per dtype (B, C and D are written once) and
+    factored once: the full SVD's own singular values decide, so every
+    nonempty kernel comes from one SVD."""
+    tall, size, write, kernels = sys.m <= sys.p, sys.n + sys.m, _matrix_writer(sys), []
+    for lam in _finite(lams):
+        if tall and _proven_full_rank(sys, lam, tol):
+            K = np.zeros((size, 0), np.complex128 if lam.imag else np.float64)
         else:
+            M = write(lam)
             _, s, vh = svd(M)
             K = vh[_svd_rank(s, M.shape, tol):].conj().T.copy()  # a copy frees the rest of vh
         kernels.append(PencilKernel(lam=lam, V=K[:sys.n], W=K[sys.n:]))
@@ -138,40 +168,51 @@ def _eig_scale(A: np.ndarray, tol: Tol) -> float:
     return max(tol.abs, 100.0 * tol.rel * max(1.0, norm2(A)))
 
 
-def _conjugate_shared(sys: SystemQuad, lams, rank) -> list[int]:
-    """``rank(M)`` of the real system's Rosenbrock matrix M at each λ of
-    ``lams``, decided once per conjugate pair.
+def _conjugate_shared(lams, ranks) -> list[int]:
+    """The rank of the real system's Rosenbrock matrix at each λ of
+    ``lams``, decided once per conjugate pair: ``ranks(todo)`` gives the
+    ranks at the values of ``todo``, in order.
 
     The matrix at λ̄ is the conjugate of the one at λ, so it has the same
     rank: a value whose exact conjugate came earlier in ``lams`` gets that
-    value's rank without a factorization.  The matrices share one buffer
-    per dtype (:func:`_system_matrices`).
+    value's rank without a decision of its own, and is not in ``todo``.  A
+    value that is not finite raises :class:`SpectrumError` before any rank
+    is decided.
     """
-    todo, seen = [], set()  # the values factored: none has its conjugate earlier
-    for lam in map(complex, lams):
+    todo, seen = [], set()  # the values decided: none has its conjugate earlier
+    for lam in _finite(lams):
         if lam.conjugate() not in seen:
             seen.add(lam)
             todo.append(lam)
-    ranks = {lam: rank(M) for lam, M in _system_matrices(sys, todo)}
-    return [ranks[lam] if lam in ranks else ranks[lam.conjugate()] for lam in map(complex, lams)]
+    decided = dict(zip(todo, ranks(todo)))
+    return [decided[lam] if lam in decided else decided[lam.conjugate()] for lam in map(complex, lams)]
 
 
 def _per_conjugate_pair(sys: SystemQuad, lams, tol: Tol) -> list[int]:
-    """``rank_of(M, tol)`` at each λ of ``lams``, once per conjugate pair
-    (:func:`_conjugate_shared`): one Cholesky of the Gram matrix usually
-    proves a full rank, and the singular values decide where M is too
-    ill-conditioned for it."""
-    return _conjugate_shared(sys, lams, lambda M: rank_of(M, tol))
+    """``rank_of(M, tol)`` of the system matrix M at each λ of ``lams``, once
+    per conjugate pair (:func:`_conjugate_shared`): one Cholesky of a Gram
+    matrix updated from the system's Gram coefficients usually proves a
+    full rank (:func:`_proven_full_rank`), and the singular values of M
+    decide where M is too ill-conditioned for it."""
+    write, full = _matrix_writer(sys), sys.n + min(sys.m, sys.p)
+
+    def rank(lam: complex) -> int:
+        if _proven_full_rank(sys, lam, tol):
+            return full
+        M = write(lam)
+        return _svd_rank(svd(M, compute_uv=False), M.shape, tol)
+    return _conjugate_shared(lams, lambda todo: map(rank, todo))
 
 
 def _ranks_at_zeros(sys: SystemQuad, zeros, tol: Tol) -> list[int]:
     """The rank of the Rosenbrock matrix at each of the invariant ``zeros``,
     once per conjugate pair, decided by the SVD alone: the matrix loses rank
-    there by construction, so :func:`geokit.linalg.rank_of`'s proof would
-    only fail first.  The ranks are rank_of's."""
-    def svd_rank(M):
-        return _svd_rank(svd(M, compute_uv=False), M.shape, tol)
-    return _conjugate_shared(sys, zeros, svd_rank)
+    there by construction, so a proof of full rank would only fail first.
+    The ranks are :func:`geokit.linalg.rank_of`'s."""
+    def svd_rank(todo):
+        for _, M in _system_matrices(sys, todo):
+            yield _svd_rank(svd(M, compute_uv=False), M.shape, tol)
+    return _conjugate_shared(zeros, svd_rank)
 
 
 def uncontrollable_eigenvalues(A, B, tol: Tol = DEFAULT_TOL) -> list[complex]:
@@ -180,10 +221,11 @@ def uncontrollable_eigenvalues(A, B, tol: Tol = DEFAULT_TOL) -> list[complex]:
     This is the PBH test evaluated at each (deduplicated) eigenvalue of A;
     the returned list is multiplicity-free.  The eigenvalues of the real A
     come in exact conjugate pairs, and the rank is decided once per pair: a
-    pair is listed whole or not at all.  One Cholesky of the Gram matrix
-    usually proves a controllable value's full row rank, and the singular
-    values decide where the pencil is too ill-conditioned for it
-    (:func:`geokit.linalg.rank_of`).
+    pair is listed whole or not at all.  One Cholesky of the row Gram
+    matrix [A B][A B]ᵀ − λ̄A − λAᵀ + |λ|²I, or its conjugate, usually proves
+    a controllable value's full row rank; the product [A B][A B]ᵀ is formed
+    once per call, and the singular values decide where the pencil is too
+    ill-conditioned for the proof (:func:`_per_conjugate_pair`).
     """
     sys = SystemQuad.from_matrices(A, B)
     eigs = deduplicate_eigenvalues(np.linalg.eigvals(sys.A), _eig_scale(sys.A, tol))

@@ -3,8 +3,9 @@ seeded random generation for the verification sweeps.
 
 A :class:`SystemQuad` is immutable: its arrays are read-only.  So what does
 not depend on a requested eigenvalue is computed once and kept on it: the
-spectral norms the rank decisions scale by and, once per tolerance, the
-staircases and the Morse frame of :mod:`geokit.geometry`.
+spectral norms the rank decisions scale by, the Gram coefficients of the
+system matrix that prove its full rank at a requested λ and, once per
+tolerance, the staircases and the Morse frame of :mod:`geokit.geometry`.
 
 The file format is a UTF-8 JSON object with keys ``"A"``, ``"B"`` and,
 optionally, ``"C"`` and ``"D"`` (present together or absent together).  Each
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GenerationError, SystemFormatError, ValidationError
-from .linalg import DEFAULT_TOL, Tol, _frozen, as_matrix, norm2
+from .linalg import DEFAULT_TOL, Tol, _frozen, _pencil_gram, as_matrix, norm2
 
 __all__ = ["SystemQuad", "GenSpec", "load_system", "dump_system", "random_system", "dual_of"]
 
@@ -106,6 +107,15 @@ class SystemQuad:
     def _ac_scale(self) -> float:
         """‖[A; C]‖₂."""
         return norm2(np.vstack([self.A, self.C]))
+
+    @cached_property
+    def _pencil_gram(self):
+        """The Gram coefficients of the system matrix [[A − λI, B], [C, D]]
+        as a quadratic in λ, from which :mod:`geokit.pencils` proves a full
+        rank at each requested λ (:func:`geokit.linalg._pencil_gram`): built
+        on first use, one Gram product per system, whatever the tolerance."""
+        top, bottom = np.concatenate((self.A, self.B), 1), np.concatenate((self.C, self.D), 1)
+        return _pencil_gram(np.concatenate((top, bottom)), self.n)
 
     @cached_property
     def _memo(self) -> dict:

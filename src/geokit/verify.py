@@ -45,7 +45,8 @@ Morse decomposition that leaves each Kh only small solves on R*, with the
 R* block's spectrum computed once per frame.  An oracle built on a chain
 term (V*(S_h), V* ∩ S_h, V_i ∩ S_j) is computed once per distinct term:
 past the point where a chain is stationary every h reads its last term.
-The kernels of one drawn spectrum share one pencil buffer
+The kernels of one drawn spectrum share one pencil buffer and, where they
+are empty, the system's Gram coefficients that prove it
 (:func:`geokit.pencils.rosenbrock_kernels`).
 """
 

@@ -1,16 +1,22 @@
-"""LAPACK factorizations per calling site: how many ``gesdd`` (SVD),
-``geqrf`` (Householder QR) and ``potrf`` (Cholesky) calls each geokit
-function asks for.
+"""LAPACK factorizations and Gram products per calling site: how many
+``gesdd`` (SVD), ``geqrf`` (Householder QR), ``potrf`` (Cholesky) and
+``syrk`` (``herk`` in complex: a Gram product) calls each geokit function
+asks for.
 
-Wraps the ``gesdd``, ``geqrf`` and ``potrf`` of each dtype in
+Wraps the ``gesdd``, ``geqrf``, ``potrf`` and ``syrk`` of each dtype in
 ``geokit.linalg._LAPACK``, the table every factorization in geokit goes
 through, and charges each call to the function that asked for it: the
 first frame outward that is neither one of ``linalg``'s factorization
 wrappers (``svd``, ``norm2``, ``_completion``, ``_orthonormalize``,
-``_pivoted_leading``, ``rank_of`` and ``_proves_full_rank``) nor a
-generator expression.  So ``norm2`` of a residual block is charged to the
-function that checks the block, a rank's proof and SVD to the function
-that asks for the rank, and the SVD of ``kernel_basis`` to
+``_pivoted_leading``, ``rank_of``, the proofs ``_proves_full_rank`` and
+``_proves_pencil_full_rank`` with their ``_cholesky_proves``, and
+``_pencil_gram``), nor the system's ``_pencil_gram`` property that builds
+the pencil's Gram coefficients on first use (with ``functools``' frame
+that calls it), nor ``pencils._proven_full_rank``, nor a generator
+expression.  So ``norm2`` of a residual block is charged to the function
+that checks the block, a rank's proof and SVD to the function that asks
+for the rank, the one ``syrk`` of a system's pencil to the first function
+that proves a value on it, and the SVD of ``kernel_basis`` to
 ``kernel_basis``.  Workspace queries (``lwork=-1``) are not counted.
 
 Three workloads:
@@ -34,16 +40,20 @@ Usage:
     PYTHONPATH=src python tests/svd_counts.py [verify] [cli] [picture]
 
 (all by default) prints one line ``workload module.function gesdd geqrf
-potrf`` per calling site, most SVDs first, and a ``workload total gesdd
-geqrf potrf`` line, so
+potrf syrk`` per calling site, most SVDs first, and a ``workload total
+gesdd geqrf potrf syrk`` line, so
 
     diff <(PYTHONPATH=old/src python tests/svd_counts.py) \\
          <(PYTHONPATH=src python tests/svd_counts.py)
 
 shows which sites gained or lost factorizations.  A ``potrf`` is the
-Cholesky proof of a full rank (``linalg._proves_full_rank``); a ``geqrf``
-is always a QR of the site's own, since no rank is proven by a QR.  It
-runs with one BLAS thread, like the benchmark, and takes a few seconds.
+Cholesky proof of a full rank (``linalg._cholesky_proves``); its Gram
+matrix comes from a ``syrk`` of its own (``rank_of``) or from the Gram
+coefficients of a system's pencil, one ``syrk`` per system
+(``pencils.rosenbrock_kernels`` with m ≤ p, ``uncontrollable_eigenvalues``).
+A ``geqrf`` is always a QR of the site's own, since no rank is proven by a
+QR.  It runs with one BLAS thread, like the benchmark, and takes a few
+seconds.
 
 It is not a test module, so pytest does not collect it.
 """
@@ -68,15 +78,22 @@ from geokit.sysmodel import GenSpec, random_system  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import cli_report_digests  # noqa: E402
 
-_WRAPPERS = {"svd", "norm2", "_completion", "_orthonormalize", "_pivoted_leading",
-             "_proves_full_rank", "rank_of"}
-_COUNTED = ("gesdd", "geqrf", "potrf")
+# the frames, by module, that pass a call on for their caller
+_WRAPPERS = {
+    "geokit.linalg": {"svd", "norm2", "_completion", "_orthonormalize", "_pivoted_leading",
+                      "_proves_full_rank", "_proves_pencil_full_rank", "_cholesky_proves",
+                      "_pencil_gram", "rank_of"},
+    "geokit.sysmodel": {"_pencil_gram"},
+    "geokit.pencils": {"_proven_full_rank"},
+    "functools": {"__get__"},
+}
+_COUNTED = ("gesdd", "geqrf", "potrf", "syrk")
 
 
 def _site(frame) -> str:
     """``module.function`` of the first frame outward that asked for a factorization."""
     while frame.f_code.co_name == "<genexpr>" or (
-            frame.f_globals["__name__"] == "geokit.linalg" and frame.f_code.co_name in _WRAPPERS):
+            frame.f_code.co_name in _WRAPPERS.get(frame.f_globals["__name__"], ())):
         frame = frame.f_back
     module = frame.f_globals["__name__"].removeprefix("geokit.")
     return f"{module}.{frame.f_code.co_name}"
@@ -129,8 +146,8 @@ WORKLOADS = {
 
 
 def site_counts(run) -> dict[str, collections.Counter]:
-    """``{site: Counter(gesdd=..., geqrf=..., potrf=...)}`` over one call of
-    ``run``."""
+    """``{site: Counter(gesdd=..., geqrf=..., potrf=..., syrk=...)}`` over
+    one call of ``run``."""
     counts = collections.defaultdict(collections.Counter)
     saved = {kind: dict(routines) for kind, routines in linalg._LAPACK.items()}
     _install(counts)

@@ -365,6 +365,43 @@ class TestReportContract:
         assert capsys.readouterr().out == first
 
 
+class TestLambdasAfterASpace:
+    """``--lambdas -1,-2`` gives the report of ``--lambdas=-1,-2``, byte for
+    byte: a list that starts with a minus sign is not read as an option."""
+
+    @pytest.mark.parametrize("op, lams", [
+        ("kh", "-1,-2"),
+        ("kh", "-1+2i,-1-2i"),  # a leading conjugate pair
+        ("kh", "-.5"),
+        ("place", "-1+2i,-1-2i"),
+        ("friend", "-1,-2"),
+        ("kh", "-1,-2+0.5i,-2-0.5i"),  # the parser's own example
+        ("kh", "-i,i"),
+    ])
+    def test_space_form_is_the_equals_form(self, capsys, tmp_path, op, lams):
+        path = tmp_path / "sq.json"
+        shape = (2, 1, 0) if op == "place" else (4, 1, 1)  # place takes one value per state
+        dump_system(random_system(GenSpec(*shape, seed=2)), path)
+        space = main([op, str(path), "--lambdas", lams])
+        space_out = capsys.readouterr().out
+        equals_ = main([op, str(path), f"--lambdas={lams}"])
+        equals_out = capsys.readouterr().out
+        assert (space, space_out) == (equals_, equals_out)
+        assert space == 0 and json.loads(space_out)["op"] == op
+
+    def test_a_flag_is_not_a_list(self, capsys, di_file):
+        # --lambdas followed by another option still lacks its value
+        with pytest.raises(SystemExit) as info:
+            main(["kh", di_file, "--lambdas", "--tol-rel", "1e-9"])
+        out, err = capsys.readouterr()
+        assert info.value.code == 2 and out == "" and "usage:" in err
+
+    def test_a_non_finite_list_reaches_the_library(self, capsys, di_file):
+        # "-inf" joins too, and is refused as a value, not as a flag
+        code, rep = run_cli(capsys, "kh", di_file, "--lambdas", "-inf")
+        assert code == 1 and rep["error"]["kind"] == "validation"
+
+
 class TestProcess:
     @staticmethod
     def run_python(*args):
@@ -385,3 +422,10 @@ class TestProcess:
         proc = self.run_python("-m", "geokit.cli", "zeros", di_file)
         assert proc.returncode == 0, proc.stderr
         assert set(json.loads(proc.stdout)) == {"op", "inputs_digest", "result", "diagnostics"}
+
+    def test_lambdas_after_a_space_from_the_command_line(self, capsys, di_file):
+        # main() without arguments reads sys.argv, and joins the list there too
+        proc = self.run_python("-m", "geokit.cli", "kh", di_file, "--lambdas", "-1,-2")
+        assert proc.returncode == 0, proc.stderr
+        assert main(["kh", di_file, "--lambdas=-1,-2"]) == 0
+        assert proc.stdout == capsys.readouterr().out

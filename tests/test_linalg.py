@@ -477,6 +477,73 @@ class TestGramStageProof:
                 assert rank_of(M) == 7
 
 
+def _pencil_at(M0: np.ndarray, n: int, lam: complex) -> np.ndarray:
+    """M₀ − λJ, J = [[Iₙ, 0], [0, 0]], written out: real at a real λ."""
+    M = M0.astype(np.complex128 if lam.imag else np.float64)
+    M[:n, :n] -= np.eye(n) * (lam if lam.imag else lam.real)
+    return M
+
+
+class TestPencilGramProof:
+    """The proof from the Gram coefficients of a pencil M₀ − λJ: the
+    coefficients give the Gram matrix of M(λ), or of M(λ)ᵀ when M₀ is wide,
+    at every λ; the proof never claims a full rank that the SVD threshold
+    denies and proves every value whose σ_min clears ten times its limit,
+    √s at N₀ = ‖M₀‖_F + |λ| √n; and it declines where its guards say."""
+
+    SHAPES = [((12, 9), 7), ((9, 9), 7), ((7, 10), 7), ((43, 42), 40), ((40, 42), 40)]
+
+    @pytest.mark.parametrize("lam", [0.0, -1.3, 0.4 + 1.1j, -2.0 - 3.0j])
+    @pytest.mark.parametrize("shape, n", SHAPES)
+    def test_coefficients_give_the_gram_matrix(self, shape, n, lam):
+        lam = complex(lam)
+        M0 = np.random.default_rng([*shape, 1]).standard_normal(shape)
+        gram = linalg._pencil_gram(M0, n)
+        M = _pencil_at(M0, n, lam)
+        want = M.conj().T @ M if shape[0] >= shape[1] else (M @ M.conj().T).conj()
+        E = np.diag([1.0] * n + [0.0] * (len(want) - n))
+        H = gram.G0 - lam.real * gram.S - 1j * lam.imag * gram.K + abs(lam) ** 2 * E
+        assert np.allclose(np.tril(H), np.tril(want), rtol=0.0, atol=1e-12 * np.trace(want).real)
+        assert gram.t0 == pytest.approx(np.linalg.norm(M0) ** 2, rel=1e-13)
+        for X in (gram.G0, gram.S, gram.K):
+            assert X.flags.f_contiguous and not X.flags.writeable
+
+    @pytest.mark.parametrize("rel", [1e-15, 1e-11, 1e-6])
+    @pytest.mark.parametrize("shape, n", SHAPES)
+    def test_never_claims_what_the_svd_denies(self, shape, n, rel):
+        # M(λ*) planted with a given σ_min at a real λ*, M₀ = M(λ*) + λ*J
+        tol = Tol(rel=rel)
+        rng = np.random.default_rng([*shape, round(-np.log10(rel))])
+        threshold = rel * max(shape)
+        for lam in (0.0, -1.5, 40.0):
+            J = np.zeros(shape)
+            J[:n, :n] = np.eye(n)
+            for factor in (0.5, 1.0, 2.0, 1e2, 1e4, 1e6, 1e8):
+                M0 = _one_small(rng, shape, False, factor * threshold) + lam * J
+                M = _pencil_at(M0, n, complex(lam))
+                full = _svd_rank(svd(M, compute_uv=False), shape, tol) == min(shape)
+                proven = linalg._proves_pencil_full_rank(linalg._pencil_gram(M0, n),
+                                                         complex(lam), tol)
+                assert full or not proven
+                norm = np.linalg.norm(M0) + abs(lam) * np.sqrt(n)
+                limit = np.sqrt(_gram_shift(shape, norm ** 2, tol))
+                assert proven or svd(M, compute_uv=False)[-1] < 10.0 * limit
+
+    def test_guards(self, monkeypatch):
+        # a zero or underflowing M₀, and an N₀² that could overflow H: not
+        # proven, and no Cholesky runs
+        calls = []
+        for routines in linalg._LAPACK.values():
+            monkeypatch.setitem(routines, "potrf", lambda *a, **k: calls.append(1))
+        M0 = np.random.default_rng(3).standard_normal((9, 8))
+        cases = [(np.zeros((9, 8)), -1.0), (M0 * 1e-160, -1e-160),
+                 (M0, 1e200), (M0, 1e160j), (M0, -1e154)]
+        for M, lam in cases:
+            assert not linalg._proves_pencil_full_rank(linalg._pencil_gram(M, 6), complex(lam),
+                                                       DEFAULT_TOL)
+        assert calls == []
+
+
 COMPLETION_SHAPES = [(8, 0), (8, 3), (8, 8), (40, 17), (150, 60), (200, 150)]
 
 

@@ -1,11 +1,12 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from geokit import linalg, pencils
 from geokit.errors import SpectrumError, ValidationError
-from geokit.linalg import DEFAULT_TOL, _svd_rank, equals, image_basis, kernel_basis, rank_of, svd
+from geokit.linalg import DEFAULT_TOL, Tol, _svd_rank, equals, image_basis, kernel_basis, rank_of, svd
 from geokit.pencils import (
     deduplicate_eigenvalues,
     invariant_zeros,
@@ -36,6 +37,19 @@ def _record_gesdd(monkeypatch) -> list[tuple[tuple[int, int], bool]]:
             calls.append((M.shape, kwargs["compute_uv"]))
             return gesdd(M, **kwargs)
         monkeypatch.setitem(routines, "gesdd", recorded)
+    return calls
+
+
+def _record_calls(monkeypatch, name: str) -> list[str]:
+    """Patch ``name`` in each dtype of ``linalg._LAPACK`` to record the dtype
+    kind of every call, workspace queries (``lwork=-1``) left out."""
+    calls = []
+    for kind, routines in linalg._LAPACK.items():
+        def recorded(*args, routine=routines[name], kind=kind, **kwargs):
+            if kwargs.get("lwork") != -1:
+                calls.append(kind)
+            return routine(*args, **kwargs)
+        monkeypatch.setitem(routines, name, recorded)
     return calls
 
 
@@ -261,6 +275,148 @@ class TestKernelIsOneSvdDecision:
             assert K.q == 1
             assert np.array_equal(K.V, basis[:sys.n]) and np.array_equal(K.W, basis[sys.n:])
 
+    def test_a_tall_certificate_takes_one_gram_product_per_system(self, monkeypatch):
+        # the Kh certificate of a 40-state (2, 3) system: every value is
+        # proven from the system's Gram coefficients, one syrk on first use
+        # and none after, with one Cholesky per value and no SVD
+        from geokit.assignment import build_Kh
+
+        calls, _ = self._count_factors(monkeypatch)
+        syrk, potrf = _record_calls(monkeypatch, "syrk"), _record_calls(monkeypatch, "potrf")
+        counts, kernels = [], pencils.rosenbrock_kernels
+
+        def counted(*args):
+            start = len(syrk), len(potrf)
+            out = kernels(*args)
+            counts.append((len(syrk) - start[0], len(potrf) - start[1]))
+            return out
+
+        monkeypatch.setattr(pencils, "rosenbrock_kernels", counted)
+        sys = random_system(GenSpec(40, 2, 3, seed=5))
+        lams = -np.linspace(1.0, 4.0, 20)
+        for _ in range(2):
+            _, kernels_out = build_Kh(sys, lams)
+            assert [K.q for K in kernels_out] == [0] * 20
+        assert calls == []
+        assert counts == [(1, 20), (0, 20)]
+
+    @pytest.mark.parametrize("lam", [1e200, -1e200, 1e200j, complex(-1e200, 1e199)])
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+    def test_a_huge_value_is_decided_by_the_svd(self, monkeypatch, shape, lam):
+        # |λ|² overflows: the proof declines without a Cholesky, and the
+        # kernel and the rank are the SVD's
+        sys = random_system(GenSpec(*shape, seed=1))
+        M = rosenbrock_matrix(sys, lam).copy()
+        potrf = _record_calls(monkeypatch, "potrf")
+        assert not linalg._proves_pencil_full_rank(sys._pencil_gram, complex(lam), DEFAULT_TOL)
+        K = rosenbrock_kernel(sys, lam)
+        V, W = _one_svd_kernel(M, sys.n)
+        assert np.array_equal(K.V, V) and np.array_equal(K.W, W)
+        rank = _svd_rank(svd(M, compute_uv=False), M.shape, DEFAULT_TOL)
+        assert pencils._per_conjugate_pair(sys, [lam], DEFAULT_TOL) == [rank]
+        assert potrf == []
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, complex(1.0, -np.inf)])
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+    def test_non_finite_value_is_refused_in_request_order(self, shape, lam):
+        # the first value that is not finite is the one refused, by the
+        # kernels and by the ranks alike
+        sys = random_system(GenSpec(*shape, seed=1))
+        lams = [-1.0, 0.5 + 1j, lam, complex(np.nan, 1.0)]
+        message = re.escape(f"eigenvalue {complex(lam)} is not finite")
+        with pytest.raises(SpectrumError, match=message):
+            rosenbrock_kernels(sys, lams)
+        with pytest.raises(SpectrumError, match=message):
+            pencils._per_conjugate_pair(sys, lams, DEFAULT_TOL)
+
+
+PROOF_TOLS = (Tol(rel=1e-14), DEFAULT_TOL, Tol(rel=1e-6))
+PROOF_SCALES = (1.0, 1e140, 1e-140)
+PROOF_MOVES = (1e-15, 1e-12, 1e-9, 1e-6, 1e-3)
+
+
+def _near_and_far(points) -> list[complex]:
+    """Each point, the point moved by a relative 1e-15 … 1e-3, and three
+    values far out: 1e6, −1e10 and 3 + 2i."""
+    values = []
+    for z in map(complex, points):
+        values += [z] + [z + d * max(abs(z), 1.0) for d in PROOF_MOVES]
+    return values + [1e6, -1e10, 3 + 2j]
+
+
+def _pbh_system(n: int, m: int, seed: int) -> SystemQuad:
+    """A pair (A, B) with n − 3 reachable states beside a rotation
+    −0.5 ± 2i and a real mode 0.7 that no input reaches, mixed by an
+    orthogonal change of basis: [A − λI  B] loses row rank at three of the
+    eigenvalues of A."""
+    rng = np.random.default_rng([n, m, seed])
+    A = np.zeros((n, n))
+    A[:n - 3, :n - 3] = rng.standard_normal((n - 3, n - 3))
+    A[n - 3:, n - 3:] = [[-0.5, 2.0, 0.0], [-2.0, -0.5, 0.0], [0.0, 0.0, 0.7]]
+    B = np.zeros((n, m))
+    B[:n - 3] = rng.standard_normal((n - 3, m))
+    T = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return SystemQuad.from_matrices(T @ A @ T.T, T @ B)
+
+
+def _scaled(sys: SystemQuad, scale: float) -> SystemQuad:
+    return SystemQuad.from_matrices(scale * sys.A, scale * sys.B, scale * sys.C, scale * sys.D)
+
+
+class TestPencilProof:
+    """The proof from the Gram coefficients of the system (tall or square
+    Rosenbrock matrices, and the wide PBH pencil through its row Gram)
+    never claims a full rank that the SVD threshold denies: at the
+    invariant zeros or the uncontrollable eigenvalues, near them, far out,
+    on systems scaled by 1e±140, at three tolerances, at real and complex
+    λ.  It proves every value whose σ_min clears ten times its own limit,
+    √s at N₀ = ‖M₀‖_F + |λ| √n."""
+
+    @staticmethod
+    def _check(sys: SystemQuad, values) -> tuple[int, int]:
+        gram, n = sys._pencil_gram, sys.n
+        norm0 = np.linalg.norm(np.block([[sys.A, sys.B], [sys.C, sys.D]]))
+        proven = denied = 0
+        for lam in values:
+            M = rosenbrock_matrix(sys, lam)
+            s = svd(M, compute_uv=False)
+            bound = norm0 + abs(lam) * np.sqrt(n)  # N₀ but for rounding
+            for tol in PROOF_TOLS:
+                full = _svd_rank(s, M.shape, tol) == min(M.shape)
+                ok = linalg._proves_pencil_full_rank(gram, complex(lam), tol)
+                assert full or not ok, (lam, tol)
+                limit = np.sqrt(linalg._gram_shift(M.shape, bound ** 2, tol))
+                assert ok or not s[-1] >= 10.0 * limit, (lam, tol)
+                proven += ok
+                denied += not full
+        return proven, denied
+
+    @pytest.mark.parametrize("m, p", [(2, 3), (2, 2), (1, 1), (1, 3)])
+    @pytest.mark.parametrize("n", [6, 12, 30])
+    def test_tall_rosenbrock_matrices(self, n, m, p):
+        proven = denied = 0
+        for seed in range(4):
+            sys = random_system(GenSpec(n, m, p, seed=seed))
+            values = _near_and_far(invariant_zeros(sys))
+            for scale in PROOF_SCALES:
+                got = self._check(_scaled(sys, scale), [scale * v for v in values])
+                proven, denied = proven + got[0], denied + got[1]
+        assert proven > 0
+        assert denied > 0 or m < p
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [6, 12, 30])
+    def test_wide_pbh_pencils(self, n, m):
+        proven = denied = 0
+        for seed in range(4):
+            sys = _pbh_system(n, m, seed)
+            assert sys._pencil_gram.G0.shape == (n, n)  # the row Gram
+            values = _near_and_far(np.linalg.eigvals(sys.A))
+            for scale in PROOF_SCALES:
+                got = self._check(_scaled(sys, scale), [scale * v for v in values])
+                proven, denied = proven + got[0], denied + got[1]
+        assert proven > 0 and denied > 0
+
 
 class TestRosenbrockKernels:
     # one buffer per dtype serves every value: each kernel must still be the
@@ -335,7 +491,7 @@ class TestUncontrollable:
         T = np.linalg.qr(rng.standard_normal((n, n)))[0]
         A, B = T @ A @ T.T, T @ B
         calls = []
-        monkeypatch.setattr(pencils, "rank_of", lambda M, tol: calls.append(M) or rank_of(M, tol))
+        monkeypatch.setattr(pencils, "_proven_full_rank", _spy_on_proofs(calls))
         gesdd = _record_gesdd(monkeypatch)
         vals = uncontrollable_eigenvalues(A, B)
         assert len(vals) == 2 and vals[0] == vals[1].conjugate()
@@ -357,20 +513,20 @@ class TestUncontrollable:
         sys = random_system(GenSpec(6, 2, 2, seed=0))
         lams = [-1 + 0.5j, -1 - 0.500000001j, -2.0, -3 + 1j, -3 - 1j]
         decided = []
-        monkeypatch.setattr(pencils, "_system_matrices", _spy_on_matrices(decided))
+        monkeypatch.setattr(pencils, "_proven_full_rank", _spy_on_proofs(decided))
         ranks = pencils._per_conjugate_pair(sys, lams, DEFAULT_TOL)
         assert decided == lams[:4]
         assert ranks == [rank_of(rosenbrock_matrix(sys, lam)) for lam in lams]
 
 
-def _spy_on_matrices(decided):
-    """``pencils._system_matrices`` that records each λ it builds a matrix at."""
-    matrices = pencils._system_matrices
+def _spy_on_proofs(decided):
+    """``pencils._proven_full_rank`` that records each λ it is asked at:
+    every value whose rank is decided is asked first."""
+    proven = pencils._proven_full_rank
 
-    def spy(sys, lams):
-        for lam, M in matrices(sys, lams):
-            decided.append(lam)
-            yield lam, M
+    def spy(sys, lam, tol):
+        decided.append(lam)
+        return proven(sys, lam, tol)
     return spy
 
 
