@@ -20,11 +20,14 @@ Marro, 1992).
 
 None of those chains depends on an eigenvalue, and a :class:`SystemQuad` is
 immutable, so the system's staircase, the dual staircase from the whole
-space, the R* staircase on V* and the Morse frame are built once per system
-and tolerance, kept on the system (``_memoized``) and shared by every op
-that reads them: :func:`vstar`, :func:`sstar`, :func:`rstar`, their
-sequences, :func:`morse_decomposition` and, through it, the invariant zeros,
-the normal rank and the Kh frame.  Their arrays are read-only.
+space, the friend of V*, the R* staircase on V*, the answers V*, S* and R*
+and the Morse frame are built once per system and tolerance, kept on the
+system (``_memoized``) and shared by every op that reads them:
+:func:`vstar`, :func:`sstar` and :func:`rstar`, which return one Subspace
+each, their sequences, :func:`friend_of` and :func:`reachability_on` of
+V* (or of a Subspace with its bits), :func:`morse_decomposition` and,
+through it, the invariant zeros, the normal rank and the Kh frame.  Their
+arrays are read-only; :func:`friend_of` hands out a copy of its F.
 
 Conventions: every function here accepts a quadruple with ``p = 0`` (no
 outputs).  The output-nulling recursion then becomes the largest-controlled-
@@ -89,15 +92,27 @@ def _memoized(build):
     every later call returns it: the system is immutable and ``build``
     chooses no eigenvalue.  A build that raises stores nothing, so the next
     call raises again.  Threads that race on one key may each build, but
-    ``setdefault`` hands every caller the first result stored.
+    ``setdefault`` hands every caller the first result stored.  The
+    wrapper's ``kept(sys, tol)`` returns the result already kept, or None,
+    and never builds.
+
+    Kept this way: the system's staircase (``_stairs``), the dual staircase
+    from the whole space (``_vstar_stairs``), the least-squares friend of
+    V* (``_friend_of_vstar``) with its two residual norms, once a caller
+    reads them (``_friend_of_vstar_norms``), the R* staircase on V*
+    (``_rstar_stairs``), the answers :func:`vstar` (E omitted),
+    :func:`sstar` and :func:`rstar`, and the Morse frame.
     """
+    name = build.__name__
+
     @functools.wraps(build)
     def memoized(sys: SystemQuad, tol: Tol = DEFAULT_TOL):
-        key, memo = (build.__name__, tol), sys._memo
+        key, memo = (name, tol), sys._memo
         try:
             return memo[key]
         except KeyError:
             return memo.setdefault(key, build(sys, tol))
+    memoized.kept = lambda sys, tol: sys._memo.get((name, tol))
     return memoized
 
 
@@ -244,9 +259,30 @@ def vstar_sequence(sys: SystemQuad, E: Subspace | None = None, tol: Tol = DEFAUL
 
 def vstar(sys: SystemQuad, E: Subspace | None = None, tol: Tol = DEFAULT_TOL) -> Subspace:
     """The supremal output-nulling subspace contained in E (default: whole space):
-    the last term of :func:`vstar_sequence`, built alone."""
-    Q, dims = _vstar_stairs(sys, tol) if E is None else _dual_stairs(sys, E, tol)
+    the last term of :func:`vstar_sequence`, built alone.  With E omitted it
+    is built once per system and tolerance, and every call returns that one
+    Subspace."""
+    if E is None:
+        return _vstar(sys, tol)
+    Q, dims = _dual_stairs(sys, E, tol)
     return _span(Q[:, dims[-1]:])
+
+
+@_memoized
+def _vstar(sys: SystemQuad, tol: Tol) -> Subspace:
+    """V*: the basis of :func:`_vstar_stairs` past its last stair."""
+    Q, dims = _vstar_stairs(sys, tol)
+    return _span(Q[:, dims[-1]:])
+
+
+def _is_vstar(sys: SystemQuad, V: Subspace, tol: Tol) -> bool:
+    """True when V is the V* kept on ``sys`` at ``tol`` (:func:`vstar`), or
+    a Subspace whose basis has its shape, its dtype and its bits; False
+    also when no V* is kept, which is not built for the question."""
+    kept = _vstar.kept(sys, tol)
+    return kept is not None and (V is kept or (
+        V.basis.shape == kept.basis.shape and V.basis.dtype == kept.basis.dtype
+        and np.array_equal(V.basis, kept.basis)))
 
 
 @_memoized
@@ -287,9 +323,10 @@ def sstar_sequence(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> list[Subspace]:
     return [_span(Q[:, :d]) for d in dims]
 
 
+@_memoized
 def sstar(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> Subspace:
     """The infimal input-containing subspace: the last term of
-    :func:`sstar_sequence`, built alone."""
+    :func:`sstar_sequence`, built alone, once per system and tolerance."""
     return _span(_stairs(sys, tol)[0])
 
 
@@ -353,11 +390,15 @@ def friend_of(sys: SystemQuad, V: Subspace, spectrum=None, tol: Tol = DEFAULT_TO
     if np.iscomplexobj(V.basis):
         V = Subspace(require_real(V.basis, tol, "basis of V"))
     values = None if spectrum is None else validate_spectrum(spectrum, (), tol)
+    kept = _is_vstar(sys, V, tol)  # then read what the system keeps
     if values and V.dim:
-        F, Omega, m1, Q, dims = _reach_along(sys, V, tol)
+        F, Omega, m1, Q, dims = _rstar_stairs(sys, tol) if kept else _reach_along(sys, V, tol)
         Omega1 = Omega[:, :m1]
         F0, X, H, assigned = _parametric(sys.A, sys.B, F, Omega1, Q, dims, values)
         return _assemble_feedback(sys, F0, Omega1, Q, X, H, assigned, V, tol)
+    if kept:  # F is copied: the caller's F is its own
+        res_out, res_inv = _friend_of_vstar_norms(sys, tol)
+        return FeedbackResult(_friend_of_vstar(sys, tol)[0].copy(), (), 0.0, res_out, res_inv, 1.0)
     F, _, _, R = _friend(sys, V, tol)
     return FeedbackResult(F, (), 0.0, norm2(R[sys.n:]), norm2(R[:sys.n]), 1.0)
 
@@ -395,6 +436,24 @@ def _friend(sys: SystemQuad, V: Subspace, tol: Tol):
     return W @ vb.conj().T, Omega, sys.m - r, R
 
 
+@_memoized
+def _friend_of_vstar(sys: SystemQuad, tol: Tol):
+    """:func:`_friend` of V*, read-only: the friend and the Omega that the
+    R* staircase, the Morse frame and :func:`friend_of` of V* share."""
+    F, Omega, m1, R = _friend(sys, vstar(sys, None, tol), tol)
+    _read_only(F, Omega, R)
+    return F, Omega, m1, R
+
+
+@_memoized
+def _friend_of_vstar_norms(sys: SystemQuad, tol: Tol) -> tuple[float, float]:
+    """The spectral norms ``(res_out, res_inv)`` of the residual blocks of
+    the friend of V*, which :func:`friend_of` reports: computed on its first
+    call, not with the friend, which most systems only build R* on."""
+    R = _friend_of_vstar(sys, tol)[3]
+    return norm2(R[sys.n:]), norm2(R[:sys.n])
+
+
 def reachability_on(sys: SystemQuad, V: Subspace, tol: Tol = DEFAULT_TOL) -> Subspace:
     """States reachable from the origin along V with identically zero output.
 
@@ -402,15 +461,21 @@ def reachability_on(sys: SystemQuad, V: Subspace, tol: Tol = DEFAULT_TOL) -> Sub
     V ∩ B ker D.  The result does not depend on the friend.  Raises
     :class:`NotInvariantError` if V is not output nulling and
     :class:`NumericalError` if the result leaves V by more than ``tol.abs``.
+    On the V* kept on the system (:func:`vstar`), or a copy of it, it is
+    :func:`rstar`.
     """
+    if _is_vstar(sys, V, tol):
+        return rstar(sys, tol)
     return _span(_reach_along(sys, V, tol)[3])
 
 
 def _reach_along(sys: SystemQuad, V: Subspace, tol: Tol):
     """``(F, Omega, m1, Q, dims)``: the least-squares friend F and Omega of
     :func:`_friend`, and the staircase of (A+BF, B Omega1).  For V = V* it
-    is Morse's R* recursion: Q[:, :dims[h]] spans V* ∩ S_h."""
-    F, Omega, m1, _ = _friend(sys, V, tol)
+    is Morse's R* recursion: Q[:, :dims[h]] spans V* ∩ S_h, and the V*
+    kept on the system, or a copy of it, takes the friend kept with it
+    (:func:`_friend_of_vstar`)."""
+    F, Omega, m1, _ = _friend_of_vstar(sys, tol) if _is_vstar(sys, V, tol) else _friend(sys, V, tol)
     if m1 == 0:
         return F, Omega, m1, np.zeros((sys.n, 0)), [0, 0]
     Q, dims = _krylov(sys.A + sys.B @ F, sys.B @ Omega[:, :m1], sys.n + 1, tol)
@@ -428,9 +493,11 @@ def _rstar_stairs(sys: SystemQuad, tol: Tol):
     return F, Omega, m1, Q, tuple(dims)
 
 
+@_memoized
 def rstar(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> Subspace:
     """The supremal output-nulling reachability subspace (reachability on
-    the supremal output-nulling subspace)."""
+    the supremal output-nulling subspace), built once per system and
+    tolerance."""
     return _span(_rstar_stairs(sys, tol)[3])
 
 

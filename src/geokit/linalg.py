@@ -30,9 +30,10 @@ accepting only what the singular-value threshold would; the SVD decides the
 rest.  The Gram matrix comes from one of two sources: :func:`rank_of`
 forms it by ``syrk`` (:func:`_proves_full_rank`), and a pencil M₀ − λJ
 updates it at each λ from coefficients formed once, by one ``syrk``
-(:func:`_pencil_gram`, :func:`_proves_pencil_full_rank`).  A spectral norm
-that is only compared with a bound is not computed where the Frobenius
-norm, which bounds it, already decides.
+(:func:`_pencil_gram`, :func:`_proves_pencil_full_rank`), with what does
+not depend on λ set up once per request (:func:`_pencil_proof`).  A
+spectral norm that is only compared with a bound is not computed where the
+Frobenius norm, which bounds it, already decides.
 """
 
 from __future__ import annotations
@@ -269,27 +270,42 @@ def _gram_gamma(shape) -> float:
     return (sum(shape) + 10) * _EPS
 
 
+def _target_factor(shape, tol: Tol) -> float:
+    """4 · floor², floor = max(tol.rel · max(rows, cols), 64 (rows + cols) ε):
+    the square of the least σ_min the Cholesky proof of a ``shape`` matrix
+    accepts at ``tol``, per unit of N² (:func:`_proves_full_rank`)."""
+    floor = max(tol.rel * max(shape), 64.0 * sum(shape) * _EPS)
+    return 4.0 * floor * floor
+
+
+def _shift(target_sq: float, norm_sq: float, gamma: float) -> float:
+    """s = (target² + γ N²)(1 + γ), the shift that the Cholesky proof takes
+    off the Gram matrix (:func:`_proves_full_rank`)."""
+    return (target_sq + gamma * norm_sq) * (1.0 + gamma)
+
+
 def _gram_shift(shape, norm_sq: float, tol: Tol, scale: float | None = None) -> float:
     """The shift s that the Cholesky proof takes off the Gram matrix of a
     ``shape`` matrix M with ‖M‖_F² ≤ ``norm_sq`` = N²; √s is the least
     σ_min the proof reaches."""
-    gamma = _gram_gamma(shape)
-    floor = max(tol.rel * max(shape), 64.0 * sum(shape) * _EPS)
     scale = scale or 0.0
-    target_sq = 4.0 * floor * floor * max(norm_sq, scale * scale)
-    return (target_sq + gamma * norm_sq) * (1.0 + gamma)
+    target_sq = _target_factor(shape, tol) * max(norm_sq, scale * scale)
+    return _shift(target_sq, norm_sq, _gram_gamma(shape))
 
 
-def _cholesky_proves(H: np.ndarray, shape, norm_sq: float, tol: Tol,
-                     scale: float | None = None) -> bool:
+def _diagonal(H: np.ndarray) -> np.ndarray:
+    """A writable view of the diagonal of the square, contiguous ``H``."""
+    return H.ravel(order="K")[::H.shape[0] + 1]
+
+
+def _cholesky_proves(H: np.ndarray, diagonal: np.ndarray, shift: float) -> bool:
     """The one decision rule of the full-rank proofs: True when ``potrf``
-    completes on H − s I, s = ``_gram_shift(shape, norm_sq, tol, scale)``.
-    H is the F-ordered Gram matrix of a ``shape`` matrix M, or its
-    conjugate, with its lower triangle computed to within the proof's
-    slack (:func:`_proves_full_rank`), and ``norm_sq`` ≥ ‖M‖_F²; H is
+    completes on H − s I, s = ``shift`` (:func:`_gram_shift`).  H is the
+    F-ordered Gram matrix of a matrix M, or its conjugate, with its lower
+    triangle computed to within the proof's slack (:func:`_proves_full_rank`),
+    and ``diagonal`` a view of its diagonal (:func:`_diagonal`); H is
     overwritten."""
-    diagonal = np.einsum("ii->i", H)  # a writable view
-    diagonal -= _gram_shift(shape, norm_sq, tol, scale)
+    diagonal -= shift
     potrf = _LAPACK["c" if H.dtype.kind == "c" else "f"]["potrf"]
     return potrf(H, lower=1, clean=False, overwrite_a=True)[1] == 0
 
@@ -341,10 +357,12 @@ def _proves_full_rank(M: np.ndarray, tol: Tol, scale: float | None = None) -> bo
     # wide one
     H = _LAPACK[kind]["syrk"](1.0, M.T, trans=0 if rows >= cols else (1, 2)[kind == "c"],
                               lower=1)
-    t = float(np.einsum("ii->i", H).real.sum())
+    diagonal = _diagonal(H)
+    t = float(diagonal.real.sum())
     if not _GRAM_TINY <= t < np.inf:
         return False
-    return _cholesky_proves(H, M.shape, t * (1.0 + _gram_gamma(M.shape)), tol, scale)
+    return _cholesky_proves(H, diagonal, _gram_shift(M.shape, t * (1.0 + _gram_gamma(M.shape)),
+                                                     tol, scale))
 
 
 class _PencilGram(NamedTuple):
@@ -360,7 +378,10 @@ class _PencilGram(NamedTuple):
 
     G₀ = T₀ᵀT₀, S = P + Pᵀ, K = P − Pᵀ and E = diag(Iₙ, 0).  ``shape`` is
     M₀'s; ``G0`` holds fl(G₀) in its lower triangle and ``t0`` is its
-    computed trace.  The arrays are F-ordered and read-only.
+    computed trace.  The arrays are F-ordered and read-only.  What the
+    proof reads at every λ whatever the tolerance is kept with them:
+    ``gamma`` = γ of ``shape`` (:func:`_gram_gamma`), ``norm0`` =
+    √(t₀ (1 + γ)) ≥ ‖M₀‖_F and ``root_n`` = √n.
     """
 
     shape: tuple[int, int]
@@ -369,6 +390,9 @@ class _PencilGram(NamedTuple):
     S: np.ndarray
     K: np.ndarray
     t0: float
+    gamma: float
+    norm0: float
+    root_n: float
 
 
 def _pencil_gram(M0: np.ndarray, n: int) -> _PencilGram:
@@ -384,14 +408,18 @@ def _pencil_gram(M0: np.ndarray, n: int) -> _PencilGram:
     S, K = np.add(P, P.T, order="F"), np.subtract(P, P.T, order="F")
     for X in (G0, S, K):
         X.setflags(write=False)
-    return _PencilGram(M0.shape, n, G0, S, K, float(np.einsum("ii->i", G0).sum()))
+    t0, gamma = float(_diagonal(G0).sum()), _gram_gamma(M0.shape)
+    return _PencilGram(M0.shape, n, G0, S, K, t0, gamma, math.sqrt(t0 * (1.0 + gamma)),
+                       math.sqrt(n))
 
 
 def _proves_pencil_full_rank(gram: _PencilGram, lam: complex, tol: Tol) -> bool:
     """:func:`_proves_full_rank` of M(λ) = M₀ − λJ from the Gram
     coefficients ``gram`` of the pencil: the same decision rule, with the
     Gram matrix formed by an O(c²) update instead of a product, and M(λ)
-    never formed.
+    never formed.  A request of many values takes :func:`_pencil_proof`
+    once and proves each value with the function it returns: the same
+    decision, bit for bit.
 
     The update H = Ĝ₀ − Re λ · S − i Im λ · K + |λ|²E is T(λ)ᴴT(λ), or its
     conjugate, up to rounding (:class:`_PencilGram`).  The bound on
@@ -423,21 +451,44 @@ def _proves_pencil_full_rank(gram: _PencilGram, lam: complex, tol: Tol) -> bool:
     largest float up, where an entry of H could overflow; there H is
     never formed.  The caller checks that λ is finite.
     """
-    a, b = lam.real, lam.imag
-    norm = math.sqrt(gram.t0 * (1.0 + _gram_gamma(gram.shape))) + abs(lam) * math.sqrt(gram.n)
-    norm_sq = norm * norm
-    if not (gram.t0 >= _GRAM_TINY and 2.0 * norm_sq < np.inf):
-        return False
-    if b:
-        H = np.empty(gram.G0.shape, np.complex128, order="F")
-        np.multiply(gram.S, -a, out=H.real)
-        H.real += gram.G0
-        np.multiply(gram.K, -b, out=H.imag)
-    else:
-        H = gram.S * -a
-        H += gram.G0
-    np.einsum("ii->i", H)[:gram.n] += a * a + b * b
-    return _cholesky_proves(H, gram.shape, norm_sq, tol)
+    return _pencil_proof(gram, tol)(lam)
+
+
+def _pencil_proof(gram: _PencilGram, tol: Tol):
+    """:func:`_proves_pencil_full_rank` at ``tol``, as a function of a
+    finite λ, for the values of one request.
+
+    What depends on the request and not on λ is set up once: target² per
+    unit of N₀² (:func:`_target_factor`) and one Gram buffer per dtype,
+    with a view of its diagonal, which each value's update overwrites in
+    full.  N₀ and the shift are computed in the operations and the order
+    the proof states, so each decision is the one-value proof's, bit for
+    bit.
+    """
+    n, G0, S, K, t0, gamma = gram.n, gram.G0, gram.S, gram.K, gram.t0, gram.gamma
+    norm0, root_n, factor = gram.norm0, gram.root_n, _target_factor(gram.shape, tol)
+    real, cplx = np.empty(G0.shape, order="F"), np.empty(G0.shape, np.complex128, order="F")
+    real_diag, cplx_diag = _diagonal(real), _diagonal(cplx)
+    real_head, cplx_head, cplx_re, cplx_im = real_diag[:n], cplx_diag[:n], cplx.real, cplx.imag
+
+    def proves(lam: complex) -> bool:
+        a, b = lam.real, lam.imag
+        norm = norm0 + abs(lam) * root_n
+        norm_sq = norm * norm
+        if not (t0 >= _GRAM_TINY and 2.0 * norm_sq < np.inf):
+            return False
+        if b:
+            H, diagonal, head = cplx, cplx_diag, cplx_head
+            np.multiply(S, -a, out=cplx_re)
+            np.add(cplx_re, G0, out=cplx_re)
+            np.multiply(K, -b, out=cplx_im)
+        else:
+            H, diagonal, head = real, real_diag, real_head
+            np.multiply(S, -a, out=H)
+            H += G0
+        head += a * a + b * b
+        return _cholesky_proves(H, diagonal, _shift(factor * norm_sq, norm_sq, gamma))
+    return proves
 
 
 def rank_of(M, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> int:

@@ -9,8 +9,9 @@ arithmetic at a real λ (zero imaginary part) and in complex arithmetic only
 at a complex λ.  A full rank at λ is proven without forming the matrix: the
 system matrix M₀ − λJ is affine in λ, so its Gram matrix is quadratic in λ,
 and its coefficients are built once per system
-(:attr:`geokit.sysmodel.SystemQuad._pencil_gram`); each value then costs an
-O((n + m)²) update and one Cholesky.  The matrices that still need an SVD
+(:attr:`geokit.sysmodel.SystemQuad._pencil_gram`), and what the tolerance
+sets once per request (:func:`geokit.linalg._pencil_proof`); each value then
+costs an O((n + m)²) update and one Cholesky.  The matrices that still need an SVD
 come from one system-matrix buffer per dtype: B, C and D are written once,
 and only A − λI is rewritten for each value.
 """
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import geometry
 from .errors import SpectrumError
-from .linalg import DEFAULT_TOL, Tol, _proves_pencil_full_rank, _svd_rank, norm2, svd
+from .linalg import DEFAULT_TOL, Tol, _pencil_proof, _svd_rank, norm2, svd
 from .sysmodel import SystemQuad
 
 __all__ = [
@@ -101,14 +102,6 @@ def _system_matrices(sys: SystemQuad, lams):
         yield lam, write(lam)
 
 
-def _proven_full_rank(sys: SystemQuad, lam: complex, tol: Tol) -> bool:
-    """True only when the system matrix at the finite λ has full rank by the
-    SVD threshold: one Cholesky of its Gram matrix, formed from the system's
-    Gram coefficients (:func:`geokit.linalg._proves_pencil_full_rank`), so
-    that neither the matrix nor its Gram product is formed for λ."""
-    return _proves_pencil_full_rank(sys._pencil_gram, lam, tol)
-
-
 def rosenbrock_matrix(sys: SystemQuad, lam: complex) -> np.ndarray:
     """The (n+p) x (n+m) system matrix [[A - λI, B], [C, D]]; at p = 0 the
     reachability pencil [A - λI  B].  It is real when λ is."""
@@ -134,22 +127,31 @@ def rosenbrock_kernels(sys: SystemQuad, lams, tol: Tol = DEFAULT_TOL) -> list[Pe
 
     With m ≤ p each matrix is square or tall, and away from the invariant
     zeros (and any normal-rank loss) its kernel is empty, (n, 0) and (m, 0)
-    in its dtype: one Cholesky proves the full column rank
-    (:func:`_proven_full_rank`), from a Gram matrix updated from the
-    system's Gram coefficients in O((n + m)²), and no matrix is formed and
-    no SVD runs.  Where that proof fails, and whenever m > p, the matrix is
-    written into one buffer per dtype (B, C and D are written once) and
-    factored once: the full SVD's own singular values decide, so every
-    nonempty kernel comes from one SVD."""
-    tall, size, write, kernels = sys.m <= sys.p, sys.n + sys.m, _matrix_writer(sys), []
-    for lam in _finite(lams):
-        if tall and _proven_full_rank(sys, lam, tol):
-            K = np.zeros((size, 0), np.complex128 if lam.imag else np.float64)
+    in its dtype: one Cholesky proves the full column rank, from a Gram
+    matrix updated from the system's Gram coefficients in O((n + m)²)
+    (:func:`geokit.linalg._pencil_proof`, set up once for the request), and
+    no matrix is formed and no SVD runs; the proven values of a dtype share
+    one empty kernel.  Where that proof fails, and whenever m > p, the
+    matrix is written into one buffer per dtype (B, C and D are written
+    once) and factored once: the full SVD's own singular values decide, so
+    every nonempty kernel comes from one SVD.  A value that is not finite
+    raises :class:`SpectrumError` before any kernel is computed."""
+    n, write, kernels = sys.n, _matrix_writer(sys), []
+    lams = list(_finite(lams))
+    tall = sys.m <= sys.p and bool(lams)
+    if tall:
+        proves = _pencil_proof(sys._pencil_gram, tol)
+        empty = [(K[:n], K[n:]) for K in (np.zeros((n + sys.m, 0)),
+                                           np.zeros((n + sys.m, 0), np.complex128))]
+    for lam in lams:
+        if tall and proves(lam):
+            V, W = empty[lam.imag != 0.0]
         else:
             M = write(lam)
             _, s, vh = svd(M)
             K = vh[_svd_rank(s, M.shape, tol):].conj().T.copy()  # a copy frees the rest of vh
-        kernels.append(PencilKernel(lam=lam, V=K[:sys.n], W=K[sys.n:]))
+            V, W = K[:n], K[n:]
+        kernels.append(PencilKernel(lam=lam, V=V, W=W))
     return kernels
 
 
@@ -192,16 +194,20 @@ def _per_conjugate_pair(sys: SystemQuad, lams, tol: Tol) -> list[int]:
     """``rank_of(M, tol)`` of the system matrix M at each λ of ``lams``, once
     per conjugate pair (:func:`_conjugate_shared`): one Cholesky of a Gram
     matrix updated from the system's Gram coefficients usually proves a
-    full rank (:func:`_proven_full_rank`), and the singular values of M
-    decide where M is too ill-conditioned for it."""
+    full rank (:func:`geokit.linalg._pencil_proof`, set up once for the
+    request), and the singular values of M decide where M is too
+    ill-conditioned for it."""
     write, full = _matrix_writer(sys), sys.n + min(sys.m, sys.p)
 
-    def rank(lam: complex) -> int:
-        if _proven_full_rank(sys, lam, tol):
-            return full
-        M = write(lam)
-        return _svd_rank(svd(M, compute_uv=False), M.shape, tol)
-    return _conjugate_shared(lams, lambda todo: map(rank, todo))
+    def ranks(todo):
+        proves = _pencil_proof(sys._pencil_gram, tol)
+        for lam in todo:
+            if proves(lam):
+                yield full
+            else:
+                M = write(lam)
+                yield _svd_rank(svd(M, compute_uv=False), M.shape, tol)
+    return _conjugate_shared(lams, ranks)
 
 
 def _ranks_at_zeros(sys: SystemQuad, zeros, tol: Tol) -> list[int]:

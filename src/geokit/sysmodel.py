@@ -5,7 +5,8 @@ A :class:`SystemQuad` is immutable: its arrays are read-only.  So what does
 not depend on a requested eigenvalue is computed once and kept on it: the
 spectral norms the rank decisions scale by, the Gram coefficients of the
 system matrix that prove its full rank at a requested λ and, once per
-tolerance, the staircases and the Morse frame of :mod:`geokit.geometry`.
+tolerance, the staircases, the friend of V*, the subspaces V*, S* and R*
+and the Morse frame of :mod:`geokit.geometry`.
 
 The file format is a UTF-8 JSON object with keys ``"A"``, ``"B"`` and,
 optionally, ``"C"`` and ``"D"`` (present together or absent together).  Each
@@ -43,11 +44,13 @@ def _real_matrix(a, name: str) -> np.ndarray:
     return _frozen(M)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemQuad:
     """An LTI quadruple x' = Ax + Bu, y = Cx + Du with real entries.
 
-    ``p = 0`` (no outputs) is encoded by C and D with zero rows.
+    ``p = 0`` (no outputs) is encoded by C and D with zero rows.  Two
+    systems are equal only when they are the same object, and hash by
+    identity, like the structure kept on each (``_memo``).
     """
 
     A: np.ndarray

@@ -9,11 +9,11 @@ through, and charges each call to the function that asked for it: the
 first frame outward that is neither one of ``linalg``'s factorization
 wrappers (``svd``, ``norm2``, ``_completion``, ``_orthonormalize``,
 ``_pivoted_leading``, ``rank_of``, the proofs ``_proves_full_rank`` and
-``_proves_pencil_full_rank`` with their ``_cholesky_proves``, and
+``_proves_pencil_full_rank``, the per-request pencil proof ``proves`` that
+``_pencil_proof`` returns, their ``_cholesky_proves``, and
 ``_pencil_gram``), nor the system's ``_pencil_gram`` property that builds
 the pencil's Gram coefficients on first use (with ``functools``' frame
-that calls it), nor ``pencils._proven_full_rank``, nor a generator
-expression.  So ``norm2`` of a residual block is charged to the function
+that calls it), nor a generator expression.  So ``norm2`` of a residual block is charged to the function
 that checks the block, a rank's proof and SVD to the function that asks
 for the rank, the one ``syrk`` of a system's pencil to the first function
 that proves a value on it, and the SVD of ``kernel_basis`` to
@@ -31,9 +31,9 @@ Three workloads:
     ``rstar``, ``invariant_zeros``, ``build_Kh`` at 20 real values and
     ``friend_of(sys, vstar(sys))``, in two rounds on the same systems,
     counted apart as ``picture-1`` and ``picture-2``.  The second round
-    reads the structure the first built (:mod:`geokit.geometry`); what it
-    still factors depends on the requested values or on the subspace
-    passed in.
+    reads the structure the first built (:mod:`geokit.geometry`), the
+    friend of V* and its residual norms included; what it still factors
+    depends on the requested values alone.
 
 Usage:
 
@@ -81,10 +81,9 @@ import cli_report_digests  # noqa: E402
 # the frames, by module, that pass a call on for their caller
 _WRAPPERS = {
     "geokit.linalg": {"svd", "norm2", "_completion", "_orthonormalize", "_pivoted_leading",
-                      "_proves_full_rank", "_proves_pencil_full_rank", "_cholesky_proves",
-                      "_pencil_gram", "rank_of"},
+                      "_proves_full_rank", "_proves_pencil_full_rank", "proves",
+                      "_cholesky_proves", "_pencil_gram", "rank_of"},
     "geokit.sysmodel": {"_pencil_gram"},
-    "geokit.pencils": {"_proven_full_rank"},
     "functools": {"__get__"},
 }
 _COUNTED = ("gesdd", "geqrf", "potrf", "syrk")

@@ -821,19 +821,23 @@ class TestStructureMemo:
         sys = random_system(GenSpec(12, m, p, seed=70 + 10 * m + p))
         for op, _ in MEMO_OPS.values():
             op(sys, DEFAULT_TOL)
+        friend_of(sys, vstar(sys))  # keeps the friend's residual norms too
+        # the three staircases' bases, and F, Omega and R of the friend of
+        # V* and F and Omega again with the R* staircase
         arrays = [x for entry in sys._memo.values() if isinstance(entry, tuple)
                   for x in entry if isinstance(x, np.ndarray)]
+        answers = [entry for entry in sys._memo.values() if isinstance(entry, Subspace)]
         dec = morse_decomposition(sys)
         frame = [getattr(dec, f.name) for f in dataclasses.fields(dec)
                  if isinstance(getattr(dec, f.name), np.ndarray)]
-        assert len(arrays) == 5 and len(frame) == 8
-        for M in arrays + frame + [S.basis for S in (vstar(sys), sstar(sys), rstar(sys))]:
+        assert len(arrays) == 8 and len(answers) == 3 and len(frame) == 8
+        for M in arrays + frame + [S.basis for S in answers]:
             assert not M.flags.writeable
             with pytest.raises(ValueError):
                 M[...] = 0.0
         assert isinstance(dec.stairs, tuple)
-        assert all(isinstance(entry[-1], tuple) for entry in sys._memo.values()
-                   if isinstance(entry, tuple))
+        assert all(isinstance(sys._memo[name, DEFAULT_TOL][-1], tuple)
+                   for name in ("_stairs", "_vstar_stairs", "_rstar_stairs"))
 
     def test_a_frame_that_raises_raises_again(self, monkeypatch):
         sys = without_feedthrough(GenSpec(8, 3, 2, seed=1))
@@ -865,6 +869,24 @@ class TestStructureMemo:
         assert len(built) == 2 and ("_rstar_stairs", DEFAULT_TOL) not in sys._memo
         assert ("_vstar_stairs", DEFAULT_TOL) in sys._memo
 
+    @pytest.mark.parametrize("m, p", MEMO_SHAPES)
+    def test_answers_are_one_read_only_subspace_per_tol(self, m, p):
+        # vstar (E omitted), sstar and rstar keep one Subspace per system
+        # and Tol, bit for bit the answer a new system of copied arrays gives
+        sys = random_system(GenSpec(12, m, p, seed=80 + 10 * m + p))
+        cold = SystemQuad.from_matrices(*(M.copy() for M in (sys.A, sys.B, sys.C, sys.D)))
+        loose = Tol(rel=1e-6, abs=1e-6)
+        ops = {"_vstar": lambda s, tol: vstar(s, None, tol), "sstar": sstar, "rstar": rstar}
+        for tol in (DEFAULT_TOL, loose):
+            for name, op in ops.items():
+                first = op(sys, tol)
+                assert op(sys, tol) is first and sys._memo[name, tol] is first, name
+                assert not first.basis.flags.writeable
+                assert _same_subspace(first, op(cold, tol)), name
+        assert vstar(sys) is vstar(sys, None, DEFAULT_TOL) is vstar(sys, tol=Tol())
+        assert {key for key in sys._memo if key[0] in ops} == {
+            (name, tol) for name in ops for tol in (DEFAULT_TOL, loose)}
+
     def test_the_memo_dies_with_the_system(self):
         sys = random_system(GenSpec(12, 3, 2, seed=3))
         morse_decomposition(sys)
@@ -872,6 +894,102 @@ class TestStructureMemo:
         del sys
         gc.collect()
         assert ref() is None
+
+
+def _with_rstar(m: int, p: int) -> SystemQuad:
+    """A 12-state system whose V* is a proper subspace with R* ≠ 0 where
+    the shape allows (D = 0), or the whole space (p = 0)."""
+    spec = GenSpec(12, m, p, seed=90 + 10 * m + p)
+    return without_feedthrough(spec) if p else random_system(spec)
+
+
+class TestFriendOfVstarMemo:
+    """The least-squares friend of V* is built once per system and Tol and
+    shared by the R* staircase, friend_of and reachability_on, for V* or any
+    Subspace with its bits; each caller's F is its own."""
+
+    @pytest.mark.parametrize("m, p", MEMO_SHAPES)
+    def test_friend_of_vstar_is_a_cold_builds(self, monkeypatch, m, p):
+        sys = _with_rstar(m, p)
+        V = vstar(sys)
+        want = friend_of(_cold(sys), V)  # no V* kept there: the friend of V as given
+        friends = record_calls(monkeypatch, geometry, "_friend")
+        for W in (V, Subspace(V.basis.copy())):
+            got = friend_of(sys, W)
+            assert np.array_equal(got.F, want.F) and got.F.dtype == want.F.dtype
+            assert (got.residual_out, got.residual_inv) == (want.residual_out, want.residual_inv)
+        assert len(friends) == 1  # the friend of V*, kept and read twice
+
+    @pytest.mark.parametrize("m, p", MEMO_SHAPES)
+    def test_the_callers_F_is_its_own(self, m, p):
+        sys = _with_rstar(m, p)
+        first = friend_of(sys, vstar(sys))
+        want = first.F.copy()
+        assert first.F.flags.writeable
+        first.F[...] = 7.0
+        again = friend_of(sys, vstar(sys))
+        assert np.array_equal(again.F, want) and again.F is not first.F
+        assert not np.shares_memory(again.F, geometry._friend_of_vstar(sys, DEFAULT_TOL)[0])
+
+    def test_the_residual_norms_wait_for_friend_of(self, monkeypatch):
+        # R* builds the friend without its spectral norms; the first
+        # friend_of computes the two and the next reads them
+        sys = _with_rstar(3, 2)
+        norms = record_calls(monkeypatch, geometry, "norm2")
+        rstar(sys)
+        R = geometry._friend_of_vstar(sys, DEFAULT_TOL)[3]
+        blocks = [(sys.p, R.shape[1]), (sys.n, R.shape[1])]
+        assert not any(M.shape in blocks for M in norms)  # the Krylov run's scale only
+        assert ("_friend_of_vstar_norms", DEFAULT_TOL) not in sys._memo
+        del norms[:]
+        fb = friend_of(sys, vstar(sys))
+        assert [M.shape for M in norms] == blocks
+        assert (fb.residual_out, fb.residual_inv) == (norm2(R[sys.n:]), norm2(R[:sys.n]))
+        friend_of(sys, vstar(sys))
+        assert len(norms) == 2
+
+    @pytest.mark.parametrize("m, p", [(3, 2), (2, 2), (2, 0)])
+    def test_one_ulp_off_takes_the_path_of_any_subspace(self, monkeypatch, m, p):
+        sys = _with_rstar(m, p)
+        V = vstar(sys)
+        assert V.dim > 0
+        rstar(sys)
+        basis = V.basis.copy()
+        basis[0, 0] = np.nextafter(basis[0, 0], np.inf)
+        off = Subspace(basis)
+        friends = record_calls(monkeypatch, geometry, "_friend")
+        fb, reach = friend_of(sys, off), reachability_on(sys, off)
+        assert len(friends) == 2
+        cold = _cold(sys)
+        assert np.array_equal(fb.F, friend_of(cold, off).F)
+        assert _same_subspace(reach, reachability_on(cold, off))
+
+    @pytest.mark.parametrize("m, p", MEMO_SHAPES)
+    def test_rstar_serves_reachability_and_placement(self, monkeypatch, m, p):
+        sys = _with_rstar(m, p)
+        R, V = rstar(sys), vstar(sys)
+        spectrum = [-1.0, -2.0 + 1.0j, -2.0 - 1.0j, -3.0]
+        want = friend_of(_cold(sys), V, spectrum)  # the staircase on V as given
+        stairs = record_calls(monkeypatch, geometry, "_staircase")
+        friends = record_calls(monkeypatch, geometry, "_friend")
+        assert reachability_on(sys, V) is R
+        assert reachability_on(sys, Subspace(V.basis.copy())) is R
+        got = friend_of(sys, V, spectrum)
+        assert stairs == [] and friends == []
+        assert np.array_equal(got.F, want.F)
+        assert [lam for lam, _ in got.assigned] == [lam for lam, _ in want.assigned]
+        assert all(np.array_equal(u, v) for (_, u), (_, v) in zip(got.assigned, want.assigned))
+        assert (got.residual_eig, got.residual_out, got.residual_inv, got.cond_V) == (
+            want.residual_eig, want.residual_out, want.residual_inv, want.cond_V)
+
+    def test_nothing_is_built_to_recognise_vstar(self, monkeypatch):
+        # with no V* kept, a subspace is not compared with one: V* is not
+        # built for the question
+        sys = _with_rstar(3, 2)
+        V = vstar(_cold(sys))
+        stairs = record_calls(monkeypatch, geometry, "_staircase")
+        friend_of(sys, V)
+        assert stairs == [] and ("_vstar", DEFAULT_TOL) not in sys._memo
 
 
 class TestIntersectionFormula:

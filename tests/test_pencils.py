@@ -418,6 +418,73 @@ class TestPencilProof:
         assert proven > 0 and denied > 0
 
 
+def _planted_tall(sigma: float, lam: float) -> SystemQuad:
+    """A (6, 2, 3) system whose Rosenbrock matrix at the real ``lam`` has
+    singular values 2 … 1 and a smallest one, ``sigma``."""
+    n, m, p = 6, 2, 3
+    rng = np.random.default_rng(7)
+    U = np.linalg.qr(rng.standard_normal((n + p, n + p)))[0]
+    V = np.linalg.qr(rng.standard_normal((n + m, n + m)))[0]
+    M = U[:, :n + m] * np.r_[np.linspace(2.0, 1.0, n + m - 1), sigma] @ V.T
+    return SystemQuad.from_matrices(M[:n, :n] + lam * np.eye(n), M[:n, n:], M[n:, :n], M[n:, n:])
+
+
+def _planted_pair(delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """A symmetric A with eigenvalues −1 … −5 and 0.7 beside a B that
+    reaches the 0.7 mode by ``delta`` only, mixed by an orthogonal change
+    of basis: [A − 0.7 I  B] has a σ_min of about ``delta``."""
+    rng = np.random.default_rng(7)
+    Q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    B = np.zeros((6, 2))
+    B[:5] = rng.standard_normal((5, 2))
+    B[5, 0] = delta
+    return Q @ np.diag([-1.0, -2.0, -3.0, -4.0, -5.0, 0.7]) @ Q.T, Q @ B
+
+
+class TestProofFollowsTheTol:
+    """The proof's target is set up once per request, from the caller's
+    Tol: a σ_min planted between the default target and the target of
+    Tol(rel=1e-6) is proven at the default and left to the singular values
+    at the coarse one, and both answers are the SVD's."""
+
+    COARSE = Tol(rel=1e-6)
+
+    @staticmethod
+    def _in_band(M: np.ndarray) -> bool:
+        # ten times the default proof's limit, and below the least σ_min
+        # the coarse proof accepts, 2 · 1e-6 · max(rows, cols) · ‖M‖_F
+        s, norm = svd(M, compute_uv=False), np.linalg.norm(M)
+        limit = np.sqrt(linalg._gram_shift(M.shape, norm ** 2, DEFAULT_TOL))
+        return 10.0 * limit < s[-1] < 2e-6 * max(M.shape) * norm
+
+    def test_rosenbrock_kernels(self, monkeypatch):
+        lam = -0.5
+        sys = _planted_tall(2e-5, lam)
+        M = rosenbrock_matrix(sys, lam).copy()
+        assert self._in_band(M)
+        lams = [-3.0, lam, 0.25 + 1.5j]
+        gesdd = _record_gesdd(monkeypatch)
+        for tol, factored in ((DEFAULT_TOL, []), (self.COARSE, [(M.shape, True)]),
+                              (DEFAULT_TOL, [])):
+            del gesdd[:]
+            assert [K.q for K in rosenbrock_kernels(sys, lams, tol)] == [0, 0, 0]
+            assert gesdd == factored
+            assert _svd_rank(svd(M, compute_uv=False), M.shape, tol) == min(M.shape)
+
+    def test_uncontrollable_eigenvalues(self, monkeypatch):
+        A, B = _planted_pair(1e-4)
+        sys = SystemQuad.from_matrices(A, B)
+        M = rosenbrock_matrix(sys, 0.7).copy()
+        assert self._in_band(M)
+        gesdd = _record_gesdd(monkeypatch)
+        for tol, factored in ((DEFAULT_TOL, []), (self.COARSE, [(M.shape, False)]),
+                              (DEFAULT_TOL, [])):
+            del gesdd[:]
+            assert uncontrollable_eigenvalues(A, B, tol) == []
+            assert gesdd == [((6, 6), False)] + factored  # beside the spectral norm of A
+            assert rank_of(M, tol) == 6
+
+
 class TestRosenbrockKernels:
     # one buffer per dtype serves every value: each kernel must still be the
     # one its own matrix gives, bit for bit, in its dtype and request order
@@ -491,7 +558,7 @@ class TestUncontrollable:
         T = np.linalg.qr(rng.standard_normal((n, n)))[0]
         A, B = T @ A @ T.T, T @ B
         calls = []
-        monkeypatch.setattr(pencils, "_proven_full_rank", _spy_on_proofs(calls))
+        monkeypatch.setattr(pencils, "_pencil_proof", _spy_on_proofs(calls))
         gesdd = _record_gesdd(monkeypatch)
         vals = uncontrollable_eigenvalues(A, B)
         assert len(vals) == 2 and vals[0] == vals[1].conjugate()
@@ -513,20 +580,24 @@ class TestUncontrollable:
         sys = random_system(GenSpec(6, 2, 2, seed=0))
         lams = [-1 + 0.5j, -1 - 0.500000001j, -2.0, -3 + 1j, -3 - 1j]
         decided = []
-        monkeypatch.setattr(pencils, "_proven_full_rank", _spy_on_proofs(decided))
+        monkeypatch.setattr(pencils, "_pencil_proof", _spy_on_proofs(decided))
         ranks = pencils._per_conjugate_pair(sys, lams, DEFAULT_TOL)
         assert decided == lams[:4]
         assert ranks == [rank_of(rosenbrock_matrix(sys, lam)) for lam in lams]
 
 
 def _spy_on_proofs(decided):
-    """``pencils._proven_full_rank`` that records each λ it is asked at:
-    every value whose rank is decided is asked first."""
-    proven = pencils._proven_full_rank
+    """``pencils._pencil_proof`` whose proofs record each λ they are asked
+    at: every value whose rank is decided is asked first."""
+    proof = pencils._pencil_proof
 
-    def spy(sys, lam, tol):
-        decided.append(lam)
-        return proven(sys, lam, tol)
+    def spy(gram, tol):
+        proves = proof(gram, tol)
+
+        def recorded(lam):
+            decided.append(lam)
+            return proves(lam)
+        return recorded
     return spy
 
 

@@ -69,6 +69,17 @@ class TestSystemQuad:
         assert sys.A.dtype == sys.C.dtype == np.float64
         assert sys.A[0, 0] == 1.0 and sys.C[0, 0] == 2.0
 
+    @pytest.mark.parametrize("m, p", [(2, 1), (2, 0)])
+    def test_equality_and_hash_are_identity(self, m, p):
+        # comparing or hashing arrays field by field would raise: a system
+        # equals only itself, as the structure kept on it is its own
+        sys = random_system(GenSpec(n=4, m=m, p=p, seed=5))
+        twin = SystemQuad.from_matrices(sys.A, sys.B, sys.C, sys.D)
+        assert sys == sys and not sys != sys
+        assert sys != twin and not sys == twin
+        assert hash(sys) == object.__hash__(sys) and hash(twin) == object.__hash__(twin)
+        table = {sys: 1, twin: 2}
+        assert table[sys] == 1 and table[twin] == 2 and len({sys, sys, twin}) == 2
 
     @pytest.mark.parametrize("m, p", [(2, 1), (3, 2), (2, 0)])
     def test_scales_are_norms_as_stacked(self, m, p):
