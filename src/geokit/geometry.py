@@ -24,8 +24,8 @@ space, the friend of V*, the R* staircase on V*, the answers V*, S* and R*
 and the Morse frame are built once per system and tolerance, kept on the
 system (``_memoized``) and shared by every op that reads them:
 :func:`vstar`, :func:`sstar` and :func:`rstar`, which return one Subspace
-each, their sequences, :func:`friend_of` and :func:`reachability_on` of
-V* (or of a Subspace with its bits), :func:`morse_decomposition` and,
+each and end their sequences, :func:`friend_of` and
+:func:`reachability_on` of that V*, :func:`morse_decomposition` and,
 through it, the invariant zeros, the normal rank and the Kh frame.  Their
 arrays are read-only; :func:`friend_of` hands out a copy of its F.
 
@@ -251,10 +251,14 @@ def vstar_sequence(sys: SystemQuad, E: Subspace | None = None, tol: Tol = DEFAUL
     system (A', C', B', D') started at the orthogonal complement of E.  One
     staircase run of the dual gives every term: with its basis completed to
     an orthonormal basis of the state space, the k-th term is spanned by the
-    columns past the k-th stair.
+    columns past the k-th stair.  With E omitted the chain ends in the V*
+    kept on the system (:func:`vstar`).
     """
-    Q, dims = _vstar_stairs(sys, tol) if E is None else _dual_stairs(sys, E, tol)
-    return [Subspace.full(sys.n) if E is None else E] + [_span(Q[:, d:]) for d in dims[1:]]
+    if E is not None:
+        Q, dims = _dual_stairs(sys, E, tol)
+        return [E] + [_span(Q[:, d:]) for d in dims[1:]]
+    Q, dims = _vstar_stairs(sys, tol)
+    return [Subspace.full(sys.n)] + [_span(Q[:, d:]) for d in dims[1:-1]] + [_vstar(sys, tol)]
 
 
 def vstar(sys: SystemQuad, E: Subspace | None = None, tol: Tol = DEFAULT_TOL) -> Subspace:
@@ -276,13 +280,10 @@ def _vstar(sys: SystemQuad, tol: Tol) -> Subspace:
 
 
 def _is_vstar(sys: SystemQuad, V: Subspace, tol: Tol) -> bool:
-    """True when V is the V* kept on ``sys`` at ``tol`` (:func:`vstar`), or
-    a Subspace whose basis has its shape, its dtype and its bits; False
-    also when no V* is kept, which is not built for the question."""
-    kept = _vstar.kept(sys, tol)
-    return kept is not None and (V is kept or (
-        V.basis.shape == kept.basis.shape and V.basis.dtype == kept.basis.dtype
-        and np.array_equal(V.basis, kept.basis)))
+    """True when V is the V* kept on ``sys`` at ``tol``: the Subspace that
+    :func:`vstar` returns and :func:`vstar_sequence` ends in.  False also
+    when no V* is kept, which is not built for the question."""
+    return V is _vstar.kept(sys, tol)
 
 
 @_memoized
@@ -317,10 +318,11 @@ def sstar_sequence(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> list[Subspace]:
     step-wise reachable subspaces ``im[B, ..., A^(j-1)B]``.
 
     The terms are the stairs of one staircase run: the j-th is spanned by
-    the first ``dim S_j`` columns of its orthonormal basis.
+    the first ``dim S_j`` columns of its orthonormal basis.  The chain ends
+    in the S* kept on the system (:func:`sstar`).
     """
     Q, dims = _stairs(sys, tol)
-    return [_span(Q[:, :d]) for d in dims]
+    return [_span(Q[:, :d]) for d in dims[:-1]] + [sstar(sys, tol)]
 
 
 @_memoized
@@ -461,8 +463,7 @@ def reachability_on(sys: SystemQuad, V: Subspace, tol: Tol = DEFAULT_TOL) -> Sub
     V ∩ B ker D.  The result does not depend on the friend.  Raises
     :class:`NotInvariantError` if V is not output nulling and
     :class:`NumericalError` if the result leaves V by more than ``tol.abs``.
-    On the V* kept on the system (:func:`vstar`), or a copy of it, it is
-    :func:`rstar`.
+    On the V* kept on the system (:func:`vstar`) it is :func:`rstar`.
     """
     if _is_vstar(sys, V, tol):
         return rstar(sys, tol)
@@ -473,7 +474,7 @@ def _reach_along(sys: SystemQuad, V: Subspace, tol: Tol):
     """``(F, Omega, m1, Q, dims)``: the least-squares friend F and Omega of
     :func:`_friend`, and the staircase of (A+BF, B Omega1).  For V = V* it
     is Morse's R* recursion: Q[:, :dims[h]] spans V* ∩ S_h, and the V*
-    kept on the system, or a copy of it, takes the friend kept with it
+    kept on the system takes the friend kept with it
     (:func:`_friend_of_vstar`)."""
     F, Omega, m1, _ = _friend_of_vstar(sys, tol) if _is_vstar(sys, V, tol) else _friend(sys, V, tol)
     if m1 == 0:

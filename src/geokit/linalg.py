@@ -22,18 +22,16 @@ from this module only: ``geqrf`` and ``orgqr``/``ungqr`` complete a basis as
 ``numpy.linalg.qr(M, mode="complete")`` does (:func:`_completion`) and
 orthonormalise columns whose count a staircase or a kernel has decided, so
 that no second threshold decides it again (:func:`_orthonormalize`, after
-``geqp3`` in :func:`_pivoted_leading`).  The BLAS ``syrk``/``herk`` bound
-there too forms Gram matrices.  A full rank is read off a proof where one
-exists, with one decision rule (:func:`_cholesky_proves`): one Cholesky
-(``potrf``) of a Gram matrix less a shift proves a well-conditioned matrix,
-accepting only what the singular-value threshold would; the SVD decides the
-rest.  The Gram matrix comes from one of two sources: :func:`rank_of`
-forms it by ``syrk`` (:func:`_proves_full_rank`), and a pencil M₀ − λJ
-updates it at each λ from coefficients formed once, by one ``syrk``
-(:func:`_pencil_gram`, :func:`_proves_pencil_full_rank`), with what does
-not depend on λ set up once per request (:func:`_pencil_proof`).  A
-spectral norm that is only compared with a bound is not computed where the
-Frobenius norm, which bounds it, already decides.
+``geqp3`` in :func:`_pivoted_leading`).  One proof reads a full rank
+without an SVD, for a pencil M₀ − λJ such as a system matrix: one BLAS
+``syrk`` forms the coefficients of its Gram matrix, a quadratic in λ, once
+(:func:`_pencil_gram`), and at each λ one Cholesky (``potrf``) of that
+Gram matrix, updated and less a shift, proves a well-conditioned M(λ) of
+full rank, accepting only what the singular-value threshold would
+(:func:`_pencil_proof`); the SVD decides the rest.  :func:`rank_of` reads
+every other rank off the singular values alone.  A spectral norm that is
+only compared with a bound is not computed where the Frobenius norm, which
+bounds it, already decides.
 """
 
 from __future__ import annotations
@@ -264,105 +262,9 @@ _EPS = float(np.finfo(np.float64).eps)
 _GRAM_TINY = float(np.finfo(np.float64).tiny) / _EPS
 
 
-def _gram_gamma(shape) -> float:
-    """γ = (rows + cols + 10) ε: the relative slack of the Cholesky proof of
-    a ``shape`` matrix (:func:`_proves_full_rank`)."""
-    return (sum(shape) + 10) * _EPS
-
-
-def _target_factor(shape, tol: Tol) -> float:
-    """4 · floor², floor = max(tol.rel · max(rows, cols), 64 (rows + cols) ε):
-    the square of the least σ_min the Cholesky proof of a ``shape`` matrix
-    accepts at ``tol``, per unit of N² (:func:`_proves_full_rank`)."""
-    floor = max(tol.rel * max(shape), 64.0 * sum(shape) * _EPS)
-    return 4.0 * floor * floor
-
-
-def _shift(target_sq: float, norm_sq: float, gamma: float) -> float:
-    """s = (target² + γ N²)(1 + γ), the shift that the Cholesky proof takes
-    off the Gram matrix (:func:`_proves_full_rank`)."""
-    return (target_sq + gamma * norm_sq) * (1.0 + gamma)
-
-
-def _gram_shift(shape, norm_sq: float, tol: Tol, scale: float | None = None) -> float:
-    """The shift s that the Cholesky proof takes off the Gram matrix of a
-    ``shape`` matrix M with ‖M‖_F² ≤ ``norm_sq`` = N²; √s is the least
-    σ_min the proof reaches."""
-    scale = scale or 0.0
-    target_sq = _target_factor(shape, tol) * max(norm_sq, scale * scale)
-    return _shift(target_sq, norm_sq, _gram_gamma(shape))
-
-
 def _diagonal(H: np.ndarray) -> np.ndarray:
     """A writable view of the diagonal of the square, contiguous ``H``."""
     return H.ravel(order="K")[::H.shape[0] + 1]
-
-
-def _cholesky_proves(H: np.ndarray, diagonal: np.ndarray, shift: float) -> bool:
-    """The one decision rule of the full-rank proofs: True when ``potrf``
-    completes on H − s I, s = ``shift`` (:func:`_gram_shift`).  H is the
-    F-ordered Gram matrix of a matrix M, or its conjugate, with its lower
-    triangle computed to within the proof's slack (:func:`_proves_full_rank`),
-    and ``diagonal`` a view of its diagonal (:func:`_diagonal`); H is
-    overwritten."""
-    diagonal -= shift
-    potrf = _LAPACK["c" if H.dtype.kind == "c" else "f"]["potrf"]
-    return potrf(H, lower=1, clean=False, overwrite_a=True)[1] == 0
-
-
-def _proves_full_rank(M: np.ndarray, tol: Tol, scale: float | None = None) -> bool:
-    """True only when ``_svd_rank(svd(M, compute_uv=False), M.shape, tol,
-    scale)`` would be min(rows, cols) for the nonempty ``M``; False means
-    "not proven", not "rank deficient".  ``M`` is left as it is.
-
-    The proof accepts only σ_min(M) ≥ target = 2 · floor · max(N, scale),
-    with N ≥ ‖M‖_F and floor = max(tol.rel · max(rows, cols),
-    64 (rows + cols) ε) (:func:`_gram_shift`).  Since ‖M‖_F ≥ σ_max(M), that
-    clears the SVD threshold tol.rel · max(rows, cols) · max(σ_max, scale)
-    twice over; the factor 2 and the ε term, which decides for a tiny
-    ``tol.rel``, cover the backward error of gesdd in either orientation.
-
-    Let T be M, or Mᵀ when M is wide: k × c with k ≥ c and M's singular
-    values.  Let u = ε/2 and γ = (rows + cols + 10) ε.  One BLAS ``syrk``
-    (``herk``) forms the Gram matrix Ĝ = fl(TᴴT), or its conjugate, which has
-    the same eigenvalues.  Its entries are k-term inner products, so
-    |Ĝ − TᴴT| ≤ γ_{k+2} |T|ᴴ|T| and ‖Ĝ − TᴴT‖₂ ≤ γ_{k+2} ‖T‖_F² (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2002, §3.5; the +2
-    covers complex products, §3.6).  Its diagonal sums nonnegative terms, so
-    the computed trace t gives ‖M‖_F² ≤ t (1 + γ) = N².  Then
-    H = fl(Ĝ − s I) is off Ĝ − s I by at most u (N² + s) in norm.  A
-    completed ``potrf`` gives R̂ᴴR̂ = H + ΔH ⪰ 0 with ‖ΔH‖₂ ≤
-    γ_{c+3} trace(H) / (1 − γ_{c+3}) (Thm 10.3, again +2 for complex), and
-    trace(H) ≤ (1 + u) N².  Together,
-
-        σ_min(M)² = λ_min(TᴴT) ≥ s (1 − u) − (γ_{k+2} + γ_{c+3} + 2u) N²
-                               ≥ s (1 − u) − γ N² / 2,
-
-    since γ_j ≈ j u.  With s = (target² + γ N²)(1 + γ), that is
-    σ_min(M) ≥ target, with γ N² / 2 to spare for the rounding of s itself
-    and for products that underflow while t ≥ tiny / ε.  The Gram matrix
-    squares the condition number, so the proof reaches down to
-    σ_min ≈ √γ ‖M‖_F, about 2e-7 ‖M‖_F at 83 × 82; below that the singular
-    values decide (:func:`_cholesky_proves`).
-
-    A Cholesky that stops (info > 0: a pivot that is not positive) is not
-    proven, nor is a trace that is not finite or is below tiny / ε.  The
-    trace guard is what keeps a NaN or an inf out of H: OpenBLAS's
-    ``potrf`` completes on either.
-    """
-    rows, cols = M.shape
-    kind = "c" if M.dtype.kind == "c" else "f"
-    # Mᵀ of a C-ordered M is in BLAS's column order: no copy.  It gives the
-    # conjugate of MᴴM for a tall M and, transposed once more, of MMᴴ for a
-    # wide one
-    H = _LAPACK[kind]["syrk"](1.0, M.T, trans=0 if rows >= cols else (1, 2)[kind == "c"],
-                              lower=1)
-    diagonal = _diagonal(H)
-    t = float(diagonal.real.sum())
-    if not _GRAM_TINY <= t < np.inf:
-        return False
-    return _cholesky_proves(H, diagonal, _gram_shift(M.shape, t * (1.0 + _gram_gamma(M.shape)),
-                                                     tol, scale))
 
 
 class _PencilGram(NamedTuple):
@@ -378,10 +280,7 @@ class _PencilGram(NamedTuple):
 
     G₀ = T₀ᵀT₀, S = P + Pᵀ, K = P − Pᵀ and E = diag(Iₙ, 0).  ``shape`` is
     M₀'s; ``G0`` holds fl(G₀) in its lower triangle and ``t0`` is its
-    computed trace.  The arrays are F-ordered and read-only.  What the
-    proof reads at every λ whatever the tolerance is kept with them:
-    ``gamma`` = γ of ``shape`` (:func:`_gram_gamma`), ``norm0`` =
-    √(t₀ (1 + γ)) ≥ ‖M₀‖_F and ``root_n`` = √n.
+    computed trace.  The arrays are F-ordered and read-only.
     """
 
     shape: tuple[int, int]
@@ -390,16 +289,13 @@ class _PencilGram(NamedTuple):
     S: np.ndarray
     K: np.ndarray
     t0: float
-    gamma: float
-    norm0: float
-    root_n: float
 
 
 def _pencil_gram(M0: np.ndarray, n: int) -> _PencilGram:
     """The Gram coefficients of the pencil M₀ − λJ of the real C-ordered
-    ``M0`` whose λ-dependent block is its leading n × n: one ``syrk``,
-    however many values are proven from them later
-    (:func:`_proves_pencil_full_rank`)."""
+    ``M0`` whose λ-dependent block is its leading n × n: one ``syrk``, the
+    only Gram product geokit forms, however many values are proven from
+    them later (:func:`_pencil_proof`)."""
     rows, cols = M0.shape
     T0 = M0 if rows >= cols else M0.T
     G0 = _LAPACK["f"]["syrk"](1.0, M0.T, trans=0 if rows >= cols else 1, lower=1)
@@ -408,65 +304,77 @@ def _pencil_gram(M0: np.ndarray, n: int) -> _PencilGram:
     S, K = np.add(P, P.T, order="F"), np.subtract(P, P.T, order="F")
     for X in (G0, S, K):
         X.setflags(write=False)
-    t0, gamma = float(_diagonal(G0).sum()), _gram_gamma(M0.shape)
-    return _PencilGram(M0.shape, n, G0, S, K, t0, gamma, math.sqrt(t0 * (1.0 + gamma)),
-                       math.sqrt(n))
-
-
-def _proves_pencil_full_rank(gram: _PencilGram, lam: complex, tol: Tol) -> bool:
-    """:func:`_proves_full_rank` of M(λ) = M₀ − λJ from the Gram
-    coefficients ``gram`` of the pencil: the same decision rule, with the
-    Gram matrix formed by an O(c²) update instead of a product, and M(λ)
-    never formed.  A request of many values takes :func:`_pencil_proof`
-    once and proves each value with the function it returns: the same
-    decision, bit for bit.
-
-    The update H = Ĝ₀ − Re λ · S − i Im λ · K + |λ|²E is T(λ)ᴴT(λ), or its
-    conjugate, up to rounding (:class:`_PencilGram`).  The bound on
-    ‖M(λ)‖_F is N₀ = √(t₀ (1 + γ)) + |λ| √n: ‖M₀‖_F² ≤ t₀ (1 + γ), as for
-    the computed trace t of :func:`_proves_full_rank`, and ‖λJ‖_F = |λ| √n.
-    N₀ ≥ ‖M₀‖_F and N₀ ≥ ‖M(λ)‖_F, by the triangle inequality.  The
-    accounting of :func:`_proves_full_rank` then holds with N₀ for N:
-
-    - Ĝ₀ is off G₀ by at most γ_{k+2} ‖M₀‖_F² ≤ γ_{k+2} N₀² in norm
-      (Higham 2002, §3.5);
-    - S and K copy entries of M₀, exactly but in the n × n block of A,
-      where each entry is one rounded sum or difference of two;
-    - each entry of H is rounded at most five times more: the product by
-      Re λ or Im λ, the addition of Ĝ₀ and, on the diagonal, the three
-      operations of |λ|² and its addition.  So H is off by at most γ_5
-      times |Ĝ₀| + |Re λ||S| + |Im λ||K| + |λ|²E, whose norm is at most
-      ‖M₀‖_F² (1 + γ) + 2√2 |λ| ‖M₀‖_F + |λ|² ≤ 2 N₀²: 10u N₀²;
-    - the shift and the Cholesky add what they add there (Thm 10.3).
-
-    That is at most (γ_{k+2} + γ_{c+3} + 12u) N₀², less than γ N₀² by
-    (rows + cols + 3)u N₀², and s = (target² + γ N₀²)(1 + γ) covers it:
-    σ_min(M(λ)) ≥ target again.  The spare covers the few relative
-    roundings of N₀ itself and the products that underflow while
-    t₀ ≥ tiny / ε.  At a large |λ|, N₀ is looser than the bound the
-    computed trace of the product gives, so the proof reaches less far
-    there and leaves more values to the singular values.
-
-    Not proven: a t₀ below tiny / ε or not finite, and an N₀² from half the
-    largest float up, where an entry of H could overflow; there H is
-    never formed.  The caller checks that λ is finite.
-    """
-    return _pencil_proof(gram, tol)(lam)
+    return _PencilGram(M0.shape, n, G0, S, K, float(_diagonal(G0).sum()))
 
 
 def _pencil_proof(gram: _PencilGram, tol: Tol):
-    """:func:`_proves_pencil_full_rank` at ``tol``, as a function of a
-    finite λ, for the values of one request.
+    """The full-rank proof of M(λ) = M₀ − λJ at ``tol``, from the Gram
+    coefficients ``gram`` of the pencil, as a function of a finite λ for
+    the values of one request.  It returns True only when
+    ``_svd_rank(svd(M(λ), compute_uv=False), M(λ).shape, tol)`` would be
+    min(rows, cols); False means "not proven", not "rank deficient".  M(λ)
+    is never formed: its Gram matrix is an O(c²) update of the
+    coefficients, and one Cholesky (``potrf``) of it less a shift decides.
 
-    What depends on the request and not on λ is set up once: target² per
-    unit of N₀² (:func:`_target_factor`) and one Gram buffer per dtype,
-    with a view of its diagonal, which each value's update overwrites in
-    full.  N₀ and the shift are computed in the operations and the order
-    the proof states, so each decision is the one-value proof's, bit for
-    bit.
+    The proof accepts only σ_min(M(λ)) ≥ target = 2 · floor · N₀, with
+    N₀ ≥ ‖M(λ)‖_F (below) and floor = max(tol.rel · max(rows, cols),
+    64 (rows + cols) ε).  Since ‖M(λ)‖_F ≥ σ_max(M(λ)), that clears the SVD
+    threshold tol.rel · max(rows, cols) · σ_max twice over; the factor 2
+    and the ε term, which decides for a tiny ``tol.rel``, cover the
+    backward error of gesdd in either orientation.
+
+    Let u = ε/2, γ = (rows + cols + 10) ε, and T(λ), k × c with k ≥ c, be
+    M(λ) or M(λ)ᵀ (:class:`_PencilGram`).  The diagonal of fl(G₀) sums
+    nonnegative terms, so its computed trace t₀ gives
+    ‖M₀‖_F² ≤ t₀ (1 + γ), and ‖λJ‖_F = |λ| √n: by the triangle inequality
+    N₀ = √(t₀ (1 + γ)) + |λ| √n bounds both ‖M₀‖_F and ‖M(λ)‖_F.  The
+    update H = fl(G₀) − Re λ · S − i Im λ · K + |λ|²E − s I is
+    T(λ)ᴴT(λ) − s I, or its conjugate, which has the same eigenvalues, up
+    to rounding:
+
+    - fl(G₀), from one BLAS ``syrk``, has k-term inner products for
+      entries, so it is off G₀ by at most γ_{k+2} ‖M₀‖_F² ≤ γ_{k+2} N₀² in
+      norm (Higham, *Accuracy and Stability of Numerical Algorithms*,
+      2002, §3.5; the +2 covers complex products, §3.6);
+    - S and K copy entries of M₀, exactly but in the n × n block of A,
+      where each entry is one rounded sum or difference of two;
+    - each entry of H is rounded at most five times more: the product by
+      Re λ or Im λ, the addition of fl(G₀) and, on the diagonal, the three
+      operations of |λ|² and its addition.  So H is off by at most γ_5
+      times |fl(G₀)| + |Re λ||S| + |Im λ||K| + |λ|²E, whose norm is at most
+      ‖M₀‖_F² (1 + γ) + 2√2 |λ| ‖M₀‖_F + |λ|² ≤ 2 N₀²: 10u N₀²;
+    - the shift adds at most u (N₀² + s), and a completed ``potrf`` gives
+      R̂ᴴR̂ = H + ΔH ⪰ 0 with ‖ΔH‖₂ ≤ γ_{c+3} trace(H) / (1 − γ_{c+3})
+      (Thm 10.3, again +2 for complex), trace(H) ≤ (1 + u) N₀².
+
+    Together, since γ_j ≈ j u,
+
+        σ_min(M(λ))² ≥ s (1 − u) − (γ_{k+2} + γ_{c+3} + 12u) N₀²
+                     ≥ s (1 − u) − γ N₀² / 2.
+
+    With s = (target² + γ N₀²)(1 + γ), that is σ_min(M(λ)) ≥ target, with
+    γ N₀² / 2 to spare for the few relative roundings of N₀ and s and for
+    the products that underflow while t₀ ≥ tiny / ε.  The Gram matrix
+    squares the condition number, so the proof reaches down to
+    σ_min ≈ √γ N₀, about 2e-7 N₀ at 83 × 82; below that, and at a large
+    |λ|, where N₀ is looser than ‖M(λ)‖_F, the singular values decide.
+
+    Not proven: a Cholesky that stops (info > 0: a pivot that is not
+    positive), a t₀ below tiny / ε or not finite, and an N₀² from half the
+    largest float up, where an entry of H could overflow; there H is never
+    formed.  The trace guard is what keeps a NaN or an inf out of H:
+    OpenBLAS's ``potrf`` completes on either.
+
+    What depends on the request and not on λ is set up once: γ,
+    √(t₀ (1 + γ)), √n, target² per unit of N₀², and one Gram buffer per
+    dtype, with a view of its diagonal, which each value's update
+    overwrites in full.
     """
-    n, G0, S, K, t0, gamma = gram.n, gram.G0, gram.S, gram.K, gram.t0, gram.gamma
-    norm0, root_n, factor = gram.norm0, gram.root_n, _target_factor(gram.shape, tol)
+    shape, n, G0, S, K, t0 = gram
+    gamma = (sum(shape) + 10) * _EPS
+    norm0, root_n = math.sqrt(t0 * (1.0 + gamma)), math.sqrt(n)
+    floor = max(tol.rel * max(shape), 64.0 * sum(shape) * _EPS)
+    factor = 4.0 * floor * floor
     real, cplx = np.empty(G0.shape, order="F"), np.empty(G0.shape, np.complex128, order="F")
     real_diag, cplx_diag = _diagonal(real), _diagonal(cplx)
     real_head, cplx_head, cplx_re, cplx_im = real_diag[:n], cplx_diag[:n], cplx.real, cplx.imag
@@ -487,7 +395,8 @@ def _pencil_proof(gram: _PencilGram, tol: Tol):
             np.multiply(S, -a, out=H)
             H += G0
         head += a * a + b * b
-        return _cholesky_proves(H, diagonal, _shift(factor * norm_sq, norm_sq, gamma))
+        diagonal -= (factor * norm_sq + gamma * norm_sq) * (1.0 + gamma)
+        return _LAPACK[H.dtype.kind]["potrf"](H, lower=1, clean=False, overwrite_a=True)[1] == 0
     return proves
 
 
@@ -496,13 +405,10 @@ def rank_of(M, tol: Tol = DEFAULT_TOL, scale: float | None = None) -> int:
 
     ``scale``, when given, enters the cutoff as a floor for the largest
     singular value; pass the norm of the factors when ``M`` is a product
-    that may be zero up to roundoff.  A full rank proven by one Cholesky
-    of the shifted Gram matrix (:func:`_proves_full_rank`) needs no singular
-    values.
+    that may be zero up to roundoff.  The singular values alone decide: an
+    empty ``M`` has none, and rank 0.
     """
     M = as_matrix(M)
-    if M.size == 0 or _proves_full_rank(M, tol, scale):
-        return min(M.shape)
     return _svd_rank(svd(M, compute_uv=False), M.shape, tol, scale)
 
 

@@ -6,12 +6,13 @@ zeros and the normal rank (both read off the Morse frame of
 
 A pencil of a real system is built, and its kernel computed, in real
 arithmetic at a real λ (zero imaginary part) and in complex arithmetic only
-at a complex λ.  A full rank at λ is proven without forming the matrix: the
-system matrix M₀ − λJ is affine in λ, so its Gram matrix is quadratic in λ,
-and its coefficients are built once per system
-(:attr:`geokit.sysmodel.SystemQuad._pencil_gram`), and what the tolerance
-sets once per request (:func:`geokit.linalg._pencil_proof`); each value then
-costs an O((n + m)²) update and one Cholesky.  The matrices that still need an SVD
+at a complex λ.  A full rank at λ is proven without forming the matrix,
+by geokit's one full-rank proof (:func:`geokit.linalg._pencil_proof`): the
+system matrix M₀ − λJ is affine in λ, so its Gram matrix is quadratic in λ;
+its coefficients are built once per system
+(:attr:`geokit.sysmodel.SystemQuad._pencil_gram`) and what the tolerance
+sets once per request, and each value then costs an O((n + m)²) update and
+one Cholesky.  The matrices that still need an SVD
 come from one system-matrix buffer per dtype: B, C and D are written once,
 and only A − λI is rewritten for each value.
 """

@@ -115,8 +115,10 @@ class SystemQuad:
     def _pencil_gram(self):
         """The Gram coefficients of the system matrix [[A − λI, B], [C, D]]
         as a quadratic in λ, from which :mod:`geokit.pencils` proves a full
-        rank at each requested λ (:func:`geokit.linalg._pencil_gram`): built
-        on first use, one Gram product per system, whatever the tolerance."""
+        rank at each requested λ (:func:`geokit.linalg._pencil_gram`,
+        :func:`geokit.linalg._pencil_proof`): built on first use, one Gram
+        product per system, whatever the tolerance, and the only Gram
+        product geokit forms."""
         top, bottom = np.concatenate((self.A, self.B), 1), np.concatenate((self.C, self.D), 1)
         return _pencil_gram(np.concatenate((top, bottom)), self.n)
 

@@ -8,15 +8,15 @@ Wraps the ``gesdd``, ``geqrf``, ``potrf`` and ``syrk`` of each dtype in
 through, and charges each call to the function that asked for it: the
 first frame outward that is neither one of ``linalg``'s factorization
 wrappers (``svd``, ``norm2``, ``_completion``, ``_orthonormalize``,
-``_pivoted_leading``, ``rank_of``, the proofs ``_proves_full_rank`` and
-``_proves_pencil_full_rank``, the per-request pencil proof ``proves`` that
-``_pencil_proof`` returns, their ``_cholesky_proves``, and
-``_pencil_gram``), nor the system's ``_pencil_gram`` property that builds
-the pencil's Gram coefficients on first use (with ``functools``' frame
-that calls it), nor a generator expression.  So ``norm2`` of a residual block is charged to the function
-that checks the block, a rank's proof and SVD to the function that asks
-for the rank, the one ``syrk`` of a system's pencil to the first function
-that proves a value on it, and the SVD of ``kernel_basis`` to
+``_pivoted_leading``, ``rank_of``, ``_pencil_gram`` and the per-value
+proof ``proves`` that ``_pencil_proof`` returns), nor the system's
+``_pencil_gram`` property that builds the pencil's Gram coefficients on
+first use (with ``functools``' frame that calls it), nor a generator
+expression.  So ``norm2`` of a residual block is charged to the function
+that checks the block, a rank's SVD to the function that asks for the
+rank, a pencil value's Cholesky to the function that asks for its kernel
+or rank, the one ``syrk`` of a system's pencil to the first function that
+proves a value on it, and the SVD of ``kernel_basis`` to
 ``kernel_basis``.  Workspace queries (``lwork=-1``) are not counted.
 
 Three workloads:
@@ -47,12 +47,12 @@ gesdd geqrf potrf syrk`` line, so
          <(PYTHONPATH=src python tests/svd_counts.py)
 
 shows which sites gained or lost factorizations.  A ``potrf`` is the
-Cholesky proof of a full rank (``linalg._cholesky_proves``); its Gram
-matrix comes from a ``syrk`` of its own (``rank_of``) or from the Gram
-coefficients of a system's pencil, one ``syrk`` per system
-(``pencils.rosenbrock_kernels`` with m ≤ p, ``uncontrollable_eigenvalues``).
-A ``geqrf`` is always a QR of the site's own, since no rank is proven by a
-QR.  It runs with one BLAS thread, like the benchmark, and takes a few
+Cholesky proof of a pencil value's full rank (``linalg._pencil_proof``),
+and its Gram matrix comes from the Gram coefficients of the system's
+pencil, one ``syrk`` per system (``pencils.rosenbrock_kernels`` with
+m ≤ p, ``uncontrollable_eigenvalues``): ``rank_of`` runs neither, only
+its SVD.  A ``geqrf`` is always a QR of the site's own, since no rank is
+proven by a QR.  It runs with one BLAS thread, like the benchmark, and takes a few
 seconds.
 
 It is not a test module, so pytest does not collect it.
@@ -81,8 +81,7 @@ import cli_report_digests  # noqa: E402
 # the frames, by module, that pass a call on for their caller
 _WRAPPERS = {
     "geokit.linalg": {"svd", "norm2", "_completion", "_orthonormalize", "_pivoted_leading",
-                      "_proves_full_rank", "_proves_pencil_full_rank", "proves",
-                      "_cholesky_proves", "_pencil_gram", "rank_of"},
+                      "rank_of", "_pencil_gram", "proves"},
     "geokit.sysmodel": {"_pencil_gram"},
     "functools": {"__get__"},
 }

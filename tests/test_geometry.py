@@ -905,8 +905,10 @@ def _with_rstar(m: int, p: int) -> SystemQuad:
 
 class TestFriendOfVstarMemo:
     """The least-squares friend of V* is built once per system and Tol and
-    shared by the R* staircase, friend_of and reachability_on, for V* or any
-    Subspace with its bits; each caller's F is its own."""
+    shared by the R* staircase, friend_of and reachability_on of the V* kept
+    on the system, which vstar and vstar_sequence return; a copy of its
+    basis takes the path of any subspace, to the same F and R*.  Each
+    caller's F is its own."""
 
     @pytest.mark.parametrize("m, p", MEMO_SHAPES)
     def test_friend_of_vstar_is_a_cold_builds(self, monkeypatch, m, p):
@@ -914,11 +916,12 @@ class TestFriendOfVstarMemo:
         V = vstar(sys)
         want = friend_of(_cold(sys), V)  # no V* kept there: the friend of V as given
         friends = record_calls(monkeypatch, geometry, "_friend")
-        for W in (V, Subspace(V.basis.copy())):
+        for W in (V, V, Subspace(V.basis.copy())):
             got = friend_of(sys, W)
             assert np.array_equal(got.F, want.F) and got.F.dtype == want.F.dtype
             assert (got.residual_out, got.residual_inv) == (want.residual_out, want.residual_inv)
-        assert len(friends) == 1  # the friend of V*, kept and read twice
+        # the friend of V*, kept and read twice, and the copy's, built apart
+        assert len(friends) == 2
 
     @pytest.mark.parametrize("m, p", MEMO_SHAPES)
     def test_the_callers_F_is_its_own(self, m, p):
@@ -973,14 +976,32 @@ class TestFriendOfVstarMemo:
         stairs = record_calls(monkeypatch, geometry, "_staircase")
         friends = record_calls(monkeypatch, geometry, "_friend")
         assert reachability_on(sys, V) is R
-        assert reachability_on(sys, Subspace(V.basis.copy())) is R
+        assert reachability_on(sys, vstar_sequence(sys)[-1]) is R
         got = friend_of(sys, V, spectrum)
         assert stairs == [] and friends == []
+        # a copy of V*'s basis is any subspace: its own friend and
+        # staircase, the same R*
+        copy = reachability_on(sys, Subspace(V.basis.copy()))
+        assert _same_subspace(copy, R)
+        assert len(friends) == 1
         assert np.array_equal(got.F, want.F)
         assert [lam for lam, _ in got.assigned] == [lam for lam, _ in want.assigned]
         assert all(np.array_equal(u, v) for (_, u), (_, v) in zip(got.assigned, want.assigned))
         assert (got.residual_eig, got.residual_out, got.residual_inv, got.cond_V) == (
             want.residual_eig, want.residual_out, want.residual_inv, want.cond_V)
+
+    @pytest.mark.parametrize("m, p", MEMO_SHAPES)
+    def test_the_sequences_end_in_the_kept_answers(self, m, p):
+        # the chains' last terms are V* and S* as kept, with the bits of the
+        # last stair's span
+        sys = _with_rstar(m, p)
+        vchain, schain = vstar_sequence(sys), sstar_sequence(sys)
+        assert vchain[-1] is vstar(sys) and schain[-1] is sstar(sys)
+        cold = _cold(sys)
+        Q, dims = geometry._dual_stairs(cold, None, DEFAULT_TOL)
+        assert np.array_equal(vchain[-1].basis, Subspace(Q[:, dims[-1]:]).basis)
+        assert _same_subspace(schain[-1], sstar_sequence(cold)[-1])
+        assert len(vchain) == len(vstar_sequence(cold)) and len(schain) == len(sstar_sequence(cold))
 
     def test_nothing_is_built_to_recognise_vstar(self, monkeypatch):
         # with no V* kept, a subspace is not compared with one: V* is not

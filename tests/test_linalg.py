@@ -14,8 +14,6 @@ from geokit.linalg import (
     Subspace,
     Tol,
     _completion,
-    _gram_shift,
-    _proves_full_rank,
     _svd_rank,
     as_matrix,
     contains,
@@ -33,6 +31,8 @@ from geokit.linalg import (
     subspace_sum,
     svd,
 )
+
+from proof_limit import proof_limit
 
 
 def span(*cols):
@@ -356,125 +356,32 @@ def _one_small(rng, shape, complex_: bool, sigma_min: float) -> np.ndarray:
     return _with_singular_values(rng, shape, complex_, sv)
 
 
-def _gram_limit(shape, tol, scale=None) -> float:
-    """The least σ_min the Cholesky proves for a ``_one_small`` matrix: √s
-    at ‖M‖_F² = min(shape) − 1."""
-    return float(np.sqrt(_gram_shift(shape, min(shape) - 1.0, tol, scale)))
-
-
-class TestGramStageProof:
-    """One Cholesky of the shifted Gram matrix proves full rank only where
-    the SVD threshold counts every column (of a wide M, every row): it
-    never claims a rank that ``_svd_rank`` denies, proves every draw at 10
-    times its own limit, and leaves M as it is; ``rank_of`` reads the SVD's
-    count either way."""
-
-    @staticmethod
-    def _check(M, tol, scale, expect_proven: bool):
-        shape = M.shape
-        before = M.copy()
-        proven = _proves_full_rank(M, tol, scale)
-        assert np.array_equal(M, before)
-        if proven:
-            assert _svd_rank(svd(M, compute_uv=False), shape, tol, scale) == min(shape)
-        if expect_proven:
-            assert proven
-        assert rank_of(M, tol, scale) == _svd_rank(svd(M, compute_uv=False), shape, tol, scale)
-
-    @pytest.mark.parametrize("rel", [1e-15, 1e-11, 1e-6])
-    @pytest.mark.parametrize("shape", [(12, 8), (43, 42), (10, 10), (82, 82), (8, 12), (40, 42)],
-                             ids=["tall", "tall-by-one", "square", "square-82", "wide",
-                                  "wide-by-two"])
-    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-    def test_never_claims_what_the_svd_denies(self, complex_, shape, rel):
-        tol = Tol(rel=rel)
-        rng = np.random.default_rng([*shape, complex_, round(-np.log10(rel)), 5])
-        threshold, limit = rel * max(shape), _gram_limit(shape, tol)
-        assert limit > threshold
-        sigmas = [(f * threshold, False) for f in (0.5, 1.0, 2.0)]
-        sigmas += [(f * limit, f == 10.0) for f in (0.5, 1.0, 2.0, 10.0)]
-        for sigma_min, expect_proven in sigmas:
-            for _ in range(3):
-                self._check(_one_small(rng, shape, complex_, sigma_min), tol, None,
-                            expect_proven)
-        # singular values spread from 1 down to σ_min over the SVD threshold
-        rng = np.random.default_rng([*shape, complex_, round(-np.log10(rel))])
-        for factor in (0.5, 1.0, 2.0, 10.0, 1e3):
-            sigma_min = factor * threshold
-            for _ in range(3):
-                self._check(_planted(rng, shape, complex_, sigma_min), tol, None,
-                            sigma_min >= 10.0 * limit)
-
-    @pytest.mark.parametrize("shape", [(8, 12), (42, 45), (40, 42)])
-    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-    def test_transposed_wide_matrix_proves_full_row_rank(self, complex_, shape):
-        # the PBH test's wide [A - λI, B] in LAPACK's column order: the
-        # proof reads it through its transpose, the SVD factors M itself
-        rng = np.random.default_rng([*shape, complex_])
-        threshold, limit = DEFAULT_TOL.rel * max(shape), _gram_limit(shape, DEFAULT_TOL)
-        sigmas = [f * threshold for f in (0.5, 1.0, 2.0, 10.0, 1e3)] + [10.0 * limit]
-        for sigma_min in sigmas:
-            M = _planted(rng, shape[::-1], complex_, sigma_min).T
-            assert M.flags.f_contiguous and not M.flags.c_contiguous
-            self._check(M, DEFAULT_TOL, None, sigma_min >= 10.0 * limit)
+class TestRankOfReadsTheSingularValues:
+    """``rank_of`` is the count of ``_svd_rank`` on the singular values, on
+    either side of the cutoff, with or without a ``scale`` floor above
+    ‖M‖_F, and forms no Gram matrix and runs no Cholesky."""
 
     @pytest.mark.parametrize("shape", [(12, 8), (8, 12), (10, 10)],
                              ids=["tall", "wide", "square"])
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-    def test_scale_floor_above_the_norm(self, complex_, shape):
-        # a scale above ‖M‖_F raises the cutoff: the proof holds against it
+    def test_rank_is_the_svd_count(self, monkeypatch, complex_, shape):
+        gram_stage = []
+        for routines in linalg._LAPACK.values():
+            for name in ("potrf", "syrk"):
+                monkeypatch.setitem(routines, name, lambda *a, _name=name, **k: gram_stage.append(_name))
         rng = np.random.default_rng([*shape, complex_, 6])
-        spread = np.random.default_rng([*shape, complex_, 2])
-        for scale in (10.0, 1e3):
-            threshold = DEFAULT_TOL.rel * max(shape) * scale
-            limit = _gram_limit(shape, DEFAULT_TOL, scale)
-            sigmas = [(f * threshold, False) for f in (0.5, 1.0, 2.0)]
-            sigmas += [(f * limit, f == 10.0) for f in (0.5, 1.0, 2.0, 10.0)]
-            draws = [(_one_small(rng, shape, complex_, sigma_min), expect_proven)
-                     for sigma_min, expect_proven in sigmas]
-            spread_sigmas = [f * threshold for f in (0.5, 1.0, 2.0, 10.0, 1e3)]
-            draws += [(_planted(spread, shape, complex_, sigma_min), sigma_min >= 10.0 * limit)
-                      for sigma_min in spread_sigmas]
-            for M, expect_proven in draws:
-                assert np.linalg.norm(M) < scale
-                self._check(M, DEFAULT_TOL, scale, expect_proven)
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    def test_an_exactly_singular_matrix_is_not_proven(self, dtype):
-        M = np.random.default_rng(7).standard_normal((12, 8)).astype(dtype)
-        M[:, 3] = 0.0
-        assert not _proves_full_rank(M, DEFAULT_TOL)
-        assert not _proves_full_rank(M.T.copy(), DEFAULT_TOL)
-        assert rank_of(M) == rank_of(M.T.copy()) == 7
-
-    @pytest.mark.parametrize("shape", [(12, 8), (8, 12)], ids=["tall", "wide"])
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    def test_what_the_cholesky_cannot_factor_is_not_proven(self, dtype, shape):
-        rng = np.random.default_rng(8)
-        good = np.ascontiguousarray(rng.standard_normal(shape).astype(dtype))
-        assert _proves_full_rank(good, DEFAULT_TOL)
-        short = 0 if shape[0] < shape[1] else 1  # the axis whose vectors must be independent
-        for value in (np.nan, np.inf, -np.inf):
-            M = good.copy()
-            M[2, 3] = value
-            assert not _proves_full_rank(M, DEFAULT_TOL)
-        M = good.copy()
-        np.moveaxis(M, short, 0)[3] = 0.0  # a zero column (of a wide M, a zero row)
-        assert not _proves_full_rank(M, DEFAULT_TOL)
-        assert not _proves_full_rank(np.zeros(shape, dtype), DEFAULT_TOL, 1.0)
-
-    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-    def test_underflowing_gram_is_not_proven(self, complex_):
-        # from about 1e-155 the squares underflow: without the trace floor,
-        # the shift would underflow too, and the Cholesky would often
-        # complete on a matrix whose SVD counts one column fewer
-        rng = np.random.default_rng(9)
-        for size in (1e-155, 1e-157, 1e-160):
-            for _ in range(4):
-                M = _one_small(rng, (10, 8), complex_, 1e-20) * size
-                assert _svd_rank(svd(M, compute_uv=False), M.shape, DEFAULT_TOL) == 7
-                assert not _proves_full_rank(M, DEFAULT_TOL)
-                assert rank_of(M) == 7
+        ranks = set()
+        for scale in (None, 10.0, 1e3):
+            threshold = DEFAULT_TOL.rel * max(shape) * (scale or 1.0)
+            for factor in (0.5, 1.0, 2.0, 10.0, 1e3):
+                for M in (_one_small(rng, shape, complex_, factor * threshold),
+                          _planted(rng, shape, complex_, factor * threshold)):
+                    assert scale is None or np.linalg.norm(M) < scale
+                    want = _svd_rank(svd(M, compute_uv=False), shape, DEFAULT_TOL, scale)
+                    assert rank_of(M, DEFAULT_TOL, scale) == want
+                    ranks.add(want)
+        assert ranks == {min(shape) - 1, min(shape)}
+        assert gram_stage == []
 
 
 def _pencil_at(M0: np.ndarray, n: int, lam: complex) -> np.ndarray:
@@ -522,11 +429,10 @@ class TestPencilGramProof:
                 M0 = _one_small(rng, shape, False, factor * threshold) + lam * J
                 M = _pencil_at(M0, n, complex(lam))
                 full = _svd_rank(svd(M, compute_uv=False), shape, tol) == min(shape)
-                proven = linalg._proves_pencil_full_rank(linalg._pencil_gram(M0, n),
-                                                         complex(lam), tol)
+                proven = linalg._pencil_proof(linalg._pencil_gram(M0, n), tol)(complex(lam))
                 assert full or not proven
                 norm = np.linalg.norm(M0) + abs(lam) * np.sqrt(n)
-                limit = np.sqrt(_gram_shift(shape, norm ** 2, tol))
+                limit = proof_limit(shape, norm, tol)
                 assert proven or svd(M, compute_uv=False)[-1] < 10.0 * limit
 
     def test_guards(self, monkeypatch):
@@ -539,8 +445,7 @@ class TestPencilGramProof:
         cases = [(np.zeros((9, 8)), -1.0), (M0 * 1e-160, -1e-160),
                  (M0, 1e200), (M0, 1e160j), (M0, -1e154)]
         for M, lam in cases:
-            assert not linalg._proves_pencil_full_rank(linalg._pencil_gram(M, 6), complex(lam),
-                                                       DEFAULT_TOL)
+            assert not linalg._pencil_proof(linalg._pencil_gram(M, 6), DEFAULT_TOL)(complex(lam))
         assert calls == []
 
 

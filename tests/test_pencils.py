@@ -22,6 +22,7 @@ from geokit.pencils import (
 from geokit.sysmodel import GenSpec, SystemQuad, random_system
 
 from planted import planted_join
+from proof_limit import proof_limit
 from sampled_rank import sampled_normal_rank
 
 CHAIN3 = np.array([[0.0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -308,7 +309,7 @@ class TestKernelIsOneSvdDecision:
         sys = random_system(GenSpec(*shape, seed=1))
         M = rosenbrock_matrix(sys, lam).copy()
         potrf = _record_calls(monkeypatch, "potrf")
-        assert not linalg._proves_pencil_full_rank(sys._pencil_gram, complex(lam), DEFAULT_TOL)
+        assert not linalg._pencil_proof(sys._pencil_gram, DEFAULT_TOL)(complex(lam))
         K = rosenbrock_kernel(sys, lam)
         V, W = _one_svd_kernel(M, sys.n)
         assert np.array_equal(K.V, V) and np.array_equal(K.W, W)
@@ -383,9 +384,9 @@ class TestPencilProof:
             bound = norm0 + abs(lam) * np.sqrt(n)  # N₀ but for rounding
             for tol in PROOF_TOLS:
                 full = _svd_rank(s, M.shape, tol) == min(M.shape)
-                ok = linalg._proves_pencil_full_rank(gram, complex(lam), tol)
+                ok = linalg._pencil_proof(gram, tol)(complex(lam))
                 assert full or not ok, (lam, tol)
-                limit = np.sqrt(linalg._gram_shift(M.shape, bound ** 2, tol))
+                limit = proof_limit(M.shape, bound, tol)
                 assert ok or not s[-1] >= 10.0 * limit, (lam, tol)
                 proven += ok
                 denied += not full
@@ -454,7 +455,7 @@ class TestProofFollowsTheTol:
         # ten times the default proof's limit, and below the least σ_min
         # the coarse proof accepts, 2 · 1e-6 · max(rows, cols) · ‖M‖_F
         s, norm = svd(M, compute_uv=False), np.linalg.norm(M)
-        limit = np.sqrt(linalg._gram_shift(M.shape, norm ** 2, DEFAULT_TOL))
+        limit = proof_limit(M.shape, norm, DEFAULT_TOL)
         return 10.0 * limit < s[-1] < 2e-6 * max(M.shape) * norm
 
     def test_rosenbrock_kernels(self, monkeypatch):
@@ -638,7 +639,6 @@ class TestInvariantZeros:
         zeros = deduplicate_eigenvalues(invariant_zeros(sys), 1e-6)
         assert zeros and any(z.imag for z in zeros)
         want = [rank_of(rosenbrock_matrix(sys, z)) for z in zeros]
-        monkeypatch.setattr(linalg, "_proves_full_rank", None)
         gesdd = _record_gesdd(monkeypatch)
         assert pencils._ranks_at_zeros(sys, zeros, DEFAULT_TOL) == want
         assert gesdd == [((sys.n + m, sys.n + m), False)] * sum(z.imag >= 0 for z in zeros)

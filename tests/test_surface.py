@@ -68,12 +68,18 @@ def _lapack_uses(source: str) -> list[int]:
     return sorted(set(lines))
 
 
-def _key_lookups(source: str) -> set[str]:
-    """The string keys that ``source`` subscripts with, as in
-    ``lapack["potrf"]``."""
-    return {node.slice.value for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
-            and isinstance(node.slice.value, str)}
+def _key_sites(source: str) -> dict[str, list[str]]:
+    """Each string key that ``source`` subscripts with, as in
+    ``lapack["potrf"]``, with the top-level definition of each subscript,
+    in source order (``"<module>"`` outside any)."""
+    sites: dict[str, list[str]] = {}
+    for top in ast.parse(source).body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+                    and isinstance(node.slice.value, str)):
+                sites.setdefault(node.slice.value, []).append(name)
+    return sites
 
 
 class TestOneLapackTable:
@@ -83,7 +89,7 @@ class TestOneLapackTable:
     def test_every_bound_routine_is_called(self):
         # a binding that outlives its caller is dead code in the table
         from geokit import linalg
-        looked_up = _key_lookups((SRC / "linalg.py").read_text(encoding="utf-8"))
+        looked_up = set(_key_sites((SRC / "linalg.py").read_text(encoding="utf-8")))
         dead = {kind: sorted(set(routines) - looked_up)
                 for kind, routines in linalg._LAPACK.items()}
         assert dead == {kind: [] for kind in linalg._LAPACK}
@@ -95,7 +101,31 @@ class TestOneLapackTable:
             'geqrf = _LAPACK[kind]["geqrf"]',
             'x = M[0], table[key]',
         ])
-        assert _key_lookups(source) == {"potrf", "geqrf"}
+        assert set(_key_sites(source)) == {"potrf", "geqrf"}
+
+    def test_one_gram_product_and_one_cholesky(self):
+        # linalg's one full-rank proof: the pencil's Gram coefficients are
+        # its only syrk, and its per-value Cholesky its only potrf
+        sites = _key_sites((SRC / "linalg.py").read_text(encoding="utf-8"))
+        assert sites["syrk"] == ["_pencil_gram"]
+        assert sites["potrf"] == ["_pencil_proof"]
+
+    def test_scan_finds_key_sites(self):
+        source = "\n".join([
+            'potrf = _LAPACK["f"]["potrf"]',
+            "def gram(M):",
+            '    return _LAPACK["f"]["syrk"](1.0, M)',
+            "def proof(gram):",
+            "    def proves(lam):",
+            '        return _LAPACK[kind]["potrf"](H)',
+            "    return proves",
+            "class Table:",
+            '    syrk = lapack["syrk"]',
+            'x = table[key], names["syrk"[0]]',
+        ])
+        assert _key_sites(source) == {"f": ["<module>", "gram"],
+                                      "potrf": ["<module>", "proof"],
+                                      "syrk": ["gram", "Table"]}
 
     def test_only_linalg_reaches_lapack(self):
         files = sorted(SRC.glob("*.py"))
