@@ -137,7 +137,7 @@ def _run_compute(args, tol: Tol) -> tuple[dict, dict]:
             "zeros_distinct": [_complex_out(z) for z in distinct],
             "normal_rank": dec.normal_rank,
         }
-        ranks = pencils._ranks_at_zeros(sys_quad, distinct, tol)
+        ranks = pencils._per_conjugate_pair(sys_quad, distinct, tol)
         diagnostics = {
             "rank_at_zeros": [{"zero": _complex_out(z), "rank": r} for z, r in zip(distinct, ranks)],
         }

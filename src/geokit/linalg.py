@@ -108,13 +108,15 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 # Every LAPACK (and BLAS) routine geokit calls, by dtype kind: "orgqr" is
-# ungqr and "syrk" herk in complex
+# ungqr in complex.  The Gram product and the pivoted QR have real callers
+# only, so a complex argument finds no routine instead of a real one
 _LAPACK = {kind: dict(zip(
-    ("gesdd", "gesdd_lwork", "geqrf", "orgqr", "geqp3", "potrf", "syrk"),
+    ("gesdd", "gesdd_lwork", "geqrf", "orgqr", "potrf"),
     get_lapack_funcs(("gesdd", "gesdd_lwork", "geqrf", ("orgqr", "ungqr")[kind == "c"],
-                      "geqp3", "potrf"), dtype=dtype)
-    + get_blas_funcs((("syrk", "herk")[kind == "c"],), dtype=dtype)))
+                      "potrf"), dtype=dtype)))
     for kind, dtype in (("f", np.float64), ("c", np.complex128))}
+_LAPACK["f"]["geqp3"], = get_lapack_funcs(("geqp3",), dtype=np.float64)
+_LAPACK["f"]["syrk"], = get_blas_funcs(("syrk",), dtype=np.float64)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -216,9 +218,10 @@ def _orthonormalize(X: np.ndarray) -> np.ndarray:
 
 
 def _pivoted_leading(Y: np.ndarray, k: int) -> np.ndarray:
-    """Orthonormal columns along the ``k`` leading directions of ``Y``: the
-    first k columns of the Q of its column-pivoted QR.  Raises
-    ``numpy.linalg.LinAlgError`` where LAPACK refuses, as for k > rows."""
+    """Orthonormal columns along the ``k`` leading directions of the float64
+    ``Y``: the first k columns of the Q of its column-pivoted QR.  Raises
+    ``numpy.linalg.LinAlgError`` where LAPACK refuses, as for k > rows, and
+    ``KeyError`` for a complex Y, which has no pivoted QR bound."""
     lapack = _LAPACK[Y.dtype.kind]
     qr, _, tau, _, info = lapack["geqp3"](Y)
     if info:

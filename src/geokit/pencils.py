@@ -14,7 +14,11 @@ its coefficients are built once per system
 sets once per request, and each value then costs an O((n + m)²) update and
 one Cholesky.  The matrices that still need an SVD
 come from one system-matrix buffer per dtype: B, C and D are written once,
-and only A − λI is rewritten for each value.
+and only A − λI is rewritten for each value.  The rank at each value of
+a list is decided proof-first for every shape, once per conjugate pair,
+by one function (:func:`_per_conjugate_pair`): the PBH test behind
+``uncontrollable`` and the ``rank_at_zeros`` check of the ``zeros`` report
+both read it.
 """
 
 from __future__ import annotations
@@ -94,19 +98,11 @@ def _matrix_writer(sys: SystemQuad):
     return write
 
 
-def _system_matrices(sys: SystemQuad, lams):
-    """Yield ``(λ, M)`` for each λ of ``lams``, M the system matrix at λ in
-    its dtype's buffer (:func:`_matrix_writer`); a value that is not finite
-    raises :class:`SpectrumError`."""
-    write = _matrix_writer(sys)
-    for lam in _finite(lams):
-        yield lam, write(lam)
-
-
 def rosenbrock_matrix(sys: SystemQuad, lam: complex) -> np.ndarray:
     """The (n+p) x (n+m) system matrix [[A - λI, B], [C, D]]; at p = 0 the
     reachability pencil [A - λI  B].  It is real when λ is."""
-    return next(_system_matrices(sys, [lam]))[1]
+    lam, = _finite([lam])
+    return _matrix_writer(sys)(lam)
 
 
 def reach_pencil_kernel(A, B, lam: complex, tol: Tol = DEFAULT_TOL) -> PencilKernel:
@@ -171,55 +167,36 @@ def _eig_scale(A: np.ndarray, tol: Tol) -> float:
     return max(tol.abs, 100.0 * tol.rel * max(1.0, norm2(A)))
 
 
-def _conjugate_shared(lams, ranks) -> list[int]:
-    """The rank of the real system's Rosenbrock matrix at each λ of
-    ``lams``, decided once per conjugate pair: ``ranks(todo)`` gives the
-    ranks at the values of ``todo``, in order.
+def _per_conjugate_pair(sys: SystemQuad, lams, tol: Tol) -> list[int]:
+    """``rank_of(M, tol)`` of the system matrix M at each λ of ``lams``: the
+    one rank of M at given values, behind the PBH test and the
+    ``rank_at_zeros`` check of the ``zeros`` report.
 
     The matrix at λ̄ is the conjugate of the one at λ, so it has the same
     rank: a value whose exact conjugate came earlier in ``lams`` gets that
-    value's rank without a decision of its own, and is not in ``todo``.  A
-    value that is not finite raises :class:`SpectrumError` before any rank
-    is decided.
+    value's rank without a decision of its own.  Each value decided is
+    proof-first: one Cholesky of a Gram matrix updated from the system's
+    Gram coefficients proves a full rank (:func:`geokit.linalg._pencil_proof`,
+    set up once for the request), and the singular values of M decide
+    where the proof fails, as at an invariant zero, where M loses rank.
+    The proof accepts only what the singular values would, so every rank
+    is theirs.  A value that is not finite raises :class:`SpectrumError`
+    before any rank is decided, and with no value to decide no Gram
+    coefficient is formed.
     """
-    todo, seen = [], set()  # the values decided: none has its conjugate earlier
-    for lam in _finite(lams):
-        if lam.conjugate() not in seen:
-            seen.add(lam)
-            todo.append(lam)
-    decided = dict(zip(todo, ranks(todo)))
-    return [decided[lam] if lam in decided else decided[lam.conjugate()] for lam in map(complex, lams)]
-
-
-def _per_conjugate_pair(sys: SystemQuad, lams, tol: Tol) -> list[int]:
-    """``rank_of(M, tol)`` of the system matrix M at each λ of ``lams``, once
-    per conjugate pair (:func:`_conjugate_shared`): one Cholesky of a Gram
-    matrix updated from the system's Gram coefficients usually proves a
-    full rank (:func:`geokit.linalg._pencil_proof`, set up once for the
-    request), and the singular values of M decide where M is too
-    ill-conditioned for it."""
-    write, full = _matrix_writer(sys), sys.n + min(sys.m, sys.p)
-
-    def ranks(todo):
-        proves = _pencil_proof(sys._pencil_gram, tol)
-        for lam in todo:
+    lams, ranks = list(_finite(lams)), {}  # ranks: the values decided, in order
+    for lam in lams:
+        if lam not in ranks and lam.conjugate() not in ranks:
+            ranks[lam] = None
+    if ranks:
+        proves, write = _pencil_proof(sys._pencil_gram, tol), _matrix_writer(sys)
+        for lam in ranks:
             if proves(lam):
-                yield full
+                ranks[lam] = sys.n + min(sys.m, sys.p)
             else:
                 M = write(lam)
-                yield _svd_rank(svd(M, compute_uv=False), M.shape, tol)
-    return _conjugate_shared(lams, ranks)
-
-
-def _ranks_at_zeros(sys: SystemQuad, zeros, tol: Tol) -> list[int]:
-    """The rank of the Rosenbrock matrix at each of the invariant ``zeros``,
-    once per conjugate pair, decided by the SVD alone: the matrix loses rank
-    there by construction, so a proof of full rank would only fail first.
-    The ranks are :func:`geokit.linalg.rank_of`'s."""
-    def svd_rank(todo):
-        for _, M in _system_matrices(sys, todo):
-            yield _svd_rank(svd(M, compute_uv=False), M.shape, tol)
-    return _conjugate_shared(zeros, svd_rank)
+                ranks[lam] = _svd_rank(svd(M, compute_uv=False), M.shape, tol)
+    return [ranks[lam] if lam in ranks else ranks[lam.conjugate()] for lam in lams]
 
 
 def uncontrollable_eigenvalues(A, B, tol: Tol = DEFAULT_TOL) -> list[complex]:

@@ -1,7 +1,6 @@
 """LAPACK factorizations and Gram products per calling site: how many
 ``gesdd`` (SVD), ``geqrf`` (Householder QR), ``potrf`` (Cholesky) and
-``syrk`` (``herk`` in complex: a Gram product) calls each geokit function
-asks for.
+``syrk`` (a real Gram product) calls each geokit function asks for.
 
 Wraps the ``gesdd``, ``geqrf``, ``potrf`` and ``syrk`` of each dtype in
 ``geokit.linalg._LAPACK``, the table every factorization in geokit goes
@@ -50,8 +49,9 @@ shows which sites gained or lost factorizations.  A ``potrf`` is the
 Cholesky proof of a pencil value's full rank (``linalg._pencil_proof``),
 and its Gram matrix comes from the Gram coefficients of the system's
 pencil, one ``syrk`` per system (``pencils.rosenbrock_kernels`` with
-m ≤ p, ``uncontrollable_eigenvalues``): ``rank_of`` runs neither, only
-its SVD.  A ``geqrf`` is always a QR of the site's own, since no rank is
+m ≤ p, and ``pencils._per_conjugate_pair``, the ranks behind
+``uncontrollable_eigenvalues`` and the ``zeros`` report's
+``rank_at_zeros``): ``rank_of`` runs neither, only its SVD.  A ``geqrf`` is always a QR of the site's own, since no rank is
 proven by a QR.  It runs with one BLAS thread, like the benchmark, and takes a few
 seconds.
 
@@ -100,7 +100,7 @@ def _site(frame) -> str:
 def _install(counts: dict) -> None:
     """Wrap the counted routines of ``linalg._LAPACK`` to tally into ``counts``."""
     for routines in linalg._LAPACK.values():
-        for name in _COUNTED:
+        for name in [name for name in _COUNTED if name in routines]:  # syrk: float64 only
             def counted(*args, _routine=routines[name], _name=name, **kwargs):
                 if kwargs.get("lwork") != -1:
                     counts[_site(inspect.currentframe().f_back)][_name] += 1

@@ -70,12 +70,13 @@ class TestComputeCommands:
     def test_zeros_reads_one_morse_frame(self, capsys, monkeypatch, tmp_path):
         # the zeros and the normal rank come from one frame, and the only
         # rank decisions are the rank_at_zeros checks: no λ is sampled
+        # (each value decided is asked of the pencil proof first)
         built, decided = [], []
-        frame, matrices = geometry.morse_decomposition, pencils._system_matrices
+        frame, proof = geometry.morse_decomposition, pencils._pencil_proof
         monkeypatch.setattr(geometry, "morse_decomposition",
                             lambda *args: built.append(args) or frame(*args))
-        monkeypatch.setattr(pencils, "_system_matrices", lambda s, lams: (
-            decided.append(lam) or (lam, M) for lam, M in matrices(s, lams)))
+        monkeypatch.setattr(pencils, "_pencil_proof", lambda gram, tol: (
+            lambda lam, proves=proof(gram, tol): decided.append(lam) or proves(lam)))
         path = tmp_path / "sq.json"
         dump_system(random_system(GenSpec(8, 2, 2, seed=3)), path)
         code, rep = run_cli(capsys, "zeros", str(path))

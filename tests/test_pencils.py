@@ -46,6 +46,9 @@ def _record_calls(monkeypatch, name: str) -> list[str]:
     kind of every call, workspace queries (``lwork=-1``) left out."""
     calls = []
     for kind, routines in linalg._LAPACK.items():
+        if name not in routines:  # a routine bound for one dtype only
+            continue
+
         def recorded(*args, routine=routines[name], kind=kind, **kwargs):
             if kwargs.get("lwork") != -1:
                 calls.append(kind)
@@ -630,18 +633,42 @@ class TestInvariantZeros:
             for z in deduplicate_eigenvalues(invariant_zeros(sys), 1e-6):
                 assert rank_of(rosenbrock_matrix(sys, z)) < nr
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_ranks_at_zeros_are_decided_by_the_svd_alone(self, monkeypatch, m):
-        # the Rosenbrock matrix loses rank at each zero, so a Cholesky proof
-        # of full rank would only fail first: one singular-value SVD per
-        # conjugate pair decides, and the ranks are rank_of's
-        sys = random_system(GenSpec(8, m, m, seed=3))
-        zeros = deduplicate_eigenvalues(invariant_zeros(sys), 1e-6)
+    @pytest.mark.parametrize("draw", [
+        lambda: random_system(GenSpec(8, 1, 1, seed=3)),
+        lambda: random_system(GenSpec(8, 2, 2, seed=3)),
+        lambda: random_system(GenSpec(8, 3, 3, seed=3)),
+        lambda: planted_join(4, 6, 3, 2, 1),
+        lambda: _doubled(random_system(GenSpec(8, 1, 1, seed=0))),
+    ], ids=["m1", "m2", "m3", "planted-wide", "duplicated-input"])
+    def test_ranks_at_zeros_are_rank_ofs(self, monkeypatch, draw):
+        # the rank at each distinct zero, as the zeros report checks it: the
+        # matrix loses rank there, so each value decided is asked of the
+        # proof first, which fails, and one singular-value SVD decides, once
+        # per conjugate pair; the ranks are rank_of's
+        sys = draw()
+        zs = invariant_zeros(sys)
+        zeros = deduplicate_eigenvalues(zs, 10.0 * spectrum_scale(zs, DEFAULT_TOL))
         assert zeros and any(z.imag for z in zeros)
         want = [rank_of(rosenbrock_matrix(sys, z)) for z in zeros]
+        assert all(r < min(sys.n + sys.p, sys.n + sys.m) for r in want)
+        decided = []
+        monkeypatch.setattr(pencils, "_pencil_proof", _spy_on_proofs(decided))
         gesdd = _record_gesdd(monkeypatch)
-        assert pencils._ranks_at_zeros(sys, zeros, DEFAULT_TOL) == want
-        assert gesdd == [((sys.n + m, sys.n + m), False)] * sum(z.imag >= 0 for z in zeros)
+        assert pencils._per_conjugate_pair(sys, zeros, DEFAULT_TOL) == want
+        assert decided == [z for i, z in enumerate(zeros) if z.conjugate() not in zeros[:i]]
+        assert gesdd == [((sys.n + sys.p, sys.n + sys.m), False)] * len(decided)
+
+    @pytest.mark.parametrize("m, p", [(3, 2), (2, 3)])
+    def test_no_value_forms_no_gram_product(self, monkeypatch, m, p):
+        # these draws have no zeros: their rank_at_zeros check asks for no
+        # rank, and the Gram coefficients of the system are never formed
+        sys = random_system(GenSpec(8, m, p, seed=3))
+        assert invariant_zeros(sys) == []
+        syrk, potrf = _record_calls(monkeypatch, "syrk"), _record_calls(monkeypatch, "potrf")
+        gesdd = _record_gesdd(monkeypatch)
+        assert pencils._per_conjugate_pair(sys, [], DEFAULT_TOL) == []
+        assert syrk == potrf == gesdd == []
+        assert "_pencil_gram" not in vars(sys)
 
 
 def _duplicated_input(sys: SystemQuad) -> SystemQuad:
@@ -649,6 +676,13 @@ def _duplicated_input(sys: SystemQuad) -> SystemQuad:
     B, D = sys.B.copy(), sys.D.copy()
     B[:, 1], D[:, 1] = B[:, 0], D[:, 0]
     return SystemQuad.from_matrices(sys.A, B, sys.C, D)
+
+
+def _doubled(sys: SystemQuad) -> SystemQuad:
+    """The SISO ``sys`` with its input column, and its output row, taken
+    twice: its system matrix loses normal rank, and keeps its zeros."""
+    return SystemQuad.from_matrices(sys.A, np.hstack([sys.B, sys.B]),
+                                    np.vstack([sys.C, sys.C]), np.tile(sys.D, (2, 2)))
 
 
 class TestNormalRank:

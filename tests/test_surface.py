@@ -1,5 +1,6 @@
-"""The names other code looks up on geokit's modules exist, and LAPACK is
-reached through ``geokit.linalg`` alone.
+"""The names other code looks up on geokit's modules exist, every private
+top-level name of geokit has a reader, and LAPACK is reached through
+``geokit.linalg`` alone.
 
 perfbench's tracer wraps its table of functions with ``getattr`` and no
 default, so a library function deleted from under that table makes
@@ -44,6 +45,81 @@ def test_all_entries_resolve(name):
     assert not missing, f"geokit.{name}.__all__ names {missing}"
 
 
+def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """``file:name`` of each private top-level name that ``sources`` (file
+    name to source) define, by a ``def``, a ``class`` or an assignment, and
+    reference nowhere but in the top-level statement that defines it: a
+    reference is a name that is read, an attribute or an imported name, so
+    a docstring that mentions the name is none.  A private name has a
+    leading underscore and is no dunder."""
+    defined, referenced = [], {}
+    for file, source in sources.items():
+        for index, top in enumerate(ast.parse(source).body):
+            site = (file, index)
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [top.name]
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                names = [node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+            else:
+                names = []
+            defined += [(site, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name.split(".")[-1]
+                else:
+                    continue
+                referenced.setdefault(name, set()).add(site)
+    return [f"{file}:{name}" for (file, index), name in defined
+            if not referenced.get(name, set()) - {(file, index)}]
+
+
+class TestEveryPrivateNameIsRead:
+    """A private helper whose last caller is gone is dead code: no test of
+    the public surface finds it."""
+
+    def test_every_private_top_level_name_is_referenced(self):
+        sources = {f.name: f.read_text(encoding="utf-8") for f in sorted(SRC.glob("*.py"))}
+        assert sources
+        assert _unreferenced_private_names(sources) == []
+
+    def test_scan_finds_unreferenced_private_names(self):
+        sources = {
+            "a.py": "\n".join([
+                '"""Names _in_docstring, which no code reads."""',
+                "_READ = 1",
+                "_unread, _pair = 2, 3",
+                "__all__ = []",
+                "def _recursive(n):",
+                "    return _recursive(n - 1)",
+                "def _called():",
+                '    """Calls _in_docstring."""',
+                "    return _READ + _pair",
+                "class _Imported:",
+                "    pass",
+                "def _read_as_attribute():",
+                "    pass",
+                "def _in_docstring():",
+                "    pass",
+                "public = _called()",
+                "public = _unread = 4",
+            ]),
+            "b.py": "\n".join([
+                "from a import _Imported",
+                "import a",
+                "a._read_as_attribute()",
+            ]),
+        }
+        assert _unreferenced_private_names(sources) == [
+            "a.py:_unread", "a.py:_recursive", "a.py:_in_docstring", "a.py:_unread"]
+
+
 def _lapack_uses(source: str) -> list[int]:
     """Lines that import ``scipy.linalg.lapack`` or ``scipy.linalg.blas``
     (or from them), read a ``lapack`` or ``blas`` attribute or name
@@ -68,18 +144,34 @@ def _lapack_uses(source: str) -> list[int]:
     return sorted(set(lines))
 
 
+def _lookups(node) -> bool:
+    """Whether ``node`` reads an entry by a string key, as ``lapack["potrf"]``
+    does; ``_LAPACK["f"]["syrk"] = ...`` binds one and reads none."""
+    return (isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Store)
+            and isinstance(node.slice, ast.Constant) and isinstance(node.slice.value, str))
+
+
 def _key_sites(source: str) -> dict[str, list[str]]:
-    """Each string key that ``source`` subscripts with, as in
-    ``lapack["potrf"]``, with the top-level definition of each subscript,
-    in source order (``"<module>"`` outside any)."""
+    """Each string key that ``source`` looks up, as in ``lapack["potrf"]``,
+    with the top-level definition of each lookup, in source order
+    (``"<module>"`` outside any)."""
     sites: dict[str, list[str]] = {}
     for top in ast.parse(source).body:
         name = getattr(top, "name", "<module>")
         for node in ast.walk(top):
-            if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
-                    and isinstance(node.slice.value, str)):
+            if _lookups(node):
                 sites.setdefault(node.slice.value, []).append(name)
     return sites
+
+
+def _kind_lookups(source: str) -> set[tuple[str, str]]:
+    """Each ``(kind, key)`` that ``source`` looks up by a string key:
+    ``("f", "syrk")`` for ``_LAPACK["f"]["syrk"]``, whose table is itself
+    looked up by a string, and ``("*", key)`` for any other, as for
+    ``_LAPACK[kind]["potrf"]`` or ``lapack["geqrf"]``, whose dtype kind is
+    read at run time."""
+    return {(node.value.slice.value if _lookups(node.value) else "*", node.slice.value)
+            for node in ast.walk(ast.parse(source)) if _lookups(node)}
 
 
 class TestOneLapackTable:
@@ -87,12 +179,26 @@ class TestOneLapackTable:
     there, and every routine bound there has a caller."""
 
     def test_every_bound_routine_is_called(self):
-        # a binding that outlives its caller is dead code in the table
+        # a binding that outlives its caller is dead code in the table: a
+        # routine of one dtype whose every lookup names the other is one
         from geokit import linalg
-        looked_up = set(_key_sites((SRC / "linalg.py").read_text(encoding="utf-8")))
-        dead = {kind: sorted(set(routines) - looked_up)
-                for kind, routines in linalg._LAPACK.items()}
-        assert dead == {kind: [] for kind in linalg._LAPACK}
+        looked_up = _kind_lookups((SRC / "linalg.py").read_text(encoding="utf-8"))
+        dead = [(kind, routine) for kind, routines in linalg._LAPACK.items()
+                for routine in routines
+                if (kind, routine) not in looked_up and ("*", routine) not in looked_up]
+        assert dead == []
+
+    def test_scan_pairs_each_lookup_with_its_dtype_kind(self):
+        source = "\n".join([
+            'G = _LAPACK["f"]["syrk"](1.0, M)',
+            'potrf = _LAPACK[H.dtype.kind]["potrf"]',
+            'lapack = _LAPACK[kind]',
+            'qr = lapack["geqp3"](Y)',
+            'x = M[0], table[key], names["c"][0]',
+            '_LAPACK["c"]["herk"], = get_blas_funcs(("herk",), dtype=complex)',
+        ])
+        assert _kind_lookups(source) == {("*", "f"), ("f", "syrk"), ("*", "potrf"),
+                                         ("*", "geqp3"), ("*", "c")}
 
     def test_scan_finds_key_lookups(self):
         source = "\n".join([
@@ -122,8 +228,9 @@ class TestOneLapackTable:
             "class Table:",
             '    syrk = lapack["syrk"]',
             'x = table[key], names["syrk"[0]]',
+            '_LAPACK["f"]["syrk"], = get_blas_funcs(("syrk",), dtype=float)',
         ])
-        assert _key_sites(source) == {"f": ["<module>", "gram"],
+        assert _key_sites(source) == {"f": ["<module>", "gram", "<module>"],
                                       "potrf": ["<module>", "proof"],
                                       "syrk": ["gram", "Table"]}
 
