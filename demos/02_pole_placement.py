@@ -33,7 +33,7 @@ print("  F              :", np.round(fb.F, 9))
 print("  closed-loop eig:", np.round(np.sort(np.linalg.eigvals(Au + Bu @ fb.F).real), 9))
 
 print("\nrandom controllable system, full spectrum request")
-sys = random_system(GenSpec(n=5, m=2, seed=7, controllable=True))
+sys = random_system(GenSpec(n=5, m=2, seed=7))
 want = [-1.0, -2.0, -3.0, complex(-0.5, 1.5), complex(-0.5, -1.5)]
 fb = place_poles(sys.A, sys.B, want)
 print("  requested      :", np.round(np.asarray(want), 4))

@@ -39,7 +39,3 @@ class SynthesisError(NumericalError):
 
 class DecompositionError(NumericalError):
     """A structured decomposition has off-pattern blocks above tolerance."""
-
-
-class GenerationError(NumericalError):
-    """Constrained random-system generation exhausted its retry budget."""

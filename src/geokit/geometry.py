@@ -368,7 +368,8 @@ def friend_of(sys: SystemQuad, V: Subspace, spectrum=None, tol: Tol = DEFAULT_TO
     friend of V (Basile & Marro, *Controlled and Conditioned Invariants in
     Linear System Theory*, 1992), built from one SVD of ``[P B; D]``, P the
     projector onto the orthogonal complement of V; its residuals certify
-    that V is output nulling.  A ``spectrum``, when supplied, is validated
+    that V is output nulling; on V = 0 it is F = 0, with zero residuals,
+    and needs no SVD.  A ``spectrum``, when supplied, is validated
     by :func:`geokit.pencils.validate_spectrum` even on V = 0: finite,
     distinct and self-conjugate, but not checked against the fixed
     eigenvalues of V, so a value may repeat an invariant zero.  It is placed
@@ -392,8 +393,10 @@ def friend_of(sys: SystemQuad, V: Subspace, spectrum=None, tol: Tol = DEFAULT_TO
     if np.iscomplexobj(V.basis):
         V = Subspace(require_real(V.basis, tol, "basis of V"))
     values = None if spectrum is None else validate_spectrum(spectrum, (), tol)
+    if V.basis.shape == (sys.n, 0):  # nothing to keep invariant or to place on: F = 0
+        return FeedbackResult(np.zeros((sys.m, sys.n)), (), 0.0, 0.0, 0.0, 1.0)
     kept = _is_vstar(sys, V, tol)  # then read what the system keeps
-    if values and V.dim:
+    if values:
         F, Omega, m1, Q, dims = _rstar_stairs(sys, tol) if kept else _reach_along(sys, V, tol)
         Omega1 = Omega[:, :m1]
         F0, X, H, assigned = _parametric(sys.A, sys.B, F, Omega1, Q, dims, values)
@@ -463,10 +466,13 @@ def reachability_on(sys: SystemQuad, V: Subspace, tol: Tol = DEFAULT_TOL) -> Sub
     V ∩ B ker D.  The result does not depend on the friend.  Raises
     :class:`NotInvariantError` if V is not output nulling and
     :class:`NumericalError` if the result leaves V by more than ``tol.abs``.
-    On the V* kept on the system (:func:`vstar`) it is :func:`rstar`.
+    On the V* kept on the system (:func:`vstar`) it is :func:`rstar`, and on
+    any other V = 0 the zero subspace, with no friend built.
     """
     if _is_vstar(sys, V, tol):
         return rstar(sys, tol)
+    if V.basis.shape == (sys.n, 0):
+        return Subspace.zero(sys.n)
     return _span(_reach_along(sys, V, tol)[3])
 
 

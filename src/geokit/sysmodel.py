@@ -1,5 +1,5 @@
 """State-space quadruples (A, B, C, D): data model, JSON file I/O, and
-seeded random generation for the verification sweeps.
+seeded standard-normal draws for the verification sweeps.
 
 A :class:`SystemQuad` is immutable: its arrays are read-only.  So what does
 not depend on a requested eigenvalue is computed once and kept on it: the
@@ -25,12 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GenerationError, SystemFormatError, ValidationError
-from .linalg import DEFAULT_TOL, Tol, _frozen, _pencil_gram, as_matrix, norm2
+from .errors import SystemFormatError, ValidationError
+from .linalg import _frozen, _pencil_gram, as_matrix, norm2
 
 __all__ = ["SystemQuad", "GenSpec", "load_system", "dump_system", "random_system", "dual_of"]
-
-_RETRY_BUDGET = 100
 
 
 def _real_matrix(a, name: str) -> np.ndarray:
@@ -155,7 +153,6 @@ class GenSpec:
     m: int
     p: int = 0
     seed: int = 0
-    controllable: bool = False
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1 or self.p < 0:
@@ -224,10 +221,6 @@ def dump_system(sys: SystemQuad, path) -> None:
     Path(path).write_text(_json_text(sys.to_dict(), 2), encoding="utf-8")
 
 
-class _Unwritten(Exception):
-    """A value that :func:`_json_text` leaves to ``json.dumps``."""
-
-
 def _json_float(x: float) -> str:
     """A float as ``json.dumps`` writes it."""
     if x != x:
@@ -240,24 +233,21 @@ def _json_float(x: float) -> str:
 
 
 def _json_text(obj, indent: int | None) -> str:
-    """``json.dumps(obj, indent=indent)``, byte for byte.
+    """``json.dumps(obj, indent=indent)``, byte for byte, for the values
+    geokit writes.
 
     With an indent, json writes through its pure-Python encoder, one call per
     value.  Here a list of plain floats, a matrix row, is one ``str.join``
     over ``float.__repr__``; keys and strings go through json's own
-    ``encode_basestring_ascii``.  A value of any other type than dict, list,
-    tuple, str, int, float, bool and None, a key that is not a string, or a
-    container inside itself (found as a RecursionError) leaves the whole
-    object to ``json.dumps``, which raises where json raises.  Without an
-    indent json's C encoder writes.
+    ``encode_basestring_ascii``.  A key that is not a string, or a value of
+    any other type than dict, list, tuple, str, int, float, bool and None,
+    raises ``TypeError``; neither a report nor a system file holds one.
+    Without an indent json's C encoder writes.
     """
     if indent is None:
         return json.dumps(obj)
     out: list[str] = []
-    try:
-        _write_json(obj, out, " " * indent, "\n")
-    except (_Unwritten, RecursionError):
-        return json.dumps(obj, indent=indent)
+    _write_json(obj, out, " " * indent, "\n")
     return "".join(out)
 
 
@@ -276,7 +266,7 @@ def _write_json(obj, out: list[str], step: str, nl: str) -> None:
     elif isinstance(obj, float):
         out.append(_json_float(obj))
     elif not isinstance(obj, (list, tuple, dict)):
-        raise _Unwritten
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     elif not obj:
         out.append("{}" if isinstance(obj, dict) else "[]")
     elif isinstance(obj, dict):
@@ -284,7 +274,7 @@ def _write_json(obj, out: list[str], step: str, nl: str) -> None:
         out.append("{")
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
-                raise _Unwritten
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
             out.append(("," if i else "") + inner + encode_basestring_ascii(key) + ": ")
             _write_json(value, out, step, inner)
         out.append(nl + "}")
@@ -303,27 +293,15 @@ def _write_json(obj, out: list[str], step: str, nl: str) -> None:
         out.append(nl + "]")
 
 
-def random_system(spec: GenSpec, tol: Tol = DEFAULT_TOL) -> SystemQuad:
-    """Draw a standard-normal quadruple, deterministically from ``spec.seed``.
-
-    With ``controllable`` set, redraws until the reachable subspace is the
-    whole state space, and raises :class:`GenerationError` once the retry
-    budget is exhausted.
-    """
-    from . import geometry  # deferred: geometry depends on this module
-
+def random_system(spec: GenSpec) -> SystemQuad:
+    """Draw a standard-normal quadruple, deterministically from ``spec.seed``:
+    A, B, C and D in that order, from one ``numpy.random.default_rng``."""
     rng = np.random.default_rng(spec.seed)
-    for _ in range(_RETRY_BUDGET):
-        A = rng.standard_normal((spec.n, spec.n))
-        B = rng.standard_normal((spec.n, spec.m))
-        C = rng.standard_normal((spec.p, spec.n))  # a draw of size 0 consumes nothing
-        D = rng.standard_normal((spec.p, spec.m))
-        sys = SystemQuad.from_matrices(A, B, C, D)
-        if not spec.controllable or geometry.krylov_image(A, B, spec.n, tol).dim == spec.n:
-            return sys
-    raise GenerationError(
-        f"no system matching {spec} found within {_RETRY_BUDGET} draws"
-    )
+    A = rng.standard_normal((spec.n, spec.n))
+    B = rng.standard_normal((spec.n, spec.m))
+    C = rng.standard_normal((spec.p, spec.n))  # a draw of size 0 consumes nothing
+    D = rng.standard_normal((spec.p, spec.m))
+    return SystemQuad.from_matrices(A, B, C, D)
 
 
 def dual_of(sys: SystemQuad) -> SystemQuad:

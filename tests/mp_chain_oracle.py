@@ -26,8 +26,9 @@ span of their kernels' state parts and ``build_Kh``'s basis.
 
     PYTHONPATH=src python tests/mp_chain_oracle.py place N M SEED
 
-places λ = -1 - 0.5k, k < N, on the controllable draw
-``GenSpec(N, M, 0, SEED, controllable=True)`` and prints the worst distance
+places λ = -1 - 0.5k, k < N, on the draw ``GenSpec(N, M, 0, SEED)``
+(the placement regression tests check that each draw they use is
+controllable) and prints the worst distance
 between the request and the eigenvalues of A+BF from ``mpmath.eig`` at 60
 digits, under the pairing that minimizes it (``place_poles``'s refusal,
 if any, instead).  The placement regression tests use SEED = 100 N + 10 M + s.
@@ -195,7 +196,7 @@ def kh_basis(sys, lams) -> np.ndarray:
 
 
 def place_distance(n: int, m: int, seed: int) -> str:
-    s = random_system(GenSpec(n, m, 0, seed=seed, controllable=True))
+    s = random_system(GenSpec(n, m, 0, seed=seed))
     lams = -1.0 - 0.5 * np.arange(n)
     try:
         F = place_poles(s.A, s.B, lams).F

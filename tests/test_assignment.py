@@ -41,6 +41,14 @@ B3 = np.eye(3)[:, 2:]
 DI_VEL = SystemQuad.from_matrices(A2, B2, [[0.0, 1.0]], [[0.0]])
 
 
+def _controllable_draw(n, m, seed):
+    """``random_system(GenSpec(n, m, 0, seed))``, checked to be controllable:
+    an uncontrollable draw fails the test instead of being replaced."""
+    sys = random_system(GenSpec(n, m, 0, seed=seed))
+    assert reachable_subspace(sys.A, sys.B)[0].dim == n, f"GenSpec({n}, {m}, 0, {seed}) is not controllable"
+    return sys
+
+
 class TestMooreCheck:
     def test_open_loop_eigenpairs_pass(self):
         A = np.diag([-1.0, -2.0])
@@ -218,7 +226,7 @@ class TestPlacePoles:
         # conditioning may degrade but the placement stays consistent
         rng = np.random.default_rng(0)
         for seed in range(5):
-            sys = random_system(GenSpec(n=3, m=1, seed=seed, controllable=True))
+            sys = _controllable_draw(3, 1, seed)
             lams = [-2.0, -2.0 + 1e-3, -2.0 - 1e-3]
             kernels = [reach_pencil_kernel(sys.A, sys.B, lam) for lam in lams]
             assert rank_of(np.hstack([K.V for K in kernels]), scale=1.0) == 3
@@ -231,7 +239,7 @@ class TestPlacePolesAgainstScipy:
 
     @staticmethod
     def _case(n, m, s):
-        sys = random_system(GenSpec(n, m, 0, seed=100 * n + 10 * m + s, controllable=True))
+        sys = _controllable_draw(n, m, 100 * n + 10 * m + s)
         return sys.A, sys.B, -1.0 - 0.5 * np.arange(n)
 
     @pytest.mark.parametrize("n", [4, 6])
@@ -276,7 +284,7 @@ class TestPlacePolesAgainstScipy:
 
 
 def test_cond_warning_points_at_the_caller():
-    sys = random_system(GenSpec(12, 1, 0, seed=1210, controllable=True))
+    sys = _controllable_draw(12, 1, 1210)
     lams = -1.0 - 0.5 * np.arange(12)
     for op in (lambda: place_poles(sys.A, sys.B, lams),
                lambda: friend_of(sys, vstar(sys), lams)):
@@ -292,7 +300,7 @@ def test_every_requested_value_is_placed_or_refused(n, m):
     # assigned another twice, without an error (off by 0.5 to 9); for one
     # draw at 60 digits: tests/mp_chain_oracle.py place N M SEED
     for s in range(5):
-        sys = random_system(GenSpec(n, m, 0, seed=100 * n + 10 * m + s, controllable=True))
+        sys = _controllable_draw(n, m, 100 * n + 10 * m + s)
         lams = -1.0 - 0.5 * np.arange(n)
         for op in (lambda: place_poles(sys.A, sys.B, lams), lambda: friend_of(sys, vstar(sys), lams)):
             try:

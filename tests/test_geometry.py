@@ -294,6 +294,18 @@ class TestVstarChain:
         E = chain_term(sstar_sequence(sys), h)
         assert [V.dim for V in vstar_sequence(sys, E)] == dims
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 3: at p = 0 the chain inside S_29 of a controllable "
+        "single-input pair with 30 states stops at dimension 14, where the "
+        "exact answer is 0"))
+    def test_no_outputs_single_input_chain_inside_sstar_term(self):
+        """Without outputs, a controllable single-input pair leaves no
+        nonzero controlled-invariant subspace inside S_k for any k < n.  The
+        draw is corollary-last's trial 2 at nmax = 30: 30 states, one input,
+        controllable."""
+        sys = SystemQuad.from_matrices(*_draw_pair(_rng_for(0, 2), 30))
+        assert vstar(sys, chain_term(sstar_sequence(sys), 29)).dim == 0
+
 
     def test_limit_is_last_term_bitwise(self):
         for n, m, p in [(6, 2, 1), (9, 3, 2), (8, 2, 0)]:
@@ -423,6 +435,25 @@ class TestFriendOf:
         fb = friend_of(DI_VEL, Subspace.zero(2))
         assert np.all(fb.F == 0.0) and fb.assigned == ()
         assert friend_of(DI_VEL, Subspace.zero(2), [-1.0]).assigned == ()
+
+    @pytest.mark.parametrize("m, p", [(3, 2), (2, 3), (2, 0)])
+    def test_zero_subspace_needs_no_factorization(self, monkeypatch, m, p):
+        # the answers the least-squares friend and its staircase give on V = 0
+        # come without either: F = 0 with zero residuals, and R = 0
+        sys, zero = random_system(GenSpec(6, m, p, seed=m + p)), Subspace.zero(6)
+        F, _, _, R = geometry._friend(sys, zero, DEFAULT_TOL)
+        want = (F, (), 0.0, norm2(R[sys.n:]), norm2(R[:sys.n]), 1.0)
+        reach = geometry._span(geometry._reach_along(sys, zero, DEFAULT_TOL)[3])
+        friends = record_calls(monkeypatch, geometry, "_friend")
+        for spectrum in (None, [-1.0, -2.0]):
+            got = dataclasses.astuple(friend_of(sys, zero, spectrum))
+            assert got[0].dtype == F.dtype and np.array_equal(got[0], F) and got[1:] == want[1:]
+        got = reachability_on(sys, zero)
+        assert got.basis.dtype == reach.basis.dtype and got.basis.shape == reach.basis.shape
+        assert friends == []
+        # the V* kept on a system is still R*'s question when it is zero
+        if vstar(sys).dim == 0:
+            assert reachability_on(sys, vstar(sys)) is rstar(sys)
 
     def test_double_integrator_full_space(self):
         sys = SystemQuad.from_matrices(A2, B2)
@@ -920,8 +951,9 @@ class TestFriendOfVstarMemo:
             got = friend_of(sys, W)
             assert np.array_equal(got.F, want.F) and got.F.dtype == want.F.dtype
             assert (got.residual_out, got.residual_inv) == (want.residual_out, want.residual_inv)
-        # the friend of V*, kept and read twice, and the copy's, built apart
-        assert len(friends) == 2
+        # the friend of V*, kept and read twice, and the copy's, built apart;
+        # V* = 0 needs none
+        assert len(friends) == (2 if V.dim else 0)
 
     @pytest.mark.parametrize("m, p", MEMO_SHAPES)
     def test_the_callers_F_is_its_own(self, m, p):
@@ -980,10 +1012,10 @@ class TestFriendOfVstarMemo:
         got = friend_of(sys, V, spectrum)
         assert stairs == [] and friends == []
         # a copy of V*'s basis is any subspace: its own friend and
-        # staircase, the same R*
+        # staircase, the same R*; a copy of V* = 0 needs neither
         copy = reachability_on(sys, Subspace(V.basis.copy()))
         assert _same_subspace(copy, R)
-        assert len(friends) == 1
+        assert len(friends) == (1 if V.dim else 0)
         assert np.array_equal(got.F, want.F)
         assert [lam for lam, _ in got.assigned] == [lam for lam, _ in want.assigned]
         assert all(np.array_equal(u, v) for (_, u), (_, v) in zip(got.assigned, want.assigned))

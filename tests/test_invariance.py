@@ -8,8 +8,11 @@ orthogonal changes of state, input and output coordinates
 (Aᵀ, Cᵀ, Bᵀ, Dᵀ) exchanges them: V* of the dual is S*⊥, S* of the dual is
 V*⊥, R* of the dual is (V* + S*)⊥, and the zeros are the same.  Without
 outputs, A → αA moves none of them: [αA − λI  B] = α [A − (λ/α)I  B/α]
-has the rank of the unscaled pencil at λ/α.  The draws are generic ``GenSpec`` systems; planted
-joins, on which some of these answers move today, are not among them.
+has the rank of the unscaled pencil at λ/α.  Nor with D = 0: then
+[αA − λI  B; C  0] = diag(αI, I) [A − (λ/α)I  B/α; C  0], and neither
+Ax + Bu ∈ V nor Cx = 0 sees a scaling of u.  The draws are generic
+``GenSpec`` systems; planted joins, on which some of these answers move
+today, are not among them.
 """
 
 import functools
@@ -101,6 +104,21 @@ def test_scaling_a_without_outputs(n, m):
         sys, want = _draw(n, m, 0, seed)
         for alpha in ALPHAS:
             got = _picture(SystemQuad.from_matrices(alpha * sys.A, sys.B))
+            if got != want:
+                moved[(seed, alpha)] = (want, got)
+    assert moved == {}
+
+
+@pytest.mark.parametrize("m, p", SHAPES, ids=[f"m{m}p{p}" for m, p in SHAPES])
+@pytest.mark.parametrize("n", SIZES)
+def test_scaling_a_without_feedthrough(n, m, p):
+    moved = {}
+    for seed in SEEDS:
+        sys = _draw(n, m, p, seed)[0]
+        D = np.zeros((p, m))
+        want = _picture(SystemQuad.from_matrices(sys.A, sys.B, sys.C, D))
+        for alpha in ALPHAS:
+            got = _picture(SystemQuad.from_matrices(alpha * sys.A, sys.B, sys.C, D))
             if got != want:
                 moved[(seed, alpha)] = (want, got)
     assert moved == {}

@@ -1,6 +1,6 @@
 """The names other code looks up on geokit's modules exist, every private
-top-level name of geokit has a reader, and LAPACK is reached through
-``geokit.linalg`` alone.
+top-level name of geokit has a reader, LAPACK is reached through
+``geokit.linalg`` alone, and the modules import each other in layers.
 
 perfbench's tracer wraps its table of functions with ``getattr`` and no
 default, so a library function deleted from under that table makes
@@ -118,6 +118,87 @@ class TestEveryPrivateNameIsRead:
         }
         assert _unreferenced_private_names(sources) == [
             "a.py:_unread", "a.py:_recursive", "a.py:_in_docstring", "a.py:_unread"]
+
+
+def _geokit_imports(source: str, modules: set[str]) -> list[tuple[str, str]]:
+    """``(module, site)`` for each geokit module in ``modules`` that
+    ``source``, a module of the package, imports, in source order:
+    ``from . import geometry``, ``from .geometry import vstar``,
+    ``import geokit.geometry`` and ``from geokit import geometry`` all import
+    ``geometry``, and a name imported from the package that is not a module
+    imports ``__init__``.  ``site`` is the function the import runs in,
+    ``"<module>"`` for an import at the top level."""
+    found = []
+
+    def visit(node, site):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            site = node.name
+        if isinstance(node, ast.Import):
+            found.extend((alias.name.split(".")[1], site) for alias in node.names
+                         if alias.name.startswith("geokit."))
+        elif isinstance(node, ast.ImportFrom):
+            path = ".".join(filter(None, ["geokit" if node.level else "", node.module]))
+            if path == "geokit":  # the package's modules, or its own names
+                found.extend((alias.name if alias.name in modules else "__init__", site)
+                             for alias in node.names)
+            elif path.startswith("geokit."):
+                found.append((path.split(".")[1], site))
+        for child in ast.iter_child_nodes(node):
+            visit(child, site)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def _package_imports() -> dict[str, list[tuple[str, str]]]:
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    modules = {f.stem for f in files}
+    return {f.stem: _geokit_imports(f.read_text(encoding="utf-8"), modules) for f in files}
+
+
+class TestImportLayers:
+    """``linalg`` rests on ``errors`` alone and ``sysmodel``, the data model,
+    on ``errors`` and ``linalg``; the algorithms import them, never the
+    other way round.  One import is deferred to call time, where
+    ``assignment`` imports ``geometry`` and ``geometry.friend_of`` places a
+    spectrum with ``assignment``'s synthesis."""
+
+    @pytest.mark.parametrize("name, allowed", [("linalg", {"errors"}),
+                                               ("sysmodel", {"errors", "linalg"})])
+    def test_data_layers_import_only_below_them(self, name, allowed):
+        imported = {module for module, _ in _package_imports()[name]}
+        assert imported <= allowed, f"{name} imports {sorted(imported - allowed)}"
+
+    def test_one_import_is_deferred(self):
+        deferred = [(name, module, site) for name, found in _package_imports().items()
+                    for module, site in found if site != "<module>"]
+        assert deferred == [("geometry", "assignment", "friend_of")]
+
+    def test_scan_finds_geokit_imports(self):
+        source = "\n".join([
+            "import numpy as np",
+            "import geokit.pencils",
+            "from . import errors, linalg",
+            "from .sysmodel import SystemQuad",
+            "from geokit import GenSpec, verify",
+            "from geokit.cli import main",
+            "from numpy.linalg import svd",
+            "def random_system(spec):",
+            "    from . import geometry",
+            "    def inner():",
+            "        import geokit.assignment",
+            "    return geometry",
+            "class Frame:",
+            "    def build(self):",
+            "        from .pencils import rosenbrock_kernel",
+        ])
+        modules = {"errors", "linalg", "sysmodel", "verify", "geometry", "pencils", "assignment", "cli"}
+        assert _geokit_imports(source, modules) == [
+            ("pencils", "<module>"), ("errors", "<module>"), ("linalg", "<module>"),
+            ("sysmodel", "<module>"), ("__init__", "<module>"), ("verify", "<module>"),
+            ("cli", "<module>"), ("geometry", "random_system"), ("assignment", "inner"),
+            ("pencils", "build")]
 
 
 def _lapack_uses(source: str) -> list[int]:

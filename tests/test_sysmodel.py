@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geokit.errors import GenerationError, SystemFormatError, ValidationError
-from geokit.linalg import Tol, rank_of
+from geokit.errors import SystemFormatError, ValidationError
 from geokit.sysmodel import (
     GenSpec,
     SystemQuad,
@@ -170,16 +169,6 @@ class TestLoadSystem:
 
 
 class TestRandomSystem:
-    def test_controllable_flag(self):
-        for seed in range(5):
-            sys = random_system(GenSpec(n=2, m=1, seed=seed, controllable=True))
-            ctrb = np.hstack([sys.B, sys.A @ sys.B])
-            assert rank_of(ctrb) == 2
-
-    def test_controllable_flag_larger_n(self):
-        sys = random_system(GenSpec(n=24, m=3, seed=0, controllable=True))
-        assert sys.n == 24
-
     def test_deterministic(self):
         a = random_system(GenSpec(n=4, m=2, p=1, seed=9))
         b = random_system(GenSpec(n=4, m=2, p=1, seed=9))
@@ -188,11 +177,6 @@ class TestRandomSystem:
     def test_m_exceeding_n_rejected(self):
         with pytest.raises(ValidationError):
             GenSpec(n=2, m=3)
-
-    def test_generation_failure(self):
-        # the cutoff 0.9 · σ_max · 2 exceeds σ_max: no draw has a reachable direction
-        with pytest.raises(GenerationError):
-            random_system(GenSpec(n=2, m=1, seed=0, controllable=True), Tol(rel=0.9))
 
 
 class TestDual:
@@ -251,18 +235,14 @@ class TestJsonText:
     def test_is_json_dumps(self, obj, indent):
         assert _json_text(obj, indent) == json.dumps(obj, indent=indent)
 
-    def test_other_values_are_left_to_json(self):
-        converted = {1: [0.5], "a": (True, None)}  # json writes the key 1 as "1"
-        assert _json_text(converted, 2) == json.dumps(converted, indent=2)
-        for refused in ([0.5, np.float32(1.5)], {"a": [1.0, {"b": object()}]}):
-            with pytest.raises(TypeError):
+    def test_other_values_are_refused(self):
+        # json would write the key 1 as "1"; no report or system file has one
+        with pytest.raises(TypeError, match="^keys must be str, not int$"):
+            _json_text({"a": (True, None), 1: [0.5]}, 2)
+        for refused, name in (([0.5, np.float32(1.5)], "float32"),
+                              ({"a": [1.0, {"b": object()}]}, "object")):
+            with pytest.raises(TypeError, match=f"^Object of type {name} is not JSON serializable$"):
                 _json_text(refused, 2)
-
-    def test_a_list_inside_itself_raises_as_json_does(self):
-        loop = [1.0]
-        loop.append(loop)
-        with pytest.raises(ValueError, match="Circular reference"):
-            _json_text({"x": loop}, 2)
 
     def test_dump_system_writes_json_dumps_text(self, tmp_path):
         sys = random_system(GenSpec(5, 2, 1, seed=4))
