@@ -50,6 +50,7 @@ from .linalg import (
     rank_of,
     svd,
 )
+from .geometry import FeedbackResult
 from .pencils import PencilKernel, spectrum_scale, validate_spectrum
 from .sysmodel import SystemQuad
 
@@ -75,27 +76,6 @@ COND_WARNING = 1e8
 _NEAR = 1e-6
 # KNV method 0 sweeps over the free columns of a parametric placement.
 _KNV_SWEEPS = 3
-
-
-@dataclass(frozen=True, eq=False)
-class FeedbackResult:
-    """A real feedback matrix with its assignment diagnostics.
-
-    ``assigned`` lists the (eigenvalue, unit eigenvector) pairs the synthesis
-    actually placed; ``residual_eig`` is the worst eigenpair residual,
-    ``residual_out`` the output-nulling residual ``(C+DF)V`` (zero by
-    convention when no outputs are in scope), ``residual_inv`` the invariance
-    residual of the target subspace under A+BF, and ``cond_V`` the condition
-    number of the eigenvectors' staircase coordinates X = Qᵀ V (realified,
-    except for an explicit selection, where Q = I and X = V).
-    """
-
-    F: np.ndarray
-    assigned: tuple
-    residual_eig: float
-    residual_out: float
-    residual_inv: float
-    cond_V: float
 
 
 def _assemble_feedback(sys: SystemQuad, F0, Omega1, Q, X, H, assigned, target: Subspace,

@@ -27,7 +27,12 @@ system (``_memoized``) and shared by every op that reads them:
 each and end their sequences, :func:`friend_of` and
 :func:`reachability_on` of that V*, :func:`morse_decomposition` and,
 through it, the invariant zeros, the normal rank and the Kh frame.  Their
-arrays are read-only; :func:`friend_of` hands out a copy of its F.
+arrays are read-only.  Each kept answer is served as it is kept, so a
+warm query is a read: :func:`friend_of` without a spectrum answers V* with
+a copy of the kept F and the residual norms kept with it, and V = 0 with
+F = 0, before any import or check of a spectrum, and the frame keeps the
+invariant zeros as the Python complex values that
+:func:`geokit.pencils.invariant_zeros` hands out in a new list.
 
 Conventions: every function here accepts a quadruple with ``p = 0`` (no
 outputs).  The output-nulling recursion then becomes the largest-controlled-
@@ -75,6 +80,7 @@ __all__ = [
     "sstar",
     "chain_term",
     "is_output_nulling",
+    "FeedbackResult",
     "friend_of",
     "reachability_on",
     "rstar",
@@ -98,8 +104,9 @@ def _memoized(build):
 
     Kept this way: the system's staircase (``_stairs``), the dual staircase
     from the whole space (``_vstar_stairs``), the least-squares friend of
-    V* (``_friend_of_vstar``) with its two residual norms, once a caller
-    reads them (``_friend_of_vstar_norms``), the R* staircase on V*
+    V* (``_friend_of_vstar``), the answer :func:`friend_of` gives on V*,
+    that F with its two residual norms, once a caller asks for it
+    (``_friend_of_vstar_answer``), the R* staircase on V*
     (``_rstar_stairs``), the answers :func:`vstar` (E omitted),
     :func:`sstar` and :func:`rstar`, and the Morse frame.
     """
@@ -295,12 +302,19 @@ def _vstar_stairs(sys: SystemQuad, tol: Tol) -> tuple[np.ndarray, tuple[int, ...
     return Q, tuple(dims)
 
 
+def _check_ambient(sys: SystemQuad, S: Subspace, name: str) -> None:
+    """Raise :class:`ValidationError` unless the subspace ``name`` lies in
+    the state space of ``sys``."""
+    if S.ambient_dim != sys.n:
+        raise ValidationError(f"{name} has ambient {S.ambient_dim}, expected {sys.n}")
+
+
 def _dual_stairs(sys: SystemQuad, E: Subspace | None, tol: Tol) -> tuple[np.ndarray, list[int]]:
     """The dual system's staircase from E⊥, its basis completed to an
     orthonormal basis of the state space."""
     n = sys.n
-    if E is not None and E.ambient_dim != n:
-        raise ValidationError(f"E has ambient {E.ambient_dim}, expected {n}")
+    if E is not None:
+        _check_ambient(sys, E, "E")
     start = np.zeros((n, 0)) if E is None else orthonormal_complement(E, tol).basis
     Q, dims = _staircase(sys.A.T, sys.C.T, sys.B.T, sys.D.T, start, n + 1, tol,
                          (sys._ac_scale, sys._bd_scale))
@@ -354,14 +368,37 @@ def is_output_nulling(sys: SystemQuad, V: Subspace, tol: Tol = DEFAULT_TOL) -> b
     At p = 0 this is controlled invariance, A V ⊆ V + im B.  By duality it
     checks the other properties too: S is input containing iff S⊥ is output
     nulling for ``dual_of(sys)``, and S is conditioned invariant,
-    A (S ∩ ker C) ⊆ S, iff S⊥ is output nulling for the pair (Aᵀ, Cᵀ)."""
+    A (S ∩ ker C) ⊆ S, iff S⊥ is output nulling for the pair (Aᵀ, Cᵀ).
+    Raises :class:`ValidationError` if V does not lie in the state space."""
+    _check_ambient(sys, V, "V")
     AC, BD = np.vstack([sys.A, sys.C]), np.vstack([sys.B, sys.D])
     lifted = np.vstack([V.basis, np.zeros((sys.p, V.dim))])
     target = image_basis(np.hstack([lifted, BD]), tol)
     return contains(target, image_basis(AC @ V.basis, tol, scale=sys._ac_scale), tol)
 
 
-def friend_of(sys: SystemQuad, V: Subspace, spectrum=None, tol: Tol = DEFAULT_TOL):
+@dataclass(frozen=True, eq=False)
+class FeedbackResult:
+    """A real feedback matrix with its assignment diagnostics.
+
+    ``assigned`` lists the (eigenvalue, unit eigenvector) pairs the synthesis
+    actually placed; ``residual_eig`` is the worst eigenpair residual,
+    ``residual_out`` the output-nulling residual ``(C+DF)V`` (zero by
+    convention when no outputs are in scope), ``residual_inv`` the invariance
+    residual of the target subspace under A+BF, and ``cond_V`` the condition
+    number of the eigenvectors' staircase coordinates X = Qᵀ V (realified,
+    except for an explicit selection, where Q = I and X = V).
+    """
+
+    F: np.ndarray
+    assigned: tuple
+    residual_eig: float
+    residual_out: float
+    residual_inv: float
+    cond_V: float
+
+
+def friend_of(sys: SystemQuad, V: Subspace, spectrum=None, tol: Tol = DEFAULT_TOL) -> FeedbackResult:
     """Real feedback F with (A+BF) V ⊆ V and (C+DF) V = 0.
 
     Without a ``spectrum`` no eigenvalue is chosen: F is the least-squares
@@ -369,7 +406,10 @@ def friend_of(sys: SystemQuad, V: Subspace, spectrum=None, tol: Tol = DEFAULT_TO
     Linear System Theory*, 1992), built from one SVD of ``[P B; D]``, P the
     projector onto the orthogonal complement of V; its residuals certify
     that V is output nulling; on V = 0 it is F = 0, with zero residuals,
-    and needs no SVD.  A ``spectrum``, when supplied, is validated
+    and needs no SVD.  On V = 0 and on the V* kept on the system
+    (:func:`vstar`) that answer is a read: a copy of the kept F with the
+    residual norms kept with it, which the first call computes.  A
+    ``spectrum``, when supplied, is validated
     by :func:`geokit.pencils.validate_spectrum` even on V = 0: finite,
     distinct and self-conjugate, but not checked against the fixed
     eigenvalues of V, so a value may repeat an invariant zero.  It is placed
@@ -382,30 +422,34 @@ def friend_of(sys: SystemQuad, V: Subspace, spectrum=None, tol: Tol = DEFAULT_TO
     of V; since B Omega1 ⊆ V and D Omega1 = 0, its invariance and output
     residuals do not grow with the eigenvectors' condition number.
 
-    Returns a :class:`geokit.assignment.FeedbackResult`, whose ``assigned``
-    lists the values placed.  Raises :class:`NotInvariantError` if V is not
-    output nulling and :class:`SynthesisError` if the eigenvector columns
-    are numerically dependent or the residuals exceed tolerance.
+    Returns a :class:`FeedbackResult`, whose ``assigned`` lists the values
+    placed.  Raises :class:`ValidationError` if V does not lie in the
+    state space, :class:`NotInvariantError` if V is not output nulling and
+    :class:`SynthesisError` if the eigenvector columns are numerically
+    dependent or the residuals exceed tolerance.
     """
+    _check_ambient(sys, V, "V")
+    if spectrum is None:  # the reads come first
+        if V.dim == 0:  # nothing to keep invariant: F = 0
+            return FeedbackResult(np.zeros((sys.m, sys.n)), (), 0.0, 0.0, 0.0, 1.0)
+        if _is_vstar(sys, V, tol):  # F is copied: the caller's F is its own
+            F, res_out, res_inv = _friend_of_vstar_answer(sys, tol)
+            return FeedbackResult(F.copy(), (), 0.0, res_out, res_inv, 1.0)
     # deferred: assignment imports this module
-    from .assignment import FeedbackResult, _assemble_feedback, _parametric, validate_spectrum
+    from .assignment import _assemble_feedback, _parametric, validate_spectrum
 
     if np.iscomplexobj(V.basis):
         V = Subspace(require_real(V.basis, tol, "basis of V"))
-    values = None if spectrum is None else validate_spectrum(spectrum, (), tol)
-    if V.basis.shape == (sys.n, 0):  # nothing to keep invariant or to place on: F = 0
+    if spectrum is None:
+        F, _, _, R = _friend(sys, V, tol)
+        return FeedbackResult(F, (), 0.0, norm2(R[sys.n:]), norm2(R[:sys.n]), 1.0)
+    values = validate_spectrum(spectrum, (), tol)
+    if V.dim == 0:  # nothing to place on: F = 0
         return FeedbackResult(np.zeros((sys.m, sys.n)), (), 0.0, 0.0, 0.0, 1.0)
-    kept = _is_vstar(sys, V, tol)  # then read what the system keeps
-    if values:
-        F, Omega, m1, Q, dims = _rstar_stairs(sys, tol) if kept else _reach_along(sys, V, tol)
-        Omega1 = Omega[:, :m1]
-        F0, X, H, assigned = _parametric(sys.A, sys.B, F, Omega1, Q, dims, values)
-        return _assemble_feedback(sys, F0, Omega1, Q, X, H, assigned, V, tol)
-    if kept:  # F is copied: the caller's F is its own
-        res_out, res_inv = _friend_of_vstar_norms(sys, tol)
-        return FeedbackResult(_friend_of_vstar(sys, tol)[0].copy(), (), 0.0, res_out, res_inv, 1.0)
-    F, _, _, R = _friend(sys, V, tol)
-    return FeedbackResult(F, (), 0.0, norm2(R[sys.n:]), norm2(R[:sys.n]), 1.0)
+    F, Omega, m1, Q, dims = _rstar_stairs(sys, tol) if _is_vstar(sys, V, tol) else _reach_along(sys, V, tol)
+    Omega1 = Omega[:, :m1]
+    F0, X, H, assigned = _parametric(sys.A, sys.B, F, Omega1, Q, dims, values)
+    return _assemble_feedback(sys, F0, Omega1, Q, X, H, assigned, V, tol)
 
 
 def _friend(sys: SystemQuad, V: Subspace, tol: Tol):
@@ -451,12 +495,13 @@ def _friend_of_vstar(sys: SystemQuad, tol: Tol):
 
 
 @_memoized
-def _friend_of_vstar_norms(sys: SystemQuad, tol: Tol) -> tuple[float, float]:
-    """The spectral norms ``(res_out, res_inv)`` of the residual blocks of
-    the friend of V*, which :func:`friend_of` reports: computed on its first
-    call, not with the friend, which most systems only build R* on."""
-    R = _friend_of_vstar(sys, tol)[3]
-    return norm2(R[sys.n:]), norm2(R[:sys.n])
+def _friend_of_vstar_answer(sys: SystemQuad, tol: Tol) -> tuple[np.ndarray, float, float]:
+    """``(F, res_out, res_inv)``, what :func:`friend_of` reports on V*: the
+    kept F and the spectral norms of its residual blocks, computed on the
+    first :func:`friend_of` call, not with the friend, which most systems
+    only build R* on."""
+    F, _, _, R = _friend_of_vstar(sys, tol)
+    return F, norm2(R[sys.n:]), norm2(R[:sys.n])
 
 
 def reachability_on(sys: SystemQuad, V: Subspace, tol: Tol = DEFAULT_TOL) -> Subspace:
@@ -467,11 +512,13 @@ def reachability_on(sys: SystemQuad, V: Subspace, tol: Tol = DEFAULT_TOL) -> Sub
     :class:`NotInvariantError` if V is not output nulling and
     :class:`NumericalError` if the result leaves V by more than ``tol.abs``.
     On the V* kept on the system (:func:`vstar`) it is :func:`rstar`, and on
-    any other V = 0 the zero subspace, with no friend built.
+    any other V = 0 the zero subspace, with no friend built.  Raises
+    :class:`ValidationError` if V does not lie in the state space.
     """
+    _check_ambient(sys, V, "V")
     if _is_vstar(sys, V, tol):
         return rstar(sys, tol)
-    if V.basis.shape == (sys.n, 0):
+    if V.dim == 0:
         return Subspace.zero(sys.n)
     return _span(_reach_along(sys, V, tol)[3])
 
@@ -556,6 +603,13 @@ class MorseDecomposition:
         use and kept: every Kh on this frame reads them."""
         n1 = self.dim_rstar
         return np.linalg.eigvals(self.Abar[:n1, :n1])
+
+    @functools.cached_property
+    def _zero_values(self) -> list[complex]:
+        """``invariant_zeros`` as Python complex values, converted on first
+        use and kept: :func:`geokit.pencils.invariant_zeros` hands out a new
+        list of them."""
+        return [complex(z) for z in self.invariant_zeros]
 
     @property
     def normal_rank(self) -> int:
@@ -643,8 +697,9 @@ def intersection_formulas(sys: SystemQuad, pairs, tol: Tol = DEFAULT_TOL) -> lis
     Krylov row ``[A^(j-1)B, ..., AB, B, 0, ..., 0]`` produces the
     intersection.  The kernel of the T-block matrix is the T-th stage of one
     forward block substitution, so a single pass up to the largest i+j
-    serves every pair, and each result equals a separate run for its pair
-    bit for bit.  Requires i, j >= 1.  With no outputs (p = 0) the Markov
+    serves every pair; the row and its norm, which scales the rank
+    decision, are built once per j, and each result equals a separate run
+    for its pair bit for bit.  Requires i, j >= 1.  With no outputs (p = 0) the Markov
     blocks are empty, every input sequence is kept, and the formula returns
     S_j, the j-step reachable subspace.
 
@@ -695,14 +750,19 @@ def intersection_formulas(sys: SystemQuad, pairs, tol: Tol = DEFAULT_TOL) -> lis
         basis = ext @ coeff.basis
         stages.append(basis)
 
-    out = []
+    # the reversed Krylov row and its norm depend on j alone: one of each
+    # per j, the row zero-padded to the longest stage; each pair reads its
+    # first T blocks, so its product is the one a separate run forms
+    rows, out = {}, []
     for i, j in pairs:
         T = i + j
         if T > len(stages) or stages[T - 1].shape[1] == 0:
             out.append(Subspace.zero(n))
             continue
-        L = np.zeros((n, T * m))
-        for c in range(j):
-            L[:, c * m:(c + 1) * m] = powers[j - 1 - c]
-        out.append(image_basis(L @ stages[T - 1], tol, scale=norm2(L)))
+        if j not in rows:
+            L = np.zeros((n, nblk * m))
+            L[:, :j * m] = np.hstack(powers[j - 1::-1])
+            rows[j] = L, norm2(L[:, :j * m])
+        L, scale = rows[j]
+        out.append(image_basis(L[:, :T * m] @ stages[T - 1], tol, scale=scale))
     return out

@@ -18,7 +18,9 @@ and only A − λI is rewritten for each value.  The rank at each value of
 a list is decided proof-first for every shape, once per conjugate pair,
 by one function (:func:`_per_conjugate_pair`): the PBH test behind
 ``uncontrollable`` and the ``rank_at_zeros`` check of the ``zeros`` report
-both read it.
+both read it, and the kernels of a list are decided once per exact
+conjugate pair too.  The Morse frame keeps the invariant zeros as the
+values :func:`invariant_zeros` returns, so a warm zeros query is a read.
 """
 
 from __future__ import annotations
@@ -131,9 +133,12 @@ def rosenbrock_kernels(sys: SystemQuad, lams, tol: Tol = DEFAULT_TOL) -> list[Pe
     one empty kernel.  Where that proof fails, and whenever m > p, the
     matrix is written into one buffer per dtype (B, C and D are written
     once) and factored once: the full SVD's own singular values decide, so
-    every nonempty kernel comes from one SVD.  A value that is not finite
-    raises :class:`SpectrumError` before any kernel is computed."""
-    n, write, kernels = sys.n, _matrix_writer(sys), []
+    every nonempty kernel comes from one SVD.  A value whose exact conjugate
+    came earlier in ``lams`` (a real value repeated, among them) is decided
+    once with it: the matrix at λ̄ is the conjugate of the one at λ, and the
+    kernel at λ̄ is the elementwise conjugate of λ's.  A value that is not
+    finite raises :class:`SpectrumError` before any kernel is computed."""
+    n, write, kernels, decided = sys.n, _matrix_writer(sys), [], {}
     lams = list(_finite(lams))
     tall = sys.m <= sys.p and bool(lams)
     if tall:
@@ -141,13 +146,16 @@ def rosenbrock_kernels(sys: SystemQuad, lams, tol: Tol = DEFAULT_TOL) -> list[Pe
         empty = [(K[:n], K[n:]) for K in (np.zeros((n + sys.m, 0)),
                                            np.zeros((n + sys.m, 0), np.complex128))]
     for lam in lams:
-        if tall and proves(lam):
+        if lam.conjugate() in decided:
+            V, W = (K.conj() for K in decided[lam.conjugate()])
+        elif tall and proves(lam):
             V, W = empty[lam.imag != 0.0]
         else:
             M = write(lam)
             _, s, vh = svd(M)
             K = vh[_svd_rank(s, M.shape, tol):].conj().T.copy()  # a copy frees the rest of vh
             V, W = K[:n], K[n:]
+        decided[lam] = V, W
         kernels.append(PencilKernel(lam=lam, V=V, W=W))
     return kernels
 
@@ -233,10 +241,11 @@ def invariant_zeros(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> list[complex]:
     uncontrollable eigenvalues of the PBH test (:func:`uncontrollable_eigenvalues`).
     Use :func:`deduplicate_eigenvalues` for the zero set without multiplicities.
     The Rosenbrock matrix drops below its normal rank at each zero
-    (:func:`normal_rank_rosenbrock`, read off the same frame).
+    (:func:`normal_rank_rosenbrock`, read off the same frame).  The frame
+    keeps the zeros as these complex values, so after the first call on a
+    system this is a read; each call returns a new list.
     """
-    dec = geometry.morse_decomposition(sys, tol)
-    return [complex(z) for z in dec.invariant_zeros]
+    return list(geometry.morse_decomposition(sys, tol)._zero_values)
 
 
 def spectrum_scale(lambdas, tol: Tol) -> float:

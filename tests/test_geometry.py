@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import gc
 import inspect
@@ -108,6 +109,30 @@ def record_calls(monkeypatch, module, name):
     """Wrap ``module.name`` so that each call's first argument is recorded."""
     calls, fn = [], getattr(module, name)
     monkeypatch.setattr(module, name, lambda M, *a, **k: calls.append(M) or fn(M, *a, **k))
+    return calls
+
+
+def lapack_calls(monkeypatch) -> list[str]:
+    """Patch every routine of ``linalg._LAPACK`` to record its name per call."""
+    calls = []
+    for routines in linalg._LAPACK.values():
+        for name, routine in list(routines.items()):
+            def recorded(*args, name=name, routine=routine, **kwargs):
+                calls.append(name)
+                return routine(*args, **kwargs)
+            monkeypatch.setitem(routines, name, recorded)
+    return calls
+
+
+def recorded_imports(monkeypatch) -> list[tuple[str, int]]:
+    """Patch ``builtins.__import__`` to record ``(name, level)`` per import
+    statement that runs: ``from .assignment import x`` is ``("assignment", 1)``."""
+    calls, real = [], builtins.__import__
+
+    def spy(name, globals=None, locals=None, fromlist=(), level=0):
+        calls.append((name, level))
+        return real(name, globals, locals, fromlist, level)
+    monkeypatch.setattr(builtins, "__import__", spy)
     return calls
 
 
@@ -454,6 +479,19 @@ class TestFriendOf:
         # the V* kept on a system is still R*'s question when it is zero
         if vstar(sys).dim == 0:
             assert reachability_on(sys, vstar(sys)) is rstar(sys)
+
+    @pytest.mark.parametrize("V", [Subspace.full(3), Subspace.zero(3), Subspace.full(5)],
+                             ids=["full-3", "zero-3", "full-5"])
+    def test_a_subspace_of_another_space_is_refused(self, V):
+        # as vstar refuses such an E, before any read of a kept answer
+        sys = random_system(GenSpec(4, 2, 1, seed=5))
+        vstar(sys), rstar(sys)
+        for spectrum in (None, [-1.0, -2.0]):
+            with pytest.raises(ValidationError, match="V has ambient"):
+                friend_of(sys, V, spectrum)
+        for check in (reachability_on, is_output_nulling):
+            with pytest.raises(ValidationError, match="V has ambient"):
+                check(sys, V)
 
     def test_double_integrator_full_space(self):
         sys = SystemQuad.from_matrices(A2, B2)
@@ -852,16 +890,18 @@ class TestStructureMemo:
         sys = random_system(GenSpec(12, m, p, seed=70 + 10 * m + p))
         for op, _ in MEMO_OPS.values():
             op(sys, DEFAULT_TOL)
-        friend_of(sys, vstar(sys))  # keeps the friend's residual norms too
-        # the three staircases' bases, and F, Omega and R of the friend of
-        # V* and F and Omega again with the R* staircase
+        friend_of(sys, vstar(sys))  # keeps its answer on V* too, unless V* = 0
+        # the three staircases' bases, F, Omega and R of the friend of V*,
+        # F and Omega again with the R* staircase, and F once more with the
+        # residual norms that friend_of reports on V*
         arrays = [x for entry in sys._memo.values() if isinstance(entry, tuple)
                   for x in entry if isinstance(x, np.ndarray)]
         answers = [entry for entry in sys._memo.values() if isinstance(entry, Subspace)]
         dec = morse_decomposition(sys)
         frame = [getattr(dec, f.name) for f in dataclasses.fields(dec)
                  if isinstance(getattr(dec, f.name), np.ndarray)]
-        assert len(arrays) == 8 and len(answers) == 3 and len(frame) == 8
+        assert len(arrays) == (9 if vstar(sys).dim else 8)
+        assert len(answers) == 3 and len(frame) == 8
         for M in arrays + frame + [S.basis for S in answers]:
             assert not M.flags.writeable
             with pytest.raises(ValueError):
@@ -975,7 +1015,7 @@ class TestFriendOfVstarMemo:
         R = geometry._friend_of_vstar(sys, DEFAULT_TOL)[3]
         blocks = [(sys.p, R.shape[1]), (sys.n, R.shape[1])]
         assert not any(M.shape in blocks for M in norms)  # the Krylov run's scale only
-        assert ("_friend_of_vstar_norms", DEFAULT_TOL) not in sys._memo
+        assert ("_friend_of_vstar_answer", DEFAULT_TOL) not in sys._memo
         del norms[:]
         fb = friend_of(sys, vstar(sys))
         assert [M.shape for M in norms] == blocks
@@ -1035,6 +1075,37 @@ class TestFriendOfVstarMemo:
         assert _same_subspace(schain[-1], sstar_sequence(cold)[-1])
         assert len(vchain) == len(vstar_sequence(cold)) and len(schain) == len(sstar_sequence(cold))
 
+    @pytest.mark.parametrize("m, p", MEMO_SHAPES)
+    def test_warm_queries_are_reads(self, monkeypatch, m, p):
+        # after the first call the zeros and the friends of V* and of V = 0
+        # run no LAPACK routine and no import, and each call hands out a new
+        # list, or an F of its own that shares no memory with the kept one
+        sys = _with_rstar(m, p)
+        zero = Subspace.zero(sys.n)
+        queries = {"zeros": lambda: invariant_zeros(sys),
+                   "vstar": lambda: friend_of(sys, vstar(sys)),
+                   "zero": lambda: friend_of(sys, zero)}
+        first = {name: query() for name, query in queries.items()}
+        kept = (geometry._friend_of_vstar(sys, DEFAULT_TOL)[0] if vstar(sys).dim
+                else np.zeros(0))
+        lapack, imports = lapack_calls(monkeypatch), recorded_imports(monkeypatch)
+        for _ in range(2):
+            again = {name: query() for name, query in queries.items()}
+            assert again["zeros"] == first["zeros"] and again["zeros"] is not first["zeros"]
+            assert again["zeros"] is not morse_decomposition(sys)._zero_values
+            for name in ("vstar", "zero"):
+                got, was = again[name], first[name]
+                assert got.F.flags.writeable and got.F.dtype == was.F.dtype
+                assert np.array_equal(got.F, was.F) and not np.shares_memory(got.F, was.F)
+                assert not np.shares_memory(got.F, kept)
+                assert dataclasses.astuple(got)[1:] == dataclasses.astuple(was)[1:]
+        assert lapack == [] and imports == []
+        # the spies see queries that are no reads: the zeros of a new system,
+        # and a spectrum, which assignment's synthesis places
+        invariant_zeros(_cold(sys))
+        friend_of(sys, vstar(sys), [-1.0, -2.0])
+        assert lapack and ("assignment", 1) in imports
+
     def test_nothing_is_built_to_recognise_vstar(self, monkeypatch):
         # with no V* kept, a subspace is not compared with one: V* is not
         # built for the question
@@ -1093,6 +1164,19 @@ class TestIntersectionFormula:
         pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
         for (i, j), got in zip(pairs, intersection_formulas(sys, pairs)):
             assert np.array_equal(got.basis, intersection_formula(sys, i, j).basis)
+
+    def test_one_row_and_norm_per_j(self, monkeypatch):
+        # the reversed Krylov row depends on j alone: its spectral norm is
+        # taken once per distinct j, here 3 of them over 24 pairs, and every
+        # basis is still the one a separate run gives, bit for bit
+        sys = random_system(GenSpec(n=6, m=2, p=1, seed=231))
+        pairs = [(i, j) for i in range(1, 7) for j in (3, 1, 3, 5)]
+        norms = record_calls(monkeypatch, geometry, "norm2")
+        got = intersection_formulas(sys, pairs)
+        assert sorted(M.shape for M in norms if M.shape[0] == sys.n) == [(6, 2), (6, 6), (6, 10)]
+        monkeypatch.undo()
+        for (i, j), S in zip(pairs, got):
+            assert S.dim > 0 and np.array_equal(S.basis, intersection_formula(sys, i, j).basis)
 
     def test_double_integrator_values(self):
         # all intersections vanish: vstar = span e1, sstar terms = span e2

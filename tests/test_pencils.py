@@ -519,6 +519,39 @@ class TestRosenbrockKernels:
         if shape[1] <= shape[2]:
             assert [K.q for K in kernels] == [int(at_zero and i == 3) for i in range(len(lams))]
 
+    @pytest.mark.parametrize("shape", [(6, 3, 2), (8, 2, 0), (5, 2, 2), (7, 1, 2)],
+                             ids=["wide", "no-outputs", "square", "tall"])
+    def test_one_decision_per_exact_pair(self, monkeypatch, shape):
+        # the matrix at λ̄ is the conjugate of λ's: an exact pair is decided
+        # once, at its first member, and its partner's kernel is the
+        # conjugate of that one, bit for bit the kernel of its own matrix;
+        # the invariant zeros, in exact pairs, take the square system's
+        # values past the proof
+        sys = random_system(GenSpec(*shape, seed=2))
+        lams = [complex(lam) for lam in self.LAMS] + invariant_zeros(sys)
+        firsts = []
+        for lam in lams:
+            if lam not in firsts and lam.conjugate() not in firsts:
+                firsts.append(lam)
+        tall = sys.m <= sys.p
+        proves = linalg._pencil_proof(sys._pencil_gram, DEFAULT_TOL)
+        factored = [lam for lam in firsts if not (tall and proves(lam))]
+        proofs = []
+        monkeypatch.setattr(pencils, "_pencil_proof", _spy_on_proofs(proofs))
+        gesdd = _record_gesdd(monkeypatch)
+        kernels = rosenbrock_kernels(sys, lams)
+        assert proofs == (firsts if tall else [])
+        assert len(gesdd) == len(factored) < len(lams)
+        if shape == (5, 2, 2):
+            assert len(factored) >= 2
+        monkeypatch.undo()
+        for K, lam in zip(kernels, lams):
+            one = rosenbrock_kernel(sys, lam)
+            assert K.lam == lam and one.V.dtype == K.V.dtype == K.W.dtype
+            assert np.array_equal(one.V, K.V) and np.array_equal(one.W, K.W)
+            first = kernels[lams.index(lam.conjugate())] if lam.conjugate() in lams else K
+            assert np.array_equal(K.V, first.V.conj()) and np.array_equal(K.W, first.W.conj())
+
 
 class TestUncontrollable:
     def test_controllable_pair_empty(self):
