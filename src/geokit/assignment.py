@@ -329,6 +329,8 @@ def _kh(frame: geometry.MorseDecomposition, lams, tol: Tol) -> Subspace:
     """
     values = validate_spectrum(lams, frame.invariant_zeros, tol)
     n1, stairs = frame.dim_rstar, frame.stairs
+    if n1 == 0:  # no direction to grow: nothing to shift or solve
+        return Subspace.zero(frame.T.shape[0])
     A, B = frame.Abar[:n1, :n1], frame.Bbar[:n1, :frame.m1]
     K = _near_shift(frame._rstar_spectrum, B, values)
     if K is not None:
@@ -369,10 +371,11 @@ def build_Kh(sys: SystemQuad, spec, tol: Tol = DEFAULT_TOL) -> tuple[Subspace, l
     lams = [complex(v) for v in spec]
     kh = _kh(frame, lams, tol)
     kernels = pencils.rosenbrock_kernels(sys, lams, tol)
-    V = np.hstack([K.V for K in kernels])
-    outside = float(np.linalg.norm(V - kh.basis @ (kh.basis.T @ V), axis=0).max(initial=0.0))
-    if outside > tol.abs:
-        raise NumericalError(f"a pencil kernel column lies {outside:.3e} outside Kh")
+    if any(K.V.shape[1] for K in kernels):  # else no column to check, as usually with m ≤ p
+        V = np.hstack([K.V for K in kernels])
+        outside = float(np.linalg.norm(V - kh.basis @ (kh.basis.T @ V), axis=0).max())
+        if outside > tol.abs:
+            raise NumericalError(f"a pencil kernel column lies {outside:.3e} outside Kh")
     return kh, kernels
 
 

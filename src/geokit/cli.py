@@ -96,8 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_compute(args, tol: Tol) -> tuple[dict, dict]:
-    sys_quad = load_system(args.system)
+def _run_compute(args, file_bytes: bytes, tol: Tol) -> tuple[dict, dict]:
+    sys_quad = load_system(args.system, data=file_bytes)
     result: dict = {}
     diagnostics: dict = {}
     op = args.command
@@ -228,7 +228,7 @@ def main(argv=None) -> int:
             with open(args.system, "rb") as fh:
                 file_bytes = fh.read()
             report["inputs_digest"] = _digest(op, file_bytes, flags)
-            result, diagnostics = _run_compute(args, tol)
+            result, diagnostics = _run_compute(args, file_bytes, tol)
             report["result"] = result
             report["diagnostics"] = diagnostics
     except OSError as e:  # missing, unreadable, or a directory

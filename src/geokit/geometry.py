@@ -46,7 +46,7 @@ input-decoupling zeros, i.e. the uncontrollable eigenvalues (Rosenbrock,
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -377,7 +377,7 @@ def is_output_nulling(sys: SystemQuad, V: Subspace, tol: Tol = DEFAULT_TOL) -> b
     return contains(target, image_basis(AC @ V.basis, tol, scale=sys._ac_scale), tol)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class FeedbackResult:
     """A real feedback matrix with its assignment diagnostics.
 
@@ -396,6 +396,21 @@ class FeedbackResult:
     residual_out: float
     residual_inv: float
     cond_V: float
+
+    def __init__(self, F: np.ndarray, assigned: tuple, residual_eig: float,
+                 residual_out: float, residual_inv: float, cond_V: float):
+        # each slot's own setter, not the frozen __init__'s object.__setattr__
+        # per field: a warm friend of V* is little more than this
+        _set_F(self, F)
+        _set_assigned(self, assigned)
+        _set_residual_eig(self, residual_eig)
+        _set_residual_out(self, residual_out)
+        _set_residual_inv(self, residual_inv)
+        _set_cond_V(self, cond_V)
+
+
+(_set_F, _set_assigned, _set_residual_eig, _set_residual_out, _set_residual_inv,
+ _set_cond_V) = (getattr(FeedbackResult, f.name).__set__ for f in fields(FeedbackResult))
 
 
 def friend_of(sys: SystemQuad, V: Subspace, spectrum=None, tol: Tol = DEFAULT_TOL) -> FeedbackResult:

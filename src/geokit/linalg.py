@@ -75,7 +75,9 @@ class Tol:
     ``rel`` scales the singular-value cutoff used for every rank decision;
     ``abs`` bounds residuals in containment tests and synthesis checks.
     ``rel`` lies in (0, 1), where a cutoff reads some rank above 0, and
-    ``abs`` is finite, where a residual check can fail.
+    ``abs`` is finite, where a residual check can fail.  Equal tolerances
+    hash alike; the hash is taken once, since every structure kept on a
+    system is looked up under its tolerance.
     """
 
     rel: float = 1e-11
@@ -90,6 +92,10 @@ class Tol:
             raise ValidationError("Tol.abs must be nonnegative")
         if not (self.abs < float("inf")):
             raise ValidationError("Tol.abs must be finite")
+        object.__setattr__(self, "_hash", hash((self.rel, self.abs)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 DEFAULT_TOL = Tol()
@@ -369,37 +375,41 @@ def _pencil_proof(gram: _PencilGram, tol: Tol):
     OpenBLAS's ``potrf`` completes on either.
 
     What depends on the request and not on λ is set up once: γ,
-    √(t₀ (1 + γ)), √n, target² per unit of N₀², and one Gram buffer per
-    dtype, with a view of its diagonal, which each value's update
-    overwrites in full.
+    √(t₀ (1 + γ)), √n, target² per unit of N₀² and the trace guard.  The
+    Gram buffer of a dtype, with a view of its diagonal and its ``potrf``,
+    is made at the first value of that dtype, so an all-real request makes
+    no complex one; each value's update overwrites it in full.
     """
     shape, n, G0, S, K, t0 = gram
     gamma = (sum(shape) + 10) * _EPS
     norm0, root_n = math.sqrt(t0 * (1.0 + gamma)), math.sqrt(n)
     floor = max(tol.rel * max(shape), 64.0 * sum(shape) * _EPS)
     factor = 4.0 * floor * floor
-    real, cplx = np.empty(G0.shape, order="F"), np.empty(G0.shape, np.complex128, order="F")
-    real_diag, cplx_diag = _diagonal(real), _diagonal(cplx)
-    real_head, cplx_head, cplx_re, cplx_im = real_diag[:n], cplx_diag[:n], cplx.real, cplx.imag
+    readable = t0 >= _GRAM_TINY  # False for a NaN trace too
+    buffers = {}  # dtype kind: (H, real part, imaginary part, diagonal, its first n, potrf)
+
+    def buffer(kind: str) -> tuple:
+        H = np.empty(G0.shape, np.complex128 if kind == "c" else np.float64, order="F")
+        diagonal = _diagonal(H)
+        parts = (H.real, H.imag) if kind == "c" else (H, None)
+        buffers[kind] = H, *parts, diagonal, diagonal[:n], _LAPACK[kind]["potrf"]
+        return buffers[kind]
 
     def proves(lam: complex) -> bool:
         a, b = lam.real, lam.imag
         norm = norm0 + abs(lam) * root_n
         norm_sq = norm * norm
-        if not (t0 >= _GRAM_TINY and 2.0 * norm_sq < np.inf):
+        if not (readable and 2.0 * norm_sq < np.inf):
             return False
+        kind = "c" if b else "f"
+        H, re, im, diagonal, head, potrf = buffers.get(kind) or buffer(kind)
+        np.multiply(S, -a, out=re)
+        np.add(re, G0, out=re)
         if b:
-            H, diagonal, head = cplx, cplx_diag, cplx_head
-            np.multiply(S, -a, out=cplx_re)
-            np.add(cplx_re, G0, out=cplx_re)
-            np.multiply(K, -b, out=cplx_im)
-        else:
-            H, diagonal, head = real, real_diag, real_head
-            np.multiply(S, -a, out=H)
-            H += G0
+            np.multiply(K, -b, out=im)
         head += a * a + b * b
         diagonal -= (factor * norm_sq + gamma * norm_sq) * (1.0 + gamma)
-        return _LAPACK[H.dtype.kind]["potrf"](H, lower=1, clean=False, overwrite_a=True)[1] == 0
+        return potrf(H, 1, 0, 1)[1] == 0  # lower, not cleaned, in place
     return proves
 
 

@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class PencilKernel:
     """Orthonormal kernel basis of a pencil at one eigenvalue, split into the
     state part V (n x q) and the input part W (m x q).
@@ -63,18 +63,44 @@ class PencilKernel:
     V: np.ndarray
     W: np.ndarray
 
+    def __init__(self, lam: complex, V: np.ndarray, W: np.ndarray):
+        # each slot's own setter, not the frozen __init__'s object.__setattr__
+        # per field: a request makes one kernel per value
+        _set_lam(self, lam)
+        _set_V(self, V)
+        _set_W(self, W)
+
     @property
     def q(self) -> int:
         return self.V.shape[1]
 
 
-def _finite(lams):
+_set_lam, _set_V, _set_W = PencilKernel.lam.__set__, PencilKernel.V.__set__, PencilKernel.W.__set__
+
+
+def _check_finite(lams: list[complex]) -> None:
+    """Raise :class:`SpectrumError` at the first of the complex ``lams``
+    that is not finite.  Such a value makes their sum not finite, and so
+    may an overflow: only then are the values read one by one."""
+    if not cmath.isfinite(sum(lams)):
+        for lam in lams:
+            if not cmath.isfinite(lam):
+                raise SpectrumError(f"eigenvalue {lam} is not finite")
+
+
+def _finite(lams) -> list[complex]:
     """Each λ of ``lams`` as a complex, in order; a value that is not finite
-    raises :class:`SpectrumError` when it is reached, whatever the shape."""
-    for lam in map(complex, lams):
-        if not cmath.isfinite(lam):
-            raise SpectrumError(f"eigenvalue {lam} is not finite")
-        yield lam
+    raises :class:`SpectrumError` when it is reached, whatever the shape,
+    before a later value that ``complex`` refuses."""
+    lams = list(lams)
+    try:
+        values = [complex(lam) for lam in lams]
+    except Exception:  # complex() refuses a value: raise what the first bad value raises
+        for lam in lams:
+            _check_finite([complex(lam)])
+        raise
+    _check_finite(values)
+    return values
 
 
 def _matrix_writer(sys: SystemQuad):
@@ -137,26 +163,30 @@ def rosenbrock_kernels(sys: SystemQuad, lams, tol: Tol = DEFAULT_TOL) -> list[Pe
     came earlier in ``lams`` (a real value repeated, among them) is decided
     once with it: the matrix at λ̄ is the conjugate of the one at λ, and the
     kernel at λ̄ is the elementwise conjugate of λ's.  A value that is not
-    finite raises :class:`SpectrumError` before any kernel is computed."""
-    n, write, kernels, decided = sys.n, _matrix_writer(sys), [], {}
-    lams = list(_finite(lams))
-    tall = sys.m <= sys.p and bool(lams)
-    if tall:
-        proves = _pencil_proof(sys._pencil_gram, tol)
-        empty = [(K[:n], K[n:]) for K in (np.zeros((n + sys.m, 0)),
-                                           np.zeros((n + sys.m, 0), np.complex128))]
+    finite raises :class:`SpectrumError` before any kernel is computed.
+    Nothing is set up that no value needs: a request whose values are all
+    proven forms no matrix, and a real one no complex Gram buffer."""
+    n, lams = sys.n, _finite(lams)
+    proves = _pencil_proof(sys._pencil_gram, tol) if sys.m <= sys.p and lams else None
+    write, empty, decided, kernels = None, {}, {}, []  # decided: each value's (V, W)
     for lam in lams:
-        if lam.conjugate() in decided:
-            V, W = (K.conj() for K in decided[lam.conjugate()])
-        elif tall and proves(lam):
-            V, W = empty[lam.imag != 0.0]
+        partner = decided.get(lam.conjugate())
+        if partner is not None:
+            V, W = partner[0].conj(), partner[1].conj()
+        elif proves is not None and proves(lam):
+            dtype = np.complex128 if lam.imag else np.float64
+            if dtype not in empty:
+                K = np.zeros((n + sys.m, 0), dtype)
+                empty[dtype] = K[:n], K[n:]
+            V, W = empty[dtype]
         else:
+            write = write or _matrix_writer(sys)
             M = write(lam)
             _, s, vh = svd(M)
             K = vh[_svd_rank(s, M.shape, tol):].conj().T.copy()  # a copy frees the rest of vh
             V, W = K[:n], K[n:]
         decided[lam] = V, W
-        kernels.append(PencilKernel(lam=lam, V=V, W=W))
+        kernels.append(PencilKernel(lam, V, W))
     return kernels
 
 
@@ -192,16 +222,17 @@ def _per_conjugate_pair(sys: SystemQuad, lams, tol: Tol) -> list[int]:
     before any rank is decided, and with no value to decide no Gram
     coefficient is formed.
     """
-    lams, ranks = list(_finite(lams)), {}  # ranks: the values decided, in order
+    lams, ranks = _finite(lams), {}  # ranks: the values decided, in order
     for lam in lams:
         if lam not in ranks and lam.conjugate() not in ranks:
             ranks[lam] = None
     if ranks:
-        proves, write = _pencil_proof(sys._pencil_gram, tol), _matrix_writer(sys)
+        proves, write = _pencil_proof(sys._pencil_gram, tol), None
         for lam in ranks:
             if proves(lam):
                 ranks[lam] = sys.n + min(sys.m, sys.p)
             else:
+                write = write or _matrix_writer(sys)
                 M = write(lam)
                 ranks[lam] = _svd_rank(svd(M, compute_uv=False), M.shape, tol)
     return [ranks[lam] if lam in ranks else ranks[lam.conjugate()] for lam in lams]
@@ -251,7 +282,12 @@ def invariant_zeros(sys: SystemQuad, tol: Tol = DEFAULT_TOL) -> list[complex]:
 def spectrum_scale(lambdas, tol: Tol) -> float:
     """Comparison scale for eigenvalue coincidence tests."""
     mags = [abs(complex(v)) for v in lambdas] or [1.0]
-    return max(tol.abs, tol.rel * max(1.0, max(mags)))
+    return _scale(max(mags), tol)
+
+
+def _scale(largest: float, tol: Tol) -> float:
+    """:func:`spectrum_scale` of values whose largest magnitude is ``largest``."""
+    return max(tol.abs, tol.rel * max(1.0, largest))
 
 
 def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -275,39 +311,66 @@ def validate_spectrum(lambdas, forbidden=(), tol: Tol = DEFAULT_TOL) -> list[tup
     (uncontrollable eigenvalues or invariant zeros) must be cleared by a
     margin of ten comparison scales; closer choices produce ill-conditioned
     kernels.
+
+    Each check raises on its first offending pair in the order of the
+    values, then of the forbidden set.  The values of an all-real request
+    are sorted once: the closest two are neighbours there, so a request of
+    distinct values forms no matrix of their distances.  Its distance to a
+    forbidden value is at least that value's imaginary part, so only the
+    forbidden values within twice the margin of the axis are measured.
     """
     lambdas = [complex(v) for v in lambdas]
     if not lambdas:
         raise SpectrumError("empty spectrum")
-    for lam in lambdas:
-        if not cmath.isfinite(lam):
-            raise SpectrumError(f"eigenvalue {lam} is not finite")
-    scale = spectrum_scale(lambdas, tol)
+    _check_finite(lambdas)
+    lams = np.array(lambdas)
+    real = not lams.imag.any()
+    if real:
+        xs = np.sort(lams.real)
+        scale = _scale(max(-float(xs[0]), float(xs[-1])), tol)
+    else:
+        scale = spectrum_scale(lambdas, tol)
     # each check raises on the first offending pair (i, j) in row-major
     # order; off its diagonal, the symmetric mask's first has j > i
-    lams = np.array(lambdas)
-    close = _distances(lams, lams) <= scale
-    np.fill_diagonal(close, False)
-    if close.any():
-        i, j = divmod(int(close.argmax()), len(lambdas))
-        raise SpectrumError(f"eigenvalues {lambdas[i]} and {lambdas[j]} are not distinct")
-    values, taken = [], set()  # taken: the non-real values already paired
-    for i, lam in enumerate(lambdas):
-        if abs(lam.imag) <= scale:
-            values.append((complex(lam.real), False))
-            continue
-        if i in taken:
-            continue
-        matches = [j for j, mu in enumerate(lambdas) if j not in taken and abs(mu.imag) > scale
-                   and abs(mu - lam.conjugate()) <= scale]
-        if not matches:
-            raise SpectrumError(f"spectrum is not self-conjugate: no partner for {lam}")
-        taken.update((i, matches[0]))
-        values.append((lam if lam.imag > 0 else lam.conjugate(), True))
+    if not real or ((xs[1:] - xs[:-1]) <= scale).any():
+        close = _distances(lams, lams) <= scale
+        np.fill_diagonal(close, False)
+        if close.any():
+            i, j = divmod(int(close.argmax()), len(lambdas))
+            raise SpectrumError(f"eigenvalues {lambdas[i]} and {lambdas[j]} are not distinct")
+    if real:
+        values = [(complex(lam.real), False) for lam in lambdas]
+    else:
+        values, taken = [], set()  # taken: the non-real values already paired
+        for i, lam in enumerate(lambdas):
+            if abs(lam.imag) <= scale:
+                values.append((complex(lam.real), False))
+                continue
+            if i in taken:
+                continue
+            matches = [j for j, mu in enumerate(lambdas) if j not in taken and abs(mu.imag) > scale
+                       and abs(mu - lam.conjugate()) <= scale]
+            if not matches:
+                raise SpectrumError(f"spectrum is not self-conjugate: no partner for {lam}")
+            taken.update((i, matches[0]))
+            values.append((lam if lam.imag > 0 else lam.conjugate(), True))
     if not len(forbidden):
         return values
     margin = 10.0 * scale
     forbidden = np.asarray(forbidden, dtype=np.complex128)
+    # the columns measured: all, or for a real request those near the axis
+    columns = np.flatnonzero(np.abs(forbidden.imag) <= 2.0 * margin) if real else slice(None)
+    near = _distances(lams, forbidden[columns]) <= margin
+    if near.any():
+        i, k = divmod(int(near.argmax()), near.shape[1])
+        j = columns[k] if real else k
+        raise SpectrumError(f"eigenvalue {lambdas[i]} is within {margin:.2e} of forbidden "
+                            f"value {complex(forbidden[j])}")
+    return values
+    margin = 10.0 * scale
+    forbidden = np.asarray(forbidden, dtype=np.complex128)
+    if xs is not None and not _may_reach(xs, forbidden, 2.0 * margin):
+        return values
     near = _distances(lams, forbidden) <= margin
     if near.any():
         i, j = divmod(int(near.argmax()), len(forbidden))

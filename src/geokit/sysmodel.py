@@ -187,29 +187,40 @@ def _parse_json_matrix(obj, key: str) -> list[list[float]]:
     return obj
 
 
-def load_system(path) -> SystemQuad:
-    """Load and validate a quadruple from a JSON system file."""
+def load_system(path, *, data: bytes | None = None) -> SystemQuad:
+    """Load and validate a quadruple from a JSON system file.
+
+    ``data``, when given, holds the bytes already read from ``path``, as
+    the CLI reads them for the report's digest: they are parsed, and the
+    file is not read again, so the system is the one digested.  The bytes
+    are decoded as a text read of the file decodes them: UTF-8, with
+    ``\r\n`` and ``\r`` read as ``\n``, which JSON error positions count.
+    """
+    if data is None:
+        data = Path(path).read_bytes()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise SystemFormatError(f"system file is not UTF-8: {e}") from e
+    if "\r" in text:  # universal newlines
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        data = json.loads(text, parse_int=float)  # an integer past the float range is inf
+        obj = json.loads(text, parse_int=float)  # an integer past the float range is inf
     except json.JSONDecodeError as e:
         raise SystemFormatError(f"malformed JSON: {e}") from e
-    if not isinstance(data, dict):
+    if not isinstance(obj, dict):
         raise SystemFormatError("top-level JSON value must be an object")
     for key in ("A", "B"):
-        if key not in data:
+        if key not in obj:
             raise SystemFormatError(f'missing required key "{key}"')
-    if ("C" in data) != ("D" in data):
+    if ("C" in obj) != ("D" in obj):
         raise SystemFormatError('"C" and "D" must be present together or absent together')
-    A = _parse_json_matrix(data["A"], "A")
-    B = _parse_json_matrix(data["B"], "B")
+    A = _parse_json_matrix(obj["A"], "A")
+    B = _parse_json_matrix(obj["B"], "B")
     C = D = None
-    if "C" in data:
-        C = _parse_json_matrix(data["C"], "C")
-        D = _parse_json_matrix(data["D"], "D")
+    if "C" in obj:
+        C = _parse_json_matrix(obj["C"], "C")
+        D = _parse_json_matrix(obj["D"], "D")
     try:
         return SystemQuad.from_matrices(A, B, C, D)
     except ValidationError as e:

@@ -462,6 +462,46 @@ class TestBuildKh:
         with pytest.raises(NumericalError):
             build_Kh(sys, [-1.0, -2.0, -3.0])
 
+    @pytest.mark.parametrize("m, p", [(2, 3), (2, 2)])
+    def test_tall_certificate_proves_each_distinct_value_once(self, monkeypatch, m, p):
+        # m ≤ p at 40 states: real values and exact conjugate pairs, each
+        # pair proven once at its first member and each kernel the empty
+        # one that the value alone gets, dtype and shape included; the
+        # certificate's kernels, asked with a real value repeated, prove it
+        # once too, and no SVD runs
+        from geokit import linalg, pencils
+
+        sys = random_system(GenSpec(40, m, p, seed=9))
+        pairs = [-1.1 + 0.4j, -2.3 - 1.2j, -0.7 + 2.5j]
+        lams = [-0.5, pairs[0], -1.5, pairs[0].conjugate(), pairs[1], -2.5,
+                pairs[2], pairs[1].conjugate(), -3.5, pairs[2].conjugate()]
+        firsts = [lam for i, lam in enumerate(lams) if lam.conjugate() not in lams[:i]]
+        assert len(firsts) == 7
+        calls = {"gesdd": [], "potrf": []}
+        for routines in linalg._LAPACK.values():
+            for name, log in calls.items():
+                def recorded(*args, _routine=routines[name], _log=log, **kwargs):
+                    _log.append(args[0].dtype.kind)
+                    return _routine(*args, **kwargs)
+                monkeypatch.setitem(routines, name, recorded)
+        morse_decomposition(sys)  # the frame's own SVDs
+        calls["gesdd"].clear()
+        repeated = [*lams[:3], lams[2], *lams[3:]]
+        _, kernels = build_Kh(sys, lams)
+        proofs = list(calls["potrf"])
+        certificate = pencils.rosenbrock_kernels(sys, repeated, DEFAULT_TOL)
+        assert calls["gesdd"] == []
+        kinds = ["c" if complex(lam).imag else "f" for lam in firsts]
+        assert proofs == kinds and calls["potrf"] == kinds * 2
+        monkeypatch.undo()
+        for K, lam in [*zip(kernels, lams), *zip(certificate, repeated)]:
+            one = pencils.rosenbrock_kernel(sys, lam)
+            dtype = np.complex128 if complex(lam).imag else np.float64
+            assert K.lam == complex(lam) and K.q == one.q == 0
+            for X, Y, rows in ((K.V, one.V, 40), (K.W, one.W, m)):
+                assert X.shape == Y.shape == (rows, 0) and X.dtype == Y.dtype == dtype
+                assert np.array_equal(X, Y)
+
 
     def test_frame_spectrum_is_computed_once(self, monkeypatch):
         # the R* block's eigenvalues depend on the frame alone: three spectra

@@ -1,3 +1,5 @@
+import builtins
+import io
 import json
 import os
 import subprocess
@@ -10,10 +12,10 @@ import pytest
 import geokit
 from geokit import cli, geometry, pencils
 from geokit.cli import main, parse_lambdas
-from geokit.errors import ValidationError
+from geokit.errors import SystemFormatError, ValidationError
 from geokit.linalg import rank_of
 from geokit.pencils import rosenbrock_matrix
-from geokit.sysmodel import GenSpec, dump_system, random_system
+from geokit.sysmodel import GenSpec, dump_system, load_system, random_system
 
 DI = {"A": [[0, 1], [0, 0]], "B": [[0], [1]], "C": [[0, 1]], "D": [[0]]}
 DI_P0 = {"A": [[0, 1], [0, 0]], "B": [[0], [1]]}
@@ -340,6 +342,46 @@ class TestReportContract:
             assert main([op, di_file, f"--json-indent={indent}", *lambdas.get(op, [])]) == 0
             out = capsys.readouterr().out
             assert out == json.dumps(json.loads(out), indent=indent if indent >= 0 else None) + "\n"
+
+    @pytest.mark.parametrize("op", cli._COMPUTE_OPS)
+    def test_each_compute_op_opens_the_file_once(self, capsys, monkeypatch, tmp_path, op):
+        # the bytes digested are the bytes parsed: the system file is read
+        # once, with CRLF line ends, which a text read would translate
+        path = tmp_path / "di.json"
+        path.write_bytes(json.dumps(DI, indent=1).replace("\n", "\r\n").encode())
+        opened = []
+        for owner in (builtins, io):
+            def recorded(file, *args, _open=getattr(owner, "open"), **kwargs):
+                if isinstance(file, (str, os.PathLike)):
+                    opened.append(Path(file))
+                return _open(file, *args, **kwargs)
+            monkeypatch.setattr(owner, "open", recorded)
+        lambdas = {"kh": ["--lambdas=-1"], "place": ["--lambdas=-1,-2"]}
+        code, rep = run_cli(capsys, op, str(path), *lambdas.get(op, []))
+        monkeypatch.undo()
+        assert code == 0 and opened == [path]
+        flags = {"json_indent": 2, "tol_abs": 1e-8, "tol_rel": 1e-11}
+        if op in lambdas:
+            flags["lambdas"] = lambdas[op][0].removeprefix("--lambdas=")
+        assert rep["inputs_digest"] == cli._digest(op, path.read_bytes(), flags)
+
+    def test_bytes_read_once_parse_as_the_file_does(self, tmp_path):
+        # load_system of the bytes already read: the system, and every
+        # refusal with its text, that reading the file itself gives
+        cases = [json.dumps(DI).encode(), json.dumps(DI).replace(",", ",\r").encode(),
+                 b'{"A": [[1]],\r\n "B": \xff}', b'\xef\xbb\xbf{"A": [[1]], "B": [[1]]}',
+                 b'{\r"A":\r\n[[1],}\r', b'[1, 2]', b'{"A": [[1]]}']
+        for data in cases:
+            path = tmp_path / "sys.json"
+            path.write_bytes(data)
+            outcomes = []
+            for load in (lambda: load_system(path), lambda: load_system(path, data=data)):
+                try:
+                    sys_ = load()
+                    outcomes.append([sys_.A.tolist(), sys_.B.tolist(), sys_.C.tolist()])
+                except SystemFormatError as err:
+                    outcomes.append(str(err))
+            assert outcomes[0] == outcomes[1]
 
     def test_digest_tracks_flags(self, capsys, di_file):
         _, rep1 = run_cli(capsys, "reach", di_file)

@@ -887,6 +887,43 @@ class TestValidateSpectrum:
         assert "not distinct" in _outcome(validate_spectrum, close, forbidden)
         assert "forbidden" in _outcome(validate_spectrum, lams, forbidden)
         assert isinstance(_outcome(validate_spectrum, lams, far), list)
+        # all-real requests, checked on their sorted values, at a unit where
+        # tol.abs sets the scale and one where the largest value does: a
+        # repeated value and near ones; forbidden sets, real and complex,
+        # with misses just past the margin on either side of a value and
+        # just above it, and hits above a value, below it, off the axis and
+        # on it, all together and each alone among far values
+        for unit in (1.0, 1e5):
+            reals = list(unit * rng.uniform(-5.0, -0.5, 24))
+            scale = spectrum_scale(reals, DEFAULT_TOL)
+            close_reals = list(reals)
+            for k in rng.choice(len(reals), 3, replace=False):
+                close_reals.insert(rng.integers(len(close_reals) + 1),
+                                   reals[k] + rng.uniform(-0.9, 0.9) * scale)
+            close_reals.insert(rng.integers(len(close_reals) + 1), reals[int(rng.integers(24))])
+            picks = [reals[k] for k in rng.choice(len(reals), 8, replace=False)]
+            misses = [picks[0] + 10.5 * scale, picks[1] - 10.5 * scale, picks[2] + 10.5j * scale,
+                      complex(picks[3] + 8.0 * scale, 8.0 * scale)]
+            hits = [picks[4] + 9.0 * scale, picks[5] - 9.0 * scale,
+                    picks[6] + 9.0 * scale * np.exp(2j * np.pi * rng.uniform()), picks[7]]
+            real_far = [*(unit * rng.uniform(1.0, 5.0, 11)), -9.0 * unit]
+            complex_far = list(unit * far)
+            real_forbidden = real_far + hits[:2]
+            complex_forbidden = complex_far + misses + hits
+            for forbidden_set in (real_forbidden, complex_forbidden):
+                forbidden_set[:] = [forbidden_set[k] for k in rng.permutation(len(forbidden_set))]
+            real_cases = [(close_reals, ()), (close_reals, real_forbidden), (reals, real_forbidden),
+                          (reals, np.array(complex_forbidden)), (reals, complex_forbidden),
+                          (reals, real_far + misses), (reals, np.array(misses)), (reals, complex_far)]
+            real_cases += [(reals, [*far_set, hit]) for hit in hits
+                           for far_set in (real_far, complex_far)]
+            for args in real_cases:
+                want = _outcome(_validate_spectrum_loops, *args)
+                assert _outcome(validate_spectrum, *args) == want
+            assert "not distinct" in _outcome(validate_spectrum, close_reals, real_forbidden)
+            for forbidden_set in (real_forbidden, complex_forbidden, *([hit] for hit in hits)):
+                assert "forbidden" in _outcome(validate_spectrum, reals, forbidden_set)
+            assert isinstance(_outcome(validate_spectrum, reals, real_far + misses), list)
 
 
 def test_deduplicate():
