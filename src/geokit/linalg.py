@@ -94,6 +94,7 @@ class Tol:
             raise ValidationError("Tol.abs must be finite")
         object.__setattr__(self, "_hash", hash((self.rel, self.abs)))
 
+    # kept for ops-large's latency_p50_ms and latency_tail_ms: every warm read hashes its Tol
     def __hash__(self) -> int:
         return self._hash
 

@@ -19,8 +19,11 @@ a list is decided proof-first for every shape, once per conjugate pair,
 by one function (:func:`_per_conjugate_pair`): the PBH test behind
 ``uncontrollable`` and the ``rank_at_zeros`` check of the ``zeros`` report
 both read it, and the kernels of a list are decided once per exact
-conjugate pair too.  The Morse frame keeps the invariant zeros as the
-values :func:`invariant_zeros` returns, so a warm zeros query is a read.
+conjugate pair too, an exact repeat taking the kernel already decided.
+Every value of a request is read by one check, :func:`_finite`, which
+raises at the first bad value in order.  The Morse frame keeps the
+invariant zeros as the values :func:`invariant_zeros` returns, so a warm
+zeros query is a read.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False, init=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class PencilKernel:
     """Orthonormal kernel basis of a pencil at one eigenvalue, split into the
     state part V (n x q) and the input part W (m x q).
@@ -63,43 +66,20 @@ class PencilKernel:
     V: np.ndarray
     W: np.ndarray
 
-    def __init__(self, lam: complex, V: np.ndarray, W: np.ndarray):
-        # each slot's own setter, not the frozen __init__'s object.__setattr__
-        # per field: a request makes one kernel per value
-        _set_lam(self, lam)
-        _set_V(self, V)
-        _set_W(self, W)
-
     @property
     def q(self) -> int:
         return self.V.shape[1]
 
 
-_set_lam, _set_V, _set_W = PencilKernel.lam.__set__, PencilKernel.V.__set__, PencilKernel.W.__set__
-
-
-def _check_finite(lams: list[complex]) -> None:
-    """Raise :class:`SpectrumError` at the first of the complex ``lams``
-    that is not finite.  Such a value makes their sum not finite, and so
-    may an overflow: only then are the values read one by one."""
-    if not cmath.isfinite(sum(lams)):
-        for lam in lams:
-            if not cmath.isfinite(lam):
-                raise SpectrumError(f"eigenvalue {lam} is not finite")
-
-
 def _finite(lams) -> list[complex]:
-    """Each λ of ``lams`` as a complex, in order; a value that is not finite
-    raises :class:`SpectrumError` when it is reached, whatever the shape,
-    before a later value that ``complex`` refuses."""
-    lams = list(lams)
-    try:
-        values = [complex(lam) for lam in lams]
-    except Exception:  # complex() refuses a value: raise what the first bad value raises
-        for lam in lams:
-            _check_finite([complex(lam)])
-        raise
-    _check_finite(values)
+    """Each λ of ``lams`` as a complex, in order.  The values are read one
+    by one, and the first bad value raises: :class:`SpectrumError` if it is
+    not finite, and what ``complex`` raises if ``complex`` refuses it."""
+    values = []
+    for lam in map(complex, lams):
+        if not cmath.isfinite(lam):
+            raise SpectrumError(f"eigenvalue {lam} is not finite")
+        values.append(lam)
     return values
 
 
@@ -159,20 +139,22 @@ def rosenbrock_kernels(sys: SystemQuad, lams, tol: Tol = DEFAULT_TOL) -> list[Pe
     one empty kernel.  Where that proof fails, and whenever m > p, the
     matrix is written into one buffer per dtype (B, C and D are written
     once) and factored once: the full SVD's own singular values decide, so
-    every nonempty kernel comes from one SVD.  A value whose exact conjugate
-    came earlier in ``lams`` (a real value repeated, among them) is decided
-    once with it: the matrix at λ̄ is the conjugate of the one at λ, and the
-    kernel at λ̄ is the elementwise conjugate of λ's.  A value that is not
-    finite raises :class:`SpectrumError` before any kernel is computed.
+    every nonempty kernel comes from one SVD.  A value that came earlier in
+    ``lams`` takes that value's kernel, and one whose exact conjugate came
+    earlier is decided once with it: the matrix at λ̄ is the conjugate of
+    the one at λ, and the kernel at λ̄ is the elementwise conjugate of λ's.
+    The values are read in order by :func:`_finite`, before any kernel is
+    computed.
     Nothing is set up that no value needs: a request whose values are all
     proven forms no matrix, and a real one no complex Gram buffer."""
     n, lams = sys.n, _finite(lams)
     proves = _pencil_proof(sys._pencil_gram, tol) if sys.m <= sys.p and lams else None
     write, empty, decided, kernels = None, {}, {}, []  # decided: each value's (V, W)
     for lam in lams:
-        partner = decided.get(lam.conjugate())
-        if partner is not None:
-            V, W = partner[0].conj(), partner[1].conj()
+        if lam in decided:  # an exact repeat, a real value's among them
+            V, W = decided[lam]
+        elif lam.conjugate() in decided:
+            V, W = (X.conj() for X in decided[lam.conjugate()])
         elif proves is not None and proves(lam):
             dtype = np.complex128 if lam.imag else np.float64
             if dtype not in empty:
@@ -218,9 +200,9 @@ def _per_conjugate_pair(sys: SystemQuad, lams, tol: Tol) -> list[int]:
     set up once for the request), and the singular values of M decide
     where the proof fails, as at an invariant zero, where M loses rank.
     The proof accepts only what the singular values would, so every rank
-    is theirs.  A value that is not finite raises :class:`SpectrumError`
-    before any rank is decided, and with no value to decide no Gram
-    coefficient is formed.
+    is theirs.  The values are read in order by :func:`_finite`, before any
+    rank is decided, and with no value to decide no Gram coefficient is
+    formed.
     """
     lams, ranks = _finite(lams), {}  # ranks: the values decided, in order
     for lam in lams:
@@ -312,20 +294,20 @@ def validate_spectrum(lambdas, forbidden=(), tol: Tol = DEFAULT_TOL) -> list[tup
     margin of ten comparison scales; closer choices produce ill-conditioned
     kernels.
 
-    Each check raises on its first offending pair in the order of the
-    values, then of the forbidden set.  The values of an all-real request
+    The values are read in order by :func:`_finite` first, and each later
+    check raises on its first offending pair in the order of the values,
+    then of the forbidden set.  The values of an all-real request
     are sorted once: the closest two are neighbours there, so a request of
     distinct values forms no matrix of their distances.  Its distance to a
     forbidden value is at least that value's imaginary part, so only the
     forbidden values within twice the margin of the axis are measured.
     """
-    lambdas = [complex(v) for v in lambdas]
+    lambdas = _finite(lambdas)
     if not lambdas:
         raise SpectrumError("empty spectrum")
-    _check_finite(lambdas)
     lams = np.array(lambdas)
     real = not lams.imag.any()
-    if real:
+    if real:  # kept for ops-large's wall_s: its kh requests are all real
         xs = np.sort(lams.real)
         scale = _scale(max(-float(xs[0]), float(xs[-1])), tol)
     else:
@@ -364,16 +346,6 @@ def validate_spectrum(lambdas, forbidden=(), tol: Tol = DEFAULT_TOL) -> list[tup
     if near.any():
         i, k = divmod(int(near.argmax()), near.shape[1])
         j = columns[k] if real else k
-        raise SpectrumError(f"eigenvalue {lambdas[i]} is within {margin:.2e} of forbidden "
-                            f"value {complex(forbidden[j])}")
-    return values
-    margin = 10.0 * scale
-    forbidden = np.asarray(forbidden, dtype=np.complex128)
-    if xs is not None and not _may_reach(xs, forbidden, 2.0 * margin):
-        return values
-    near = _distances(lams, forbidden) <= margin
-    if near.any():
-        i, j = divmod(int(near.argmax()), len(forbidden))
         raise SpectrumError(f"eigenvalue {lambdas[i]} is within {margin:.2e} of forbidden "
                             f"value {complex(forbidden[j])}")
     return values

@@ -461,6 +461,14 @@ class TestFriendOf:
         assert np.all(fb.F == 0.0) and fb.assigned == ()
         assert friend_of(DI_VEL, Subspace.zero(2), [-1.0]).assigned == ()
 
+    def test_result_is_frozen_and_slotted(self):
+        fb = friend_of(DI_VEL, Subspace.zero(2))
+        for field in dataclasses.fields(fb):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(fb, field.name, None)
+        assert not hasattr(fb, "__dict__")
+        assert dataclasses.astuple(fb)[1:] == ((), 0.0, 0.0, 0.0, 1.0)
+
     @pytest.mark.parametrize("m, p", [(3, 2), (2, 3), (2, 0)])
     def test_zero_subspace_needs_no_factorization(self, monkeypatch, m, p):
         # the answers the least-squares friend and its staircase give on V = 0

@@ -1,10 +1,12 @@
+import dataclasses
 import itertools
 import re
+import struct
 
 import numpy as np
 import pytest
 
-from geokit import linalg, pencils
+from geokit import geometry, linalg, pencils
 from geokit.errors import SpectrumError, ValidationError
 from geokit.linalg import DEFAULT_TOL, Tol, _svd_rank, equals, image_basis, kernel_basis, rank_of, svd
 from geokit.pencils import (
@@ -157,6 +159,14 @@ class TestRosenbrockKernel:
         # det of the system matrix is lambda, so 0 is the only rank-drop point
         K = rosenbrock_kernel(DI, 0.0)
         assert K.q == 1
+
+    def test_kernel_is_frozen_and_slotted(self):
+        K = rosenbrock_kernel(DI, 0.0)
+        for field in ("lam", "V", "W"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(K, field, None)
+        assert not hasattr(K, "__dict__")
+        assert (K.lam, K.q) == (0.0, 1)
 
     def test_dtype_follows_lambda(self):
         assert rosenbrock_matrix(DI, -1.0).dtype == np.float64
@@ -332,6 +342,20 @@ class TestKernelIsOneSvdDecision:
             rosenbrock_kernels(sys, lams)
         with pytest.raises(SpectrumError, match=message):
             pencils._per_conjugate_pair(sys, lams, DEFAULT_TOL)
+
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+    def test_values_are_read_in_request_order(self, shape):
+        # each value is converted and checked in turn: what the first bad
+        # value raises is raised, a SpectrumError for a value that is not
+        # finite, complex()'s ValueError for one it refuses
+        sys = random_system(GenSpec(*shape, seed=1))
+        for check in (rosenbrock_kernels, lambda s, lams: pencils._per_conjugate_pair(
+                s, lams, DEFAULT_TOL)):
+            with pytest.raises(SpectrumError, match="eigenvalue \\(nan\\+0j\\) is not finite"):
+                check(sys, [np.nan, "x"])
+            with pytest.raises(ValueError) as raised:
+                check(sys, ["x", np.nan])
+            assert not isinstance(raised.value, SpectrumError)
 
 
 PROOF_TOLS = (Tol(rel=1e-14), DEFAULT_TOL, Tol(rel=1e-6))
@@ -552,6 +576,22 @@ class TestRosenbrockKernels:
             first = kernels[lams.index(lam.conjugate())] if lam.conjugate() in lams else K
             assert np.array_equal(K.V, first.V.conj()) and np.array_equal(K.W, first.W.conj())
 
+    def test_an_exact_repeat_is_decided_once(self, monkeypatch):
+        # a complex value given twice, then its conjugate: one complex
+        # Cholesky decides all three, and each kernel is the one a call of
+        # its own returns, bit for bit
+        sys = random_system(GenSpec(8, 2, 3, seed=1))
+        lams = [-1 + 1j, -1 + 1j, -1 - 1j]
+        potrf = _record_calls(monkeypatch, "potrf")
+        kernels = rosenbrock_kernels(sys, lams)
+        assert potrf == ["c"]
+        monkeypatch.undo()
+        for K, lam in zip(kernels, lams):
+            one = rosenbrock_kernel(sys, lam)
+            assert K.lam == lam and K.V.dtype == one.V.dtype == np.complex128
+            assert K.V.shape == one.V.shape == (8, 0) and K.W.shape == one.W.shape == (2, 0)
+            assert np.array_equal(K.V, one.V) and np.array_equal(K.W, one.W)
+
 
 class TestUncontrollable:
     def test_controllable_pair_empty(self):
@@ -642,6 +682,24 @@ class TestInvariantZeros:
     def test_double_integrator_zero_at_origin(self):
         zs = invariant_zeros(DI)
         assert len(zs) == 1 and abs(zs[0]) < 1e-9
+
+    def test_zeros_are_the_frames_values_bit_for_bit(self, monkeypatch):
+        # Python complex values, equal in their bits to complex(z) of the
+        # frame's array, signed zeros included, in a new list at each call;
+        # the array is real when every zero is
+        sys = random_system(GenSpec(8, 2, 2, seed=3))
+        frame = geometry.morse_decomposition(sys)
+        assert geometry.morse_decomposition(DI).invariant_zeros.dtype == np.float64
+        signed = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                           complex(-1.5, 2.0), complex(-1.5, -2.0)])
+        for zeros in (frame.invariant_zeros, signed, np.array([-0.0, 0.0, 2.5])):
+            kept = dataclasses.replace(frame, invariant_zeros=zeros)
+            monkeypatch.setattr(geometry, "morse_decomposition", lambda s, tol: kept)
+            got = invariant_zeros(sys)
+            assert got is not invariant_zeros(sys) and len(got) == len(zeros)
+            assert all(type(z) is complex for z in got)
+            assert [struct.pack("<2d", z.real, z.imag) for z in got] == \
+                [struct.pack("<2d", complex(z).real, complex(z).imag) for z in zeros]
 
     def test_relative_degree_two_no_zeros(self):
         sys = SystemQuad.from_matrices(DI.A, DI.B, [[1.0, 0.0]], [[0.0]])
@@ -856,6 +914,15 @@ class TestValidateSpectrum:
         # NaN compares unequal to everything, so it would pass the other checks
         with pytest.raises(SpectrumError, match="not finite"):
             validate_spectrum([bad, -1.0])
+
+    def test_values_are_read_in_request_order(self):
+        # as the kernels and the ranks read them: the first bad value
+        # decides what is raised
+        with pytest.raises(SpectrumError, match="eigenvalue \\(nan\\+0j\\) is not finite"):
+            validate_spectrum([np.nan, "x"])
+        with pytest.raises(ValueError) as raised:
+            validate_spectrum(["x", np.nan])
+        assert not isinstance(raised.value, SpectrumError)
 
     def test_forbidden_margin(self):
         # within ten comparison scales of a forbidden value: rejected

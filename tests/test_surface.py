@@ -1,6 +1,8 @@
 """The names other code looks up on geokit's modules exist, every private
-top-level name of geokit has a reader, LAPACK is reached through
-``geokit.linalg`` alone, and the modules import each other in layers.
+top-level name of geokit has a reader, no statement of geokit follows a
+``return``, ``raise``, ``continue`` or ``break`` in its block, LAPACK is
+reached through ``geokit.linalg`` alone, and the modules import each other
+in layers.
 
 perfbench's tracer wraps its table of functions with ``getattr`` and no
 default, so a library function deleted from under that table makes
@@ -118,6 +120,64 @@ class TestEveryPrivateNameIsRead:
         }
         assert _unreferenced_private_names(sources) == [
             "a.py:_unread", "a.py:_recursive", "a.py:_in_docstring", "a.py:_unread"]
+
+
+def _unreachable_statements(source: str) -> list[int]:
+    """The line of each statement of ``source`` that follows a ``return``,
+    ``raise``, ``continue`` or ``break`` in the same block, the first such
+    statement of each block, in the order of the blocks' walk."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        for _, block in ast.iter_fields(node):
+            if not (isinstance(block, list) and block and isinstance(block[0], ast.stmt)):
+                continue
+            ends = [i for i, stmt in enumerate(block[:-1])
+                    if isinstance(stmt, (ast.Return, ast.Raise, ast.Continue, ast.Break))]
+            if ends:
+                found.append(block[ends[0] + 1].lineno)
+    return found
+
+
+class TestNoUnreachableCode:
+    """A statement after a ``return``, ``raise``, ``continue`` or ``break``
+    in its block never runs, and may read names that exist nowhere."""
+
+    def test_no_statement_follows_a_jump(self):
+        files = sorted(SRC.glob("*.py"))
+        assert files
+        found = [f"{f.name}:{line}" for f in files
+                 for line in _unreachable_statements(f.read_text(encoding="utf-8"))]
+        assert found == []
+
+    def test_scan_finds_unreachable_statements(self):
+        source = "\n".join([
+            "def f(x):",
+            "    if x:",
+            "        return 1",
+            "        x = 2",
+            "    else:",
+            "        raise ValueError(x)",
+            "    for y in x:",
+            "        if y:",
+            "            continue",
+            "        break",
+            "        y += 1",
+            "    try:",
+            "        return x",
+            "    finally:",
+            "        pass",
+            "    return x",
+            "    return _undefined",
+            "    x = 3",
+            "while True:",
+            "    break",
+            "else:",
+            "    raise",
+            "    pass",
+            "def g():",
+            "    return",
+        ])
+        assert _unreachable_statements(source) == [17, 23, 4, 11]
 
 
 def _geokit_imports(source: str, modules: set[str]) -> list[tuple[str, str]]:
