@@ -207,7 +207,9 @@ def synthesize_feedback(A, B, selection, tol: Tol = DEFAULT_TOL) -> FeedbackResu
     selection : iterable of (PencilKernel, coefficients)
         Each entry contributes the columns ``V @ coefficients`` (state parts)
         and ``W @ coefficients`` (input parts) of one kernel; coefficients
-        may be a 1-D vector (one column) or a (q, k) array.  The chosen
+        may be a 1-D vector (one column) or a (q, k) array.  A kernel
+        whose parts are not n and m rows long, one of another pair, raises
+        :class:`ValidationError` before its columns are built.  The chosen
         state-part columns must be linearly independent and the selection
         must yield a real ``F = W V⁺`` (a complex column needs a multiple of
         its conjugate at the conjugate eigenvalue): an imaginary part above
@@ -224,6 +226,9 @@ def synthesize_feedback(A, B, selection, tol: Tol = DEFAULT_TOL) -> FeedbackResu
     for kernel, coeffs in selection:
         if not isinstance(kernel, PencilKernel):
             raise ValidationError("selection entries must be (PencilKernel, coefficients)")
+        if (kernel.V.shape[0], kernel.W.shape[0]) != (sys.n, sys.m):
+            raise ValidationError(f"kernel has {kernel.V.shape[0]} states and {kernel.W.shape[0]} "
+                                  f"inputs, the pair has {sys.n} and {sys.m}")
         Cf = np.asarray(coeffs)
         if Cf.ndim == 1:
             Cf = Cf[:, None]
@@ -329,7 +334,7 @@ def _kh(frame: geometry.MorseDecomposition, lams, tol: Tol) -> Subspace:
     """
     values = validate_spectrum(lams, frame.invariant_zeros, tol)
     n1, stairs = frame.dim_rstar, frame.stairs
-    if n1 == 0:  # no direction to grow: nothing to shift or solve
+    if n1 == 0:  # kept for ops-large's wall_s: its tall kh requests have R* = 0, nothing to solve
         return Subspace.zero(frame.T.shape[0])
     A, B = frame.Abar[:n1, :n1], frame.Bbar[:n1, :frame.m1]
     K = _near_shift(frame._rstar_spectrum, B, values)
@@ -371,7 +376,8 @@ def build_Kh(sys: SystemQuad, spec, tol: Tol = DEFAULT_TOL) -> tuple[Subspace, l
     lams = [complex(v) for v in spec]
     kh = _kh(frame, lams, tol)
     kernels = pencils.rosenbrock_kernels(sys, lams, tol)
-    if any(K.V.shape[1] for K in kernels):  # else no column to check, as usually with m ≤ p
+    # kept for ops-large's wall_s: its tall kh requests' kernels are all empty, no column to check
+    if any(K.V.shape[1] for K in kernels):
         V = np.hstack([K.V for K in kernels])
         outside = float(np.linalg.norm(V - kh.basis @ (kh.basis.T @ V), axis=0).max())
         if outside > tol.abs:

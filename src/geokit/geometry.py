@@ -200,11 +200,21 @@ def _span(Q: np.ndarray) -> Subspace:
     return Subspace.full(n) if k == n else Subspace(Q)
 
 
-def _krylov(A, M, steps: int, tol: Tol) -> tuple[np.ndarray, list[int]]:
-    """Staircase of the pair (A, M) without outputs: ``S_j = im[M, ..., A^(j-1) M]``."""
+def _square(A) -> np.ndarray:
+    """``as_matrix(A, "A")``, refused with :class:`ValidationError` unless square."""
     A = as_matrix(A, "A")
-    M = as_matrix(M, "M")
+    if A.shape[0] != A.shape[1]:
+        raise ValidationError(f"A must be square, got {A.shape}")
+    return A
+
+
+def _krylov(A, M, steps: int, tol: Tol, name: str = "M") -> tuple[np.ndarray, list[int]]:
+    """Staircase of the pair (A, M) without outputs: ``S_j = im[M, ..., A^(j-1) M]``.
+    A must be square and M, called ``name`` in the error, have as many rows."""
+    A, M = _square(A), as_matrix(M, name)
     n, m = M.shape
+    if n != A.shape[0]:
+        raise ValidationError(f"{name} must have {A.shape[0]} rows, got {M.shape}")
     return _staircase(A, M, np.zeros((0, n)), np.zeros((0, m)), np.zeros((n, 0)), steps, tol,
                       (norm2(np.hstack([A, M])), 0.0))
 
@@ -214,7 +224,10 @@ def krylov_image(A, M, steps: int, tol: Tol = DEFAULT_TOL) -> Subspace:
 
     The staircase of the pair (A, M) without outputs, i.e. block Arnoldi:
     each step applies A only to the basis columns the previous step added.
+    A negative ``steps`` raises :class:`ValidationError`.
     """
+    if steps < 0:
+        raise ValidationError(f"steps must be nonnegative, got {steps}")
     return _span(_krylov(A, M, steps, tol)[0])
 
 
@@ -230,7 +243,8 @@ def reachable_subspace(A, B, tol: Tol = DEFAULT_TOL) -> tuple[Subspace, int]:
         Least ``h`` with ``im[B, ..., A^(h-1)B]`` already stationary; this is
         the number of Krylov steps needed to fill R (0 when B = 0).
     """
-    Q, dims = _krylov(A, B, as_matrix(A, "A").shape[0] + 1, tol)
+    A = _square(A)
+    Q, dims = _krylov(A, B, A.shape[0] + 1, tol, "B")
     return _span(Q), len(dims) - 2
 
 
@@ -239,8 +253,9 @@ def unobservable_subspace(C, A, tol: Tol = DEFAULT_TOL) -> Subspace:
     complement of the reachable subspace of the dual pair (A*, C*), which is
     the whole state space when C has no rows (p = 0): the completion of the
     basis of the dual Krylov staircase, which decides its dimension."""
-    A = as_matrix(A, "A")
-    C = as_matrix(C, "C")
+    A, C = _square(A), as_matrix(C, "C")
+    if C.shape[1] != A.shape[0]:
+        raise ValidationError(f"C must have {A.shape[0]} columns, got {C.shape}")
     return _span(_completion(_krylov(A.conj().T, C.conj().T, A.shape[0], tol)[0]))
 
 
@@ -446,6 +461,7 @@ def friend_of(sys: SystemQuad, V: Subspace, spectrum=None, tol: Tol = DEFAULT_TO
     if spectrum is None:  # the reads come first
         if V.dim == 0:  # nothing to keep invariant: F = 0
             return FeedbackResult(np.zeros((sys.m, sys.n)), (), 0.0, 0.0, 0.0, 1.0)
+        # kept for ops-large's latency_tail_ms: 2 µs, where the friend of V* takes 80-200 µs
         if _is_vstar(sys, V, tol):  # F is copied: the caller's F is its own
             F, res_out, res_inv = _friend_of_vstar_answer(sys, tol)
             return FeedbackResult(F.copy(), (), 0.0, res_out, res_inv, 1.0)

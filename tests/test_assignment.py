@@ -156,6 +156,14 @@ class TestSynthesize:
         with pytest.raises(SynthesisError):
             synthesize_feedback(A2, B2, [(K, np.ones(1)), (K, 2.0 * np.ones(1))])
 
+    def test_kernel_of_another_pair_rejected(self):
+        # a 4-state kernel on a 3-state pair is refused by name before any
+        # column is built, as moore_check refuses an eigenvector of the wrong length
+        K = reach_pencil_kernel(np.diag([1.0, 2.0, 3.0, 4.0]), np.ones((4, 1)), -1.0)
+        with pytest.raises(ValidationError, match="kernel has 4 states and 1 inputs, "
+                                                  "the pair has 3 and 1"):
+            synthesize_feedback(np.diag([1.0, 2.0, 3.0]), np.ones((3, 1)), [(K, np.ones(1))])
+
     def test_more_columns_than_states_rejected(self, capfd):
         # three eigenvectors in two states are dependent, refused as such
         # before the target, which spans the columns, is read

@@ -2,6 +2,7 @@ import builtins
 import dataclasses
 import gc
 import inspect
+import re
 import weakref
 
 import numpy as np
@@ -245,6 +246,32 @@ class TestUnobservable:
         for n in (20, 60):
             sys = random_system(GenSpec(n=n, m=2, p=1, seed=n))
             assert unobservable_subspace(sys.C, sys.A).dim == 0
+
+
+class TestRawPairShapes:
+    """The raw-pair entry points refuse mismatched shapes by name, as
+    ``SystemQuad`` does, before numpy meets them."""
+
+    A3 = np.diag([1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda A3: reachable_subspace(A3, np.ones((4, 1))), "B must have 3 rows, got (4, 1)"),
+        (lambda A3: reachable_subspace(A3[:, :2], np.ones((3, 1))), "A must be square, got (3, 2)"),
+        (lambda A3: krylov_image(A3, np.ones((4, 1)), 2), "M must have 3 rows, got (4, 1)"),
+        (lambda A3: unobservable_subspace(np.ones((1, 4)), A3), "C must have 3 columns, got (1, 4)"),
+        (lambda A3: unobservable_subspace(np.ones((1, 3)), A3[:, :2]),
+         "A must be square, got (3, 2)"),
+    ], ids=["reachable-B-rows", "reachable-A-not-square", "krylov-M-rows",
+            "unobservable-C-columns", "unobservable-A-not-square"])
+    def test_mismatched_shape_raises_validation_error(self, call, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            call(self.A3)
+
+    def test_negative_steps_refused(self):
+        # zero steps is the zero subspace; a negative count is no count
+        assert krylov_image(self.A3, np.ones((3, 1)), 0).dim == 0
+        with pytest.raises(ValidationError, match="steps must be nonnegative, got -1"):
+            krylov_image(self.A3, np.ones((3, 1)), -1)
 
 
 class TestVstarChain:

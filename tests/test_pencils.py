@@ -514,8 +514,8 @@ class TestProofFollowsTheTol:
 
 
 class TestRosenbrockKernels:
-    # one buffer per dtype serves every value: each kernel must still be the
-    # one its own matrix gives, bit for bit, in its dtype and request order
+    # one request decides many values: each kernel must still be the one
+    # its own matrix gives, bit for bit, in its dtype and request order
     LAMS = [-1.3, 0.4 + 1.1j, 0.4 - 1.1j, 2.0, -0.5 - 0.7j, -0.5 + 0.7j, 0.25]
 
     @pytest.mark.parametrize("shape, at_zero", [((6, 3, 2), False), ((6, 2, 2), True),

@@ -1,8 +1,9 @@
 """The names other code looks up on geokit's modules exist, every private
 top-level name of geokit has a reader, no statement of geokit follows a
-``return``, ``raise``, ``continue`` or ``break`` in its block, LAPACK is
-reached through ``geokit.linalg`` alone, and the modules import each other
-in layers.
+``return``, ``raise``, ``continue`` or ``break`` in its block, every fast
+path kept beside a general one names the benchmark metric it serves, LAPACK
+is reached through ``geokit.linalg`` alone, and the modules import each
+other in layers.
 
 perfbench's tracer wraps its table of functions with ``getattr`` and no
 default, so a library function deleted from under that table makes
@@ -12,7 +13,11 @@ nothing) and fails first.
 
 import ast
 import importlib
+import io
+import json
+import re
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -178,6 +183,66 @@ class TestNoUnreachableCode:
             "    return",
         ])
         assert _unreachable_statements(source) == [17, 23, 4, 11]
+
+
+def _keeper_comments(source: str) -> list[tuple[int, str]]:
+    """``(line, text)`` of each comment of ``source`` that says ``kept for``;
+    a string that says it is no comment."""
+    return [(token.start[0], token.string)
+            for token in tokenize.generate_tokens(io.StringIO(source).readline)
+            if token.type == tokenize.COMMENT and "kept for" in token.string]
+
+
+_KEEPER = re.compile(r"# kept for (?P<workload>[\w-]+)'s (?P<metrics>\w+(?: and \w+)*)(?::|$)")
+
+
+def _keeper_fault(comment: str, benchmark: dict) -> str | None:
+    """What is wrong with a ``kept for`` comment, by ``benchmark`` (the
+    parsed ``BENCHMARK.json``), or None: it must read ``# kept for
+    <workload>'s <metric>[ and <metric>]``, then a colon or its end, and
+    name a workload and end-to-end metrics that the benchmark lists."""
+    match = _KEEPER.match(comment)
+    if match is None:
+        return "not of the form # kept for <workload>'s <metric>[ and <metric>]"
+    if match["workload"] not in {w["name"] for w in benchmark["workloads"]}:
+        return f"no workload {match['workload']}"
+    unknown = set(match["metrics"].split(" and ")) - {m["name"] for m in benchmark["end_to_end"]}
+    return f"no end-to-end metric {sorted(unknown)}" if unknown else None
+
+
+class TestEveryKeeperNamesItsMetric:
+    """A fast path kept beside a general one says which workload's
+    end-to-end metric keeps it, so the next change can measure it again."""
+
+    def test_every_keeper_names_a_benchmark_metric(self):
+        benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+        comments = [(f.name, line, text) for f in sorted(SRC.glob("*.py"))
+                    for line, text in _keeper_comments(f.read_text(encoding="utf-8"))]
+        assert comments
+        faults = [(f"{name}:{line}", fault) for name, line, text in comments
+                  if (fault := _keeper_fault(text, benchmark)) is not None]
+        assert faults == []
+
+    def test_scan_rejects_what_the_benchmark_does_not_list(self):
+        benchmark = {"workloads": [{"name": "ops-large"}, {"name": "cli-reports"}],
+                     "end_to_end": [{"name": "wall_s"}, {"name": "latency_tail_ms"}]}
+        source = "\n".join([
+            "x = 1  # kept for ops-large's wall_s: the real requests",
+            "# kept for cli-reports's wall_s and latency_tail_ms",
+            "# kept for ops-large's latency_tail_s: a misspelled metric",
+            "# kept for ops-larg's wall_s: a misspelled workload",
+            "# kept for ops-large's wall_s and peak_rss_mb: one metric unlisted",
+            "# kept for speed",
+            "# kept for ops-large's wall_seconds",
+            "y = '# kept for nothing'",
+        ])
+        comments = _keeper_comments(source)
+        assert [line for line, _ in comments] == [1, 2, 3, 4, 5, 6, 7]
+        assert [_keeper_fault(text, benchmark) for _, text in comments] == [
+            None, None, "no end-to-end metric ['latency_tail_s']", "no workload ops-larg",
+            "no end-to-end metric ['peak_rss_mb']",
+            "not of the form # kept for <workload>'s <metric>[ and <metric>]",
+            "no end-to-end metric ['wall_seconds']"]
 
 
 def _geokit_imports(source: str, modules: set[str]) -> list[tuple[str, str]]:
